@@ -12,16 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from . import dirac, modes, nearnr, packets
-from .contours import extract_contours
-from .io_utils import parallel_rows, write_csv, write_json
-from .numerics import Grid2D, QuadratureError
-from .scalar import EPS_RHO_SCALE
+from .io_utils import write_csv, write_json
+from .numerics import Grid2D
 
 __all__ = ["main"]
 
@@ -52,15 +51,20 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str, where: str = "config"):
-    if key not in cfg:
-        raise ConfigError(f"{where}: missing required field {key!r}")
-    return cfg[key]
+@contextmanager
+def _parsing(where: str):
+    """Turn a malformed value met while reading a config into ConfigError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{where}: missing required field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _grid(cfg: dict, quick: bool) -> Grid2D:
-    g = _require(cfg, "grid")
-    try:
+    with _parsing("grid"):
+        g = cfg["grid"]
         n_x, n_t = int(g["n_x"]), int(g["n_t"])
         if quick:
             n_x = max(2, (n_x + 1) // 2)
@@ -68,8 +72,15 @@ def _grid(cfg: dict, quick: bool) -> Grid2D:
         return Grid2D(x_min=float(g["x_min"]), x_max=float(g["x_max"]),
                       n_x=n_x, t_min=float(g["t_min"]),
                       t_max=float(g["t_max"]), n_t=n_t)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+
+
+def _count(cfg: dict, key: str, default: int) -> int:
+    """A positive integer config field."""
+    with _parsing(key):
+        n = int(cfg.get(key, default))
+    if n < 1:
+        raise ConfigError(f"{key} must be >= 1")
+    return n
 
 
 def _out_dir(args) -> Path:
@@ -82,42 +93,30 @@ def _out_dir(args) -> Path:
 
 
 def cmd_modes(cfg: dict, args) -> int:
-    try:
+    with _parsing("mode set"):
         state = modes.ModeSet(
-            k=np.asarray(_require(cfg, "k"), dtype=float),
-            phi=np.array([complex(re, im)
-                          for re, im in _require(cfg, "phi")]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"mode set: {exc}") from exc
+            k=np.asarray(cfg["k"], dtype=float),
+            phi=np.array([complex(re, im) for re, im in cfg["phi"]]))
     grid = _grid(cfg, args.quick)
-    n_levels = int(cfg.get("n_levels", 30))
-    if n_levels < 1:
-        raise ConfigError("n_levels must be >= 1")
+    n_levels = _count(cfg, "n_levels", 30)
     out = _out_dir(args)
 
-    ts = grid.t
-    F = np.array(parallel_rows(
-        lambda i: np.asarray(modes.integral_F(state, grid.x[i], ts)),
-        grid.n_x, args.threads))
-    lo, hi = float(F.min()), float(F.max())
-    levels = lo + (hi - lo) * (np.arange(n_levels) + 0.5) / n_levels
-    lines = extract_contours(grid.x, ts, F, levels)
-    traj = modes._annotate(state, lines)
-
+    F, traj = modes.trajectories(state, grid, n_levels, args.threads)
+    xs, ts = grid.x, grid.t
     write_csv(out / "f_grid.csv", ["x", "t", "F"],
-              ((grid.x[i], ts[j], F[i, j])
+              ((xs[i], ts[j], F[i, j])
                for i in range(grid.n_x) for j in range(grid.n_t)), cfg)
     write_csv(out / "trajectories.csv",
               ["level_id", "vertex_id", "x", "t", "rho_sign", "v"],
               traj.rows(), cfg)
-    rho, _ = modes._rho_j(state, grid.x[:, None], ts[None, :])
+    rho, _ = modes._rho_j(state, xs[:, None], ts[None, :])
     write_json(out / "summary.json", {
         "mean_group_velocity": modes.mean_rest_frame_check(state),
         "pair_events": traj.n_pair_events,
         "n_contours": len(traj.trajectories),
         "rho_sign_census": {"positive": int(np.sum(rho > 0)),
                             "negative": int(np.sum(rho < 0))},
-        "f_range": [lo, hi],
+        "f_range": [float(F.min()), float(F.max())],
     }, cfg)
     return 0
 
@@ -126,8 +125,8 @@ def cmd_modes(cfg: dict, args) -> int:
 
 
 def _packet_from(cfg: dict) -> packets.Packet:
-    p = _require(cfg, "packet")
-    try:
+    with _parsing("packet"):
+        p = cfg["packet"]
         spec = packets.PacketSpec(
             shape=p.get("shape", "cos2"), a=float(p.get("a", 1.0)),
             k0=float(p.get("k0", 0.0)), sigma_k=float(p.get("sigma_k", 0.05)),
@@ -140,8 +139,6 @@ def _packet_from(cfg: dict) -> packets.Packet:
         if "gl_order" in p:
             kwargs["gl_order"] = int(p["gl_order"])
         return packets.Packet(spec, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"packet: {exc}") from exc
 
 
 def _lambert_fit(packet, traj_set, grid):
@@ -225,16 +222,20 @@ def cmd_explode(cfg: dict, args) -> int:
     packet = _packet_from(cfg)
     if packet.spec.shape != "cos2":
         raise ConfigError("explode requires a cos2 packet")
-    t_values = [float(t) for t in cfg.get("t_values", [0.0])]
-    p_times = [float(t) for t in cfg.get("p_times", [0.0])]
+    with _parsing("t_values/p_times/density_x"):
+        t_values = [float(t) for t in cfg.get("t_values", [0.0])]
+        p_times = [float(t) for t in cfg.get("p_times", [0.0])]
+        dx_cfg = cfg.get("density_x", {"min": -5.0, "max": 5.0, "n": 401})
+        xd = np.linspace(float(dx_cfg["min"]), float(dx_cfg["max"]),
+                         int(dx_cfg["n"]) if not args.quick
+                         else max(2, int(dx_cfg["n"]) // 2))
     if any(t < 0 for t in t_values) or any(t < 0 for t in p_times):
         raise ConfigError("t values must be >= 0")
     if args.quick:
         t_values = t_values[:2]
         p_times = [t for i, t in enumerate(p_times) if i % 2 == 0 or t == 0.0]
     grid = _grid(cfg, args.quick)
-    n_levels = int(cfg.get("n_levels", 40))
-    dx_cfg = cfg.get("density_x", {"min": -5.0, "max": 5.0, "n": 401})
+    n_levels = _count(cfg, "n_levels", 40)
     out = _out_dir(args)
 
     x_th, x0 = packets.zero_crossings(packet)
@@ -247,9 +248,6 @@ def cmd_explode(cfg: dict, args) -> int:
     q_nw = packets._panel_integral(lambda xx: packet.rho_nw(xx, 0.0),
                                    0.0, a, n_panels=64)
 
-    xd = np.linspace(float(dx_cfg["min"]), float(dx_cfg["max"]),
-                     int(dx_cfg["n"]) if not args.quick
-                     else max(2, int(dx_cfg["n"]) // 2))
     for t in t_values:
         prof = packets.densities(packet, xd, t)
         write_csv(out / f"density_t{t:g}.csv",
@@ -260,20 +258,8 @@ def cmd_explode(cfg: dict, args) -> int:
     p_rows = [(t, packets.acausal_probability(packet, t)) for t in p_times]
     write_csv(out / "acausal.csv", ["t", "P"], p_rows, cfg)
 
-    kernel = packets.FrontKernel(
-        packet, phase_scale=max(abs(grid.x_max), abs(grid.x_min))
-        + abs(grid.t_max))
-    ts = grid.t
-    F = np.array(parallel_rows(
-        lambda i: kernel.evaluate(np.full(grid.n_t, grid.x[i]), ts),
-        grid.n_x, args.threads))
-    lo, hi = float(F.min()), float(F.max())
-    levels = lo + (hi - lo) * (np.arange(n_levels) + 0.5) / n_levels
-    lines = extract_contours(grid.x, ts, F, levels)
-    scale = float(np.max(np.abs(packet.rho(
-        np.linspace(grid.x_min, grid.x_max, 64), 0.0))))
-    traj = modes.annotate_contours(lines, packet.rho_j,
-                                   EPS_RHO_SCALE * scale)
+    _, traj = packets.annihilation_fronts(packet, grid, n_levels,
+                                          args.threads)
     write_csv(out / "fronts.csv",
               ["level_id", "vertex_id", "x", "t", "rho_sign", "v"],
               traj.rows(), cfg)
@@ -304,10 +290,13 @@ def cmd_nearnr(cfg: dict, args) -> int:
               "narrow-k regime; the approximate identities are not "
               "expected to hold (the exact one still is)", file=sys.stderr)
     xcfg = cfg.get("x", {"min": -20.0, "max": 20.0, "n": 161})
-    n = int(xcfg["n"]) if not args.quick else max(9, int(xcfg["n"]) // 2)
-    x = np.linspace(float(xcfg["min"]), float(xcfg["max"]), n)
-    t = float(cfg.get("t", 0.0))
-    h_t = float(cfg.get("h_t", nearnr.H_T))
+    with _parsing("x/t/h_t"):
+        n = int(xcfg["n"]) if not args.quick else max(9, int(xcfg["n"]) // 2)
+        x = np.linspace(float(xcfg["min"]), float(xcfg["max"]), n)
+        t = float(cfg.get("t", 0.0))
+        h_t = float(cfg.get("h_t", nearnr.H_T))
+    if not (np.isfinite(t) and 0.0 < h_t < np.inf):
+        raise ConfigError("t must be finite and h_t in (0, inf)")
     out = _out_dir(args)
 
     field = nearnr.correction_field(packet, x, t, h_t=h_t)
@@ -354,15 +343,12 @@ def cmd_spin(cfg: dict, args) -> int:
     out = _out_dir(args)
     h = float(cfg.get("h", 1e-3))
     if kind == "dirac":
-        try:
+        with _parsing("dirac field"):
             field = dirac.DiracField.random(
-                n_modes=int(_require(cfg, "n_modes")),
-                seed=int(_require(cfg, "seed")),
+                n_modes=int(cfg["n_modes"]), seed=int(cfg["seed"]),
                 k_max=float(cfg.get("k_max", 1.0)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"dirac field: {exc}") from exc
         rng = np.random.default_rng(int(cfg.get("point_seed", 0)))
-        n_pts = int(cfg.get("n_points", 20))
+        n_pts = _count(cfg, "n_points", 20)
         if args.quick:
             n_pts = min(n_pts, 6)
         pts = rng.uniform(-float(cfg.get("point_range", 1.0)),
@@ -400,7 +386,7 @@ def cmd_spin(cfg: dict, args) -> int:
             raise ConfigError(f"unknown FW field {name!r}")
         field = makers[name]()
         rng = np.random.default_rng(int(cfg.get("point_seed", 0)))
-        n_pts = int(cfg.get("n_points", 25))
+        n_pts = _count(cfg, "n_points", 25)
         pts = rng.uniform(-1.5, 1.5, (n_pts, 3))
         spin_res, _ = dirac.verify_fw_spin_tensor(field, pts)
         curl_h, _ = dirac.verify_curl_formula(field, pts, h=h)
@@ -462,7 +448,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, QuadratureError, ArithmeticError) as exc:
+    except (ConvergenceError, ArithmeticError) as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return 3
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import io_utils
 from .contours import extract_contours
 from .numerics import Grid2D, omega
 from .scalar import EPS_RHO_SCALE, FieldSample
@@ -26,6 +27,7 @@ __all__ = [
     "eval_psi",
     "velocity_discrete",
     "integral_F",
+    "contour_family",
     "trajectories",
     "mean_rest_frame_check",
     "fig1_modeset",
@@ -44,6 +46,8 @@ class ModeSet:
         phi = np.atleast_1d(np.asarray(self.phi, dtype=complex))
         if k.size == 0 or k.size != phi.size:
             raise ValueError("need equally many wavenumbers and coefficients")
+        if not (np.all(np.isfinite(k)) and np.all(np.isfinite(phi))):
+            raise ValueError("wavenumbers and coefficients must be finite")
         if np.unique(k).size != k.size:
             raise ValueError("wavenumbers must be pairwise distinct")
         if not np.any(phi):
@@ -90,6 +94,12 @@ def _rho_j(state: ModeSet, z, t):
     return rho, j
 
 
+def _rho_floor(state: ModeSet, eps_scale: float) -> float:
+    """Absolute density below which the velocity is flagged divergent."""
+    return eps_scale * float(np.sum(np.abs(state.phi) ** 2)
+                             * np.max(np.abs(state.k) + state.omega))
+
+
 def velocity_discrete(state: ModeSet, z: float, t: float,
                       eps_scale: float = EPS_RHO_SCALE):
     """Velocity from the mode-pair double sums; None at a density zero.
@@ -98,9 +108,7 @@ def velocity_discrete(state: ModeSet, z: float, t: float,
     formula paths are kept separate deliberately.
     """
     rho, j = _rho_j(state, z, t)
-    floor = eps_scale * float(np.sum(np.abs(state.phi) ** 2)
-                              * np.max(np.abs(state.k) + state.omega))
-    if abs(rho) < floor:
+    if abs(rho) < _rho_floor(state, eps_scale):
         return None
     return float(j / rho)
 
@@ -116,22 +124,14 @@ def integral_F(state: ModeSet, z, t, check_tol: float = 1e-9):
     """
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
-    u = _mode_amplitudes(state, z, t)
-    k = state.k
-    w = state.omega
-    dk = k[None, :] - k[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(dk != 0.0, (w[:, None] + w[None, :]) / np.where(
-            dk != 0.0, dk, 1.0), 0.0)
-    dbl = 0.5 * np.sum(np.conj(u)[..., :, None] * u[..., None, :] * coef,
-                       axis=(-2, -1))
-    scale = np.max(np.abs(dbl.imag)) + 1e-14
-    if np.max(np.abs(dbl.real)) > check_tol * scale:
+    re, im = double_sum_parts(state, z, t)
+    scale = np.max(np.abs(im)) + 1e-14
+    if np.max(np.abs(re)) > check_tol * scale:
         raise ArithmeticError(
             "double sum of the integral of motion is not pure imaginary: "
-            f"max |Re| = {np.max(np.abs(dbl.real)):.3e}")
+            f"max |Re| = {np.max(np.abs(re)):.3e}")
     mean_v = mean_rest_frame_check(state)
-    out = (z - mean_v * t) + dbl.imag / state.weight
+    out = (z - mean_v * t) + im / state.weight
     return float(out) if out.ndim == 0 else out
 
 
@@ -165,18 +165,15 @@ def mean_rest_frame_check(state: ModeSet) -> float:
 class Trajectory:
     """One iso-contour of F with per-vertex Bohmian annotations.
 
-    v is NaN where the velocity diverges (density zero); segment_class
-    holds +1 (particle, rho > 0) or -1 (anti-particle, rho < 0) per
-    polyline segment, flipping only where rho changes sign.  Under the
-    Feynman-Stueckelberg reading, rho < 0 segments are traversed
-    backward in t.
+    The sign of rho marks particle (rho > 0) and anti-particle (rho < 0)
+    arcs; under the Feynman-Stueckelberg reading the latter are traversed
+    backward in t.  v is NaN where the velocity diverges (density zero).
     """
 
     level: float
     points: np.ndarray           # (n, 2): columns x, t
     rho: np.ndarray              # (n,)
     v: np.ndarray                # (n,), NaN at divergence flags
-    segment_class: np.ndarray    # (n - 1,), +1 / -1
     closed: bool = False
 
 
@@ -191,7 +188,7 @@ class TrajectorySet:
                    for tr in self.trajectories)
 
     def rows(self):
-        """CSV-ready rows: level_id, segment_id, x, t, rho_sign, v."""
+        """CSV-ready rows: level_id, vertex_id, x, t, rho_sign, v."""
         for li, tr in enumerate(self.trajectories):
             for vi, (x, t) in enumerate(tr.points):
                 yield (li, vi, x, t, int(np.sign(tr.rho[vi])),
@@ -210,45 +207,45 @@ def annotate_contours(lines, rho_j_fn, floor: float) -> TrajectorySet:
         rho, j = rho_j_fn(xs, ts)
         with np.errstate(divide="ignore", invalid="ignore"):
             v = np.where(np.abs(rho) < floor, np.nan, j / rho)
-        if len(xs) > 1:
-            mid_rho, _ = rho_j_fn(0.5 * (xs[:-1] + xs[1:]),
-                                  0.5 * (ts[:-1] + ts[1:]))
-            seg = np.where(mid_rho >= 0.0, 1, -1)
-        else:
-            seg = np.empty(0, dtype=int)
         out.trajectories.append(Trajectory(
             level=line.level, points=line.points, rho=rho, v=v,
-            segment_class=seg, closed=line.closed))
+            closed=line.closed))
     return out
 
 
-def _annotate(state: ModeSet, lines) -> TrajectorySet:
-    floor = EPS_RHO_SCALE * float(np.sum(np.abs(state.phi) ** 2)
-                                  * np.max(np.abs(state.k) + state.omega))
-    return annotate_contours(lines, lambda xs, ts: _rho_j(state, xs, ts),
-                             floor)
+def contour_family(row_fn, grid: Grid2D, n_levels: int, rho_j_fn,
+                   floor: float, threads: int = 1):
+    """Iso-contours of a field F at n_levels even levels, annotated.
 
+    row_fn(i) returns F along grid.t at x = grid.x[i]; rows are evaluated
+    through io_utils.parallel_rows, so the result does not depend on
+    threads.  Levels sit at lo + (hi - lo)(i + 1/2)/n_levels over the
+    range of F; rho_j_fn and floor are as in annotate_contours.
 
-def f_grid(state: ModeSet, grid: Grid2D) -> np.ndarray:
-    """F sampled on the grid, shape (n_x, n_t)."""
-    z = grid.x[:, None]
-    t = grid.t[None, :]
-    return integral_F(state, z, t)
-
-
-def trajectories(state: ModeSet, grid: Grid2D,
-                 n_levels: int) -> TrajectorySet:
-    """Trajectory family: iso-contours of F at n_levels even levels.
-
-    Warns if F varies by more than one level spacing across a grid cell
-    (contours can then miss structure).
+    Returns (F, TrajectorySet) with F of shape (n_x, n_t).
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
-    F = f_grid(state, grid)
+    F = np.array(io_utils.parallel_rows(row_fn, grid.n_x, threads))
     lo, hi = float(F.min()), float(F.max())
     levels = lo + (hi - lo) * (np.arange(n_levels) + 0.5) / n_levels
-    spacing = (hi - lo) / n_levels if n_levels > 1 else hi - lo
+    lines = extract_contours(grid.x, grid.t, F, levels)
+    return F, annotate_contours(lines, rho_j_fn, floor)
+
+
+def trajectories(state: ModeSet, grid: Grid2D, n_levels: int,
+                 threads: int = 1):
+    """Trajectory family: iso-contours of F at n_levels even levels.
+
+    Returns (F, TrajectorySet) as contour_family does.  Warns if F varies
+    by more than one level spacing across a grid cell (contours can then
+    miss structure).
+    """
+    F, traj = contour_family(
+        lambda i: np.asarray(integral_F(state, grid.x[i], grid.t)), grid,
+        n_levels, lambda x, t: _rho_j(state, x, t),
+        _rho_floor(state, EPS_RHO_SCALE), threads)
+    spacing = float(F.max() - F.min()) / n_levels
     cell_jump = max(np.max(np.abs(np.diff(F, axis=0))),
                     np.max(np.abs(np.diff(F, axis=1))))
     if spacing > 0 and cell_jump > spacing:
@@ -256,8 +253,7 @@ def trajectories(state: ModeSet, grid: Grid2D,
             f"grid too coarse for the requested levels: F jumps by up to "
             f"{cell_jump:.3g} per cell vs level spacing {spacing:.3g}",
             RuntimeWarning, stacklevel=2)
-    lines = extract_contours(grid.x, grid.t, F, levels)
-    return _annotate(state, lines)
+    return F, traj
 
 
 def fig1_modeset(k_ultra: float = 400.0, rest_weight: float = 0.9) -> ModeSet:

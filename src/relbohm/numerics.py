@@ -1,25 +1,23 @@
-"""Shared numerical machinery: dispersion relation, adaptive quadrature,
+"""Shared numerical machinery: dispersion relation, the (x, t) grid,
 Lambert W.
 
 All routines are pure functions of their arguments and safe to call
-concurrently.  Quadrature results are accumulated in a fixed left-to-right
-interval order so they do not depend on any parallelism in the caller.
+concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "Grid2D",
-    "QuadratureSpec",
-    "QuadratureError",
     "omega",
     "group_velocity",
-    "integrate_1d",
     "lambert_w",
+    "lambert_w_domain",
 ]
 
 
@@ -42,7 +40,7 @@ def group_velocity(k):
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Uniform rectangular (x, t) grid."""
+    """Uniform (x, t) grid; x and t are cached and shared: do not modify."""
 
     x_min: float
     x_max: float
@@ -57,11 +55,11 @@ class Grid2D:
         if self.n_x < 2 or self.n_t < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_x)
 
-    @property
+    @cached_property
     def t(self) -> np.ndarray:
         return np.linspace(self.t_min, self.t_max, self.n_t)
 
@@ -74,173 +72,33 @@ class Grid2D:
         return (self.t_max - self.t_min) / (self.n_t - 1)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Settings for the 1-d adaptive quadrature and k-space truncation."""
-
-    k_cut: float = 50.0
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if self.k_cut <= 0 or self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("k_cut and tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-class QuadratureError(RuntimeError):
-    """Raised when adaptive subdivision fails to reach the tolerance."""
-
-
-# 15-point Kronrod nodes/weights with embedded 7-point Gauss rule,
-# on [-1, 1].
-_XK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
-
-
-def _gk15(f, a, b):
-    """Gauss-Kronrod 15(7) panel on [a, b]; returns (value, error)."""
-    h = 0.5 * (b - a)
-    x = 0.5 * (a + b) + h * _XK
-    y = np.asarray(f(x))
-    vk = h * np.sum(_WK * y)
-    vg = h * np.sum(_WG * y[1::2])
-    raw = abs(vk - vg)
-    # QUADPACK-style sharpened estimate, never larger than the raw
-    # Gauss/Kronrod difference.
-    err = min((200.0 * raw) ** 1.5, raw) if raw > 0 else 0.0
-    return vk, err
-
-
-def integrate_1d(f, a, b, spec: QuadratureSpec = QuadratureSpec(),
-                 max_panel_width: float | None = None):
-    """Adaptive panel-subdivision quadrature of f over [a, b].
-
-    f must accept a numpy array of abscissas and return an array of values
-    (real or complex).  Panels are bisected depth-first, left half first,
-    and partial results are accumulated in that fixed order with
-    compensated summation, so the result is bit-stable for fixed inputs.
-
-    max_panel_width caps the width of any accepted panel; use it for
-    oscillatory integrands so the adaptive error estimate is trustworthy.
-
-    Returns (value, error_estimate).  Raises QuadratureError if the
-    subdivision budget is exhausted with the error above tolerance.
-    """
-    if not a < b:
-        raise ValueError("require a < b")
-    spec = spec or QuadratureSpec()
-
-    # Per-panel tolerance apportioned by width.
-    total_width = b - a
-
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j   # Kahan compensation
-    total_err = 0.0
-    n_panels = 0
-
-    # Explicit stack, pushed right-half first so the left half is
-    # processed first (fixed left-to-right order).
-    stack = [(a, b, 0)]
-    max_depth = 52
-    while stack:
-        lo, hi, depth = stack.pop()
-        width = hi - lo
-        val, err = _gk15(f, lo, hi)
-        tol_here = max(spec.abs_tol, spec.rel_tol * abs(val)) * (
-            width / total_width)
-        too_wide = max_panel_width is not None and width > max_panel_width
-        if (err > tol_here or too_wide) and depth < max_depth:
-            n_panels += 1
-            if n_panels > spec.max_subdivisions:
-                raise QuadratureError(
-                    f"quadrature did not converge on [{a}, {b}]: "
-                    f"{n_panels} subdivisions, error {err:.3e}")
-            mid = 0.5 * (lo + hi)
-            stack.append((mid, hi, depth + 1))
-            stack.append((lo, mid, depth + 1))
-            continue
-        y = val - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        total_err += err
-
-    if abs(total.imag) == 0.0:
-        total = total.real
-    return total, total_err
-
-
 _INV_E = np.exp(-1.0)
 
 
-def lambert_w(branch: int, y: float) -> float:
+def lambert_w_domain(branch: int, y) -> np.ndarray:
+    """Mask of the y at which the real branch 0 or -1 of Lambert W exists.
+
+    Branch 0 is real for y >= -1/e, branch -1 for -1/e <= y < 0; values
+    up to 1e-15 below -1/e count as the branch point.
+    """
+    y = np.asarray(y, dtype=float)
+    ok = np.isfinite(y) & (y >= -_INV_E - 1e-15)
+    return ok & (y < 0.0) if branch == -1 else ok
+
+
+def lambert_w(branch: int, y):
     """Real Lambert W on branch 0 or -1: returns w with w*exp(w) = y.
 
-    Branch 0 is defined for y >= -1/e, branch -1 for -1/e <= y < 0.
-    Converged by Halley iteration to |w e^w - y| <= 1e-12 max(1, |y|).
+    Accepts a scalar or an array; every entry must lie in the branch's
+    real domain (see lambert_w_domain).  Wraps scipy.special.lambertw.
     """
+    # scipy.special is already loaded with scipy.optimize by the packages
+    # that call this; importing here keeps numerics itself numpy-only.
+    from scipy.special import lambertw
+
     if branch not in (0, -1):
         raise ValueError("branch must be 0 or -1")
-    y = float(y)
-    if y < -_INV_E - 1e-15:
-        raise ValueError(f"y = {y} below the branch point -1/e")
-    y = max(y, -_INV_E)
-    if branch == -1 and y >= 0.0:
-        raise ValueError("branch -1 requires y < 0")
-    if y == 0.0:
-        return 0.0
-
-    # Initial guesses.
-    p2 = 2.0 * (np.e * y + 1.0)
-    if p2 <= 0.0:
-        return -1.0
-    p = np.sqrt(p2)
-    if branch == 0:
-        if y < -0.25:
-            w = -1.0 + p - p * p / 3.0
-        elif y < 1.0:
-            w = y * (1.0 - y + 1.5 * y * y)  # series about 0
-        else:
-            lg = np.log(y)
-            w = lg - np.log(lg) if lg > 1.0 else lg
-    else:
-        if y > -0.1:
-            lg = np.log(-y)
-            w = lg - np.log(-lg)
-        else:
-            w = -1.0 - p - p * p / 3.0
-
-    for _ in range(100):
-        ew = np.exp(w)
-        r = w * ew - y
-        if abs(r) <= 1e-13 * max(1.0, abs(y)):
-            break
-        d1 = ew * (w + 1.0)
-        # Halley step
-        w -= r / (d1 - (w + 2.0) * r / (2.0 * w + 2.0))
-    ew = np.exp(w)
-    if abs(w * ew - y) > 1e-12 * max(1.0, abs(y)):
-        raise ArithmeticError(f"lambert_w failed to converge for y={y}")
-    return float(w)
+    if not np.all(lambert_w_domain(branch, y)):
+        raise ValueError(f"y outside the real domain of branch {branch}")
+    w = lambertw(np.maximum(y, -_INV_E), branch).real
+    return float(w) if w.ndim == 0 else w

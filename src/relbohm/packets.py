@@ -23,10 +23,9 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import brentq
 
-from .contours import extract_contours
-from .numerics import Grid2D, lambert_w, omega
-from .scalar import EPS_RHO_SCALE, FieldSample
-from .modes import TrajectorySet, annotate_contours
+from .modes import contour_family
+from .numerics import Grid2D, lambert_w, lambert_w_domain, omega
+from .scalar import EPS_RHO_SCALE, FieldSample, bilinear_j, bilinear_rho
 
 __all__ = [
     "PacketSpec",
@@ -184,33 +183,18 @@ class Packet:
 
     def rho(self, x, t) -> np.ndarray:
         psi, psid = self.fields(x, t, [(0, 0), (0, 1)])
-        return (0.5j * (np.conj(psi) * psid - np.conj(psid) * psi)).real
+        return bilinear_rho(psi, psid)
 
     def current(self, x, t) -> np.ndarray:
         psi, psix = self.fields(x, t, [(0, 0), (1, 0)])
-        return (-0.5j * (np.conj(psi) * psix - np.conj(psix) * psi)).real
+        return bilinear_j(psi, psix)
 
     def rho_nw(self, x, t) -> np.ndarray:
         return np.abs(self.eval_nw(x, t)) ** 2
 
     def rho_j(self, x, t):
         psi, psix, psid = self.fields(x, t, [(0, 0), (1, 0), (0, 1)])
-        rho = (0.5j * (np.conj(psi) * psid - np.conj(psid) * psi)).real
-        j = (-0.5j * (np.conj(psi) * psix - np.conj(psix) * psi)).real
-        return rho, j
-
-    def velocity(self, x: float, t: float):
-        """J/rho at a point, or None at a density zero (pair locus)."""
-        s = self.sample(x, t)
-        rho = (0.5j * (np.conj(s.psi) * s.dpsi_dt
-                       - np.conj(s.dpsi_dt) * s.psi)).real
-        floor = EPS_RHO_SCALE * abs(s.psi) * max(
-            abs(s.dpsi_dx), abs(s.dpsi_dt), 1e-300)
-        if abs(rho) < floor:
-            return None
-        j = (-0.5j * (np.conj(s.psi) * s.dpsi_dx
-                      - np.conj(s.dpsi_dx) * s.psi)).real
-        return float(j / rho)
+        return bilinear_rho(psi, psid), bilinear_j(psi, psix)
 
     @cached_property
     def support_edge(self) -> float:
@@ -329,8 +313,9 @@ def zero_crossings(packet: Packet):
     lo, hi = 0.1 * a, x0
     flo, fhi = tail(lo), tail(hi)
     if flo * fhi > 0:
-        raise ValueError("tail integral does not bracket a root in "
-                         f"[{lo}, {hi}]; wrong packet configuration")
+        # a cos2 packet always has a threshold: the k quadrature aliases rho
+        raise ArithmeticError("tail integral does not bracket a root in "
+                              f"[{lo}, {hi}]; k quadrature too coarse")
     x_th = brentq(tail, lo, hi, xtol=1e-7)
     return float(x_th), float(x0)
 
@@ -385,34 +370,23 @@ class FrontKernel:
         off = 2.0 * np.sum(a * (b @ self._A.T), axis=-1)
         return off + self._diag_x * x - self._diag_t * t
 
-    def grid(self, grid: Grid2D) -> np.ndarray:
-        """F on a Grid2D, shape (n_x, n_t), evaluated in fixed row chunks."""
-        out = np.empty((grid.n_x, grid.n_t))
-        xs = grid.x
-        ts = grid.t
-        for i in range(grid.n_x):
-            out[i, :] = self.evaluate(np.full(grid.n_t, xs[i]), ts)
-        return out
-
 
 def annihilation_fronts(packet: Packet, grid: Grid2D, n_levels: int,
-                        kernel: FrontKernel | None = None) -> TrajectorySet:
+                        threads: int = 1):
     """Iso-contours of the continuous integral of motion, annotated.
 
-    Returns the trajectory family on the grid; contours meeting the
-    rho = 0 locus carry the particle/anti-particle cusp structure.
+    Returns (F, TrajectorySet) as modes.contour_family does; contours
+    meeting the rho = 0 locus carry the particle/anti-particle cusp
+    structure.
     """
-    if kernel is None:
-        kernel = FrontKernel(
-            packet, phase_scale=max(abs(grid.x_max), abs(grid.x_min))
-            + abs(grid.t_max))
-    F = kernel.grid(grid)
-    lo, hi = float(F.min()), float(F.max())
-    levels = lo + (hi - lo) * (np.arange(n_levels) + 0.5) / n_levels
-    lines = extract_contours(grid.x, grid.t, F, levels)
-    scale = float(np.max(np.abs(packet.rho(np.linspace(
-        grid.x_min, grid.x_max, 64), 0.0))))
-    return annotate_contours(lines, packet.rho_j, EPS_RHO_SCALE * scale)
+    kernel = FrontKernel(
+        packet, phase_scale=max(abs(grid.x_max), abs(grid.x_min))
+        + abs(grid.t_max))
+    scale = float(np.max(np.abs(packet.rho(
+        np.linspace(grid.x_min, grid.x_max, 64), 0.0))))
+    return contour_family(
+        lambda i: kernel.evaluate(np.full(grid.n_t, grid.x[i]), grid.t), grid,
+        n_levels, packet.rho_j, EPS_RHO_SCALE * scale, threads)
 
 
 @dataclass
@@ -458,11 +432,8 @@ def lambert_local_trajectories(rho_slope: float, rho_zero: float,
 
     def solve(branch):
         out = np.full(t.shape, np.nan)
-        for i, yi in enumerate(np.atleast_1d(y)):
-            try:
-                out.flat[i] = d * lambert_w(branch, float(yi))
-            except (ValueError, OverflowError, ArithmeticError):
-                pass
+        real = lambert_w_domain(branch, y)
+        out[real] = d * lambert_w(branch, y[real])
         return out + j_zero
 
     return LambertLocalFamily(t=t, x_branch0=solve(0),

@@ -15,7 +15,8 @@ import numpy as np
 
 __all__ = [
     "FieldSample",
-    "ScalarPolar",
+    "bilinear_j",
+    "bilinear_rho",
     "density_rho",
     "current_j",
     "velocity",
@@ -37,28 +38,27 @@ class FieldSample:
     dpsi_dt: complex
 
 
-@dataclass(frozen=True)
-class ScalarPolar:
-    """Polar decomposition psi = A exp(i S), with A >= 0."""
+def bilinear_rho(psi, dpsi_dt):
+    """Charge density (i/2)[psi* dpsi/dt - dpsi*/dt psi]; may be negative.
 
-    A: float
-    S: float
+    Elementwise on scalars or arrays.
+    """
+    return (0.5j * (np.conj(psi) * dpsi_dt - np.conj(dpsi_dt) * psi)).real
 
-    @classmethod
-    def from_sample(cls, s: FieldSample) -> "ScalarPolar":
-        return cls(A=abs(s.psi), S=float(np.angle(s.psi)))
+
+def bilinear_j(psi, dpsi_dx):
+    """Spatial current (1/2i)[psi* dpsi/dx - dpsi*/dx psi], elementwise."""
+    return (-0.5j * (np.conj(psi) * dpsi_dx - np.conj(dpsi_dx) * psi)).real
 
 
 def density_rho(s: FieldSample) -> float:
-    """Charge density (i/2)[psi* dpsi/dt - dpsi*/dt psi]; may be negative."""
-    return float((0.5j * (np.conj(s.psi) * s.dpsi_dt
-                          - np.conj(s.dpsi_dt) * s.psi)).real)
+    """Charge density of a FieldSample."""
+    return float(bilinear_rho(s.psi, s.dpsi_dt))
 
 
 def current_j(s: FieldSample) -> float:
-    """Spatial current (1/2i)[psi* dpsi/dx - dpsi*/dx psi]."""
-    return float((-0.5j * (np.conj(s.psi) * s.dpsi_dx
-                           - np.conj(s.dpsi_dx) * s.psi)).real)
+    """Spatial current of a FieldSample."""
+    return float(bilinear_j(s.psi, s.dpsi_dx))
 
 
 def _rho_floor(s: FieldSample, eps_scale: float) -> float:

@@ -1,9 +1,12 @@
 import json
-from pathlib import Path
+from importlib import resources
 
+import numpy as np
 import pytest
 
+from relbohm import modes
 from relbohm.cli import main
+from relbohm.numerics import Grid2D
 
 
 def write_cfg(tmp_path, name, payload):
@@ -40,6 +43,55 @@ def test_modes_duplicate_k_rejected(tmp_path):
         "grid": {"x_min": -1, "x_max": 1, "n_x": 11,
                  "t_min": 0, "t_max": 1, "n_t": 11}})
     assert run(["modes", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_modes_cli_matches_library(tmp_path):
+    cfg = json.loads(resources.files("relbohm").joinpath(
+        "configs", "two_mode.json").read_text())
+    state = modes.ModeSet(k=cfg["k"],
+                          phi=[complex(re, im) for re, im in cfg["phi"]])
+    _, traj = modes.trajectories(state, Grid2D(**cfg["grid"]),
+                                 cfg["n_levels"])
+    out = tmp_path / "out"
+    assert run(["modes", "--config", "two_mode.json", "--out", str(out)]) == 0
+    written = np.loadtxt(out / "trajectories.csv", delimiter=",",
+                         comments="#", skiprows=4, ndmin=2)
+    expect = np.array(list(traj.rows()), dtype=float)
+    assert expect.shape[0] > 0
+    np.testing.assert_array_equal(written, expect)
+
+
+_GRID = {"x_min": -1, "x_max": 1, "n_x": 11, "t_min": 0, "t_max": 1,
+         "n_t": 11}
+
+
+@pytest.mark.parametrize("command, payload, code", [
+    ("modes", {"k": [0.0, 0.1], "phi": [[1, 0], [1, 0]], "grid": _GRID,
+               "n_levels": "many"}, 2),
+    ("modes", {"k": ["nan", 0.1], "phi": [[1, 0], [1, 0]], "grid": _GRID},
+     2),
+    ("explode", {"packet": {"shape": "cos2", "k_cut": 40.0},
+                 "density_x": {"min": -3.0, "n": 51}, "grid": _GRID}, 2),
+    ("nearnr", {"packet": {"shape": "gaussian", "sigma_k": 0.05},
+                "x": {"max": 4.0, "n": 33}}, 2),
+    ("spin", {"kind": "dirac", "n_modes": 2, "seed": 1, "n_points": 0}, 2),
+    ("nearnr", {"packet": {"shape": "gaussian", "sigma_k": 0.05},
+                "x": {"min": -4.0, "max": 4.0, "n": 33}, "h_t": 0}, 2),
+    ("nearnr", {"packet": {"shape": "gaussian", "sigma_k": 0.05},
+                "x": {"min": -4.0, "max": 4.0, "n": 33}, "h_t": -1e-3}, 2),
+    # well formed, but the k quadrature aliases rho within the decay window
+    ("explode", {"packet": {"shape": "cos2", "gl_order": 8, "x_scale": 0.5},
+                 "grid": _GRID}, 3),
+], ids=["modes-n_levels-string", "modes-nan-k", "explode-density_x-no-max",
+        "nearnr-x-no-min", "spin-dirac-zero-points", "nearnr-h_t-zero",
+        "nearnr-h_t-negative", "explode-coarse-k-quadrature"])
+def test_malformed_or_unconverged_config_exit_code(tmp_path, command,
+                                                   payload, code):
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out)]) == code
+    if code == 2:
+        assert not any(out.glob("*"))
 
 
 def test_missing_config_is_config_error(tmp_path):

@@ -123,7 +123,7 @@ def test_mean_rest_frame():
 def test_single_mode_contours_straight():
     state = modes.ModeSet(k=[0.75], phi=[1.0])
     grid = Grid2D(-1.0, 1.0, 41, 0.0, 1.0, 41)
-    traj = modes.trajectories(state, grid, 5)
+    _, traj = modes.trajectories(state, grid, 5)
     assert traj.n_pair_events == 0
     for tr in traj.trajectories:
         # z - 0.6 t = const along each contour
@@ -133,14 +133,14 @@ def test_single_mode_contours_straight():
 
 def test_fig1_state_has_pair_events():
     grid = Grid2D(-0.005, 0.005, 121, 0.0, 0.01, 121)
-    traj = modes.trajectories(modes.fig1_modeset(), grid, 25)
+    _, traj = modes.trajectories(modes.fig1_modeset(), grid, 25)
     assert traj.n_pair_events >= 1
 
 
 def test_mild_two_mode_no_pair_events():
     state = modes.ModeSet(k=[0.0, 0.1], phi=[1.0, 1.0])
     grid = Grid2D(-2.0, 2.0, 81, 0.0, 2.0, 81)
-    traj = modes.trajectories(state, grid, 15)
+    _, traj = modes.trajectories(state, grid, 15)
     assert traj.n_pair_events == 0
     rho, _ = modes._rho_j(state, grid.x[:, None], grid.t[None, :])
     assert np.all(rho > 0)
@@ -150,7 +150,7 @@ def test_contours_shadowed_by_ode():
     # for a state with no density zeros each contour is a trajectory
     state = modes.ModeSet(k=[0.0, 0.1], phi=[1.0, 1.0])
     grid = Grid2D(-2.0, 2.0, 161, 0.0, 2.0, 161)
-    traj = modes.trajectories(state, grid, 9)
+    _, traj = modes.trajectories(state, grid, 9)
     cell = np.hypot(grid.dx, grid.dt)
     tr = max(traj.trajectories, key=lambda tr: len(tr.points))
     pts = tr.points[np.argsort(tr.points[:, 1])]

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relbohm.numerics import (Grid2D, QuadratureError, QuadratureSpec,
-                              group_velocity, integrate_1d, lambert_w, omega)
+from relbohm.numerics import Grid2D, group_velocity, lambert_w, omega
 
 
 def test_omega_values():
@@ -23,42 +22,6 @@ def test_group_velocity():
     assert group_velocity(0.75) == pytest.approx(0.6, abs=1e-15)
     assert abs(group_velocity(1e6) - 1.0) < 1e-10
     assert group_velocity(-0.3) == -group_velocity(0.3)
-
-
-def test_integrate_constant():
-    spec = QuadratureSpec()
-    val, err = integrate_1d(lambda x: np.ones_like(x), 0.0, 1.0, spec)
-    assert val == pytest.approx(1.0, abs=spec.abs_tol)
-
-
-def test_integrate_full_period_oscillation():
-    spec = QuadratureSpec()
-    val, _ = integrate_1d(lambda k: np.exp(1j * k), -np.pi, np.pi, spec)
-    assert abs(val) < 1e-9
-
-
-def test_integrate_lorentzian():
-    # arctan antiderivative: 2*arctan(50) -> pi as the window grows
-    spec = QuadratureSpec()
-    val, _ = integrate_1d(lambda k: 1.0 / (1.0 + k ** 2), -50.0, 50.0, spec)
-    assert val == pytest.approx(2.0 * np.arctan(50.0), abs=1e-6)
-
-
-def test_integrate_linearity_and_additivity():
-    spec = QuadratureSpec()
-    f = lambda x: np.sin(3 * x) + x ** 2
-    whole, _ = integrate_1d(f, 0.0, 2.0, spec)
-    left, _ = integrate_1d(f, 0.0, 0.7, spec)
-    right, _ = integrate_1d(f, 0.7, 2.0, spec)
-    assert whole == pytest.approx(left + right, abs=1e-9)
-    scaled, _ = integrate_1d(lambda x: 3.0 * f(x), 0.0, 2.0, spec)
-    assert scaled == pytest.approx(3.0 * whole, abs=1e-8)
-
-
-def test_integrate_nonconvergence():
-    spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=3)
-    with pytest.raises(QuadratureError):
-        integrate_1d(lambda x: np.sin(200.0 / (x + 0.01)), 0.0, 1.0, spec)
 
 
 @given(st.floats(-0.35, 100.0))

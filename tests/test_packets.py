@@ -6,6 +6,7 @@ from relbohm.ode import integrate_trajectory
 from relbohm.packets import (FrontKernel, Packet, PacketSpec,
                              _panel_integral, acausal_probability, densities,
                              lambert_local_trajectories, zero_crossings)
+from relbohm.scalar import velocity
 
 
 @pytest.fixture(scope="module")
@@ -152,8 +153,8 @@ def test_velocity_none_at_density_zero(cos2):
     for _ in range(3):
         candidates.append(np.nextafter(candidates[-1], np.inf))
         candidates.insert(0, np.nextafter(candidates[0], -np.inf))
-    assert any(cos2.velocity(x, 0.0) is None for x in candidates)
-    assert cos2.velocity(0.0, 0.0) is not None
+    assert any(velocity(cos2.sample(x, 0.0)) is None for x in candidates)
+    assert velocity(cos2.sample(0.0, 0.0)) is not None
 
 
 def test_front_kernel_gradients(cos2):
@@ -174,7 +175,8 @@ def test_front_kernel_conserved_along_ode(cos2):
     kernel = FrontKernel(cos2, phase_scale=4.0, n_nodes=2401)
     x0, t0, t1 = 0.2, 0.0, 1.0
     ts, xs = integrate_trajectory(
-        lambda x, t: cos2.velocity(x, t), z0=x0, t0=t0, t1=t1, dt=0.002)
+        lambda x, t: velocity(cos2.sample(x, t)), z0=x0, t0=t0, t1=t1,
+        dt=0.002)
     f0 = float(kernel.evaluate(np.array(x0), np.array(t0)))
     f1 = float(kernel.evaluate(np.array(xs[-1]), np.array(ts[-1])))
     assert abs(f1 - f0) < 1e-4 * cos2.spec.a

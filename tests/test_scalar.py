@@ -3,7 +3,7 @@ import pytest
 
 from relbohm import modes
 from relbohm.numerics import omega
-from relbohm.scalar import (FieldSample, ScalarPolar, current_j, density_rho,
+from relbohm.scalar import (FieldSample, current_j, density_rho,
                             quantum_potential, velocity)
 
 
@@ -41,13 +41,6 @@ def test_velocity_divergence_flag():
     # rho = 0 for a real psi with real time derivative
     s = FieldSample(psi=1.0, dpsi_dx=1.0j, dpsi_dt=0.5)
     assert velocity(s) is None
-
-
-def test_polar_roundtrip():
-    s = FieldSample(psi=0.3 - 0.4j, dpsi_dx=0.0, dpsi_dt=0.0)
-    p = ScalarPolar.from_sample(s)
-    assert p.A * np.exp(1j * p.S) == pytest.approx(s.psi, abs=1e-15)
-    assert p.A == pytest.approx(0.5)
 
 
 def test_quantum_potential_constant():
