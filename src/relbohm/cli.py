@@ -74,13 +74,23 @@ def _grid(cfg: dict, quick: bool) -> Grid2D:
                       t_max=float(g["t_max"]), n_t=n_t)
 
 
-def _count(cfg: dict, key: str, default: int) -> int:
-    """A positive integer config field."""
+def _count(cfg: dict, key: str, default: int, least: int = 1) -> int:
+    """An integer config field of at least `least`."""
     with _parsing(key):
         n = int(cfg.get(key, default))
-    if n < 1:
-        raise ConfigError(f"{key} must be >= 1")
+    if n < least:
+        raise ConfigError(f"{key} must be >= {least}")
     return n
+
+
+def _real(value, name: str, positive: bool = False) -> float:
+    """A finite float config value; positive=True also rejects <= 0."""
+    with _parsing(name):
+        v = float(value)
+    if not np.isfinite(v) or (positive and v <= 0.0):
+        raise ConfigError(f"{name} must be finite"
+                          + (" and > 0" if positive else ""))
+    return v
 
 
 def _out_dir(args) -> Path:
@@ -226,11 +236,12 @@ def cmd_explode(cfg: dict, args) -> int:
         t_values = [float(t) for t in cfg.get("t_values", [0.0])]
         p_times = [float(t) for t in cfg.get("p_times", [0.0])]
         dx_cfg = cfg.get("density_x", {"min": -5.0, "max": 5.0, "n": 401})
-        xd = np.linspace(float(dx_cfg["min"]), float(dx_cfg["max"]),
+        xd = np.linspace(_real(dx_cfg["min"], "density_x.min"),
+                         _real(dx_cfg["max"], "density_x.max"),
                          int(dx_cfg["n"]) if not args.quick
                          else max(2, int(dx_cfg["n"]) // 2))
-    if any(t < 0 for t in t_values) or any(t < 0 for t in p_times):
-        raise ConfigError("t values must be >= 0")
+    if not all(0.0 <= t < np.inf for t in t_values + p_times):
+        raise ConfigError("t values must be finite and >= 0")
     if args.quick:
         t_values = t_values[:2]
         p_times = [t for i, t in enumerate(p_times) if i % 2 == 0 or t == 0.0]
@@ -290,13 +301,12 @@ def cmd_nearnr(cfg: dict, args) -> int:
               "narrow-k regime; the approximate identities are not "
               "expected to hold (the exact one still is)", file=sys.stderr)
     xcfg = cfg.get("x", {"min": -20.0, "max": 20.0, "n": 161})
-    with _parsing("x/t/h_t"):
+    with _parsing("x"):
         n = int(xcfg["n"]) if not args.quick else max(9, int(xcfg["n"]) // 2)
-        x = np.linspace(float(xcfg["min"]), float(xcfg["max"]), n)
-        t = float(cfg.get("t", 0.0))
-        h_t = float(cfg.get("h_t", nearnr.H_T))
-    if not (np.isfinite(t) and 0.0 < h_t < np.inf):
-        raise ConfigError("t must be finite and h_t in (0, inf)")
+        x = np.linspace(_real(xcfg["min"], "x.min"),
+                        _real(xcfg["max"], "x.max"), n)
+    t = _real(cfg.get("t", 0.0), "t")
+    h_t = _real(cfg.get("h_t", nearnr.H_T), "h_t", positive=True)
     out = _out_dir(args)
 
     field = nearnr.correction_field(packet, x, t, h_t=h_t)
@@ -340,19 +350,20 @@ def cmd_nearnr(cfg: dict, args) -> int:
 
 def cmd_spin(cfg: dict, args) -> int:
     kind = cfg.get("kind", "dirac")
-    out = _out_dir(args)
-    h = float(cfg.get("h", 1e-3))
+    h = _real(cfg.get("h", 1e-3), "h", positive=True)
+    with _parsing("point_seed"):
+        rng = np.random.default_rng(int(cfg.get("point_seed", 0)))
     if kind == "dirac":
         with _parsing("dirac field"):
             field = dirac.DiracField.random(
                 n_modes=int(cfg["n_modes"]), seed=int(cfg["seed"]),
                 k_max=float(cfg.get("k_max", 1.0)))
-        rng = np.random.default_rng(int(cfg.get("point_seed", 0)))
         n_pts = _count(cfg, "n_points", 20)
         if args.quick:
             n_pts = min(n_pts, 6)
-        pts = rng.uniform(-float(cfg.get("point_range", 1.0)),
-                          float(cfg.get("point_range", 1.0)), (n_pts, 4))
+        r = _real(cfg.get("point_range", 1.0), "point_range")
+        pts = rng.uniform(-r, r, (n_pts, 4))
+        out = _out_dir(args)
         mass_h, _ = dirac.verify_mass_identity(field, pts, h=h)
         mass_h2, _ = dirac.verify_mass_identity(field, pts, h=h / 2)
         eom_h, _ = dirac.verify_eom(field, pts, h=h)
@@ -384,18 +395,18 @@ def cmd_spin(cfg: dict, args) -> int:
                   "hedgehog": dirac.fw_hedgehog_field}
         if name not in makers:
             raise ConfigError(f"unknown FW field {name!r}")
-        field = makers[name]()
-        rng = np.random.default_rng(int(cfg.get("point_seed", 0)))
         n_pts = _count(cfg, "n_points", 25)
+        box_n = _count(cfg, "box_n", 61, least=2)
+        if args.quick:
+            box_n = min(box_n, 41)
+        box_half = _real(cfg.get("box_half", 7.0), "box_half", positive=True)
+        out = _out_dir(args)
+        field = makers[name]()
         pts = rng.uniform(-1.5, 1.5, (n_pts, 3))
         spin_res, _ = dirac.verify_fw_spin_tensor(field, pts)
         curl_h, _ = dirac.verify_curl_formula(field, pts, h=h)
         curl_h2, _ = dirac.verify_curl_formula(field, pts, h=h / 2)
-        box_n = int(cfg.get("box_n", 61))
-        if args.quick:
-            box_n = min(box_n, 41)
-        balance = dirac.verify_ensemble_balance(
-            field, float(cfg.get("box_half", 7.0)), n=box_n)
+        balance = dirac.verify_ensemble_balance(field, box_half, n=box_n)
         report = {
             "kind": "fw", "field": name, "h": h,
             "spin_tensor_residual": spin_res,

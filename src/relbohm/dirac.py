@@ -78,6 +78,10 @@ _CHI = {"up": np.array([1.0, 0.0], dtype=complex),
 
 #: relative |psibar psi| floor marking a node of the field
 EPS_NODE = 1e-12
+#: central-difference step inside verify_ensemble_balance
+BALANCE_H = 1e-3
+#: z component of the unnormalized hedgehog spin direction (x, y, c)
+HEDGEHOG_C = 2.0
 
 
 def _plane_spinor(k: np.ndarray, spin: str) -> np.ndarray:
@@ -154,7 +158,6 @@ class SpinorSample:
 
     psi: np.ndarray        # (4,) complex
     dpsi: np.ndarray       # (4, 4) complex
-    x: np.ndarray          # (4,) real: (t, x, y, z)
 
     @property
     def psibar(self) -> np.ndarray:
@@ -186,15 +189,14 @@ def eval_spinor(field: DiracField, x) -> SpinorSample:
         dpsi[0] += -1j * w * term
         for j in range(3):
             dpsi[j + 1] += 1j * m.k[j] * term
-    return SpinorSample(psi=psi, dpsi=dpsi, x=x)
+    return SpinorSample(psi=psi, dpsi=dpsi)
 
 
 def gauge_transform(s: SpinorSample, f: complex, df) -> SpinorSample:
     """Sample of f(x) psi given f and its gradient df[mu] at the point."""
     df = np.asarray(df, dtype=complex)
     return SpinorSample(psi=f * s.psi,
-                        dpsi=f * s.dpsi + df[:, None] * s.psi[None, :],
-                        x=s.x)
+                        dpsi=f * s.dpsi + df[:, None] * s.psi[None, :])
 
 
 def convective_momentum(s: SpinorSample):
@@ -458,8 +460,7 @@ def verify_fw_spin_tensor(field: FWField, points):
     res = []
     for x in points:
         psi, dpsi4 = fw_spinor(field, x)
-        s = SpinorSample(psi=psi, dpsi=dpsi4,
-                         x=np.array([0.0, *np.asarray(x, dtype=float)]))
+        s = SpinorSample(psi=psi, dpsi=dpsi4)
         T = spin_tensor(s)[1:, 1:]
         ds = np.asarray(field.ds(np.asarray(x, dtype=float)), dtype=float)
         rhs = 0.25 * ds @ ds.T
@@ -505,8 +506,7 @@ def verify_curl_formula(field: FWField, points, h: float = 1e-4):
     return float(res.max()), res
 
 
-def verify_ensemble_balance(field: FWField, box_half: float, n: int = 61,
-                            h: float = 1e-3):
+def verify_ensemble_balance(field: FWField, box_half: float, n: int = 61):
     """Relative residual of the vanishing ensemble-average acceleration.
 
     Integrates A^2 [d_j Phi + A^{-2} d_i (A^2 T_{ji})] over the box by a
@@ -514,8 +514,8 @@ def verify_ensemble_balance(field: FWField, box_half: float, n: int = 61,
     fields); each component should integrate to ~0 because both terms
     are total derivatives after the amplitude-weighted average.  Phi is
     the non-relativistic -(1/2) lap A / A; its gradient and the stress
-    divergence use central differences with step h (decoupled from the
-    grid spacing).
+    divergence use central differences with step BALANCE_H (decoupled
+    from the grid spacing).
 
     Returns max_j |integral_j| / sum_j integral of A^2 |integrand_j|.
     Warns if A is not negligible on the box boundary.
@@ -540,6 +540,7 @@ def verify_ensemble_balance(field: FWField, box_half: float, n: int = 61,
         ds = np.asarray(field.ds(p), dtype=float)
         return 0.25 * np.einsum("...jl,...il->...ji", ds, ds)
 
+    h = BALANCE_H
     grad_phi = np.empty((pts.shape[0], 3))
     for i in range(3):
         step = np.zeros(3)
@@ -594,21 +595,7 @@ def _zero_phase():
 
 def fw_gaussian_field() -> FWField:
     """Gaussian amplitude, zero phase, constant spin along z."""
-    A, grad_A, lap_A = _gaussian_parts()
-    S, grad_S = _zero_phase()
-
-    def s(p):
-        p = np.asarray(p, dtype=float)
-        out = np.zeros(p.shape)
-        out[..., 2] = 1.0
-        return out
-
-    def ds(p):
-        p = np.asarray(p, dtype=float)
-        return np.zeros(p.shape[:-1] + (3, 3))
-
-    return FWField(A=A, grad_A=grad_A, lap_A=lap_A, S=S, grad_S=grad_S,
-                   s=s, ds=ds)
+    return fw_rotating_field(rate=0.0)
 
 
 def fw_rotating_field(rate: float = 0.5) -> FWField:
@@ -633,15 +620,15 @@ def fw_rotating_field(rate: float = 0.5) -> FWField:
                    s=s, ds=ds)
 
 
-def fw_hedgehog_field(c: float = 2.0) -> FWField:
-    """Hedgehog-like spin s = (x, y, c)/|(x, y, c)| (varies in x and y)."""
+def fw_hedgehog_field() -> FWField:
+    """Hedgehog-like spin s = (x, y, c)/|(x, y, c)| with c = HEDGEHOG_C."""
     A, grad_A, lap_A = _gaussian_parts()
     S, grad_S = _zero_phase()
 
     def _n(p):
         p = np.asarray(p, dtype=float)
         n = np.stack([p[..., 0], p[..., 1],
-                      np.full(p.shape[:-1], c)], axis=-1)
+                      np.full(p.shape[:-1], HEDGEHOG_C)], axis=-1)
         return n
 
     def s(p):

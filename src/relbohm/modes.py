@@ -30,8 +30,10 @@ __all__ = [
     "contour_family",
     "trajectories",
     "mean_rest_frame_check",
-    "fig1_modeset",
 ]
+
+#: largest |Re| / max |Im| of the double sum that integral_F accepts
+PURITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -94,31 +96,30 @@ def _rho_j(state: ModeSet, z, t):
     return rho, j
 
 
-def _rho_floor(state: ModeSet, eps_scale: float) -> float:
+def _rho_floor(state: ModeSet) -> float:
     """Absolute density below which the velocity is flagged divergent."""
-    return eps_scale * float(np.sum(np.abs(state.phi) ** 2)
-                             * np.max(np.abs(state.k) + state.omega))
+    return EPS_RHO_SCALE * float(np.sum(np.abs(state.phi) ** 2)
+                                 * np.max(np.abs(state.k) + state.omega))
 
 
-def velocity_discrete(state: ModeSet, z: float, t: float,
-                      eps_scale: float = EPS_RHO_SCALE):
+def velocity_discrete(state: ModeSet, z: float, t: float):
     """Velocity from the mode-pair double sums; None at a density zero.
 
     Agrees with the bilinear J/rho of eval_psi to rounding; the two
     formula paths are kept separate deliberately.
     """
     rho, j = _rho_j(state, z, t)
-    if abs(rho) < _rho_floor(state, eps_scale):
+    if abs(rho) < _rho_floor(state):
         return None
     return float(j / rho)
 
 
-def integral_F(state: ModeSet, z, t, check_tol: float = 1e-9):
+def integral_F(state: ModeSet, z, t):
     """Conserved integral F = Im(I) of the equations of motion.
 
     F = (z - <k/omega> t) + Im(double sum)/sum|phi|^2, where the double
     sum runs over distinct mode pairs.  The double sum must be pure
-    imaginary; its stray real part is asserted against check_tol.
+    imaginary; its stray real part is asserted against PURITY_TOL.
 
     Accepts scalars or broadcastable arrays for z and t.
     """
@@ -126,7 +127,7 @@ def integral_F(state: ModeSet, z, t, check_tol: float = 1e-9):
     t = np.asarray(t, dtype=float)
     re, im = double_sum_parts(state, z, t)
     scale = np.max(np.abs(im)) + 1e-14
-    if np.max(np.abs(re)) > check_tol * scale:
+    if np.max(np.abs(re)) > PURITY_TOL * scale:
         raise ArithmeticError(
             "double sum of the integral of motion is not pure imaginary: "
             f"max |Re| = {np.max(np.abs(re)):.3e}")
@@ -170,11 +171,9 @@ class Trajectory:
     backward in t.  v is NaN where the velocity diverges (density zero).
     """
 
-    level: float
     points: np.ndarray           # (n, 2): columns x, t
     rho: np.ndarray              # (n,)
     v: np.ndarray                # (n,), NaN at divergence flags
-    closed: bool = False
 
 
 @dataclass
@@ -208,8 +207,7 @@ def annotate_contours(lines, rho_j_fn, floor: float) -> TrajectorySet:
         with np.errstate(divide="ignore", invalid="ignore"):
             v = np.where(np.abs(rho) < floor, np.nan, j / rho)
         out.trajectories.append(Trajectory(
-            level=line.level, points=line.points, rho=rho, v=v,
-            closed=line.closed))
+            points=line.points, rho=rho, v=v))
     return out
 
 
@@ -244,7 +242,7 @@ def trajectories(state: ModeSet, grid: Grid2D, n_levels: int,
     F, traj = contour_family(
         lambda i: np.asarray(integral_F(state, grid.x[i], grid.t)), grid,
         n_levels, lambda x, t: _rho_j(state, x, t),
-        _rho_floor(state, EPS_RHO_SCALE), threads)
+        _rho_floor(state), threads)
     spacing = float(F.max() - F.min()) / n_levels
     cell_jump = max(np.max(np.abs(np.diff(F, axis=0))),
                     np.max(np.abs(np.diff(F, axis=1))))
@@ -255,16 +253,3 @@ def trajectories(state: ModeSet, grid: Grid2D, n_levels: int,
             RuntimeWarning, stacklevel=2)
     return F, traj
 
-
-def fig1_modeset(k_ultra: float = 400.0, rest_weight: float = 0.9) -> ModeSet:
-    """Demo three-mode state: a dominant rest mode plus an
-    ultra-relativistic +-k pair, mean group velocity zero by symmetry.
-
-    The published figure's exact parameters are not available; this
-    configuration reproduces the qualitative pair creation/annihilation
-    structure on a window of order 0.01 Compton wavelengths.
-    """
-    side = np.sqrt((1.0 - rest_weight) / 2.0)
-    return ModeSet(k=np.array([0.0, k_ultra, -k_ultra]),
-                   phi=np.array([np.sqrt(rest_weight), side, side],
-                                dtype=complex))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .packets import Packet, _gl_panels
+from .packets import PANEL_ORDER, Packet, _gl_panels
 from .scalar import EPS_RHO_SCALE
 
 __all__ = [
@@ -29,13 +29,16 @@ __all__ = [
     "nw_position_map",
     "pushforward_l1",
     "w_approx",
-    "w_exact",
 ]
 
 #: default central-difference step for time derivatives of composite
 #: quantities (rho, J); Richardson-checked at h/2 by the callers that
 #: care about step artifacts.
 H_T = 1e-3
+#: GL panels of the moments quadrature over the decay window
+MOMENT_PANELS = 256
+#: samples of the pushforward L1 window
+PUSHFORWARD_N = 2001
 
 
 class WKernel:
@@ -84,14 +87,6 @@ class WKernel:
                 + np.sum(b * (b @ self._M), axis=-1))
 
 
-def w_exact(packet: Packet, x, t, kernel: WKernel | None = None):
-    """Exact W; pass a prebuilt WKernel to amortize the matrix setup."""
-    if kernel is None:
-        kernel = WKernel(packet)
-    out = kernel.evaluate(x, t)
-    return float(out) if out.ndim == 0 else out
-
-
 def w_approx(packet: Packet, x, t):
     """Near-non-relativistic local form of W.
 
@@ -105,11 +100,8 @@ def w_approx(packet: Packet, x, t):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _d2w_dx2(packet: Packet, x, t, kernel: WKernel | None = None,
-             h: float = 1e-3):
+def _d2w_dx2(kernel: WKernel, x, t, h: float = 1e-3):
     """5-point central second x-derivative of the exact W (oracle route)."""
-    if kernel is None:
-        kernel = WKernel(packet)
     x = np.asarray(x, dtype=float)
     stencil = [kernel.evaluate(x + m * h, t)
                for m in (-2.0, -1.0, 0.0, 1.0, 2.0)]
@@ -144,8 +136,7 @@ def density_difference_timeform(packet: Packet, x, t: float,
     return lhs, rhs27a, rhs27b
 
 
-def nw_position_map(packet: Packet, x, t: float, h_t: float = H_T,
-                    eps_scale: float = EPS_RHO_SCALE):
+def nw_position_map(packet: Packet, x, t: float, h_t: float = H_T):
     """(x_mapped, f): localized position x + f with f = (1/8) rho^{-1} dJ/dt.
 
     dJ/dt by central differences with step h_t.  f is NaN where the
@@ -155,7 +146,7 @@ def nw_position_map(packet: Packet, x, t: float, h_t: float = H_T,
     rho = packet.rho(x, t)
     dj_dt = (packet.current(x, t + h_t)
              - packet.current(x, t - h_t)) / (2.0 * h_t)
-    floor = eps_scale * float(np.max(np.abs(rho)) + 1e-300)
+    floor = EPS_RHO_SCALE * float(np.max(np.abs(rho)) + 1e-300)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.where(np.abs(rho) < floor, np.nan, dj_dt / (8.0 * rho))
     return x + f, f
@@ -171,7 +162,6 @@ class CorrectionField:
     d2W_dx2: np.ndarray
     rho: np.ndarray
     rho_nw: np.ndarray
-    d2rho_dt2: np.ndarray
     f: np.ndarray          # NaN where the density is at a zero
     x_mapped: np.ndarray
 
@@ -180,43 +170,41 @@ def correction_field(packet: Packet, x, t: float,
                      h_t: float = H_T) -> CorrectionField:
     x = np.asarray(x, dtype=float)
     kernel = WKernel(packet)
-    lhs, _, rhs27b = density_difference_timeform(packet, x, t, h_t=h_t)
     x_mapped, f = nw_position_map(packet, x, t, h_t=h_t)
     return CorrectionField(
         x=x, t=float(t),
         W=kernel.evaluate(x, np.full(x.shape, t)),
-        d2W_dx2=_d2w_dx2(packet, x, t, kernel=kernel),
+        d2W_dx2=_d2w_dx2(kernel, x, t),
         rho=packet.rho(x, t), rho_nw=packet.rho_nw(x, t),
-        d2rho_dt2=-8.0 * rhs27b, f=f, x_mapped=x_mapped)
+        f=f, x_mapped=x_mapped)
 
 
-def moments(packet: Packet, t: float, n_panels: int = 256):
+def moments(packet: Packet, t: float):
     """Zeroth and first moments of rho - rho_nw over the decay window.
 
     Both must vanish: the two densities share their normalization and
     mean.  Returns (m0, m1).
     """
     L = packet.decay_window() + abs(t)
-    nodes, weights = _gl_panels(-L, L, 2.0 * L / n_panels, 12)
+    nodes, weights = _gl_panels(-L, L, 2.0 * L / MOMENT_PANELS, PANEL_ORDER)
     diff = packet.rho(nodes, t) - packet.rho_nw(nodes, t)
     return float(np.sum(weights * diff)), float(np.sum(weights * nodes * diff))
 
 
-def pushforward_l1(packet: Packet, t: float = 0.0, n_x: int = 2001,
-                   half_width: float | None = None):
+def pushforward_l1(packet: Packet, t: float = 0.0):
     """L1 distances (unmapped, mapped) between rho and rho_nw.
 
     Pushes rho through x -> x + f via the change-of-variables Jacobian
-    1 + df/dx and interpolates back to the sample grid.  The mapped
-    distance should beat the unmapped one by the next expansion order.
+    1 + df/dx and interpolates back to PUSHFORWARD_N samples over the
+    packet's width.  The mapped distance should beat the unmapped one by
+    the next expansion order.
     """
-    if half_width is None:
-        # Position-space width: ~1/sigma_k for a gaussian shape.
-        if packet.spec.shape == "gaussian":
-            half_width = 4.0 / packet.spec.sigma_k + abs(t)
-        else:
-            half_width = packet.support_edge + abs(t) + 6.0
-    x = np.linspace(-half_width, half_width, n_x)
+    # Position-space width: ~1/sigma_k for a gaussian shape.
+    if packet.spec.shape == "gaussian":
+        half_width = 4.0 / packet.spec.sigma_k + abs(t)
+    else:
+        half_width = packet.support_edge + abs(t) + 6.0
+    x = np.linspace(-half_width, half_width, PUSHFORWARD_N)
     rho = packet.rho(x, t)
     rho_nw = packet.rho_nw(x, t)
     x_mapped, f = nw_position_map(packet, x, t)

@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "Grid2D",
     "omega",
-    "group_velocity",
     "lambert_w",
     "lambert_w_domain",
 ]
@@ -28,13 +27,6 @@ def omega(k):
     """
     k = np.asarray(k, dtype=float)
     out = np.sqrt(1.0 + k * k)
-    return out if out.ndim else float(out)
-
-
-def group_velocity(k):
-    """Group velocity k/omega(k); odd in k, |result| < 1."""
-    k = np.asarray(k, dtype=float)
-    out = k / np.sqrt(1.0 + k * k)
     return out if out.ndim else float(out)
 
 

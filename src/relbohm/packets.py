@@ -10,9 +10,9 @@ amplitude drops the omega^{-1/2} factor.  Built-in shapes:
 * ``gaussian``: exp(-(k - k0)^2 / (2 sigma_k^2)).
 
 All k-integrals are evaluated on a fixed composite Gauss-Legendre grid
-tabulated once per packet; panel widths are capped at a quarter of the
-local oscillation period so the oscillatory integrands are resolved.
-Evaluations are plain weighted sums and therefore deterministic.
+over [-k_cut, k_cut], tabulated once per packet (see Packet for the
+panel rule).  Evaluations are plain weighted sums and therefore
+deterministic.
 """
 
 from __future__ import annotations
@@ -39,6 +39,11 @@ __all__ = [
     "lambert_local_trajectories",
     "zero_crossings",
 ]
+
+#: the default k_cut is where |s(k)| drops below this fraction of its peak
+ENVELOPE_TOL = 1e-6
+#: Gauss-Legendre order of the x-space panel quadratures
+PANEL_ORDER = 12
 
 
 @dataclass(frozen=True)
@@ -80,13 +85,13 @@ class PacketSpec:
         s = np.where(nearpi, 0.5, s)
         return self.a * s
 
-    def default_k_cut(self, envelope_tol: float = 1e-7) -> float:
-        """Truncation where the shape envelope drops below tol * peak."""
+    def default_k_cut(self) -> float:
+        """Truncation where the envelope drops below ENVELOPE_TOL * peak."""
         if self.shape == "gaussian":
             return abs(self.k0) + self.sigma_k * np.sqrt(
-                -2.0 * np.log(envelope_tol))
+                -2.0 * np.log(ENVELOPE_TOL))
         # |s(k)| <= pi^2 / (a^2 |k|^3) for |k| a > pi; peak is a.
-        return max((np.pi ** 2 / (self.a ** 3 * envelope_tol)) ** (1 / 3.0),
+        return max((np.pi ** 2 / (self.a ** 3 * ENVELOPE_TOL)) ** (1 / 3.0),
                    4.0 * np.pi / self.a)
 
 
@@ -105,32 +110,32 @@ def _gl_panels(k_lo, k_hi, panel_width, order):
 class Packet:
     """A PacketSpec with its tabulated quadrature grid and normalization.
 
-    x_scale sets the largest |x| + |t| at which the oscillatory
-    k-integrals stay resolved (quarter-period panel rule).
+    The k grid has gl_order Gauss-Legendre nodes on each equal panel of
+    [-k_cut, k_cut]; the panel width is the least of pi / (2 max(x_scale,
+    1)), k_cut / 8 and, for a gaussian, sigma_k / 2.  x_scale is no reach
+    bound: at the default 15, cos2 densities at |x| = 32 are exact.
     """
 
     #: max entries of any (points x k-nodes) phase matrix
     _CHUNK_BUDGET = 4_000_000
 
     def __init__(self, spec: PacketSpec, k_cut: float | None = None,
-                 gl_order: int = 10, x_scale: float = 15.0,
-                 envelope_tol: float = 1e-6):
+                 gl_order: int = 10, x_scale: float = 15.0):
         self.spec = spec
         self.k_cut = float(k_cut if k_cut is not None
-                           else spec.default_k_cut(envelope_tol))
+                           else spec.default_k_cut())
         panel = min(0.25 * 2.0 * np.pi / max(x_scale, 1.0),
                     self.k_cut / 8.0)
         if spec.shape == "gaussian":
             panel = min(panel, spec.sigma_k / 2.0)
-        self.x_scale = float(x_scale)
-        self.k, self.w = _gl_panels(-self.k_cut, self.k_cut, panel, gl_order)
+        self.k, w = _gl_panels(-self.k_cut, self.k_cut, panel, gl_order)
         self.omega = omega(self.k)
         s = spec.shape_values(self.k)
         # int rho_nw dx = 2 pi N^2 int s^2 dk  ==  total_charge.
-        s2 = float(np.sum(self.w * s * s))
+        s2 = float(np.sum(w * s * s))
         self.norm = np.sqrt(spec.total_charge / (2.0 * np.pi * s2))
-        self.c = self.norm * s          # normalized k-space coefficients
-        self._ws = self.w * self.c      # quadrature weight * coefficient
+        # quadrature weight * normalized k-space coefficient
+        self._ws = w * (self.norm * s)
 
     # -- field evaluation ---------------------------------------------
 
@@ -209,9 +214,9 @@ class Packet:
         return self.support_edge + 30.0
 
 
-def _panel_integral(fn, a, b, n_panels: int = 64, order: int = 12) -> float:
+def _panel_integral(fn, a, b, n_panels: int = 64) -> float:
     """Fixed composite GL integral of a vectorized real function."""
-    nodes, weights = _gl_panels(a, b, (b - a) / n_panels, order)
+    nodes, weights = _gl_panels(a, b, (b - a) / n_panels, PANEL_ORDER)
     return float(np.sum(weights * fn(nodes)))
 
 
@@ -220,7 +225,6 @@ class DensityProfile:
     """Densities along one fixed-t row of a grid."""
 
     x: np.ndarray
-    t: float
     rho: np.ndarray
     rho_nw: np.ndarray
     rho_nw0: np.ndarray
@@ -238,10 +242,10 @@ def densities(packet: Packet, x, t: float) -> DensityProfile:
     abs_mass = _panel_integral(lambda xx: np.abs(packet.rho(xx, t)),
                                -L, L, n_panels=max(128, int(4 * L)))
     factor = packet.spec.total_charge / abs_mass
-    rho = packet.rho(x, t)
+    rho, j = packet.rho_j(x, t)
     return DensityProfile(
-        x=x, t=float(t), rho=rho, rho_nw=packet.rho_nw(x, t),
-        rho_nw0=factor * np.abs(rho), j=packet.current(x, t))
+        x=x, rho=rho, rho_nw=packet.rho_nw(x, t),
+        rho_nw0=factor * np.abs(rho), j=j)
 
 
 def acausal_probability(packet: Packet, t: float) -> float:
@@ -293,7 +297,7 @@ def zero_crossings(packet: Packet):
     L = packet.decay_window()
     n_panels = max(256, int(8 * L))
     edges = np.linspace(0.0, L, n_panels + 1)
-    xg, wg = np.polynomial.legendre.leggauss(12)
+    xg, wg = np.polynomial.legendre.leggauss(PANEL_ORDER)
     half = 0.5 * (edges[1] - edges[0])
     nodes = (0.5 * (edges[:-1] + edges[1:])[:, None]
              + half * xg[None, :])
@@ -307,7 +311,7 @@ def zero_crossings(packet: Packet):
         out = tail_at_edge[j]
         if edges[j] > x:
             out += _panel_integral(lambda xx: packet.rho(xx, 0.0),
-                                   x, edges[j], n_panels=2, order=12)
+                                   x, edges[j], n_panels=2)
         return out
 
     lo, hi = 0.1 * a, x0
@@ -330,22 +334,20 @@ class FrontKernel:
     for real s(k) and the regulator's delta term is an additive constant,
     both dropped analytically.
 
-    The kernel is precomputed on its own (coarser) Gauss-Legendre grid;
-    evaluation at a batch of points is one matrix product.
+    The kernel is precomputed on its own (coarser) Gauss-Legendre grid
+    over the packet's [-k_cut, k_cut], so its gradient is (2 rho, -2 J)
+    of that packet; evaluation at a batch of points is one matrix product.
     """
 
-    def __init__(self, packet: Packet, k_cut: float | None = None,
-                 n_nodes: int = 801, phase_scale: float = 8.0):
-        spec = packet.spec
-        if k_cut is None:
-            k_cut = spec.default_k_cut(envelope_tol=1e-6)
+    def __init__(self, packet: Packet, n_nodes: int = 801,
+                 phase_scale: float = 8.0):
         order = 8
         panel = max(0.25 * 2.0 * np.pi / max(phase_scale, 1.0), 1e-3)
         # Honor the requested node budget.
-        panel = max(panel, 2.0 * k_cut * order / max(n_nodes, order))
-        k, w = _gl_panels(-k_cut, k_cut, panel, order)
+        panel = max(panel, 2.0 * packet.k_cut * order / max(n_nodes, order))
+        k, w = _gl_panels(-packet.k_cut, packet.k_cut, panel, order)
         wq = omega(k)
-        c = packet.norm * spec.shape_values(k)
+        c = packet.norm * packet.spec.shape_values(k)
         ws = w * c
         s_mat = (np.outer(ws, ws) * (wq[:, None] * wq[None, :]) ** -0.5
                  * (wq[:, None] + wq[None, :]))

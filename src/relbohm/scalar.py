@@ -61,19 +61,15 @@ def current_j(s: FieldSample) -> float:
     return float(bilinear_j(s.psi, s.dpsi_dx))
 
 
-def _rho_floor(s: FieldSample, eps_scale: float) -> float:
-    scale = abs(s.psi) * max(abs(s.dpsi_dx), abs(s.dpsi_dt), 1e-300)
-    return eps_scale * scale
-
-
-def velocity(s: FieldSample, eps_scale: float = EPS_RHO_SCALE):
+def velocity(s: FieldSample):
     """Particle velocity J/rho, or None where the density vanishes.
 
     |v| may exceed 1 near rho -> 0; that superluminal excursion is
     physical content, not an error.  None marks a divergence locus.
     """
     rho = density_rho(s)
-    if abs(rho) < _rho_floor(s, eps_scale):
+    scale = abs(s.psi) * max(abs(s.dpsi_dx), abs(s.dpsi_dt), 1e-300)
+    if abs(rho) < EPS_RHO_SCALE * scale:
         return None
     return current_j(s) / rho
 

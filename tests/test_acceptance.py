@@ -100,9 +100,9 @@ def test_criterion_03_integral_of_motion():
     assert worst_re < 1e-12 + 1e-14
 
 
-def test_criterion_04_pair_creation():
+def test_criterion_04_pair_creation(fig1_state):
     grid = Grid2D(-0.005, 0.005, 161, 0.0, 0.01, 161)
-    _, fig1 = modes.trajectories(modes.fig1_modeset(), grid, 30)
+    _, fig1 = modes.trajectories(fig1_state, grid, 30)
     mild_grid = Grid2D(-2.0, 2.0, 101, 0.0, 2.0, 101)
     _, mild = modes.trajectories(
         modes.ModeSet(k=[0.0, 0.1], phi=[1.0, 1.0]), mild_grid, 20)
@@ -214,12 +214,12 @@ def test_criterion_06_exact_identity_and_moments():
     xg = np.linspace(-15.0, 15.0, 31)
     kern_g = nearnr.WKernel(gauss)
     res_g = np.max(np.abs(
-        nearnr._d2w_dx2(gauss, xg, 0.3, kernel=kern_g, h=1e-2)
+        nearnr._d2w_dx2(kern_g, xg, 0.3, h=1e-2)
         - (gauss.rho(xg, 0.3) - gauss.rho_nw(xg, 0.3))))
     xc = np.linspace(-2.0, 2.0, 21)
     kern_c = nearnr.WKernel(cos2)
     res_c = np.max(np.abs(
-        nearnr._d2w_dx2(cos2, xc, 0.0, kernel=kern_c)
+        nearnr._d2w_dx2(kern_c, xc, 0.0)
         - (cos2.rho(xc, 0.0) - cos2.rho_nw(xc, 0.0))))
     m = [nearnr.moments(p, 0.0) for p in (gauss, cos2)]
     mom = max(abs(v) for pair in m for v in pair)

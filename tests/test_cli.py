@@ -63,6 +63,8 @@ def test_modes_cli_matches_library(tmp_path):
 
 _GRID = {"x_min": -1, "x_max": 1, "n_x": 11, "t_min": 0, "t_max": 1,
          "n_t": 11}
+_DIRAC = {"kind": "dirac", "n_modes": 2, "seed": 1, "n_points": 2}
+_FW = {"kind": "fw", "field": "gaussian", "n_points": 2, "box_n": 9}
 
 
 @pytest.mark.parametrize("command, payload, code", [
@@ -79,12 +81,29 @@ _GRID = {"x_min": -1, "x_max": 1, "n_x": 11, "t_min": 0, "t_max": 1,
                 "x": {"min": -4.0, "max": 4.0, "n": 33}, "h_t": 0}, 2),
     ("nearnr", {"packet": {"shape": "gaussian", "sigma_k": 0.05},
                 "x": {"min": -4.0, "max": 4.0, "n": 33}, "h_t": -1e-3}, 2),
+    ("spin", {**_DIRAC, "h": "x"}, 2),
+    ("spin", {**_DIRAC, "h": 0}, 2),
+    ("spin", {**_DIRAC, "point_range": "x"}, 2),
+    ("spin", {**_DIRAC, "point_seed": "x"}, 2),
+    ("spin", {**_FW, "box_n": 0}, 2),
+    ("spin", {**_FW, "box_n": 1}, 2),
+    ("spin", {**_FW, "box_half": "x"}, 2),
+    ("spin", {**_FW, "box_half": 0}, 2),
+    ("nearnr", {"packet": {"shape": "gaussian", "sigma_k": 0.05},
+                "x": {"min": "nan", "max": 4.0, "n": 33}}, 2),
+    ("explode", {"packet": {"shape": "cos2", "k_cut": 40.0, "gl_order": 8,
+                            "x_scale": 4.0},
+                 "t_values": ["nan"], "grid": _GRID}, 2),
     # well formed, but the k quadrature aliases rho within the decay window
     ("explode", {"packet": {"shape": "cos2", "gl_order": 8, "x_scale": 0.5},
                  "grid": _GRID}, 3),
 ], ids=["modes-n_levels-string", "modes-nan-k", "explode-density_x-no-max",
         "nearnr-x-no-min", "spin-dirac-zero-points", "nearnr-h_t-zero",
-        "nearnr-h_t-negative", "explode-coarse-k-quadrature"])
+        "nearnr-h_t-negative", "spin-dirac-h-string", "spin-dirac-h-zero",
+        "spin-dirac-point_range-string", "spin-dirac-point_seed-string",
+        "spin-fw-box_n-zero", "spin-fw-box_n-one", "spin-fw-box_half-string",
+        "spin-fw-box_half-zero", "nearnr-x-min-nan", "explode-t_values-nan",
+        "explode-coarse-k-quadrature"])
 def test_malformed_or_unconverged_config_exit_code(tmp_path, command,
                                                    payload, code):
     cfg = write_cfg(tmp_path, "cfg.json", payload)

@@ -92,8 +92,7 @@ def test_spin_tensor_vanishes_scalar_like():
     # one spinor direction only: psi = g(x) u0 for a fixed spinor u0
     u0 = np.array([1.0, 0.0, 0.3, 0.0], dtype=complex)
     dg = np.array([0.2 + 0.1j, -0.3, 0.4j, 0.1])
-    s = SpinorSample(psi=1.3 * u0, dpsi=dg[:, None] * u0[None, :],
-                     x=np.zeros(4))
+    s = SpinorSample(psi=1.3 * u0, dpsi=dg[:, None] * u0[None, :])
     assert np.max(np.abs(spin_tensor(s))) < 1e-12
 
 
@@ -190,7 +189,7 @@ def test_fw_rotating_txx_hand_value():
     # s = (sin(x/2), 0, cos(x/2)): d_x s_l d_x s_l = 1/4, so T_xx = 1/16
     field = fw_rotating_field(rate=0.5)
     psi, dpsi4 = fw_spinor(field, np.array([0.3, -0.1, 0.2]))
-    s = SpinorSample(psi=psi, dpsi=dpsi4, x=np.array([0.0, 0.3, -0.1, 0.2]))
+    s = SpinorSample(psi=psi, dpsi=dpsi4)
     T = spin_tensor(s)
     assert T[1, 1] == pytest.approx(0.0625, abs=1e-12)
 

@@ -112,12 +112,11 @@ def test_f_conserved_along_ode_trajectory():
     assert abs(f1 - f0) < 1e-8 * 4.0
 
 
-def test_mean_rest_frame():
+def test_mean_rest_frame(fig1_state):
     assert modes.mean_rest_frame_check(modes.ModeSet(k=[0.0], phi=[1.0])) == 0
     pair = modes.ModeSet(k=[0.8, -0.8], phi=[1.0, 1.0])
     assert modes.mean_rest_frame_check(pair) == pytest.approx(0.0, abs=1e-15)
-    fig1 = modes.fig1_modeset()
-    assert abs(modes.mean_rest_frame_check(fig1)) < 1e-12
+    assert abs(modes.mean_rest_frame_check(fig1_state)) < 1e-12
 
 
 def test_single_mode_contours_straight():
@@ -131,9 +130,9 @@ def test_single_mode_contours_straight():
         assert np.max(np.abs(c - c[0])) < 1e-10
 
 
-def test_fig1_state_has_pair_events():
+def test_fig1_state_has_pair_events(fig1_state):
     grid = Grid2D(-0.005, 0.005, 121, 0.0, 0.01, 121)
-    _, traj = modes.trajectories(modes.fig1_modeset(), grid, 25)
+    _, traj = modes.trajectories(fig1_state, grid, 25)
     assert traj.n_pair_events >= 1
 
 
@@ -162,11 +161,10 @@ def test_contours_shadowed_by_ode():
     assert np.max(np.abs(z_interp - pts[:, 0])) < cell
 
 
-def test_grid_warning_when_too_coarse():
-    state = modes.fig1_modeset()
+def test_grid_warning_when_too_coarse(fig1_state):
     grid = Grid2D(-0.005, 0.005, 9, 0.0, 0.01, 9)
     with pytest.warns(RuntimeWarning):
-        modes.trajectories(state, grid, 40)
+        modes.trajectories(fig1_state, grid, 40)
 
 
 def test_boost_velocity_addition():
@@ -182,10 +180,10 @@ def test_boost_velocity_addition():
     assert vp == pytest.approx((v - beta) / (1.0 - v * beta), abs=1e-10)
 
 
-def test_boost_current_transforms_as_vector():
+def test_boost_current_transforms_as_vector(fig1_state):
     # (rho, J) is a 2-vector: rho' at the boosted event equals
     # cosh(chi) rho - sinh(chi) J at the original event, and likewise for J'
-    state = modes.fig1_modeset()
+    state = fig1_state
     chi = 0.5
     boosted = boost(state, chi)
     z = np.linspace(-0.004, 0.004, 17)
@@ -202,8 +200,8 @@ def test_boost_current_transforms_as_vector():
 
 
 @pytest.mark.parametrize("chi", [-2.0, -1.0, 0.0, 1.0, 2.0])
-def test_fig1_antiparticles_in_every_frame(chi):
-    state = boost(modes.fig1_modeset(), chi)
+def test_fig1_antiparticles_in_every_frame(fig1_state, chi):
+    state = boost(fig1_state, chi)
     grid_z = np.linspace(-0.02, 0.02, 301)
     grid_t = np.linspace(0.0, 0.02, 301)
     rho, _ = modes._rho_j(state, grid_z[:, None], grid_t[None, :])

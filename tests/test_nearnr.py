@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from relbohm.nearnr import (WKernel, _d2w_dx2, _dj_dx,
+from relbohm.nearnr import (WKernel, _d2w_dx2, _dj_dx, correction_field,
                             density_difference_timeform, moments,
-                            nw_position_map, pushforward_l1, w_approx,
-                            w_exact, correction_field)
+                            nw_position_map, pushforward_l1, w_approx)
 from relbohm.packets import Packet, PacketSpec
 
 
@@ -40,7 +39,7 @@ def test_anchor_identity_gaussian(gauss, gauss_kernel):
     t = 0.3
     # wide FD step: W varies on the packet width ~1/sigma_k, and a small
     # step runs into roundoff because the difference itself is tiny
-    lhs = _d2w_dx2(gauss, x, t, kernel=gauss_kernel, h=1e-2)
+    lhs = _d2w_dx2(gauss_kernel, x, t, h=1e-2)
     rhs = gauss.rho(x, t) - gauss.rho_nw(x, t)
     scale = np.max(np.abs(rhs))
     assert np.max(np.abs(lhs - rhs)) < 1e-7 * scale
@@ -49,7 +48,7 @@ def test_anchor_identity_gaussian(gauss, gauss_kernel):
 def test_anchor_identity_cos2(cos2_coarse):
     kernel = WKernel(cos2_coarse)
     x = np.linspace(-2.0, 2.0, 21)
-    lhs = _d2w_dx2(cos2_coarse, x, 0.0, kernel=kernel)
+    lhs = _d2w_dx2(kernel, x, 0.0)
     rhs = cos2_coarse.rho(x, 0.0) - cos2_coarse.rho_nw(x, 0.0)
     assert np.max(np.abs(lhs - rhs)) < 1e-6 * np.max(np.abs(rhs))
 
@@ -60,14 +59,14 @@ def test_w_parity(gauss, gauss_kernel):
                             total_charge=1.0))
     kern = WKernel(sym)
     x = np.linspace(0.5, 12.0, 9)
-    assert np.allclose(w_exact(sym, x, 0.0, kernel=kern),
-                       w_exact(sym, -x, 0.0, kernel=kern), atol=1e-14)
+    assert np.allclose(kern.evaluate(x, 0.0), kern.evaluate(-x, 0.0),
+                       atol=1e-14)
 
 
 def test_w_approx_matches_exact(gauss, gauss_kernel):
     x = np.linspace(-12.0, 12.0, 49)
     t = 0.3
-    exact = w_exact(gauss, x, np.full(x.shape, t), kernel=gauss_kernel)
+    exact = gauss_kernel.evaluate(x, np.full(x.shape, t))
     approx = w_approx(gauss, x, t)
     num = np.sqrt(np.mean((exact - approx) ** 2))
     den = np.sqrt(np.mean(exact ** 2))

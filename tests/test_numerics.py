@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relbohm.numerics import Grid2D, group_velocity, lambert_w, omega
+from relbohm.numerics import Grid2D, lambert_w, omega
 
 
 def test_omega_values():
@@ -15,13 +15,6 @@ def test_omega_values():
 def test_omega_difference_identity(k, kp):
     assert omega(k) ** 2 - omega(kp) ** 2 == pytest.approx(
         k ** 2 - kp ** 2, abs=1e-9)
-
-
-def test_group_velocity():
-    assert group_velocity(0.0) == 0.0
-    assert group_velocity(0.75) == pytest.approx(0.6, abs=1e-15)
-    assert abs(group_velocity(1e6) - 1.0) < 1e-10
-    assert group_velocity(-0.3) == -group_velocity(0.3)
 
 
 @given(st.floats(-0.35, 100.0))

@@ -171,6 +171,24 @@ def test_front_kernel_gradients(cos2):
         assert dF_dt == pytest.approx(-2.0 * j, abs=1e-4)
 
 
+def test_front_kernel_uses_packet_truncation():
+    # a configured k_cut must reach the kernel: its gradient is then
+    # (2 rho, -2 J) of the same truncated packet, not of a wider one
+    p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0, gl_order=8,
+               x_scale=4.0)
+    kernel = FrontKernel(p, phase_scale=4.0, n_nodes=2401)
+    assert np.max(np.abs(kernel.k)) <= p.k_cut
+    h = 1e-5
+    for x, t in [(0.3, 0.2), (0.9, 0.6), (1.4, 0.1), (2.0, 1.0)]:
+        dF_dx = float(kernel.evaluate(np.array(x + h), np.array(t))
+                      - kernel.evaluate(np.array(x - h), np.array(t))) / (2 * h)
+        dF_dt = float(kernel.evaluate(np.array(x), np.array(t + h))
+                      - kernel.evaluate(np.array(x), np.array(t - h))) / (2 * h)
+        rho, j = p.rho_j(x, t)
+        assert abs(dF_dx - 2.0 * rho) <= 1e-6
+        assert abs(dF_dt + 2.0 * j) <= 1e-6
+
+
 def test_front_kernel_conserved_along_ode(cos2):
     kernel = FrontKernel(cos2, phase_scale=4.0, n_nodes=2401)
     x0, t0, t1 = 0.2, 0.0, 1.0
