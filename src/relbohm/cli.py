@@ -10,8 +10,10 @@ Exit codes: 0 success, 2 config error, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+import warnings
 from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
@@ -69,17 +71,17 @@ def _grid(cfg: dict, quick: bool) -> Grid2D:
         if quick:
             n_x = max(2, (n_x + 1) // 2)
             n_t = max(2, (n_t + 1) // 2)
-        return Grid2D(x_min=float(g["x_min"]), x_max=float(g["x_max"]),
-                      n_x=n_x, t_min=float(g["t_min"]),
-                      t_max=float(g["t_max"]), n_t=n_t)
+        ext = {key: _real(g[key], f"grid.{key}")
+               for key in ("x_min", "x_max", "t_min", "t_max")}
+        return Grid2D(n_x=n_x, n_t=n_t, **ext)
 
 
-def _count(cfg: dict, key: str, default: int, least: int = 1) -> int:
-    """An integer config field of at least `least`."""
-    with _parsing(key):
-        n = int(cfg.get(key, default))
+def _count(value, name: str, least: int = 1) -> int:
+    """An integer config value of at least `least`."""
+    with _parsing(name):
+        n = int(value)
     if n < least:
-        raise ConfigError(f"{key} must be >= {least}")
+        raise ConfigError(f"{name} must be >= {least}")
     return n
 
 
@@ -108,7 +110,7 @@ def cmd_modes(cfg: dict, args) -> int:
             k=np.asarray(cfg["k"], dtype=float),
             phi=np.array([complex(re, im) for re, im in cfg["phi"]]))
     grid = _grid(cfg, args.quick)
-    n_levels = _count(cfg, "n_levels", 30)
+    n_levels = _count(cfg.get("n_levels", 30), "n_levels")
     out = _out_dir(args)
 
     F, traj = modes.trajectories(state, grid, n_levels, args.threads)
@@ -138,14 +140,16 @@ def _packet_from(cfg: dict) -> packets.Packet:
     with _parsing("packet"):
         p = cfg["packet"]
         spec = packets.PacketSpec(
-            shape=p.get("shape", "cos2"), a=float(p.get("a", 1.0)),
-            k0=float(p.get("k0", 0.0)), sigma_k=float(p.get("sigma_k", 0.05)),
-            total_charge=float(p.get("total_charge", 2.0)))
+            shape=p.get("shape", "cos2"),
+            **{key: _real(p.get(key, default), f"packet.{key}")
+               for key, default in (("a", 1.0), ("k0", 0.0),
+                                    ("sigma_k", 0.05),
+                                    ("total_charge", 2.0))})
         kwargs = {}
         if "k_cut" in p:
-            kwargs["k_cut"] = float(p["k_cut"])
+            kwargs["k_cut"] = _real(p["k_cut"], "packet.k_cut", positive=True)
         if "x_scale" in p:
-            kwargs["x_scale"] = float(p["x_scale"])
+            kwargs["x_scale"] = _real(p["x_scale"], "packet.x_scale")
         if "gl_order" in p:
             kwargs["gl_order"] = int(p["gl_order"])
         return packets.Packet(spec, **kwargs)
@@ -236,17 +240,17 @@ def cmd_explode(cfg: dict, args) -> int:
         t_values = [float(t) for t in cfg.get("t_values", [0.0])]
         p_times = [float(t) for t in cfg.get("p_times", [0.0])]
         dx_cfg = cfg.get("density_x", {"min": -5.0, "max": 5.0, "n": 401})
+        n = _count(dx_cfg["n"], "density_x.n")
         xd = np.linspace(_real(dx_cfg["min"], "density_x.min"),
                          _real(dx_cfg["max"], "density_x.max"),
-                         int(dx_cfg["n"]) if not args.quick
-                         else max(2, int(dx_cfg["n"]) // 2))
+                         n if not args.quick else max(2, n // 2))
     if not all(0.0 <= t < np.inf for t in t_values + p_times):
         raise ConfigError("t values must be finite and >= 0")
     if args.quick:
         t_values = t_values[:2]
         p_times = [t for i, t in enumerate(p_times) if i % 2 == 0 or t == 0.0]
     grid = _grid(cfg, args.quick)
-    n_levels = _count(cfg, "n_levels", 40)
+    n_levels = _count(cfg.get("n_levels", 40), "n_levels")
     out = _out_dir(args)
 
     x_th, x0 = packets.zero_crossings(packet)
@@ -297,12 +301,14 @@ def cmd_explode(cfg: dict, args) -> int:
 def cmd_nearnr(cfg: dict, args) -> int:
     packet = _packet_from(cfg)
     if packet.spec.shape == "gaussian" and packet.spec.sigma_k >= 0.3:
-        print("warning: sigma_k >= 0.3 is outside the documented "
-              "narrow-k regime; the approximate identities are not "
-              "expected to hold (the exact one still is)", file=sys.stderr)
+        warnings.warn("sigma_k >= 0.3 is outside the documented narrow-k "
+                      "regime; the approximate identities are not expected "
+                      "to hold (the exact one still is)", RuntimeWarning)
     xcfg = cfg.get("x", {"min": -20.0, "max": 20.0, "n": 161})
     with _parsing("x"):
-        n = int(xcfg["n"]) if not args.quick else max(9, int(xcfg["n"]) // 2)
+        n = _count(xcfg["n"], "x.n")
+        if args.quick:
+            n = max(9, n // 2)
         x = np.linspace(_real(xcfg["min"], "x.min"),
                         _real(xcfg["max"], "x.max"), n)
     t = _real(cfg.get("t", 0.0), "t")
@@ -357,8 +363,8 @@ def cmd_spin(cfg: dict, args) -> int:
         with _parsing("dirac field"):
             field = dirac.DiracField.random(
                 n_modes=int(cfg["n_modes"]), seed=int(cfg["seed"]),
-                k_max=float(cfg.get("k_max", 1.0)))
-        n_pts = _count(cfg, "n_points", 20)
+                k_max=_real(cfg.get("k_max", 1.0), "k_max"))
+        n_pts = _count(cfg.get("n_points", 20), "n_points")
         if args.quick:
             n_pts = min(n_pts, 6)
         r = _real(cfg.get("point_range", 1.0), "point_range")
@@ -393,10 +399,10 @@ def cmd_spin(cfg: dict, args) -> int:
         makers = {"gaussian": dirac.fw_gaussian_field,
                   "rotating": dirac.fw_rotating_field,
                   "hedgehog": dirac.fw_hedgehog_field}
-        if name not in makers:
+        if not isinstance(name, str) or name not in makers:
             raise ConfigError(f"unknown FW field {name!r}")
-        n_pts = _count(cfg, "n_points", 25)
-        box_n = _count(cfg, "box_n", 61, least=2)
+        n_pts = _count(cfg.get("n_points", 25), "n_points")
+        box_n = _count(cfg.get("box_n", 61), "box_n", least=2)
         if args.quick:
             box_n = min(box_n, 41)
         box_half = _real(cfg.get("box_half", 7.0), "box_half", positive=True)
@@ -421,6 +427,7 @@ def cmd_spin(cfg: dict, args) -> int:
 # -- entry ----------------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="relbohm",

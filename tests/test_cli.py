@@ -94,6 +94,18 @@ _FW = {"kind": "fw", "field": "gaussian", "n_points": 2, "box_n": 9}
     ("explode", {"packet": {"shape": "cos2", "k_cut": 40.0, "gl_order": 8,
                             "x_scale": 4.0},
                  "t_values": ["nan"], "grid": _GRID}, 2),
+    ("nearnr", {"packet": {"shape": "gaussian", "sigma_k": 0.05},
+                "x": {"min": -4.0, "max": 4.0, "n": 0}}, 2),
+    ("modes", {"k": [0.0, 0.1], "phi": [[1, 0], [1, 0]],
+               "grid": {**_GRID, "x_max": "inf"}}, 2),
+    ("spin", {**_FW, "field": []}, 2),
+    ("explode", {"packet": {"shape": "cos2", "a": "nan", "k_cut": 40.0},
+                 "grid": _GRID}, 2),
+    ("explode", {"packet": {"shape": "cos2", "k_cut": 40.0, "gl_order": 8,
+                            "x_scale": 4.0},
+                 "density_x": {"min": -3.0, "max": 3.0, "n": 0},
+                 "grid": _GRID}, 2),
+    ("spin", {**_DIRAC, "k_max": "nan"}, 2),
     # well formed, but the k quadrature aliases rho within the decay window
     ("explode", {"packet": {"shape": "cos2", "gl_order": 8, "x_scale": 0.5},
                  "grid": _GRID}, 3),
@@ -103,14 +115,16 @@ _FW = {"kind": "fw", "field": "gaussian", "n_points": 2, "box_n": 9}
         "spin-dirac-point_range-string", "spin-dirac-point_seed-string",
         "spin-fw-box_n-zero", "spin-fw-box_n-one", "spin-fw-box_half-string",
         "spin-fw-box_half-zero", "nearnr-x-min-nan", "explode-t_values-nan",
-        "explode-coarse-k-quadrature"])
+        "nearnr-x-n-zero", "modes-grid-x_max-inf", "spin-fw-field-list",
+        "explode-packet-a-nan", "explode-density_x-n-zero",
+        "spin-dirac-k_max-nan", "explode-coarse-k-quadrature"])
 def test_malformed_or_unconverged_config_exit_code(tmp_path, command,
                                                    payload, code):
     cfg = write_cfg(tmp_path, "cfg.json", payload)
     out = tmp_path / "o"
     assert run([command, "--config", cfg, "--out", str(out)]) == code
     if code == 2:
-        assert not any(out.glob("*"))
+        assert not out.exists()
 
 
 def test_missing_config_is_config_error(tmp_path):
@@ -186,14 +200,14 @@ def test_nearnr_bundled_quick(tmp_path):
     assert summary["pushforward"]["improvement"] > 5.0
 
 
-def test_nearnr_wide_sigma_warns(tmp_path, capsys):
+def test_nearnr_wide_sigma_warns(tmp_path):
     cfg = write_cfg(tmp_path, "wide.json", {
         "packet": {"shape": "gaussian", "sigma_k": 0.5,
                    "total_charge": 1.0},
         "x": {"min": -4.0, "max": 4.0, "n": 33}, "t": 0.0})
-    assert run(["nearnr", "--config", cfg,
-                "--out", str(tmp_path / "o"), "--quick"]) == 0
-    assert "narrow-k regime" in capsys.readouterr().err
+    with pytest.warns(RuntimeWarning, match="narrow-k regime"):
+        assert run(["nearnr", "--config", cfg,
+                    "--out", str(tmp_path / "o"), "--quick"]) == 0
 
 
 def test_spin_dirac_bundled_quick(tmp_path):
