@@ -399,56 +399,61 @@ def _du_ds(s_hat) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FWField:
-    """Static FW test field: amplitude, phase and unit spin direction.
+    """Static FW test field: unit spin direction over the Gaussian amplitude.
 
-    All callables are vectorized over points of shape (..., 3):
-    A -> (...,), grad_A -> (..., 3), lap_A -> (...,), S -> (...,),
-    grad_S -> (..., 3), s -> (..., 3), ds -> (..., 3, 3) with
-    ds[..., j, l] = d s_l / d x_j.  |s| = 1 is checked on use.
+    The state is A u(s) with A = exp(-|x|^2 / 2) and zero phase.  Both
+    callables are vectorized over points of shape (..., 3): s -> (..., 3),
+    ds -> (..., 3, 3) with ds[..., j, l] = d s_l / d x_j.  |s| = 1 is
+    checked on use.
     """
 
-    A: object
-    grad_A: object
-    lap_A: object
-    S: object
-    grad_S: object
     s: object
     ds: object
 
 
+def _amplitude(p):
+    p = np.asarray(p, dtype=float)
+    return np.exp(-0.5 * np.sum(p * p, axis=-1))
+
+
+def _grad_amplitude(p):
+    p = np.asarray(p, dtype=float)
+    return -p * _amplitude(p)[..., None]
+
+
+def _lap_amplitude(p):
+    p = np.asarray(p, dtype=float)
+    return (np.sum(p * p, axis=-1) - 3.0) * _amplitude(p)
+
+
 def fw_spinor(field: FWField, x):
-    """(psi, dpsi4) of the FW state A e^{iS} u(s) at a static point.
+    """(psi, dpsi4) of the FW state A u(s) at a static point.
 
     dpsi4 has shape (4, 4) with the time row zero (static fields).
     """
     x = np.asarray(x, dtype=float)
-    a = float(field.A(x))
-    sval = float(field.S(x))
+    a = float(_amplitude(x))
     shat = np.asarray(field.s(x), dtype=float)
     if abs(np.linalg.norm(shat) - 1.0) > 1e-12:
         raise ValueError("spin direction not unit length")
     u = fw_u(shat)
-    ph = np.exp(1j * sval)
-    psi = a * ph * u
-    ga = np.asarray(field.grad_A(x), dtype=float)
-    gs = np.asarray(field.grad_S(x), dtype=float)
+    psi = a * u
+    ga = _grad_amplitude(x)
     dshat = np.asarray(field.ds(x), dtype=float)
     du = np.einsum("jl,la->ja", dshat, _du_ds(shat))
     dpsi4 = np.zeros((4, 4), dtype=complex)
-    dpsi4[1:] = ph * (ga[:, None] * u[None, :]
-                      + 1j * a * gs[:, None] * u[None, :] + a * du)
+    dpsi4[1:] = ga[:, None] * u[None, :] + a * du
     return psi, dpsi4
 
 
 def fw_velocity(field: FWField, x) -> np.ndarray:
-    """Non-relativistic guidance velocity v_j = d_j S + Im(u^dag d_j u)."""
+    """Non-relativistic guidance velocity v_j = Im(u^dag d_j u)."""
     x = np.asarray(x, dtype=float)
     shat = np.asarray(field.s(x), dtype=float)
     u = fw_u(shat)
     du = np.einsum("jl,la->ja", np.asarray(field.ds(x), dtype=float),
                    _du_ds(shat))
-    return (np.asarray(field.grad_S(x), dtype=float)
-            + np.einsum("a,ja->j", np.conj(u), du).imag)
+    return np.einsum("a,ja->j", np.conj(u), du).imag
 
 
 def verify_fw_spin_tensor(field: FWField, points):
@@ -524,7 +529,7 @@ def verify_ensemble_balance(field: FWField, box_half: float, n: int = 61):
     dx = axis[1] - axis[0]
     X = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
     pts = X.reshape(-1, 3)
-    a = np.asarray(field.A(pts), dtype=float)
+    a = _amplitude(pts)
     peak = a.max()
     face = np.abs(pts) >= box_half - 1e-12
     if np.max(a[np.any(face, axis=1)]) > 1e-10 * peak:
@@ -533,8 +538,7 @@ def verify_ensemble_balance(field: FWField, box_half: float, n: int = 61):
                       stacklevel=2)
 
     def phi(p):
-        return -0.5 * np.asarray(field.lap_A(p), dtype=float) \
-            / np.asarray(field.A(p), dtype=float)
+        return -0.5 * _lap_amplitude(p) / _amplitude(p)
 
     def stress(p):
         ds = np.asarray(field.ds(p), dtype=float)
@@ -550,8 +554,8 @@ def verify_ensemble_balance(field: FWField, box_half: float, n: int = 61):
     for i in range(3):
         step = np.zeros(3)
         step[i] = h
-        ap2 = np.asarray(field.A(pts + step), dtype=float) ** 2
-        am2 = np.asarray(field.A(pts - step), dtype=float) ** 2
+        ap2 = _amplitude(pts + step) ** 2
+        am2 = _amplitude(pts - step) ** 2
         tp = stress(pts + step)
         tm = stress(pts - step)
         div += (ap2[:, None] * tp[:, :, i]
@@ -567,32 +571,6 @@ def verify_ensemble_balance(field: FWField, box_half: float, n: int = 61):
 # -- built-in FW test fields ----------------------------------------------
 
 
-def _gaussian_parts():
-    def A(p):
-        p = np.asarray(p, dtype=float)
-        return np.exp(-0.5 * np.sum(p * p, axis=-1))
-
-    def grad_A(p):
-        p = np.asarray(p, dtype=float)
-        return -p * A(p)[..., None]
-
-    def lap_A(p):
-        p = np.asarray(p, dtype=float)
-        return (np.sum(p * p, axis=-1) - 3.0) * A(p)
-
-    return A, grad_A, lap_A
-
-
-def _zero_phase():
-    def S(p):
-        return np.zeros(np.asarray(p, dtype=float).shape[:-1])
-
-    def grad_S(p):
-        return np.zeros(np.asarray(p, dtype=float).shape)
-
-    return S, grad_S
-
-
 def fw_gaussian_field() -> FWField:
     """Gaussian amplitude, zero phase, constant spin along z."""
     return fw_rotating_field(rate=0.0)
@@ -600,9 +578,6 @@ def fw_gaussian_field() -> FWField:
 
 def fw_rotating_field(rate: float = 0.5) -> FWField:
     """Spin rotating in the x-z plane, s = (sin(rate x), 0, cos(rate x))."""
-    A, grad_A, lap_A = _gaussian_parts()
-    S, grad_S = _zero_phase()
-
     def s(p):
         p = np.asarray(p, dtype=float)
         th = rate * p[..., 0]
@@ -616,15 +591,11 @@ def fw_rotating_field(rate: float = 0.5) -> FWField:
         out[..., 0, 2] = -rate * np.sin(th)
         return out
 
-    return FWField(A=A, grad_A=grad_A, lap_A=lap_A, S=S, grad_S=grad_S,
-                   s=s, ds=ds)
+    return FWField(s=s, ds=ds)
 
 
 def fw_hedgehog_field() -> FWField:
     """Hedgehog-like spin s = (x, y, c)/|(x, y, c)| with c = HEDGEHOG_C."""
-    A, grad_A, lap_A = _gaussian_parts()
-    S, grad_S = _zero_phase()
-
     def _n(p):
         p = np.asarray(p, dtype=float)
         n = np.stack([p[..., 0], p[..., 1],
@@ -646,5 +617,4 @@ def fw_hedgehog_field() -> FWField:
                                   - n[..., j] * n[..., l] / r ** 3)
         return out
 
-    return FWField(A=A, grad_A=grad_A, lap_A=lap_A, S=S, grad_S=grad_S,
-                   s=s, ds=ds)
+    return FWField(s=s, ds=ds)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .packets import PANEL_ORDER, Packet, _gl_panels
-from .scalar import EPS_RHO_SCALE
+from .scalar import EPS_RHO_SCALE, bilinear_rho
 
 __all__ = [
     "CorrectionField",
@@ -31,10 +31,6 @@ __all__ = [
     "w_approx",
 ]
 
-#: default central-difference step for time derivatives of composite
-#: quantities (rho, J); Richardson-checked at h/2 by the callers that
-#: care about step artifacts.
-H_T = 1e-3
 #: GL panels of the moments quadrature over the decay window
 MOMENT_PANELS = 256
 #: samples of the pushforward L1 window
@@ -109,43 +105,38 @@ def _d2w_dx2(kernel: WKernel, x, t, h: float = 1e-3):
             + 16 * stencil[3] - stencil[4]) / (12.0 * h * h)
 
 
-def _dj_dx(packet: Packet, x, t):
-    """Analytic dJ/dx = Im[psi* d^2 psi/dx^2] (the |dpsi|^2 term is real)."""
-    psi, psixx = packet.fields(x, t, [(0, 0), (2, 0)])
-    return (np.conj(psi) * psixx).imag
-
-
-def density_difference_timeform(packet: Packet, x, t: float,
-                                h_t: float = H_T):
+def density_difference_timeform(packet: Packet, x, t: float):
     """(lhs, rhs27a, rhs27b) of the time-derivative difference identity.
 
     lhs     = rho - rho_nw
-    rhs27a  = (1/8) d^2(rho v)/dt dx   (x-derivative analytic, t central)
-    rhs27b  = -(1/8) d^2 rho/dt^2     (t central differences)
+    rhs27a  = (1/8) d^2 J/dt dx = (1/8) Im(psi_t* psi_xx + psi* psi_xxt)
+    rhs27b  = -(1/8) d^2 rho/dt^2 = (1/8) Im(psi_t* psi_tt + psi* psi_ttt)
 
-    The two right-hand sides are linked by the continuity equation and
-    must agree with each other and with lhs to the expansion order of
-    the packet's k-spread.
+    Every derivative is exact: the packet is a finite plane-wave sum.
+    The two right-hand sides are linked by the continuity equation, so
+    they agree to rounding; they agree with lhs to the expansion order
+    of the packet's k-spread.
     """
     x = np.asarray(x, dtype=float)
-    lhs = packet.rho(x, t) - packet.rho_nw(x, t)
-    rhs27a = (_dj_dx(packet, x, t + h_t)
-              - _dj_dx(packet, x, t - h_t)) / (2.0 * h_t) / 8.0
-    rhs27b = -(packet.rho(x, t + h_t) - 2.0 * packet.rho(x, t)
-               + packet.rho(x, t - h_t)) / (h_t * h_t) / 8.0
+    psi, psit, psixx, psitt, psixxt, psittt = packet.fields(
+        x, t, [(0, 0), (0, 1), (2, 0), (0, 2), (2, 1), (0, 3)])
+    lhs = bilinear_rho(psi, psit) - packet.rho_nw(x, t)
+    rhs27a = (np.conj(psit) * psixx + np.conj(psi) * psixxt).imag / 8.0
+    rhs27b = (np.conj(psit) * psitt + np.conj(psi) * psittt).imag / 8.0
     return lhs, rhs27a, rhs27b
 
 
-def nw_position_map(packet: Packet, x, t: float, h_t: float = H_T):
+def nw_position_map(packet: Packet, x, t: float):
     """(x_mapped, f): localized position x + f with f = (1/8) rho^{-1} dJ/dt.
 
-    dJ/dt by central differences with step h_t.  f is NaN where the
+    dJ/dt = Im(psi_t* psi_x + psi* psi_xt), exact.  f is NaN where the
     density is below the divergence floor.
     """
     x = np.asarray(x, dtype=float)
-    rho = packet.rho(x, t)
-    dj_dt = (packet.current(x, t + h_t)
-             - packet.current(x, t - h_t)) / (2.0 * h_t)
+    psi, psix, psit, psixt = packet.fields(
+        x, t, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    rho = bilinear_rho(psi, psit)
+    dj_dt = (np.conj(psit) * psix + np.conj(psi) * psixt).imag
     floor = EPS_RHO_SCALE * float(np.max(np.abs(rho)) + 1e-300)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.where(np.abs(rho) < floor, np.nan, dj_dt / (8.0 * rho))
@@ -166,11 +157,10 @@ class CorrectionField:
     x_mapped: np.ndarray
 
 
-def correction_field(packet: Packet, x, t: float,
-                     h_t: float = H_T) -> CorrectionField:
+def correction_field(packet: Packet, x, t: float) -> CorrectionField:
     x = np.asarray(x, dtype=float)
     kernel = WKernel(packet)
-    x_mapped, f = nw_position_map(packet, x, t, h_t=h_t)
+    x_mapped, f = nw_position_map(packet, x, t)
     return CorrectionField(
         x=x, t=float(t),
         W=kernel.evaluate(x, np.full(x.shape, t)),

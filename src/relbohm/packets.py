@@ -25,7 +25,7 @@ from scipy.optimize import brentq
 
 from .modes import contour_family
 from .numerics import Grid2D, lambert_w, lambert_w_domain, omega
-from .scalar import EPS_RHO_SCALE, FieldSample, bilinear_j, bilinear_rho
+from .scalar import EPS_RHO_SCALE, bilinear_j, bilinear_rho
 
 __all__ = [
     "PacketSpec",
@@ -171,31 +171,15 @@ class Packet:
                 out[sl] = E @ coef
         return [o.reshape(shape) for o in outs]
 
-    def eval(self, x, t, dx: int = 0, dt: int = 0) -> np.ndarray:
-        """d^dx/dx^dx d^dt/dt^dt of psi(x, t); broadcasts over x and t."""
-        return self.fields(x, t, [(dx, dt)])[0]
-
-    def eval_nw(self, x, t) -> np.ndarray:
-        """Localized-position amplitude (no omega^{-1/2} weight)."""
-        return self.fields(x, t, [(0, 0)], nw=True)[0]
-
-    def sample(self, x: float, t: float) -> FieldSample:
-        return FieldSample(psi=complex(self.eval(x, t)),
-                           dpsi_dx=complex(self.eval(x, t, dx=1)),
-                           dpsi_dt=complex(self.eval(x, t, dt=1)))
-
     # -- densities ----------------------------------------------------
 
     def rho(self, x, t) -> np.ndarray:
         psi, psid = self.fields(x, t, [(0, 0), (0, 1)])
         return bilinear_rho(psi, psid)
 
-    def current(self, x, t) -> np.ndarray:
-        psi, psix = self.fields(x, t, [(0, 0), (1, 0)])
-        return bilinear_j(psi, psix)
-
     def rho_nw(self, x, t) -> np.ndarray:
-        return np.abs(self.eval_nw(x, t)) ** 2
+        """Localized-position density |psi_nw|^2 (no omega^{-1/2} weight)."""
+        return np.abs(self.fields(x, t, [(0, 0)], nw=True)[0]) ** 2
 
     def rho_j(self, x, t):
         psi, psix, psid = self.fields(x, t, [(0, 0), (1, 0), (0, 1)])

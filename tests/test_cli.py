@@ -77,10 +77,6 @@ _FW = {"kind": "fw", "field": "gaussian", "n_points": 2, "box_n": 9}
     ("nearnr", {"packet": {"shape": "gaussian", "sigma_k": 0.05},
                 "x": {"max": 4.0, "n": 33}}, 2),
     ("spin", {"kind": "dirac", "n_modes": 2, "seed": 1, "n_points": 0}, 2),
-    ("nearnr", {"packet": {"shape": "gaussian", "sigma_k": 0.05},
-                "x": {"min": -4.0, "max": 4.0, "n": 33}, "h_t": 0}, 2),
-    ("nearnr", {"packet": {"shape": "gaussian", "sigma_k": 0.05},
-                "x": {"min": -4.0, "max": 4.0, "n": 33}, "h_t": -1e-3}, 2),
     ("spin", {**_DIRAC, "h": "x"}, 2),
     ("spin", {**_DIRAC, "h": 0}, 2),
     ("spin", {**_DIRAC, "point_range": "x"}, 2),
@@ -109,15 +105,21 @@ _FW = {"kind": "fw", "field": "gaussian", "n_points": 2, "box_n": 9}
     # well formed, but the k quadrature aliases rho within the decay window
     ("explode", {"packet": {"shape": "cos2", "gl_order": 8, "x_scale": 0.5},
                  "grid": _GRID}, 3),
+    # well formed, but the dense W kernel cannot take 40 970 k-nodes
+    ("nearnr", {"packet": {"shape": "cos2", "a": 1.0}}, 2),
+    # well formed, but a sample point is too near a node of psibar psi
+    ("spin", {"kind": "dirac", "n_modes": 2, "seed": 13, "n_points": 20,
+              "point_seed": 0}, 3),
 ], ids=["modes-n_levels-string", "modes-nan-k", "explode-density_x-no-max",
-        "nearnr-x-no-min", "spin-dirac-zero-points", "nearnr-h_t-zero",
-        "nearnr-h_t-negative", "spin-dirac-h-string", "spin-dirac-h-zero",
-        "spin-dirac-point_range-string", "spin-dirac-point_seed-string",
+        "nearnr-x-no-min", "spin-dirac-zero-points", "spin-dirac-h-string",
+        "spin-dirac-h-zero", "spin-dirac-point_range-string",
+        "spin-dirac-point_seed-string",
         "spin-fw-box_n-zero", "spin-fw-box_n-one", "spin-fw-box_half-string",
         "spin-fw-box_half-zero", "nearnr-x-min-nan", "explode-t_values-nan",
         "nearnr-x-n-zero", "modes-grid-x_max-inf", "spin-fw-field-list",
         "explode-packet-a-nan", "explode-density_x-n-zero",
-        "spin-dirac-k_max-nan", "explode-coarse-k-quadrature"])
+        "spin-dirac-k_max-nan", "explode-coarse-k-quadrature",
+        "nearnr-packet-too-many-k-nodes", "spin-dirac-point-near-node"])
 def test_malformed_or_unconverged_config_exit_code(tmp_path, command,
                                                    payload, code):
     cfg = write_cfg(tmp_path, "cfg.json", payload)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relbohm.nearnr import (WKernel, _d2w_dx2, _dj_dx, correction_field,
+from relbohm.nearnr import (WKernel, _d2w_dx2, correction_field,
                             density_difference_timeform, moments,
                             nw_position_map, pushforward_l1, w_approx)
 from relbohm.packets import Packet, PacketSpec
@@ -77,29 +77,42 @@ def test_timeform_identity(gauss):
     x = np.linspace(-10.0, 10.0, 41)
     lhs, rhs27a, rhs27b = density_difference_timeform(gauss, x, 0.3)
     scale = np.max(np.abs(lhs))
-    # the two time-derivative routes agree much better with each other
-    # (continuity is exact) than either does with lhs (expansion order)
-    assert np.max(np.abs(rhs27a - rhs27b)) < 1e-3 * scale
+    # the two exact time-derivative routes agree to rounding (continuity)
+    # and with lhs only to the expansion order
+    assert np.max(np.abs(rhs27a - rhs27b)) < 1e-9 * scale
     assert np.max(np.abs(lhs - rhs27b)) < 0.1 * scale
 
 
-def test_timeform_richardson(gauss):
-    # halving h_t shrinks the step-dependent part ~4x (central O(h^2))
-    # steps large enough that truncation dominates roundoff
-    x = np.array([0.5, 3.0])
-    _, _, b1 = density_difference_timeform(gauss, x, 0.3, h_t=0.5)
-    _, _, b2 = density_difference_timeform(gauss, x, 0.3, h_t=0.25)
-    _, _, b3 = density_difference_timeform(gauss, x, 0.3, h_t=0.125)
-    d1 = np.abs(b1 - b2)
-    d2 = np.abs(b2 - b3)
-    assert np.all(d2 < 0.4 * d1)
+def test_exact_time_derivatives_match_central_differences(gauss):
+    # oracle: central differences in t of the densities and of the exact
+    # first-order derivatives; O(h^2), so halving h shrinks the gap ~4x
+    x = np.linspace(-40.0, 40.0, 41)
+    t = 0.3
 
+    def central(fn, h):
+        return (fn(t + h) - fn(t - h)) / (2.0 * h)
 
-def test_dj_dx_matches_fd(gauss):
-    x = np.array([0.7, 4.0])
-    h = 1e-4
-    fd = (gauss.current(x + h, 0.3) - gauss.current(x - h, 0.3)) / (2 * h)
-    assert np.allclose(_dj_dx(gauss, x, 0.3), fd, atol=1e-7)
+    def dj_dx(tt):
+        psi, psixx = gauss.fields(x, tt, [(0, 0), (2, 0)])
+        return (np.conj(psi) * psixx).imag
+
+    def drho_dt(tt):
+        psi, psitt = gauss.fields(x, tt, [(0, 0), (0, 2)])
+        return -(np.conj(psi) * psitt).imag
+
+    rho, _ = gauss.rho_j(x, t)
+    lhs, rhs27a, rhs27b = density_difference_timeform(gauss, x, t)
+    _, f = nw_position_map(gauss, x, t)
+    lhs_scale = np.max(np.abs(lhs))
+    for exact, oracle, scale in [
+            (rhs27a, lambda h: central(dj_dx, h) / 8.0, lhs_scale),
+            (rhs27b, lambda h: -central(drho_dt, h) / 8.0, lhs_scale),
+            (f, lambda h: central(lambda tt: gauss.rho_j(x, tt)[1], h)
+             / (8.0 * rho), np.max(np.abs(f)))]:
+        gap_h, gap_h2 = (np.max(np.abs(oracle(h) - exact))
+                         for h in (2e-2, 1e-2))
+        assert gap_h2 <= 1e-7 * scale
+        assert 3.0 <= gap_h / gap_h2 <= 5.0
 
 
 def test_moments_vanish(gauss):

@@ -6,7 +6,13 @@ from relbohm.ode import integrate_trajectory
 from relbohm.packets import (FrontKernel, Packet, PacketSpec,
                              _panel_integral, acausal_probability, densities,
                              lambert_local_trajectories, zero_crossings)
-from relbohm.scalar import velocity
+from relbohm.scalar import FieldSample, velocity
+
+
+def sample(packet, x, t):
+    psi, psix, psit = packet.fields(x, t, [(0, 0), (1, 0), (0, 1)])
+    return FieldSample(psi=complex(psi), dpsi_dx=complex(psix),
+                       dpsi_dt=complex(psit))
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +53,12 @@ def test_nw_amplitude_is_cos2_pulse(cos2):
     # at t = 0 the localized amplitude is proportional to Cos^2(pi x / 2a)
     # inside |x| < a and negligible outside
     x = np.linspace(-0.9, 0.9, 19)
-    amp = cos2.eval_nw(x, 0.0)
+    amp, = cos2.fields(x, 0.0, [(0, 0)], nw=True)
     target = np.cos(0.5 * np.pi * x) ** 2
     ratio = amp.real / target
     assert np.max(np.abs(amp.imag)) < 1e-10 * np.max(np.abs(amp.real))
     assert np.max(np.abs(ratio - ratio[0])) < 1e-3 * abs(ratio[0])
-    outside = cos2.eval_nw(np.array([1.5, 2.0, -1.7]), 0.0)
+    outside, = cos2.fields([1.5, 2.0, -1.7], 0.0, [(0, 0)], nw=True)
     assert np.max(np.abs(outside)) < 1e-3 * np.max(np.abs(amp))
 
 
@@ -80,13 +86,14 @@ def test_gaussian_matches_naive_riemann(gauss):
     for x, t in [(0.0, 0.0), (2.0, 0.3), (-5.0, 1.0)]:
         naive = norm * np.sum(s * w ** -0.5
                               * np.exp(1j * (k * x - w * t))) * dk
-        assert gauss.eval(x, t) == pytest.approx(naive, abs=1e-7)
+        psi, = gauss.fields(x, t, [(0, 0)])
+        assert psi == pytest.approx(naive, abs=1e-7)
 
 
 def test_parity_cos2(cos2):
     x = np.linspace(0.1, 2.0, 7)
     assert np.allclose(cos2.rho(x, 0.4), cos2.rho(-x, 0.4), atol=1e-12)
-    assert np.allclose(cos2.current(x, 0.4), -cos2.current(-x, 0.4),
+    assert np.allclose(cos2.rho_j(x, 0.4)[1], -cos2.rho_j(-x, 0.4)[1],
                        atol=1e-12)
 
 
@@ -153,8 +160,8 @@ def test_velocity_none_at_density_zero(cos2):
     for _ in range(3):
         candidates.append(np.nextafter(candidates[-1], np.inf))
         candidates.insert(0, np.nextafter(candidates[0], -np.inf))
-    assert any(velocity(cos2.sample(x, 0.0)) is None for x in candidates)
-    assert velocity(cos2.sample(0.0, 0.0)) is not None
+    assert any(velocity(sample(cos2, x, 0.0)) is None for x in candidates)
+    assert velocity(sample(cos2, 0.0, 0.0)) is not None
 
 
 def test_front_kernel_gradients(cos2):
@@ -166,7 +173,7 @@ def test_front_kernel_gradients(cos2):
         dF_dt = float(kernel.evaluate(np.array(x), np.array(t + h))
                       - kernel.evaluate(np.array(x), np.array(t - h))) / (2 * h)
         rho = float(cos2.rho(x, t))
-        j = float(cos2.current(x, t))
+        j = float(cos2.rho_j(x, t)[1])
         assert dF_dx == pytest.approx(2.0 * rho, abs=1e-4)
         assert dF_dt == pytest.approx(-2.0 * j, abs=1e-4)
 
@@ -193,7 +200,7 @@ def test_front_kernel_conserved_along_ode(cos2):
     kernel = FrontKernel(cos2, phase_scale=4.0, n_nodes=2401)
     x0, t0, t1 = 0.2, 0.0, 1.0
     ts, xs = integrate_trajectory(
-        lambda x, t: velocity(cos2.sample(x, t)), z0=x0, t0=t0, t1=t1,
+        lambda x, t: velocity(sample(cos2, x, t)), z0=x0, t0=t0, t1=t1,
         dt=0.002)
     f0 = float(kernel.evaluate(np.array(x0), np.array(t0)))
     f1 = float(kernel.evaluate(np.array(xs[-1]), np.array(ts[-1])))
