@@ -249,19 +249,23 @@ def cmd_explode(cfg: dict, args) -> int:
     if args.quick:
         t_values = t_values[:2]
         p_times = [t for i, t in enumerate(p_times) if i % 2 == 0 or t == 0.0]
+    # x-integrals run on FFT rows that grow with t; P(t) also builds one
+    # row of twice the points for its error bar
+    for name, times, refine in (("t_values", t_values, 1),
+                                ("p_times", p_times, 2)):
+        for t in times:
+            points = refine * packets.fft_row_size(packet, t)[1]
+            if points > packets.FFT_MAX_POINTS:
+                raise ConfigError(
+                    f"{name} entry {t:g} needs an FFT row of {points} "
+                    f"points, more than the limit of 2^22 = "
+                    f"{packets.FFT_MAX_POINTS}")
     grid = _grid(cfg, args.quick)
     n_levels = _count(cfg.get("n_levels", 40), "n_levels")
     out = _out_dir(args)
 
     x_th, x0 = packets.zero_crossings(packet)
-    a = packet.spec.a
-    L = packet.decay_window()
-    q_in = packets._panel_integral(lambda xx: packet.rho(xx, 0.0),
-                                   0.0, x_th, n_panels=64)
-    q_out = packets._panel_integral(lambda xx: packet.rho(xx, 0.0),
-                                    x_th, L, n_panels=256)
-    q_nw = packets._panel_integral(lambda xx: packet.rho_nw(xx, 0.0),
-                                   0.0, a, n_panels=64)
+    q_in, q_out, q_nw = packets.threshold_charges(packet, x_th)
 
     for t in t_values:
         prof = packets.densities(packet, xd, t)
@@ -270,8 +274,13 @@ def cmd_explode(cfg: dict, args) -> int:
                   zip(prof.x, prof.rho, prof.rho_nw, prof.rho_nw0, prof.j),
                   cfg)
 
-    p_rows = [(t, packets.acausal_probability(packet, t)) for t in p_times]
-    write_csv(out / "acausal.csv", ["t", "P"], p_rows, cfg)
+    # err: shift of P when the FFT row's box, points and k_cut double
+    p_rows = []
+    for t in p_times:
+        p = packets.acausal_probability(packet, t)
+        p_rows.append((t, p, abs(packets.acausal_probability(
+            packet, t, refine=2) - p)))
+    write_csv(out / "acausal.csv", ["t", "P", "err"], p_rows, cfg)
 
     _, traj = packets.annihilation_fronts(packet, grid, n_levels,
                                           args.threads)
@@ -285,11 +294,12 @@ def cmd_explode(cfg: dict, args) -> int:
                   lam_rows, cfg)
 
     write_json(out / "thresholds.json", {
-        "a": a, "x_th": x_th, "x_0": x0,
+        "a": packet.spec.a, "x_th": x_th, "x_0": x0,
         "charge_inside": q_in, "charge_tail": q_out,
         "charge_nw_inside": q_nw,
         "pair_events": traj.n_pair_events,
-        "acausal": {f"{t:g}": p for t, p in p_rows},
+        "acausal": {f"{t:g}": p for t, p, _ in p_rows},
+        "acausal_err": {f"{t:g}": err for t, _, err in p_rows},
         "lambert": lam,
     }, cfg)
     return 0

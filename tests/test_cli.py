@@ -65,6 +65,7 @@ _GRID = {"x_min": -1, "x_max": 1, "n_x": 11, "t_min": 0, "t_max": 1,
          "n_t": 11}
 _DIRAC = {"kind": "dirac", "n_modes": 2, "seed": 1, "n_points": 2}
 _FW = {"kind": "fw", "field": "gaussian", "n_points": 2, "box_n": 9}
+_K40 = {"shape": "cos2", "k_cut": 40.0, "gl_order": 8, "x_scale": 4.0}
 
 
 @pytest.mark.parametrize("command, payload, code", [
@@ -102,6 +103,9 @@ _FW = {"kind": "fw", "field": "gaussian", "n_points": 2, "box_n": 9}
                  "density_x": {"min": -3.0, "max": 3.0, "n": 0},
                  "grid": _GRID}, 2),
     ("spin", {**_DIRAC, "k_max": "nan"}, 2),
+    # an FFT row past 2^22 points: a huge t would allocate gigabytes
+    ("explode", {"packet": _K40, "t_values": [1e6], "grid": _GRID}, 2),
+    ("explode", {"packet": _K40, "p_times": [1e6], "grid": _GRID}, 2),
     # well formed, but the k quadrature aliases rho within the decay window
     ("explode", {"packet": {"shape": "cos2", "gl_order": 8, "x_scale": 0.5},
                  "grid": _GRID}, 3),
@@ -118,7 +122,8 @@ _FW = {"kind": "fw", "field": "gaussian", "n_points": 2, "box_n": 9}
         "spin-fw-box_half-zero", "nearnr-x-min-nan", "explode-t_values-nan",
         "nearnr-x-n-zero", "modes-grid-x_max-inf", "spin-fw-field-list",
         "explode-packet-a-nan", "explode-density_x-n-zero",
-        "spin-dirac-k_max-nan", "explode-coarse-k-quadrature",
+        "spin-dirac-k_max-nan", "explode-t_values-fft-row-too-large",
+        "explode-p_times-fft-row-too-large", "explode-coarse-k-quadrature",
         "nearnr-packet-too-many-k-nodes", "spin-dirac-point-near-node"])
 def test_malformed_or_unconverged_config_exit_code(tmp_path, command,
                                                    payload, code):
@@ -127,6 +132,14 @@ def test_malformed_or_unconverged_config_exit_code(tmp_path, command,
     assert run([command, "--config", cfg, "--out", str(out)]) == code
     if code == 2:
         assert not out.exists()
+
+
+def test_explode_fft_row_limit_is_named(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "far.json", {"packet": _K40, "p_times": [1e6],
+                                           "grid": _GRID})
+    assert run(["explode", "--config", cfg,
+                "--out", str(tmp_path / "o")]) == 2
+    assert "limit of 2^22" in capsys.readouterr().err
 
 
 def test_missing_config_is_config_error(tmp_path):

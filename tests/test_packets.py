@@ -5,7 +5,8 @@ from relbohm.numerics import Grid2D
 from relbohm.ode import integrate_trajectory
 from relbohm.packets import (FrontKernel, Packet, PacketSpec,
                              _panel_integral, acausal_probability, densities,
-                             lambert_local_trajectories, zero_crossings)
+                             fft_row_size, lambert_local_trajectories,
+                             threshold_charges, zero_crossings)
 from relbohm.scalar import FieldSample, velocity
 
 
@@ -142,6 +143,57 @@ def test_acausal_probability_curve(cos2):
     assert all(0 < p < 1 for p in ps)
     with pytest.raises(ValueError):
         acausal_probability(cos2, -0.5)
+
+
+@pytest.fixture(scope="module")
+def cos2_k40():
+    # k_cut = 40 keeps direct sums cheap; 24-point panels keep them exact
+    # out to the edge of the decay window
+    return Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0, gl_order=24,
+                  x_scale=1.0)
+
+
+def test_fft_rows_match_direct_sums(cos2_k40):
+    # oracle: Packet.fields integrated by _panel_integral at 8x the panels
+    # of the direct-sum code the FFT rows replaced
+    p = cos2_k40
+    dx, n = fft_row_size(p, 2.0)
+    assert n * dx == 128.0     # L = 33 > 32 at t = 2 doubles the box
+    for t in (0.25, 0.75, 2.0):
+        edge, L = p.support_edge + t, p.decay_window() + t
+
+        def rho_nw(x):
+            return p.rho_nw(x, t)
+
+        outer = _panel_integral(rho_nw, edge, L,
+                                n_panels=8 * max(192, int(8 * (L - edge))))
+        # rho_nw is even: half of [-L, L] at the same panel width
+        half = _panel_integral(rho_nw, 0.0, L,
+                               n_panels=4 * max(192, int(4 * L)))
+        assert acausal_probability(p, t) == pytest.approx(outer / half,
+                                                          rel=1e-7)
+
+    def rho0(x):
+        return p.rho(x, 0.0)
+
+    x_th, _ = zero_crossings(p)
+    L = p.decay_window()
+    q_in = _panel_integral(rho0, 0.0, x_th, n_panels=8 * 64)
+    q_tail = _panel_integral(rho0, x_th, L, n_panels=8 * 256)
+    q_nw = _panel_integral(lambda x: p.rho_nw(x, 0.0), 0.0, p.spec.a,
+                           n_panels=8 * 64)
+    # the direct-sum tail at x_th over rho there is the shift of the root
+    assert abs(q_tail / float(rho0(x_th))) < 1e-9
+    assert threshold_charges(p, x_th) == pytest.approx((q_in, q_tail, q_nw),
+                                                       abs=1e-9)
+    for t in (0.0, 1.0):
+        L = p.decay_window() + t
+        mass = _panel_integral(lambda x: np.abs(p.rho(x, t)), -L, L,
+                               n_panels=8 * max(128, int(4 * L)))
+        prof = densities(p, [0.0], t)
+        # rho_nw0 = total_charge |rho| / (|rho| mass)
+        assert (p.spec.total_charge * np.abs(prof.rho) / prof.rho_nw0
+                == pytest.approx(mass, rel=1e-6))
 
 
 def test_acausal_requires_compact_support(gauss):
