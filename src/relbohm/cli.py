@@ -116,11 +116,11 @@ def cmd_modes(cfg: dict, args) -> int:
     F, traj = modes.trajectories(state, grid, n_levels, args.threads)
     xs, ts = grid.x, grid.t
     write_csv(out / "f_grid.csv", ["x", "t", "F"],
-              ((xs[i], ts[j], F[i, j])
-               for i in range(grid.n_x) for j in range(grid.n_t)), cfg)
+              [np.repeat(xs, grid.n_t), np.tile(ts, grid.n_x), F.ravel()],
+              cfg)
     write_csv(out / "trajectories.csv",
               ["level_id", "vertex_id", "x", "t", "rho_sign", "v"],
-              traj.rows(), cfg)
+              traj.columns(), cfg)
     rho, _ = modes._rho_j(state, xs[:, None], ts[None, :])
     write_json(out / "summary.json", {
         "mean_group_velocity": modes.mean_rest_frame_check(state),
@@ -158,8 +158,8 @@ def _packet_from(cfg: dict) -> packets.Packet:
 def _lambert_fit(packet, traj_set, grid):
     """Fit the local closed-form model at the first annihilation vertex.
 
-    Returns (summary dict, rows for lambert.csv) or (None, []) when no
-    contour meets the density-zero locus.
+    Returns (summary dict, columns for lambert.csv) or (None, None) when
+    no contour meets the density-zero locus.
     """
     # annihilation vertex: an interior density sign flip at which t is a
     # local max along the polyline (the two arms fold back in time there)
@@ -180,7 +180,7 @@ def _lambert_fit(packet, traj_set, grid):
         if hit is not None:
             break
     if hit is None:
-        return None, []
+        return None, None
     tr, i = hit
     x_c, t_c = tr.points[i]
     mask = np.abs(tr.points[:, 1] - t_c) <= 0.05
@@ -227,9 +227,7 @@ def _lambert_fit(packet, traj_set, grid):
         "grid_cell_diagonal": cell,
         "within_one_cell": bool(dists and max(dists) <= cell),
     }
-    rows = [(fam.t[m], fam.x_branch0[m], fam.x_branch_minus1[m])
-            for m in range(fam.t.size)]
-    return summary, rows
+    return summary, [fam.t, fam.x_branch0, fam.x_branch_minus1]
 
 
 def cmd_explode(cfg: dict, args) -> int:
@@ -271,35 +269,37 @@ def cmd_explode(cfg: dict, args) -> int:
         prof = packets.densities(packet, xd, t)
         write_csv(out / f"density_t{t:g}.csv",
                   ["x", "rho", "rho_nw", "rho_nw0", "j"],
-                  zip(prof.x, prof.rho, prof.rho_nw, prof.rho_nw0, prof.j),
+                  [prof.x, prof.rho, prof.rho_nw, prof.rho_nw0, prof.j],
                   cfg)
 
     # err: shift of P when the FFT row's box, points and k_cut double
-    p_rows = []
+    p_vals, p_errs = [], []
     for t in p_times:
         p = packets.acausal_probability(packet, t)
-        p_rows.append((t, p, abs(packets.acausal_probability(
-            packet, t, refine=2) - p)))
-    write_csv(out / "acausal.csv", ["t", "P", "err"], p_rows, cfg)
+        p_vals.append(p)
+        p_errs.append(abs(packets.acausal_probability(packet, t, refine=2)
+                          - p))
+    write_csv(out / "acausal.csv", ["t", "P", "err"],
+              [p_times, p_vals, p_errs], cfg)
 
     _, traj = packets.annihilation_fronts(packet, grid, n_levels,
                                           args.threads)
     write_csv(out / "fronts.csv",
               ["level_id", "vertex_id", "x", "t", "rho_sign", "v"],
-              traj.rows(), cfg)
+              traj.columns(), cfg)
 
-    lam, lam_rows = _lambert_fit(packet, traj, grid)
-    if lam_rows:
+    lam, lam_cols = _lambert_fit(packet, traj, grid)
+    if lam_cols is not None:
         write_csv(out / "lambert.csv", ["t", "x_branch0", "x_branch_minus1"],
-                  lam_rows, cfg)
+                  lam_cols, cfg)
 
     write_json(out / "thresholds.json", {
         "a": packet.spec.a, "x_th": x_th, "x_0": x0,
         "charge_inside": q_in, "charge_tail": q_out,
         "charge_nw_inside": q_nw,
         "pair_events": traj.n_pair_events,
-        "acausal": {f"{t:g}": p for t, p, _ in p_rows},
-        "acausal_err": {f"{t:g}": err for t, _, err in p_rows},
+        "acausal": {f"{t:g}": p for t, p in zip(p_times, p_vals)},
+        "acausal_err": {f"{t:g}": e for t, e in zip(p_times, p_errs)},
         "lambert": lam,
     }, cfg)
     return 0
@@ -332,8 +332,8 @@ def cmd_nearnr(cfg: dict, args) -> int:
     field = nearnr.correction_field(packet, x, t)
     write_csv(out / "correction.csv",
               ["x", "rho", "rho_nw", "W", "d2W_dx2", "f", "x_mapped"],
-              zip(field.x, field.rho, field.rho_nw, field.W,
-                  field.d2W_dx2, field.f, field.x_mapped), cfg)
+              [field.x, field.rho, field.rho_nw, field.W,
+               field.d2W_dx2, field.f, field.x_mapped], cfg)
 
     lhs = field.rho - field.rho_nw
     eq22_res = float(np.max(np.abs(lhs - field.d2W_dx2)))

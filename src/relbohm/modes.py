@@ -186,12 +186,15 @@ class TrajectorySet:
         return sum(int(np.sum(np.diff(np.sign(tr.rho)) != 0))
                    for tr in self.trajectories)
 
-    def rows(self):
-        """CSV-ready rows: level_id, vertex_id, x, t, rho_sign, v."""
-        for li, tr in enumerate(self.trajectories):
-            for vi, (x, t) in enumerate(tr.points):
-                yield (li, vi, x, t, int(np.sign(tr.rho[vi])),
-                       tr.v[vi])
+    def columns(self) -> list[np.ndarray]:
+        """CSV-ready columns: level_id, vertex_id, x, t, rho_sign, v."""
+        if not self.trajectories:
+            return [np.zeros(0, dtype=int)] * 2 + [np.zeros(0)] * 4
+        parts = [(np.full(len(tr.rho), li), np.arange(len(tr.rho)),
+                  tr.points[:, 0], tr.points[:, 1],
+                  np.sign(tr.rho).astype(int), tr.v)
+                 for li, tr in enumerate(self.trajectories)]
+        return [np.concatenate(col) for col in zip(*parts)]
 
 
 def annotate_contours(lines, rho_j_fn, floor: float) -> TrajectorySet:

@@ -127,10 +127,12 @@ def density_difference_timeform(packet: Packet, x, t: float):
 
 
 def nw_position_map(packet: Packet, x, t: float):
-    """(x_mapped, f): localized position x + f with f = (1/8) rho^{-1} dJ/dt.
+    """(x_mapped, f, rho): localized position x + f, f = (1/8) rho^{-1} dJ/dt.
 
     dJ/dt = Im(psi_t* psi_x + psi* psi_xt), exact.  f is NaN where the
-    density is below the divergence floor.
+    density is below the divergence floor.  rho is the charge density
+    from the same field evaluation, returned so callers need not
+    evaluate it again.
     """
     x = np.asarray(x, dtype=float)
     psi, psix, psit, psixt = packet.fields(
@@ -140,7 +142,7 @@ def nw_position_map(packet: Packet, x, t: float):
     floor = EPS_RHO_SCALE * float(np.max(np.abs(rho)) + 1e-300)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.where(np.abs(rho) < floor, np.nan, dj_dt / (8.0 * rho))
-    return x + f, f
+    return x + f, f, rho
 
 
 @dataclass
@@ -160,12 +162,12 @@ class CorrectionField:
 def correction_field(packet: Packet, x, t: float) -> CorrectionField:
     x = np.asarray(x, dtype=float)
     kernel = WKernel(packet)
-    x_mapped, f = nw_position_map(packet, x, t)
+    x_mapped, f, rho = nw_position_map(packet, x, t)
     return CorrectionField(
         x=x, t=float(t),
         W=kernel.evaluate(x, np.full(x.shape, t)),
         d2W_dx2=_d2w_dx2(kernel, x, t),
-        rho=packet.rho(x, t), rho_nw=packet.rho_nw(x, t),
+        rho=rho, rho_nw=packet.rho_nw(x, t),
         f=f, x_mapped=x_mapped)
 
 
@@ -195,9 +197,8 @@ def pushforward_l1(packet: Packet, t: float = 0.0):
     else:
         half_width = packet.support_edge + abs(t) + 6.0
     x = np.linspace(-half_width, half_width, PUSHFORWARD_N)
-    rho = packet.rho(x, t)
+    x_mapped, f, rho = nw_position_map(packet, x, t)
     rho_nw = packet.rho_nw(x, t)
-    x_mapped, f = nw_position_map(packet, x, t)
     if not np.all(np.isfinite(f)):
         raise ValueError("density zero inside the pushforward window; "
                          "the map is only defined for rho > 0")

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .modes import contour_family
 from .numerics import Grid2D, lambert_w, lambert_w_domain, omega
@@ -429,6 +428,10 @@ def zero_crossings(packet: Packet):
     by more than ENGINE_GAP_TOL within the decay window: the k
     quadrature then aliases rho where the row integrals reach.
     """
+    # imported here: scipy.optimize is most of the import time of
+    # relbohm.cli, and only explode needs it
+    from scipy.optimize import brentq
+
     if packet.spec.shape != "cos2":
         raise ValueError("zero crossings are defined for the cos2 packet")
     a = packet.spec.a

@@ -56,7 +56,7 @@ def test_modes_cli_matches_library(tmp_path):
     assert run(["modes", "--config", "two_mode.json", "--out", str(out)]) == 0
     written = np.loadtxt(out / "trajectories.csv", delimiter=",",
                          comments="#", skiprows=4, ndmin=2)
-    expect = np.array(list(traj.rows()), dtype=float)
+    expect = np.column_stack(traj.columns()).astype(float)
     assert expect.shape[0] > 0
     np.testing.assert_array_equal(written, expect)
 

@@ -1,0 +1,138 @@
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from relbohm.io_utils import metadata_lines, write_csv, write_json
+from relbohm.modes import Trajectory, TrajectorySet
+
+CFG = {"k": [0.0, 1.0]}
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 5e-324, 0.1,
+           1e16, -123456789.123, 2.0 ** 60]
+
+
+def _row_fmt(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return str(bool(v)).lower()
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def _row_writer_text(header, rows, config) -> str:
+    """Oracle: the value-by-value, row-by-row CSV writer."""
+    buf = io.StringIO()
+    for line in metadata_lines(config):
+        buf.write(line + "\n")
+    buf.write(",".join(header) + "\n")
+    for row in rows:
+        buf.write(",".join(_row_fmt(v) for v in row) + "\n")
+    return buf.getvalue()
+
+
+COLUMN_CASES = {
+    "float64": np.array(SPECIAL),
+    "float32": np.array(SPECIAL, dtype=np.float32),
+    "int64": np.arange(-5, 6) * 10 ** 12,
+    "int32": np.arange(11, dtype=np.int32) - 3,
+    "uint8": np.arange(11, dtype=np.uint8),
+    "bool": np.arange(11) % 3 == 0,
+    "py_mixed": [1, 0.5, -0.0, float("nan"), 7, 1e-300, True, -2,
+                 float("inf"), 3, 0.25],
+    "np_scalars": [np.float64(v) for v in SPECIAL],
+    "np_int_scalars": [np.int64(v) for v in range(11)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_CASES))
+def test_columnar_text_matches_row_writer(tmp_path, name):
+    col = COLUMN_CASES[name]
+    columns = [np.linspace(-1.0, 1.0, 11), col, np.arange(11)]
+    header = ["x", name, "i"]
+    write_csv(tmp_path / "a.csv", header, columns, CFG)
+    expect = _row_writer_text(header, zip(*columns), CFG)
+    assert (tmp_path / "a.csv").read_bytes() == expect.encode()
+
+
+def test_trajectory_columns_match_rows(tmp_path):
+    rng = np.random.default_rng(3)
+    trajs = TrajectorySet([
+        Trajectory(points=rng.normal(size=(n, 2)), rho=rng.normal(size=n),
+                   v=np.where(rng.random(n) < 0.2, np.nan, rng.normal(size=n)))
+        for n in (4, 1, 9)])
+    rows = [(li, vi, x, t, int(np.sign(tr.rho[vi])), tr.v[vi])
+            for li, tr in enumerate(trajs.trajectories)
+            for vi, (x, t) in enumerate(tr.points)]
+    header = ["level_id", "vertex_id", "x", "t", "rho_sign", "v"]
+    for name, ts in (("some.csv", trajs), ("none.csv", TrajectorySet())):
+        write_csv(tmp_path / name, header, ts.columns(), CFG)
+        expect = _row_writer_text(header, rows if ts is trajs else [], CFG)
+        assert (tmp_path / name).read_bytes() == expect.encode()
+
+
+def test_shrinking_rewrite_leaves_no_tail(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, ["x"], [np.linspace(0.0, 1.0, 5000)], CFG)
+    write_csv(path, ["x"], [np.array([0.5])], CFG)
+    assert path.read_bytes() == _row_writer_text(
+        ["x"], [(0.5,)], CFG).encode()
+    jpath = tmp_path / "out.json"
+    write_json(jpath, {"v": list(range(2000))}, CFG)
+    write_json(jpath, {"v": 1}, CFG)
+    assert json.loads(jpath.read_text())["v"] == 1
+    assert jpath.read_text().endswith("}\n")
+
+
+def test_rewrite_keeps_the_inode(tmp_path):
+    # a rewrite that replaces or truncates the file frees its blocks,
+    # which waits tens of ms per file on a filesystem mounted with discard
+    for path, write in (
+            (tmp_path / "a.csv",
+             lambda p, n: write_csv(p, ["x"], [np.arange(n) * 0.5], CFG)),
+            (tmp_path / "a.json",
+             lambda p, n: write_json(p, {"v": list(range(n))}, CFG))):
+        write(path, 1000)
+        before = os.stat(path)
+        write(path, 1200)
+        after = os.stat(path)
+        assert after.st_ino == before.st_ino
+        assert after.st_size > before.st_size
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cannot format")
+
+
+@pytest.mark.parametrize("bad_write", [
+    lambda p: write_csv(p, ["x", "y"],
+                        [[1.0, 2.0], [3.0, _Unprintable()]], CFG),
+    lambda p: write_csv(p, ["x", "y"], [np.zeros(3), np.zeros(2)], CFG),
+    lambda p: write_json(p, {"v": object()}, CFG),
+])
+def test_failed_formatting_keeps_previous_file(tmp_path, bad_write):
+    path = tmp_path / "out"
+    write_csv(path, ["x"], [np.linspace(0.0, 1.0, 50)], CFG)
+    before = path.read_bytes()
+    with pytest.raises((RuntimeError, ValueError, TypeError)):
+        bad_write(path)
+    assert path.read_bytes() == before
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = ("import sys, relbohm.cli\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.optimize')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

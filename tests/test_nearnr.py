@@ -102,7 +102,7 @@ def test_exact_time_derivatives_match_central_differences(gauss):
 
     rho, _ = gauss.rho_j(x, t)
     lhs, rhs27a, rhs27b = density_difference_timeform(gauss, x, t)
-    _, f = nw_position_map(gauss, x, t)
+    _, f, _ = nw_position_map(gauss, x, t)
     lhs_scale = np.max(np.abs(lhs))
     for exact, oracle, scale in [
             (rhs27a, lambda h: central(dj_dx, h) / 8.0, lhs_scale),
@@ -127,8 +127,8 @@ def test_position_map_odd_shift(gauss):
     sym = Packet(PacketSpec(shape="gaussian", k0=0.0, sigma_k=0.05,
                             total_charge=1.0))
     x = np.linspace(0.5, 10.0, 9)
-    _, f_pos = nw_position_map(sym, x, 0.0)
-    _, f_neg = nw_position_map(sym, -x, 0.0)
+    _, f_pos, _ = nw_position_map(sym, x, 0.0)
+    _, f_neg, _ = nw_position_map(sym, -x, 0.0)
     assert np.allclose(f_pos, -f_neg, atol=1e-10)
 
 
@@ -140,7 +140,7 @@ def test_position_map_nan_at_zero():
                   xtol=1e-15, rtol=8.9e-16)
     x = np.array([0.0, np.nextafter(root, -np.inf), root,
                   np.nextafter(root, np.inf), 2.0])
-    _, f = nw_position_map(cos2, x, 0.0)
+    _, f, _ = nw_position_map(cos2, x, 0.0)
     assert np.isnan(f[1:4]).any()     # the density zero flags the map
     assert np.isfinite(f[0]) and np.isfinite(f[4])
 
