@@ -139,6 +139,8 @@ def cmd_modes(cfg: dict, args) -> int:
 def _packet_from(cfg: dict) -> packets.Packet:
     with _parsing("packet"):
         p = cfg["packet"]
+        if not isinstance(p, dict):
+            raise ConfigError("packet must be a JSON object")
         spec = packets.PacketSpec(
             shape=p.get("shape", "cos2"),
             **{key: _real(p.get(key, default), f"packet.{key}")
@@ -247,10 +249,12 @@ def cmd_explode(cfg: dict, args) -> int:
     if args.quick:
         t_values = t_values[:2]
         p_times = [t for i, t in enumerate(p_times) if i % 2 == 0 or t == 0.0]
-    # x-integrals run on FFT rows that grow with t; P(t) also builds one
-    # row of twice the points for its error bar
+    grid = _grid(cfg, args.quick)
+    # x-integrals and F run on FFT rows that grow with |t|; P(t) also
+    # builds one row of twice the points for its error bar
     for name, times, refine in (("t_values", t_values, 1),
-                                ("p_times", p_times, 2)):
+                                ("p_times", p_times, 2),
+                                ("grid t", (grid.t_min, grid.t_max), 1)):
         for t in times:
             points = refine * packets.fft_row_size(packet, t)[1]
             if points > packets.FFT_MAX_POINTS:
@@ -258,7 +262,6 @@ def cmd_explode(cfg: dict, args) -> int:
                     f"{name} entry {t:g} needs an FFT row of {points} "
                     f"points, more than the limit of 2^22 = "
                     f"{packets.FFT_MAX_POINTS}")
-    grid = _grid(cfg, args.quick)
     n_levels = _count(cfg.get("n_levels", 40), "n_levels")
     out = _out_dir(args)
 
@@ -282,8 +285,7 @@ def cmd_explode(cfg: dict, args) -> int:
     write_csv(out / "acausal.csv", ["t", "P", "err"],
               [p_times, p_vals, p_errs], cfg)
 
-    _, traj = packets.annihilation_fronts(packet, grid, n_levels,
-                                          args.threads)
+    _, traj = packets.annihilation_fronts(packet, grid, n_levels)
     write_csv(out / "fronts.csv",
               ["level_id", "vertex_id", "x", "t", "rho_sign", "v"],
               traj.columns(), cfg)

@@ -214,38 +214,36 @@ def annotate_contours(lines, rho_j_fn, floor: float) -> TrajectorySet:
     return out
 
 
-def contour_family(row_fn, grid: Grid2D, n_levels: int, rho_j_fn,
-                   floor: float, threads: int = 1):
+def contour_family(F: np.ndarray, grid: Grid2D, n_levels: int, rho_j_fn,
+                   floor: float) -> TrajectorySet:
     """Iso-contours of a field F at n_levels even levels, annotated.
 
-    row_fn(i) returns F along grid.t at x = grid.x[i]; rows are evaluated
-    through io_utils.parallel_rows, so the result does not depend on
-    threads.  Levels sit at lo + (hi - lo)(i + 1/2)/n_levels over the
-    range of F; rho_j_fn and floor are as in annotate_contours.
-
-    Returns (F, TrajectorySet) with F of shape (n_x, n_t).
+    F holds the field on grid, shape (n_x, n_t).  Levels sit at
+    lo + (hi - lo)(i + 1/2)/n_levels over the range of F; rho_j_fn and
+    floor are as in annotate_contours.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
-    F = np.array(io_utils.parallel_rows(row_fn, grid.n_x, threads))
     lo, hi = float(F.min()), float(F.max())
     levels = lo + (hi - lo) * (np.arange(n_levels) + 0.5) / n_levels
     lines = extract_contours(grid.x, grid.t, F, levels)
-    return F, annotate_contours(lines, rho_j_fn, floor)
+    return annotate_contours(lines, rho_j_fn, floor)
 
 
 def trajectories(state: ModeSet, grid: Grid2D, n_levels: int,
                  threads: int = 1):
     """Trajectory family: iso-contours of F at n_levels even levels.
 
-    Returns (F, TrajectorySet) as contour_family does.  Warns if F varies
-    by more than one level spacing across a grid cell (contours can then
-    miss structure).
+    F is evaluated row by row at fixed x through io_utils.parallel_rows,
+    so the result does not depend on threads.  Returns (F, TrajectorySet)
+    with F of shape (n_x, n_t).  Warns if F varies by more than one level
+    spacing across a grid cell (contours can then miss structure).
     """
-    F, traj = contour_family(
-        lambda i: np.asarray(integral_F(state, grid.x[i], grid.t)), grid,
-        n_levels, lambda x, t: _rho_j(state, x, t),
-        _rho_floor(state), threads)
+    F = np.array(io_utils.parallel_rows(
+        lambda i: np.asarray(integral_F(state, grid.x[i], grid.t)),
+        grid.n_x, threads))
+    traj = contour_family(F, grid, n_levels,
+                          lambda x, t: _rho_j(state, x, t), _rho_floor(state))
     spacing = float(F.max() - F.min()) / n_levels
     cell_jump = max(np.max(np.abs(np.diff(F, axis=0))),
                     np.max(np.abs(np.diff(F, axis=1))))

@@ -9,13 +9,13 @@ amplitude drops the omega^{-1/2} factor.  Built-in shapes:
   singularities at k = 0 and k = +-pi/a filled in by their limits.
 * ``gaussian``: exp(-(k - k0)^2 / (2 sigma_k^2)).
 
-Field values at given points are k-integrals on a fixed composite
-Gauss-Legendre grid over [-k_cut, k_cut], tabulated once per packet (see
-Packet for the panel rule); evaluations are plain weighted sums and
-therefore deterministic.  The x-integrals over a whole fixed-t row (the
-acausal probability, the |rho| mass, the threshold tail and charges)
-instead sample the same truncated spectrum by FFT on a periodic box
-(fft_row_size) and integrate there.
+Two engines evaluate the same truncated spectrum.  Field values at given
+points are k-integrals on a fixed composite Gauss-Legendre grid over
+[-k_cut, k_cut], tabulated once per packet (see Packet); evaluations are
+plain weighted sums and therefore deterministic.  The x-integrals over a
+whole fixed-t row (the acausal probability, the |rho| mass, the
+threshold tail and charges, and FrontKernel's F) sample it by FFT on a
+periodic box (fft_row_size) and integrate there.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def _panel_integral(fn, a, b, n_panels: int = 64) -> float:
 
 
 def fft_row_size(packet: Packet, t: float) -> tuple[float, int]:
-    """(dx, n) of the periodic FFT row at time t.
+    """(dx, n) of the periodic FFT row at time t (an array: its largest |t|).
 
     dx is the largest power of two <= pi / (3 k_cut): a product of two
     fields (band 2 k_cut) is then sampled below its Nyquist limit.  The
@@ -235,14 +235,14 @@ def fft_row_size(packet: Packet, t: float) -> tuple[float, int]:
     t = 1 and 2^15 on 128 up to t = 33.
     """
     c = int(np.ceil(np.log2(3.0 * packet.k_cut / np.pi)))
-    e_box = 1 + int(np.ceil(np.log2(packet.decay_window() + abs(t))))
+    e_box = 1 + int(np.ceil(np.log2(packet.decay_window() + np.abs(t).max())))
     return 2.0 ** -c, 2 ** (e_box + c)
 
 
 @dataclass
 class _Row:
-    """psi, psi_t and psi_nw at fixed t on x_j = j dx of a periodic box
-    (the negative half of the line is the upper half of the arrays)."""
+    """psi, psi_t and psi_nw on x_j = j dx of a periodic box, a row per
+    time (the negative half of the line is the upper half of a row)."""
 
     dx: float
     psi: np.ndarray
@@ -274,26 +274,27 @@ def _k_weights(m: np.ndarray, dk: float, k_cut: float) -> np.ndarray:
     return w
 
 
-def _fft_row(packet: Packet, t: float, refine: int = 1) -> _Row:
+def _fft_row(packet: Packet, t, refine: int = 1) -> _Row:
     """Sample the packet at time t by one inverse FFT per field.
 
     The spectrum is the packet's own norm * s(k) on the FFT frequencies,
     zeroed beyond k_cut like the k quadrature of Packet.fields and
     weighted by _k_weights.  refine multiplies n, the box and k_cut of
-    fft_row_size (dx unchanged).
+    fft_row_size (dx unchanged).  t may be an array of one row size.
     """
     dx, n = fft_row_size(packet, t)
     n *= refine
     if n > FFT_MAX_POINTS:
-        raise ValueError(f"FFT row at t = {t:g} needs {n} points, more "
-                         f"than the limit of 2^22 = {FFT_MAX_POINTS}")
+        raise ValueError(f"FFT row at |t| = {np.max(np.abs(t)):g} needs "
+                         f"{n} points, over the limit of 2^22")
     dk = 2.0 * np.pi / (n * dx)
     m = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
     k = m * dk
     w = omega(k)
     # psi(j dx) = sum_k weight N s(k) w^-1/2 e^{i(k j dx - w t)}
     c = (n * packet.norm * _k_weights(m, dk, refine * packet.k_cut)
-         * packet.spec.shape_values(k) * np.exp(-1j * w * t))
+         * packet.spec.shape_values(k)
+         * np.exp(np.multiply.outer(t, -1j * w)))
     ifft = np.fft.ifft
     return _Row(dx=dx, psi=ifft(c / np.sqrt(w)),
                 psi_t=ifft(-1j * np.sqrt(w) * c), psi_nw=ifft(c))
@@ -302,21 +303,21 @@ def _fft_row(packet: Packet, t: float, refine: int = 1) -> _Row:
 class _RowIntegral:
     """Integrals of a real periodic row on its trigonometric interpolant.
 
-    f holds samples at x_j = j dx over one period.  When f is
-    band-limited below the row's Nyquist limit, as the densities of an
-    FFT row are, the interpolant is f itself and both integrals below
-    are exact up to rounding.
+    f holds samples at x_j = j dx over one period (a stack of rows along
+    its last axis, for antiderivative).  When band-limited below the
+    Nyquist limit, as FFT-row densities are, the interpolant is f itself
+    and the integrals below are exact up to rounding.
     """
 
     def __init__(self, f: np.ndarray, dx: float):
         self.f, self.dx = f, dx
-        n = f.size
+        n = f.shape[-1]
         self.fh = np.fft.rfft(f)
         self.k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
-        self.mean = self.fh[0].real / n
+        self.mean = self.fh[..., 0].real / n
         # rfft of the periodic part of the antiderivative
         self.anti = np.zeros_like(self.fh)
-        self.anti[1:] = self.fh[1:] / (1j * self.k[1:])
+        self.anti[..., 1:] = self.fh[..., 1:] / (1j * self.k[1:])
         # its Fourier series: the conjugate half doubles all but the
         # zero and Nyquist terms
         weight = np.full(self.k.size, 2.0 / n)
@@ -325,9 +326,20 @@ class _RowIntegral:
             weight[-1] = 1.0 / n
         self.series = weight * self.anti
 
+    def antiderivative(self, x) -> np.ndarray:
+        """G(x) = mean x + Re sum_m f_m e^{ik_m x} / (i k_m), so G' = f, at
+        a 1-d array x; one column per row of a stack.  The rows share
+        each table of e^{ik_m x}, of at most 2^21 entries to bound memory."""
+        G = np.multiply.outer(x, self.mean)
+        step = max(1, 2 ** 21 // self.k.size)
+        for i in range(0, x.size, step):
+            table = np.multiply.outer(x[i:i + step], 1j * self.k)
+            G[i:i + step] += (np.exp(table, out=table) @ self.series.T).real
+        return G
+
     def __call__(self, a: float, b: float) -> float:
-        """int_a^b f dx = mean (b - a) + Re sum_m f_m (e^{ik_m b} -
-        e^{ik_m a}) / (i k_m)."""
+        """int_a^b f dx = G(b) - G(a) for one row, summed term by term:
+        the two series cancel before rounding."""
         return float(self.mean * (b - a)
                      + np.sum(self.series * (np.exp(1j * self.k * b)
                                              - np.exp(1j * self.k * a))).real)
@@ -490,70 +502,57 @@ def threshold_charges(packet: Packet, x_th: float):
 
 
 class FrontKernel:
-    """Tabulated double-sum kernel for the continuous integral of motion.
+    """The integral of motion F, twice the charge left of x.
 
-    F(x, t) is the (sign-fixed) imaginary part of the integral of the
-    equations of motion: a double k-integral with the smooth kernel
-    sin[(k'-k)x - (w'-w)t]/(k'-k), whose diagonal is the removable limit
-    x - (k/omega) t.  The principal-value real part cancels by symmetry
-    for real s(k) and the regulator's delta term is an additive constant,
-    both dropped analytically.
-
-    The kernel is precomputed on its own (coarser) Gauss-Legendre grid
-    over the packet's [-k_cut, k_cut], so its gradient is (2 rho, -2 J)
-    of that packet; evaluation at a batch of points is one matrix product.
+    The paper's F (a double k-integral with the kernel
+    sin[(k'-k)x - (w'-w)t]/(k'-k)) has gradient (2 rho, -2 J), and so has
+    2 int_{-L}^{x} rho dx' for L = decay_window() + |t|, as J vanishes at
+    -L.  The two differ by a constant, which the levels of contour_family
+    (fractions of F's range) do not see.  The integral is exact on each
+    FFT row; past +-L, where the row's periodic images begin, F is held
+    at 0 and at twice the charge in [-L, L].  k holds the t = 0 row's
+    modes inside [-k_cut, k_cut].
     """
 
-    def __init__(self, packet: Packet, n_nodes: int = 801,
-                 phase_scale: float = 8.0):
-        order = 8
-        panel = max(0.25 * 2.0 * np.pi / max(phase_scale, 1.0), 1e-3)
-        # Honor the requested node budget.
-        panel = max(panel, 2.0 * packet.k_cut * order / max(n_nodes, order))
-        k, w = _gl_panels(-packet.k_cut, packet.k_cut, panel, order)
-        wq = omega(k)
-        c = packet.norm * packet.spec.shape_values(k)
-        ws = w * c
-        s_mat = (np.outer(ws, ws) * (wq[:, None] * wq[None, :]) ** -0.5
-                 * (wq[:, None] + wq[None, :]))
-        dk = k[None, :] - k[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self._A = np.where(dk != 0.0, s_mat / np.where(dk != 0.0, dk, 1.0),
-                               0.0)
-        np.fill_diagonal(self._A, 0.0)
-        diag = np.diag(s_mat)  # = 2 w_i^2 c_i^2
-        self._diag_x = float(np.sum(diag))
-        self._diag_t = float(np.sum(diag * k / wq))
-        self.k = k
-        self.omega_k = wq
+    def __init__(self, packet: Packet):
+        self.packet = packet
+        self.dx, n = fft_row_size(packet, 0.0)
+        k = 2.0 * np.pi * np.fft.fftfreq(n, d=self.dx)
+        self.k = k[np.abs(k) <= packet.k_cut]
 
     def evaluate(self, x, t) -> np.ndarray:
-        """F at broadcastable arrays of x and t."""
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        theta = (self.k * x[..., None] - self.omega_k * t[..., None])
-        a = np.cos(theta)
-        b = np.sin(theta)
-        off = 2.0 * np.sum(a * (b @ self._A.T), axis=-1)
-        return off + self._diag_x * x - self._diag_t * t
+        """F on the tensor grid x * t, shape (x.size, t.size).  Times are
+        grouped by row size, each group with one e^{ikx} table."""
+        x, t = np.ravel(x), np.ravel(t)
+        F = np.empty((x.size, t.size))
+        sizes = np.array([fft_row_size(self.packet, s)[1] for s in t])
+        for n in np.unique(sizes):
+            cols = np.nonzero(sizes == n)[0]
+            # rows in parts of at most 2^19 points, to bound memory
+            parts = np.array_split(cols, -(-cols.size * n // 2 ** 19))
+            rows = (_fft_row(self.packet, t[p]) for p in parts)
+            integral = _RowIntegral(np.concatenate(
+                [bilinear_rho(r.psi, r.psi_t) for r in rows]), self.dx)
+            L = self.packet.decay_window() + np.abs(t[cols])
+            lo, hi = (np.diagonal(integral.antiderivative(e)) for e in (-L, L))
+            G = np.where(x[:, None] > L, hi, integral.antiderivative(x))
+            F[:, cols] = 2.0 * (np.where(x[:, None] < -L, lo, G) - lo)
+        return F
 
 
-def annihilation_fronts(packet: Packet, grid: Grid2D, n_levels: int,
-                        threads: int = 1):
-    """Iso-contours of the continuous integral of motion, annotated.
+def annihilation_fronts(packet: Packet, grid: Grid2D, n_levels: int):
+    """Iso-contours of FrontKernel's F, annotated.
 
-    Returns (F, TrajectorySet) as modes.contour_family does; contours
+    Returns (F, TrajectorySet) with F of shape (n_x, n_t); contours
     meeting the rho = 0 locus carry the particle/anti-particle cusp
-    structure.
+    structure.  F is twice the charge left of x: the paper's double-sum
+    integral up to a constant (see FrontKernel).
     """
-    kernel = FrontKernel(
-        packet, phase_scale=max(abs(grid.x_max), abs(grid.x_min))
-        + abs(grid.t_max))
+    F = FrontKernel(packet).evaluate(grid.x, grid.t)
     scale = float(np.max(np.abs(packet.rho(
         np.linspace(grid.x_min, grid.x_max, 64), 0.0))))
-    return contour_family(
-        lambda i: kernel.evaluate(np.full(grid.n_t, grid.x[i]), grid.t), grid,
-        n_levels, packet.rho_j, EPS_RHO_SCALE * scale, threads)
+    return F, contour_family(F, grid, n_levels, packet.rho_j,
+                             EPS_RHO_SCALE * scale)
 
 
 @dataclass

@@ -114,6 +114,10 @@ _K40 = {"shape": "cos2", "k_cut": 40.0, "gl_order": 8, "x_scale": 4.0}
     # well formed, but a sample point is too near a node of psibar psi
     ("spin", {"kind": "dirac", "n_modes": 2, "seed": 13, "n_points": 20,
               "point_seed": 0}, 3),
+    ("explode", {"packet": "cos2", "grid": _GRID}, 2),
+    ("nearnr", {"packet": None}, 2),
+    ("nearnr", {"packet": [1, 2]}, 2),
+    ("explode", {"packet": _K40, "grid": {**_GRID, "t_max": 1e6}}, 2),
 ], ids=["modes-n_levels-string", "modes-nan-k", "explode-density_x-no-max",
         "nearnr-x-no-min", "spin-dirac-zero-points", "spin-dirac-h-string",
         "spin-dirac-h-zero", "spin-dirac-point_range-string",
@@ -124,7 +128,9 @@ _K40 = {"shape": "cos2", "k_cut": 40.0, "gl_order": 8, "x_scale": 4.0}
         "explode-packet-a-nan", "explode-density_x-n-zero",
         "spin-dirac-k_max-nan", "explode-t_values-fft-row-too-large",
         "explode-p_times-fft-row-too-large", "explode-coarse-k-quadrature",
-        "nearnr-packet-too-many-k-nodes", "spin-dirac-point-near-node"])
+        "nearnr-packet-too-many-k-nodes", "spin-dirac-point-near-node",
+        "explode-packet-string", "nearnr-packet-null", "nearnr-packet-list",
+        "explode-grid-t-fft-row-too-large"])
 def test_malformed_or_unconverged_config_exit_code(tmp_path, command,
                                                    payload, code):
     cfg = write_cfg(tmp_path, "cfg.json", payload)
@@ -135,11 +141,12 @@ def test_malformed_or_unconverged_config_exit_code(tmp_path, command,
 
 
 def test_explode_fft_row_limit_is_named(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "far.json", {"packet": _K40, "p_times": [1e6],
-                                           "grid": _GRID})
-    assert run(["explode", "--config", cfg,
-                "--out", str(tmp_path / "o")]) == 2
-    assert "limit of 2^22" in capsys.readouterr().err
+    for far in ({"p_times": [1e6], "grid": _GRID},
+                {"grid": {**_GRID, "t_min": -1e6}}):
+        cfg = write_cfg(tmp_path, "far.json", {"packet": _K40, **far})
+        assert run(["explode", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert "limit of 2^22" in capsys.readouterr().err
 
 
 def test_missing_config_is_config_error(tmp_path):

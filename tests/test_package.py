@@ -21,6 +21,14 @@ def test_all_names_resolve(name):
     assert not missing
 
 
+def _run_traced(code: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")])}
+    # -B: write no bytecode into perfbench/
+    return subprocess.run([sys.executable, "-B", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_benchmark_trace_still_wraps_the_program():
     # perfbench/layers.py wraps library entry points by name and the
     # benchmark worker calls cli._packet_from; a deleted or renamed one
@@ -31,10 +39,29 @@ def test_benchmark_trace_still_wraps_the_program():
             "instrument(Tracer())\n"
             "print(cli._packet_from({'packet': {'shape': 'gaussian', "
             "'sigma_k': 0.05}}).k.size)\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(ROOT / "src"), str(ROOT / "perfbench")])}
-    # -B: write no bytecode into perfbench/
-    proc = subprocess.run([sys.executable, "-B", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _run_traced(code)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) > 0
+
+
+def test_benchmark_trace_runs_the_front_kernel():
+    # the benchmark's FrontKernel counter reads .k after __init__ and its
+    # span wraps FrontKernel.evaluate; run both through annihilation_fronts
+    code = ("from layers import instrument\n"
+            "from spans import Tracer\n"
+            "from relbohm import packets\n"
+            "from relbohm.numerics import Grid2D\n"
+            "tracer = Tracer()\n"
+            "instrument(tracer)\n"
+            "p = packets.Packet(packets.PacketSpec(shape='cos2'), k_cut=40.0,"
+            " gl_order=8, x_scale=4.0)\n"
+            "packets.annihilation_fronts(p, Grid2D(0.0, 3.0, 16, 0.0, 1.5, "
+            "11), 5)\n"
+            "for s in tracer.spans:\n"
+            "    if s.name.startswith('packets.FrontKernel'):\n"
+            "        print(s.name, s.attrs.get('k_nodes', '-'))\n")
+    proc = _run_traced(code)
+    assert proc.returncode == 0, proc.stderr
+    spans = dict(line.split() for line in proc.stdout.splitlines())
+    assert int(spans["packets.FrontKernel"]) > 0
+    assert "packets.FrontKernel.evaluate" in spans

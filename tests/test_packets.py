@@ -4,7 +4,8 @@ import pytest
 from relbohm.numerics import Grid2D
 from relbohm.ode import integrate_trajectory
 from relbohm.packets import (FrontKernel, Packet, PacketSpec,
-                             _panel_integral, acausal_probability, densities,
+                             _panel_integral, acausal_probability,
+                             annihilation_fronts, densities,
                              fft_row_size, lambert_local_trajectories,
                              threshold_charges, zero_crossings)
 from relbohm.scalar import FieldSample, velocity
@@ -217,13 +218,13 @@ def test_velocity_none_at_density_zero(cos2):
 
 
 def test_front_kernel_gradients(cos2):
-    kernel = FrontKernel(cos2, phase_scale=4.0, n_nodes=2401)
+    kernel = FrontKernel(cos2)
     h = 1e-5
     for x, t in [(0.3, 0.2), (0.9, 0.6), (1.4, 0.1)]:
-        dF_dx = float(kernel.evaluate(np.array(x + h), np.array(t))
-                      - kernel.evaluate(np.array(x - h), np.array(t))) / (2 * h)
-        dF_dt = float(kernel.evaluate(np.array(x), np.array(t + h))
-                      - kernel.evaluate(np.array(x), np.array(t - h))) / (2 * h)
+        dF_dx = (kernel.evaluate(x + h, t)
+                 - kernel.evaluate(x - h, t)).item() / (2 * h)
+        dF_dt = (kernel.evaluate(x, t + h)
+                 - kernel.evaluate(x, t - h)).item() / (2 * h)
         rho = float(cos2.rho(x, t))
         j = float(cos2.rho_j(x, t)[1])
         assert dF_dx == pytest.approx(2.0 * rho, abs=1e-4)
@@ -235,36 +236,101 @@ def test_front_kernel_uses_packet_truncation():
     # (2 rho, -2 J) of the same truncated packet, not of a wider one
     p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0, gl_order=8,
                x_scale=4.0)
-    kernel = FrontKernel(p, phase_scale=4.0, n_nodes=2401)
+    kernel = FrontKernel(p)
     assert np.max(np.abs(kernel.k)) <= p.k_cut
     h = 1e-5
     for x, t in [(0.3, 0.2), (0.9, 0.6), (1.4, 0.1), (2.0, 1.0)]:
-        dF_dx = float(kernel.evaluate(np.array(x + h), np.array(t))
-                      - kernel.evaluate(np.array(x - h), np.array(t))) / (2 * h)
-        dF_dt = float(kernel.evaluate(np.array(x), np.array(t + h))
-                      - kernel.evaluate(np.array(x), np.array(t - h))) / (2 * h)
+        dF_dx = (kernel.evaluate(x + h, t)
+                 - kernel.evaluate(x - h, t)).item() / (2 * h)
+        dF_dt = (kernel.evaluate(x, t + h)
+                 - kernel.evaluate(x, t - h)).item() / (2 * h)
         rho, j = p.rho_j(x, t)
         assert abs(dF_dx - 2.0 * rho) <= 1e-6
         assert abs(dF_dt + 2.0 * j) <= 1e-6
 
 
 def test_front_kernel_conserved_along_ode(cos2):
-    kernel = FrontKernel(cos2, phase_scale=4.0, n_nodes=2401)
+    kernel = FrontKernel(cos2)
     x0, t0, t1 = 0.2, 0.0, 1.0
     ts, xs = integrate_trajectory(
         lambda x, t: velocity(sample(cos2, x, t)), z0=x0, t0=t0, t1=t1,
         dt=0.002)
-    f0 = float(kernel.evaluate(np.array(x0), np.array(t0)))
-    f1 = float(kernel.evaluate(np.array(xs[-1]), np.array(ts[-1])))
+    f0 = kernel.evaluate(x0, t0).item()
+    f1 = kernel.evaluate(xs[-1], ts[-1]).item()
     assert abs(f1 - f0) < 1e-4 * cos2.spec.a
 
 
 def test_front_kernel_monotone_on_core(cos2):
     # rho > 0 across the packet core, so F is strictly increasing there
-    kernel = FrontKernel(cos2, phase_scale=4.0, n_nodes=2401)
+    kernel = FrontKernel(cos2)
     x = np.linspace(-0.6, 0.6, 41)
-    F = kernel.evaluate(x, np.zeros_like(x))
+    F = kernel.evaluate(x, 0.0)[:, 0]
     assert np.all(np.diff(F) > 0)
+
+
+def _grad_error(packet, kernel, x, t, h=1e-4):
+    """Largest |dF/dx - 2 rho| and |dF/dt + 2 J| at the points (x, t),
+    by fourth-order central differences."""
+    steps = h * np.array([-2.0, -1.0, 1.0, 2.0])
+    stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
+    ex = et = 0.0
+    for xi, ti in zip(x, t):
+        dF_dx = stencil @ kernel.evaluate(xi + steps, ti)[:, 0]
+        dF_dt = stencil @ kernel.evaluate(xi, ti + steps)[0]
+        rho, j = packet.rho_j(xi, ti)
+        ex = max(ex, abs(dF_dx - 2.0 * rho))
+        et = max(et, abs(dF_dt + 2.0 * j))
+    return ex, et
+
+
+def test_front_kernel_gradient_on_explode_window(cos2):
+    # the window and packet of the bundled cos2.json, at the kernel
+    # explode builds: (2 rho, -2 J) of Packet.fields to 1e-8 of max|2 rho|
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.0, 3.0, 24)
+    t = rng.uniform(0.0, 1.5, 24)
+    scale = 2.0 * np.max(np.abs(cos2.rho(np.linspace(0.0, 3.0, 301), 0.0)))
+    ex, et = _grad_error(cos2, FrontKernel(cos2), x, t)
+    assert ex <= 1e-8 * scale
+    assert et <= 1e-8 * scale
+
+
+def test_front_kernel_flat_beyond_decay_window():
+    # an explode grid reaching past L = decay_window() + |t|: F is 0 left
+    # of -L and twice the total charge right of L, with no periodic image
+    p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0, gl_order=8,
+               x_scale=4.0)
+    x = np.linspace(-60.0, 60.0, 481)
+    t = np.array([0.0, 0.75, 1.5])
+    F = FrontKernel(p).evaluate(x, t)
+    for c, L in enumerate(p.decay_window() + t):
+        assert np.all(F[x < -L, c] == 0.0)
+        right = F[x > L, c]
+        assert np.all(right == right[0])
+        assert right[0] == pytest.approx(2.0 * p.spec.total_charge, abs=1e-8)
+        # no jump where the clip starts: the field is already flat there
+        inside = F[(x > L - 5.0) & (x <= L), c]
+        assert np.max(np.abs(inside - right[0])) < 1e-8
+
+
+def test_front_kernel_negative_times():
+    # a grid with t_min < 0: the real, even spectrum makes rho even in t,
+    # so F(x, -t) = F(x, t), and the gradient still holds there
+    p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0, gl_order=8,
+               x_scale=4.0)
+    kernel = FrontKernel(p)
+    x = np.linspace(-3.0, 3.0, 61)
+    t = np.array([-1.2, -0.5, 0.0, 0.5, 1.2])
+    F = kernel.evaluate(x, t)
+    np.testing.assert_allclose(F, F[:, ::-1], rtol=0, atol=1e-12)
+    scale = 2.0 * np.max(np.abs(p.rho(x, 0.0)))
+    ex, et = _grad_error(p, kernel, [0.4, 1.3, -0.8], [-1.1, -0.3, -0.6])
+    assert ex <= 1e-8 * scale
+    assert et <= 1e-8 * scale
+    fronts, traj = annihilation_fronts(
+        p, Grid2D(0.0, 3.0, 31, -1.0, 1.0, 21), n_levels=10)
+    assert fronts.shape == (31, 21)
+    assert traj.trajectories
 
 
 def test_lambert_degenerate_straight_line():
