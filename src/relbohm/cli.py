@@ -422,6 +422,10 @@ def cmd_spin(cfg: dict, args) -> int:
         box_n = _count(cfg.get("box_n", 61), "box_n", least=2)
         if args.quick:
             box_n = min(box_n, 41)
+        if box_n ** 3 > dirac.BALANCE_MAX_POINTS:
+            raise ConfigError(
+                f"box_n {box_n} needs a balance grid of {box_n}^3 points, "
+                f"more than the limit of 2^21 = {dirac.BALANCE_MAX_POINTS}")
         box_half = _real(cfg.get("box_half", 7.0), "box_half", positive=True)
         out = _out_dir(args)
         field = makers[name]()

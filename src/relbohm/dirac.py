@@ -80,6 +80,12 @@ _CHI = {"up": np.array([1.0, 0.0], dtype=complex),
 EPS_NODE = 1e-12
 #: central-difference step inside verify_ensemble_balance
 BALANCE_H = 1e-3
+#: most grid points (n^3 <= 128^3) of verify_ensemble_balance; its
+#: arrays take ~104 bytes a point, ~220 MB at the limit
+BALANCE_MAX_POINTS = 2 ** 21
+#: grid points per pass of verify_ensemble_balance; a pass's temporaries
+#: (~1 MB of field.ds) stay in cache
+BALANCE_CHUNK = 2 ** 14
 #: z component of the unnormalized hedgehog spin direction (x, y, c)
 HEDGEHOG_C = 2.0
 
@@ -369,31 +375,46 @@ def verify_eom(field: DiracField, points, h: float = 1e-3):
 
 
 # -- Foldy-Wouthuysen representation --------------------------------------
+#
+# FW directions, velocities and fields take points of shape (..., 3) and
+# keep the leading shape, so a verifier evaluates all its points and
+# stencil offsets in one call.
+
+
+def _fw_w(s: np.ndarray) -> np.ndarray:
+    """Unnormalized FW direction (1 + s3, s1 + i s2, 0, 0), shape (..., 4)."""
+    w = np.zeros(s.shape[:-1] + (4,), dtype=complex)
+    w[..., 0] = 1.0 + s[..., 2]
+    w[..., 1] = s[..., 0] + 1j * s[..., 1]
+    return w
 
 
 def fw_u(s_hat) -> np.ndarray:
     """FW spinor direction u(s): upper components only, u^dagger u = 1.
 
     u = (1 + s3, s1 + i s2, 0, 0) / sqrt(2 (1 + s3)); satisfies
-    u^dagger sigma_k u = s_k.  Singular at s3 = -1 (rejected).
+    u^dagger sigma_k u = s_k.  s_hat has shape (..., 3) and u has shape
+    (..., 4).  Singular at s3 = -1: a direction there anywhere in s_hat
+    is rejected.
     """
-    s1, s2, s3 = np.asarray(s_hat, dtype=float)
-    if s3 <= -1.0 + 1e-12:
+    s = np.asarray(s_hat, dtype=float)
+    s3 = s[..., 2]
+    if np.any(s3 <= -1.0 + 1e-12):
         raise ValueError("FW spinor undefined at s3 = -1")
     f = 1.0 / np.sqrt(2.0 * (1.0 + s3))
-    return f * np.array([1.0 + s3, s1 + 1j * s2, 0.0, 0.0], dtype=complex)
+    return f[..., None] * _fw_w(s)
 
 
 def _du_ds(s_hat) -> np.ndarray:
-    """du/ds_l, shape (3, 4); analytic."""
-    s1, s2, s3 = np.asarray(s_hat, dtype=float)
+    """du/ds_l, shape (..., 3, 4): row l is the derivative by s_l."""
+    s = np.asarray(s_hat, dtype=float)
+    s3 = s[..., 2]
     f = 1.0 / np.sqrt(2.0 * (1.0 + s3))
-    w = np.array([1.0 + s3, s1 + 1j * s2, 0.0, 0.0], dtype=complex)
-    out = np.zeros((3, 4), dtype=complex)
-    out[0] = f * np.array([0, 1, 0, 0], dtype=complex)
-    out[1] = f * np.array([0, 1j, 0, 0], dtype=complex)
-    out[2] = (-f / (2.0 * (1.0 + s3))) * w
-    out[2] += f * np.array([1, 0, 0, 0], dtype=complex)
+    out = np.zeros(s.shape[:-1] + (3, 4), dtype=complex)
+    out[..., 0, 1] = f
+    out[..., 1, 1] = 1j * f
+    out[..., 2, :] = (-f / (2.0 * (1.0 + s3)))[..., None] * _fw_w(s)
+    out[..., 2, 0] += f
     return out
 
 
@@ -402,9 +423,10 @@ class FWField:
     """Static FW test field: unit spin direction over the Gaussian amplitude.
 
     The state is A u(s) with A = exp(-|x|^2 / 2) and zero phase.  Both
-    callables are vectorized over points of shape (..., 3): s -> (..., 3),
-    ds -> (..., 3, 3) with ds[..., j, l] = d s_l / d x_j.  |s| = 1 is
-    checked on use.
+    callables take points of shape (..., 3): s -> (..., 3), ds ->
+    (..., 3, 3) with ds[..., j, l] = d s_l / d x_j.  |s| = 1 is checked
+    on use.  The built-in fields return ds as a view whose point axes
+    are last in memory, which verify_ensemble_balance reads fastest.
     """
 
     s: object
@@ -419,11 +441,6 @@ def _amplitude(p):
 def _grad_amplitude(p):
     p = np.asarray(p, dtype=float)
     return -p * _amplitude(p)[..., None]
-
-
-def _lap_amplitude(p):
-    p = np.asarray(p, dtype=float)
-    return (np.sum(p * p, axis=-1) - 3.0) * _amplitude(p)
 
 
 def fw_spinor(field: FWField, x):
@@ -447,13 +464,16 @@ def fw_spinor(field: FWField, x):
 
 
 def fw_velocity(field: FWField, x) -> np.ndarray:
-    """Non-relativistic guidance velocity v_j = Im(u^dag d_j u)."""
+    """Non-relativistic guidance velocity v_j = Im(u^dag d_j u).
+
+    x has shape (..., 3) and v has the same shape.
+    """
     x = np.asarray(x, dtype=float)
     shat = np.asarray(field.s(x), dtype=float)
     u = fw_u(shat)
-    du = np.einsum("jl,la->ja", np.asarray(field.ds(x), dtype=float),
+    du = np.einsum("...jl,...la->...ja", np.asarray(field.ds(x), dtype=float),
                    _du_ds(shat))
-    return np.einsum("a,ja->j", np.conj(u), du).imag
+    return np.einsum("...a,...ja->...j", np.conj(u), du).imag
 
 
 def verify_fw_spin_tensor(field: FWField, points):
@@ -478,6 +498,8 @@ _EPS3 = np.zeros((3, 3, 3))
 for _p, _s in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
                ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
     _EPS3[_p] = _s
+#: (j, i) = (k + 1, k + 2) mod 3 for k = 0, 1, 2: curl_k = d_j v_i - d_i v_j
+_CURL_J, _CURL_I = [1, 2, 0], [2, 0, 1]
 
 
 def verify_curl_formula(field: FWField, points, h: float = 1e-4):
@@ -485,86 +507,109 @@ def verify_curl_formula(field: FWField, points, h: float = 1e-4):
 
     curl_k v = (1/4) eps_{kji} eps_{lmn} s_l d_j s_m d_i s_n
     with curl v by central differences of the analytic velocity (O(h^2))
-    and the right side fully analytic.  Returns (max_residual, per-point).
+    and the right side fully analytic.  points has shape (n, 3); the
+    velocity at every point's six offsets x +- h e_j comes from two
+    fw_velocity calls on shape (n, 3, 3).  Returns (max_residual,
+    per-point residuals of shape (n,)).
     """
-    res = []
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        curl = np.zeros(3)
-        for k in range(3):
-            j, i = (k + 1) % 3, (k + 2) % 3
-            ej = np.zeros(3)
-            ei = np.zeros(3)
-            ej[j] = h
-            ei[i] = h
-            dvi_dj = (fw_velocity(field, x + ej)[i]
-                      - fw_velocity(field, x - ej)[i]) / (2.0 * h)
-            dvj_di = (fw_velocity(field, x + ei)[j]
-                      - fw_velocity(field, x - ei)[j]) / (2.0 * h)
-            curl[k] = dvi_dj - dvj_di
-        shat = np.asarray(field.s(x), dtype=float)
-        ds = np.asarray(field.ds(x), dtype=float)   # ds[j, m] = d_j s_m
-        rhs = 0.25 * np.einsum("kji,lmn,l,jm,in->k", _EPS3, _EPS3,
-                               shat, ds, ds)
-        res.append(np.max(np.abs(curl - rhs)))
-    res = np.array(res)
+    x = np.asarray(points, dtype=float)
+    step = h * np.eye(3)                          # row j is h e_j
+    near = x[..., None, :]
+    # dv[..., j, i] = d_j v_i
+    dv = (fw_velocity(field, near + step)
+          - fw_velocity(field, near - step)) / (2.0 * h)
+    curl = dv[..., _CURL_J, _CURL_I] - dv[..., _CURL_I, _CURL_J]
+    shat = np.asarray(field.s(x), dtype=float)
+    ds = np.asarray(field.ds(x), dtype=float)     # ds[..., j, m] = d_j s_m
+    rhs = 0.25 * np.einsum("kji,lmn,...l,...jm,...in->...k", _EPS3, _EPS3,
+                           shat, ds, ds)
+    res = np.max(np.abs(curl - rhs), axis=-1)
     return float(res.max()), res
+
+
+def _shifted_terms(field: FWField, x: np.ndarray, i: int, step: float):
+    """Phi and the flux A^2 T_{ji} at the points x + step e_i.
+
+    x has shape (3, m), one row per coordinate.  Phi = -(1/2) lap A / A
+    = -(1/2)(|p|^2 - 3) for the Gaussian A.  Of the stress only the
+    column T_{ji} = (1/4) d_j s_l d_i s_l that d_i takes is formed.
+    Returns Phi of shape (m,) and the flux of shape (3, m).
+    """
+    p = x.copy()
+    p[i] += step
+    r2 = p[0] * p[0] + p[1] * p[1] + p[2] * p[2]
+    # d[j, l] = d_j s_l, each of shape (m,): contiguous for the built-in
+    # fields (see FWField)
+    d = np.asarray(field.ds(p.T), dtype=float).transpose(1, 2, 0)
+    col = 0.25 * (d[:, 0] * d[i, 0] + d[:, 1] * d[i, 1] + d[:, 2] * d[i, 2])
+    return -0.5 * (r2 - 3.0), np.exp(-0.5 * r2) ** 2 * col
+
+
+def _balance_terms(field: FWField, axis: np.ndarray):
+    """A and the two terms of the balance integrand on the grid axis^3.
+
+    Returns (A, A^2 d_j Phi, d_i (A^2 T_{ji})) on the n^3 grid points in
+    C order, the terms with shape (3, n^3).  Both derivatives are central
+    differences with step BALANCE_H, and each of the six shifted grids
+    x +- h e_i is evaluated once (_shifted_terms).  The grid is taken
+    BALANCE_CHUNK points at a time.
+    """
+    h = BALANCE_H
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij",
+                                copy=False)).reshape(3, -1)
+    grad_phi = np.empty_like(grid)
+    div = np.zeros_like(grid)
+    for lo in range(0, grid.shape[1], BALANCE_CHUNK):
+        part = slice(lo, lo + BALANCE_CHUNK)
+        for i in range(3):
+            phi_p, flux_p = _shifted_terms(field, grid[:, part], i, h)
+            phi_m, flux_m = _shifted_terms(field, grid[:, part], i, -h)
+            grad_phi[i, part] = (phi_p - phi_m) / (2.0 * h)
+            div[:, part] += (flux_p - flux_m) / (2.0 * h)
+    a = np.exp(-0.5 * (grid[0] * grid[0] + grid[1] * grid[1]
+                       + grid[2] * grid[2]))
+    grad_phi *= a * a
+    return a, grad_phi, div
 
 
 def verify_ensemble_balance(field: FWField, box_half: float, n: int = 61):
     """Relative residual of the vanishing ensemble-average acceleration.
 
-    Integrates A^2 [d_j Phi + A^{-2} d_i (A^2 T_{ji})] over the box by a
-    uniform-grid Riemann sum (spectrally accurate for the decaying test
-    fields); each component should integrate to ~0 because both terms
-    are total derivatives after the amplitude-weighted average.  Phi is
-    the non-relativistic -(1/2) lap A / A; its gradient and the stress
+    Integrates A^2 d_j Phi + d_i (A^2 T_{ji}) over the box [-box_half,
+    box_half]^3 by a uniform-grid Riemann sum on n^3 points (spectrally
+    accurate for the decaying test fields).  Phi is the
+    non-relativistic -(1/2) lap A / A; its gradient and the stress
     divergence use central differences with step BALANCE_H (decoupled
-    from the grid spacing).
+    from the grid spacing).  See _balance_terms.
 
-    Returns max_j |integral_j| / sum_j integral of A^2 |integrand_j|.
-    Warns if A is not negligible on the box boundary.
+    What this checks, and what it does not: both terms are total
+    derivatives (A^2 d_j Phi = (1/2) d_j A^2 for the Gaussian A), and
+    for the built-in fields component j of each is also odd under
+    x_j -> -x_j on the centred box, so each term integrates to rounding
+    level on its own.  The result is therefore at rounding level
+    whatever the relative sign or weight of the two terms, and it does
+    not pin T.  verify_fw_spin_tensor (T against the Dirac bilinears)
+    and verify_curl_formula are the checks that do.
+
+    Returns max_j |integral_j| / sum_j integral of |A^2 d_j Phi| +
+    |d_i (A^2 T_{ji})|.  Warns if A is not negligible on the box
+    boundary.  Raises ValueError past BALANCE_MAX_POINTS grid points.
     """
+    if n ** 3 > BALANCE_MAX_POINTS:
+        raise ValueError(f"a balance grid of {n}^3 points is over the "
+                         f"limit of {BALANCE_MAX_POINTS}")
     axis = np.linspace(-box_half, box_half, n)
-    dx = axis[1] - axis[0]
-    X = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-    pts = X.reshape(-1, 3)
-    a = _amplitude(pts)
-    peak = a.max()
-    face = np.abs(pts) >= box_half - 1e-12
-    if np.max(a[np.any(face, axis=1)]) > 1e-10 * peak:
+    a, a2_grad_phi, div = _balance_terms(field, axis)
+    cube = a.reshape(n, n, n)
+    face = max(cube[[0, -1]].max(), cube[:, [0, -1]].max(),
+               cube[:, :, [0, -1]].max())
+    if face > 1e-10 * a.max():
         warnings.warn("amplitude not negligible on the box boundary; "
                       "the balance integrals will leak", RuntimeWarning,
                       stacklevel=2)
-
-    def phi(p):
-        return -0.5 * _lap_amplitude(p) / _amplitude(p)
-
-    def stress(p):
-        ds = np.asarray(field.ds(p), dtype=float)
-        return 0.25 * np.einsum("...jl,...il->...ji", ds, ds)
-
-    h = BALANCE_H
-    grad_phi = np.empty((pts.shape[0], 3))
-    for i in range(3):
-        step = np.zeros(3)
-        step[i] = h
-        grad_phi[:, i] = (phi(pts + step) - phi(pts - step)) / (2.0 * h)
-    div = np.zeros((pts.shape[0], 3))
-    for i in range(3):
-        step = np.zeros(3)
-        step[i] = h
-        ap2 = _amplitude(pts + step) ** 2
-        am2 = _amplitude(pts - step) ** 2
-        tp = stress(pts + step)
-        tm = stress(pts - step)
-        div += (ap2[:, None] * tp[:, :, i]
-                - am2[:, None] * tm[:, :, i]) / (2.0 * h)
-    integrand = a[:, None] ** 2 * grad_phi + div
-    vol = dx ** 3
-    comp = np.sum(integrand, axis=0) * vol
-    norm = np.sum(a[:, None] ** 2 * np.abs(grad_phi)
-                  + np.abs(div)) * vol
+    vol = (axis[1] - axis[0]) ** 3
+    comp = np.sum(a2_grad_phi + div, axis=1) * vol
+    norm = np.sum(np.abs(a2_grad_phi) + np.abs(div)) * vol
     return float(np.max(np.abs(comp)) / norm)
 
 
@@ -586,10 +631,10 @@ def fw_rotating_field(rate: float = 0.5) -> FWField:
     def ds(p):
         p = np.asarray(p, dtype=float)
         th = rate * p[..., 0]
-        out = np.zeros(p.shape[:-1] + (3, 3))
-        out[..., 0, 0] = rate * np.cos(th)
-        out[..., 0, 2] = -rate * np.sin(th)
-        return out
+        out = np.zeros((3, 3) + th.shape)
+        out[0, 0] = rate * np.cos(th)
+        out[0, 2] = -rate * np.sin(th)
+        return np.moveaxis(out, (0, 1), (-2, -1))
 
     return FWField(s=s, ds=ds)
 
@@ -597,24 +642,22 @@ def fw_rotating_field(rate: float = 0.5) -> FWField:
 def fw_hedgehog_field() -> FWField:
     """Hedgehog-like spin s = (x, y, c)/|(x, y, c)| with c = HEDGEHOG_C."""
     def _n(p):
+        """n = (x, y, c) on a new first axis, and r = |n|."""
         p = np.asarray(p, dtype=float)
-        n = np.stack([p[..., 0], p[..., 1],
-                      np.full(p.shape[:-1], HEDGEHOG_C)], axis=-1)
-        return n
+        n = np.stack([p[..., 0], p[..., 1], np.full(p.shape[:-1], HEDGEHOG_C)])
+        return n, np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
 
     def s(p):
-        n = _n(p)
-        return n / np.linalg.norm(n, axis=-1, keepdims=True)
+        n, r = _n(p)
+        return np.moveaxis(n / r, 0, -1)
 
     def ds(p):
-        n = _n(p)
-        r = np.linalg.norm(n, axis=-1)
-        out = np.zeros(n.shape[:-1] + (3, 3))
+        n, r = _n(p)
+        out = np.zeros((3, 3) + r.shape)
         # d_j s_l = delta_{jl}/r - n_j n_l / r^3, for j in {x, y} only.
-        for j in range(2):
-            for l in range(3):
-                out[..., j, l] = ((1.0 if j == l else 0.0) / r
-                                  - n[..., j] * n[..., l] / r ** 3)
-        return out
+        out[:2] = -n[:2, None] * n[None] / r ** 3
+        out[0, 0] += 1.0 / r
+        out[1, 1] += 1.0 / r
+        return np.moveaxis(out, (0, 1), (-2, -1))
 
     return FWField(s=s, ds=ds)

@@ -118,6 +118,9 @@ _K40 = {"shape": "cos2", "k_cut": 40.0, "gl_order": 8, "x_scale": 4.0}
     ("nearnr", {"packet": None}, 2),
     ("nearnr", {"packet": [1, 2]}, 2),
     ("explode", {"packet": _K40, "grid": {**_GRID, "t_max": 1e6}}, 2),
+    # a balance grid past 2^21 points: box_n^3 floats with no bound
+    ("spin", {**_FW, "box_n": 129}, 2),
+    ("spin", {**_FW, "box_n": 10 ** 6}, 2),
 ], ids=["modes-n_levels-string", "modes-nan-k", "explode-density_x-no-max",
         "nearnr-x-no-min", "spin-dirac-zero-points", "spin-dirac-h-string",
         "spin-dirac-h-zero", "spin-dirac-point_range-string",
@@ -130,7 +133,8 @@ _K40 = {"shape": "cos2", "k_cut": 40.0, "gl_order": 8, "x_scale": 4.0}
         "explode-p_times-fft-row-too-large", "explode-coarse-k-quadrature",
         "nearnr-packet-too-many-k-nodes", "spin-dirac-point-near-node",
         "explode-packet-string", "nearnr-packet-null", "nearnr-packet-list",
-        "explode-grid-t-fft-row-too-large"])
+        "explode-grid-t-fft-row-too-large", "spin-fw-box_n-over-limit",
+        "spin-fw-box_n-huge"])
 def test_malformed_or_unconverged_config_exit_code(tmp_path, command,
                                                    payload, code):
     cfg = write_cfg(tmp_path, "cfg.json", payload)
@@ -147,6 +151,15 @@ def test_explode_fft_row_limit_is_named(tmp_path, capsys):
         assert run(["explode", "--config", cfg,
                     "--out", str(tmp_path / "o")]) == 2
         assert "limit of 2^22" in capsys.readouterr().err
+
+
+def test_spin_fw_box_limit_is_named(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "big.json", {**_FW, "box_n": 129})
+    assert run(["spin", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "limit of 2^21" in capsys.readouterr().err
+    # --quick caps box_n at 41 first, so the same config runs
+    assert run(["spin", "--config", cfg, "--out", str(tmp_path / "q"),
+                "--quick"]) == 0
 
 
 def test_missing_config_is_config_error(tmp_path):

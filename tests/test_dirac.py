@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from relbohm.dirac import (GAMMA, GAMMA0, METRIC, DiracField, DiracMode,
-                           SpinorSample, _du_ds, _metric_trace,
+from relbohm.dirac import (BALANCE_MAX_POINTS, GAMMA, GAMMA0, METRIC,
+                           DiracField, DiracMode, FWField, SpinorSample,
+                           _EPS3, _balance_terms, _du_ds, _metric_trace,
                            convective_momentum, effective_mass_sq,
                            eval_spinor, fw_gaussian_field, fw_hedgehog_field,
                            fw_rotating_field, fw_spinor, fw_u, fw_velocity,
@@ -214,6 +215,105 @@ def test_ensemble_balance():
     assert r < 1e-6
     r = verify_ensemble_balance(fw_rotating_field(), box_half=7.0)
     assert r < 1e-4
+    # the bundled fw_hedgehog.json field, and the --quick grid size
+    r = verify_ensemble_balance(fw_hedgehog_field(), box_half=7.0)
+    assert r < 1e-13
+    for field in (fw_gaussian_field(), fw_rotating_field(),
+                  fw_hedgehog_field()):
+        r = verify_ensemble_balance(field, box_half=7.0, n=41)
+        assert r < 1e-13
+
+
+def test_ensemble_balance_terms_vanish_on_their_own():
+    # Both terms are total derivatives and odd on the centred box, so each
+    # integrates to rounding level alone.  The balance therefore holds for
+    # any relative weight of the stress term, a wrong one included: it
+    # does not pin T (verify_fw_spin_tensor and the curl identity do).
+    axis = np.linspace(-7.0, 7.0, 41)
+    for field in (fw_gaussian_field(), fw_rotating_field(),
+                  fw_hedgehog_field()):
+        _, phi_term, stress_term = _balance_terms(field, axis)
+        for term in (phi_term, stress_term, phi_term - 3.0 * stress_term):
+            integral = np.max(np.abs(term.sum(axis=1)))
+            assert integral <= 1e-12 * np.sum(np.abs(term))
+    _, _, stress_term = _balance_terms(fw_hedgehog_field(), axis)
+    assert np.sum(np.abs(stress_term)) > 1.0
+
+
+def test_ensemble_balance_point_limit():
+    # the check comes before any grid is allocated
+    n = round(BALANCE_MAX_POINTS ** (1 / 3)) + 1
+    assert n ** 3 > BALANCE_MAX_POINTS
+    with pytest.raises(ValueError, match="limit"):
+        verify_ensemble_balance(fw_gaussian_field(), box_half=7.0, n=n)
+    with pytest.raises(ValueError, match="limit"):
+        verify_ensemble_balance(fw_gaussian_field(), box_half=7.0,
+                                n=10 ** 6)
+
+
+def _velocity_at(field, x):
+    """Per-point oracle for fw_velocity: one (3,) point at a time."""
+    shat = field.s(x)
+    du = np.einsum("jl,la->ja", field.ds(x), _du_ds(shat))
+    return np.einsum("a,ja->j", np.conj(fw_u(shat)), du).imag
+
+
+def _curl_residuals(field, points, h):
+    """Per-point oracle for verify_curl_formula's residuals."""
+    res = []
+    for x in points:
+        curl = np.zeros(3)
+        for k in range(3):
+            j, i = (k + 1) % 3, (k + 2) % 3
+            ej = np.zeros(3)
+            ei = np.zeros(3)
+            ej[j] = h
+            ei[i] = h
+            dvi_dj = (_velocity_at(field, x + ej)[i]
+                      - _velocity_at(field, x - ej)[i]) / (2.0 * h)
+            dvj_di = (_velocity_at(field, x + ei)[j]
+                      - _velocity_at(field, x - ei)[j]) / (2.0 * h)
+            curl[k] = dvi_dj - dvj_di
+        rhs = 0.25 * np.einsum("kji,lmn,l,jm,in->k", _EPS3, _EPS3,
+                               field.s(x), field.ds(x), field.ds(x))
+        res.append(np.max(np.abs(curl - rhs)))
+    return np.array(res)
+
+
+def test_vectorized_velocity_and_curl_match_per_point_loop():
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-1.5, 1.5, (12, 3))
+    for field in (fw_gaussian_field(), fw_rotating_field(),
+                  fw_hedgehog_field()):
+        v = fw_velocity(field, pts)
+        assert v.shape == (12, 3)
+        oracle = np.array([_velocity_at(field, x) for x in pts])
+        assert np.max(np.abs(v - oracle)) < 1e-13
+        # any leading shape
+        grid = pts.reshape(3, 4, 3)
+        assert np.max(np.abs(fw_velocity(field, grid).reshape(12, 3)
+                             - oracle)) < 1e-13
+        for h in (1e-3, 5e-4):
+            r, res = verify_curl_formula(field, pts, h=h)
+            assert res.shape == (12,)
+            assert np.max(np.abs(res - _curl_residuals(field, pts, h))) \
+                < 1e-13
+            assert r == res.max()
+
+
+def test_fw_u_rejects_s3_minus_one_in_an_array():
+    s = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, 0.0, -1.0]])
+    with pytest.raises(ValueError):
+        fw_u(s)
+    assert fw_u(s[:2]).shape == (2, 4)
+    assert np.array_equal(fw_u(s[:2])[1], fw_u(s[1]))
+
+
+def test_fw_spinor_rejects_non_unit_spin():
+    field = FWField(s=lambda p: np.array([0.0, 0.0, 1.1]),
+                    ds=lambda p: np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="unit length"):
+        fw_spinor(field, np.array([0.1, 0.2, 0.3]))
 
 
 def test_ensemble_balance_boundary_warning():
