@@ -118,9 +118,10 @@ def density_difference_timeform(packet: Packet, x, t: float):
     of the packet's k-spread.
     """
     x = np.asarray(x, dtype=float)
-    psi, psit, psixx, psitt, psixxt, psittt = packet.fields(
-        x, t, [(0, 0), (0, 1), (2, 0), (0, 2), (2, 1), (0, 3)])
-    lhs = bilinear_rho(psi, psit) - packet.rho_nw(x, t)
+    psi, psit, psixx, psitt, psixxt, psittt, psi_nw = packet.fields(
+        x, t, [(0, 0), (0, 1), (2, 0), (0, 2), (2, 1), (0, 3), (0, 0)],
+        nw=[0, 0, 0, 0, 0, 0, 1])
+    lhs = bilinear_rho(psi, psit) - np.abs(psi_nw) ** 2
     rhs27a = (np.conj(psit) * psixx + np.conj(psi) * psixxt).imag / 8.0
     rhs27b = (np.conj(psit) * psitt + np.conj(psi) * psittt).imag / 8.0
     return lhs, rhs27a, rhs27b
@@ -134,15 +135,21 @@ def nw_position_map(packet: Packet, x, t: float):
     from the same field evaluation, returned so callers need not
     evaluate it again.
     """
+    return _position_map(packet, x, t)[:3]
+
+
+def _position_map(packet: Packet, x, t: float):
+    """nw_position_map's (x_mapped, f, rho) and rho_nw, from one
+    Packet.fields pass."""
     x = np.asarray(x, dtype=float)
-    psi, psix, psit, psixt = packet.fields(
-        x, t, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    psi, psix, psit, psixt, psi_nw = packet.fields(
+        x, t, [(0, 0), (1, 0), (0, 1), (1, 1), (0, 0)], nw=[0, 0, 0, 0, 1])
     rho = bilinear_rho(psi, psit)
     dj_dt = (np.conj(psit) * psix + np.conj(psi) * psixt).imag
     floor = EPS_RHO_SCALE * float(np.max(np.abs(rho)) + 1e-300)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.where(np.abs(rho) < floor, np.nan, dj_dt / (8.0 * rho))
-    return x + f, f, rho
+    return x + f, f, rho, np.abs(psi_nw) ** 2
 
 
 @dataclass
@@ -162,12 +169,12 @@ class CorrectionField:
 def correction_field(packet: Packet, x, t: float) -> CorrectionField:
     x = np.asarray(x, dtype=float)
     kernel = WKernel(packet)
-    x_mapped, f, rho = nw_position_map(packet, x, t)
+    x_mapped, f, rho, rho_nw = _position_map(packet, x, t)
     return CorrectionField(
         x=x, t=float(t),
         W=kernel.evaluate(x, np.full(x.shape, t)),
         d2W_dx2=_d2w_dx2(kernel, x, t),
-        rho=rho, rho_nw=packet.rho_nw(x, t),
+        rho=rho, rho_nw=rho_nw,
         f=f, x_mapped=x_mapped)
 
 
@@ -178,8 +185,10 @@ def moments(packet: Packet, t: float):
     mean.  Returns (m0, m1).
     """
     L = packet.decay_window() + abs(t)
-    nodes, weights = _gl_panels(-L, L, 2.0 * L / MOMENT_PANELS, PANEL_ORDER)
-    diff = packet.rho(nodes, t) - packet.rho_nw(nodes, t)
+    nodes, weights = _gl_panels(-L, L, MOMENT_PANELS, PANEL_ORDER)
+    psi, psit, psi_nw = packet.fields(nodes, t, [(0, 0), (0, 1), (0, 0)],
+                                      nw=[0, 0, 1])
+    diff = bilinear_rho(psi, psit) - np.abs(psi_nw) ** 2
     return float(np.sum(weights * diff)), float(np.sum(weights * nodes * diff))
 
 
@@ -197,8 +206,7 @@ def pushforward_l1(packet: Packet, t: float = 0.0):
     else:
         half_width = packet.support_edge + abs(t) + 6.0
     x = np.linspace(-half_width, half_width, PUSHFORWARD_N)
-    x_mapped, f, rho = nw_position_map(packet, x, t)
-    rho_nw = packet.rho_nw(x, t)
+    x_mapped, f, rho, rho_nw = _position_map(packet, x, t)
     if not np.all(np.isfinite(f)):
         raise ValueError("density zero inside the pushforward window; "
                          "the map is only defined for rho > 0")

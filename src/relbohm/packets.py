@@ -10,16 +10,18 @@ amplitude drops the omega^{-1/2} factor.  Built-in shapes:
 * ``gaussian``: exp(-(k - k0)^2 / (2 sigma_k^2)).
 
 Two engines evaluate the same truncated spectrum.  Field values at given
-points are k-integrals on a fixed composite Gauss-Legendre grid over
-[-k_cut, k_cut], tabulated once per packet (see Packet); evaluations are
-plain weighted sums and therefore deterministic.  The x-integrals over a
-whole fixed-t row (the acausal probability, the |rho| mass, the
-threshold tail and charges, and FrontKernel's F) sample it by FFT on a
-periodic box (fft_row_size) and integrate there.
+points are k-integrals on a composite Gauss-Legendre rule over
+[-k_cut, k_cut] (Packet.fields); evaluations are plain weighted sums and
+therefore deterministic.  Scattered points run on the rule their reach
+max(|x| + |t|) needs (Packet.at_reach).  The x-integrals over a whole
+fixed-t row (the acausal probability, the |rho| mass, the threshold tail
+and charges, and FrontKernel's F) sample it by FFT on a periodic box
+(fft_row_size) and integrate there.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,10 +54,10 @@ PANEL_ORDER = 12
 #: most points of an FFT row (a fixed-t x-integral); fft_row_size grows
 #: with t, and a row of this size holds 64 MB per complex field
 FFT_MAX_POINTS = 2 ** 22
-#: largest gap between Packet.fields and the t = 0 FFT row within the
-#: decay window, relative to max |rho|, before zero_crossings calls the
-#: k quadrature too coarse (well-resolved packets stay below 1e-7; an
-#: aliasing one reaches 1e-2 and more)
+#: largest gap between Packet.fields and the t = 0 FFT row, relative to
+#: max |rho|, before a k rule counts as too coarse for its reach
+#: (well-resolved rules stay below 1e-7; an aliasing one reaches 1e-2 and
+#: more)
 ENGINE_GAP_TOL = 1e-6
 
 
@@ -108,9 +110,9 @@ class PacketSpec:
                    4.0 * np.pi / self.a)
 
 
-def _gl_panels(k_lo, k_hi, panel_width, order):
-    """Composite Gauss-Legendre nodes/weights on [k_lo, k_hi]."""
-    n_panels = max(1, int(np.ceil((k_hi - k_lo) / panel_width)))
+def _gl_panels(k_lo, k_hi, n_panels, order):
+    """Composite Gauss-Legendre nodes/weights on n_panels equal panels of
+    [k_lo, k_hi]."""
     edges = np.linspace(k_lo, k_hi, n_panels + 1)
     xg, wg = np.polynomial.legendre.leggauss(order)
     half = 0.5 * np.diff(edges)
@@ -123,14 +125,22 @@ def _gl_panels(k_lo, k_hi, panel_width, order):
 class Packet:
     """A PacketSpec with its tabulated quadrature grid and normalization.
 
-    The k grid has gl_order Gauss-Legendre nodes on each equal panel of
-    [-k_cut, k_cut]; the panel width is the least of pi / (2 max(x_scale,
-    1)), k_cut / 8 and, for a gaussian, sigma_k / 2.  x_scale is no reach
-    bound: at the default 15, cos2 densities at |x| = 32 are exact.
+    The configured k grid has gl_order Gauss-Legendre nodes on each equal
+    panel of [-k_cut, k_cut]; the panel width is the least of
+    pi / (2 max(x_scale, 1)), k_cut / 8 and, for a gaussian, sigma_k / 2.
+    It fixes the normalization, is the rule the explode engine check
+    holds against the FFT row over the whole decay window, and bounds the
+    nodes of every view.  at_reach(R) is this packet on the coarser rule
+    that points with |x| + |t| <= R need: same spec, k_cut and norm.
     """
 
     #: max entries of any (points x k-nodes) phase matrix
     _CHUNK_BUDGET = 4_000_000
+    #: Gauss-Legendre order of the rules at_reach makes
+    REACH_ORDER = 24
+    #: least reach at_reach sizes a rule for; below it the branch points
+    #: of omega at k = +-i, not the phase, bound the panels next to k = 0
+    REACH_FLOOR = 4.0
 
     def __init__(self, spec: PacketSpec, k_cut: float | None = None,
                  gl_order: int = 10, x_scale: float = 15.0):
@@ -141,18 +151,65 @@ class Packet:
                     self.k_cut / 8.0)
         if spec.shape == "gaussian":
             panel = min(panel, spec.sigma_k / 2.0)
-        self.k, w = _gl_panels(-self.k_cut, self.k_cut, panel, gl_order)
-        self.omega = omega(self.k)
-        s = spec.shape_values(self.k)
+        k, w = _gl_panels(-self.k_cut, self.k_cut,
+                          max(1, int(np.ceil(2.0 * self.k_cut / panel))),
+                          gl_order)
+        s = spec.shape_values(k)
         # int rho_nw dx = 2 pi N^2 int s^2 dk  ==  total_charge.
         s2 = float(np.sum(w * s * s))
         self.norm = np.sqrt(spec.total_charge / (2.0 * np.pi * s2))
+        self._tabulate(k, w)
+
+    def _tabulate(self, k: np.ndarray, w: np.ndarray) -> None:
+        """Take k, w as the k rule, under the packet's norm."""
+        self.k = k
+        self.omega = omega(k)
         # quadrature weight * normalized k-space coefficient
-        self._ws = w * (self.norm * s)
+        self._ws = w * (self.norm * self.spec.shape_values(k))
+
+    def at_reach(self, reach: float) -> Packet:
+        """This packet on the k rule that points with |x| + |t| <= reach
+        need.
+
+        The rule has REACH_ORDER Gauss-Legendre nodes on each of an even
+        number of equal panels of [-k_cut, k_cut], so that k = 0 sits on a
+        panel edge, away from the nodes next to omega's branch points.
+        The panel width h is at most REACH_ORDER / max(reach, REACH_FLOOR),
+        so the phase kx - omega t turns by at most REACH_ORDER radians
+        across a panel: half of where such a rule starts to lose digits
+        (h reach / 2 ~ REACH_ORDER).  For a gaussian, h is also at most
+        sigma_k / 2.  The view shares spec, k_cut and norm with this
+        packet; this packet is returned itself when the rule would hold as
+        many nodes or more.
+
+        Raises ArithmeticError when the view departs from the t = 0 FFT
+        row by more than ENGINE_GAP_TOL within its reach, or within the
+        decay window when the reach passes it: the row holds the field
+        only there, and beyond it the t = 0 field is negligible.
+        """
+        reach = max(float(reach), self.REACH_FLOOR)
+        h = self.REACH_ORDER / reach
+        if self.spec.shape == "gaussian":
+            h = min(h, self.spec.sigma_k / 2.0)
+        n_panels = 2 * int(np.ceil(self.k_cut / h))
+        if n_panels * self.REACH_ORDER >= self.k.size:
+            return self
+        row = self.t0_row  # made before the copy, so the view shares it
+        view = copy.copy(self)
+        view._tabulate(*_gl_panels(-self.k_cut, self.k_cut, n_panels,
+                                   self.REACH_ORDER))
+        _check_rule(view, row, min(reach, self.decay_window()))
+        return view
+
+    @cached_property
+    def t0_row(self) -> _Row:
+        """rho and rho_nw on the t = 0 FFT row (fft_row_size), made once
+        and shared with every view."""
+        return _fft_row(self, 0.0, nw=True)
 
     # -- field evaluation ---------------------------------------------
 
-    def _coef(self, dx: int, dt: int, nw: bool = False) -> np.ndarray:
+    def _coef(self, dx: int, dt: int, nw: bool) -> np.ndarray:
         coef = self._ws if nw else self._ws * self.omega ** -0.5
         if dx:
             coef = coef * (1j * self.k) ** dx
@@ -160,12 +217,13 @@ class Packet:
             coef = coef * (-1j * self.omega) ** dt
         return coef
 
-    def fields(self, x, t, orders, nw: bool = False) -> list[np.ndarray]:
+    def fields(self, x, t, orders, nw=False) -> list[np.ndarray]:
         """Evaluate several derivative orders of psi in one pass.
 
-        orders is a sequence of (dx, dt) pairs; x and t broadcast
-        against each other.  The exponential phase factor is shared
-        between the orders, and points are processed in fixed-size
+        orders is a sequence of (dx, dt) pairs, of psi_nw where nw is true
+        and of psi otherwise; nw is a flag or one flag per order.  x and t
+        broadcast against each other.  The exponential phase factor is
+        shared between the orders, and points are processed in fixed-size
         chunks so memory stays bounded.
         """
         x, t = np.broadcast_arrays(np.asarray(x, dtype=float),
@@ -173,7 +231,8 @@ class Packet:
         shape = x.shape
         xf = x.ravel()
         tf = t.ravel()
-        coefs = [self._coef(dx, dt, nw=nw) for dx, dt in orders]
+        coefs = [self._coef(dx, dt, bool(flag)) for (dx, dt), flag
+                 in zip(orders, np.broadcast_to(nw, len(orders)))]
         outs = [np.empty(xf.size, dtype=complex) for _ in orders]
         chunk = max(1, self._CHUNK_BUDGET // self.k.size)
         for i in range(0, xf.size, chunk):
@@ -217,7 +276,7 @@ def _panel_integral(fn, a, b, n_panels: int = 64) -> float:
     Nothing in the library integrates this way any more; the tests keep
     it as a direct-sum oracle for the FFT-row integrals below.
     """
-    nodes, weights = _gl_panels(a, b, (b - a) / n_panels, PANEL_ORDER)
+    nodes, weights = _gl_panels(a, b, n_panels, PANEL_ORDER)
     return float(np.sum(weights * fn(nodes)))
 
 
@@ -241,13 +300,13 @@ def fft_row_size(packet: Packet, t: float) -> tuple[float, int]:
 
 @dataclass
 class _Row:
-    """psi, psi_t and psi_nw on x_j = j dx of a periodic box, a row per
-    time (the negative half of the line is the upper half of a row)."""
+    """rho and rho_nw on x_j = j dx of a periodic box, a row per time (the
+    negative half of the line is the upper half of a row); None where the
+    caller did not ask for it."""
 
     dx: float
-    psi: np.ndarray
-    psi_t: np.ndarray
-    psi_nw: np.ndarray
+    rho: np.ndarray | None
+    rho_nw: np.ndarray | None
 
 
 def _k_weights(m: np.ndarray, dk: float, k_cut: float) -> np.ndarray:
@@ -274,8 +333,10 @@ def _k_weights(m: np.ndarray, dk: float, k_cut: float) -> np.ndarray:
     return w
 
 
-def _fft_row(packet: Packet, t, refine: int = 1) -> _Row:
-    """Sample the packet at time t by one inverse FFT per field.
+def _fft_row(packet: Packet, t, refine: int = 1, rho: bool = True,
+             nw: bool = False) -> _Row:
+    """Sample rho (from psi and psi_t) and/or rho_nw (from psi_nw) at time
+    t, by one inverse FFT per field.
 
     The spectrum is the packet's own norm * s(k) on the FFT frequencies,
     zeroed beyond k_cut like the k quadrature of Packet.fields and
@@ -296,8 +357,24 @@ def _fft_row(packet: Packet, t, refine: int = 1) -> _Row:
          * packet.spec.shape_values(k)
          * np.exp(np.multiply.outer(t, -1j * w)))
     ifft = np.fft.ifft
-    return _Row(dx=dx, psi=ifft(c / np.sqrt(w)),
-                psi_t=ifft(-1j * np.sqrt(w) * c), psi_nw=ifft(c))
+    return _Row(dx=dx,
+                rho=bilinear_rho(ifft(c / np.sqrt(w)),
+                                 ifft(-1j * np.sqrt(w) * c)) if rho else None,
+                rho_nw=np.abs(ifft(c)) ** 2 if nw else None)
+
+
+def _check_rule(packet: Packet, row: _Row, reach: float) -> None:
+    """Raise ArithmeticError when packet's k rule departs from the t = 0
+    row by more than ENGINE_GAP_TOL of max |rho| at <= 129 points of
+    [0, reach]: the rule then aliases rho there."""
+    n_in = int(reach / row.dx)
+    j = np.arange(0, n_in + 1, max(1, -(-n_in // 128)))
+    gap = float(np.max(np.abs(packet.rho(j * row.dx, 0.0) - row.rho[j])))
+    if gap > ENGINE_GAP_TOL * np.max(np.abs(row.rho)):
+        raise ArithmeticError(
+            f"Packet.fields on {packet.k.size} k-nodes departs from the FFT "
+            f"row by {gap:.2g} in rho within |x| <= {reach:g}; k "
+            "quadrature too coarse")
 
 
 class _RowIntegral:
@@ -326,15 +403,19 @@ class _RowIntegral:
             weight[-1] = 1.0 / n
         self.series = weight * self.anti
 
-    def antiderivative(self, x) -> np.ndarray:
+    def antiderivative(self, x, band: float) -> np.ndarray:
         """G(x) = mean x + Re sum_m f_m e^{ik_m x} / (i k_m), so G' = f, at
-        a 1-d array x; one column per row of a stack.  The rows share
-        each table of e^{ik_m x}, of at most 2^21 entries to bound memory."""
+        a 1-d array x; one column per row of a stack.  Only the modes
+        k_m <= band enter: a row band-limited to it holds nothing but
+        rounding above.  The rows share each table of e^{ik_m x}, of at
+        most 2^21 entries to bound memory."""
+        m = int(np.searchsorted(self.k, band, side="right"))
+        k, series = self.k[:m], self.series[..., :m]
         G = np.multiply.outer(x, self.mean)
-        step = max(1, 2 ** 21 // self.k.size)
+        step = max(1, 2 ** 21 // m)
         for i in range(0, x.size, step):
-            table = np.multiply.outer(x[i:i + step], 1j * self.k)
-            G[i:i + step] += (np.exp(table, out=table) @ self.series.T).real
+            table = np.multiply.outer(x[i:i + step], 1j * k)
+            G[i:i + step] += (np.exp(table, out=table) @ series.T).real
         return G
 
     def __call__(self, a: float, b: float) -> float:
@@ -391,17 +472,20 @@ def densities(packet: Packet, x, t: float) -> DensityProfile:
     plain trapezoid sum on the row is off by O(dx^2) at each kink of
     |rho|: 1.5e-6 at t = 0.  The composite Gauss-Legendre sum used
     before, 128 panels across the kinks, was off by 3.7e-4 at t = 0
-    and 2.5e-5 at t = 0.5.)  The densities on x come from Packet.fields.
+    and 2.5e-5 at t = 0.5.)  The densities on x come from one
+    Packet.fields pass on the rule of reach max |x| + |t|.
     """
     x = np.asarray(x, dtype=float)
     row = _fft_row(packet, t)
-    abs_mass = _RowIntegral(bilinear_rho(row.psi, row.psi_t),
-                            row.dx).abs_total()
-    factor = packet.spec.total_charge / abs_mass
-    rho, j = packet.rho_j(x, t)
+    factor = (packet.spec.total_charge
+              / _RowIntegral(row.rho, row.dx).abs_total())
+    view = packet.at_reach(np.max(np.abs(x), initial=0.0) + abs(t))
+    psi, psix, psit, psi_nw = view.fields(
+        x, t, [(0, 0), (1, 0), (0, 1), (0, 0)], nw=[0, 0, 0, 1])
+    rho = bilinear_rho(psi, psit)
     return DensityProfile(
-        x=x, rho=rho, rho_nw=packet.rho_nw(x, t),
-        rho_nw0=factor * np.abs(rho), j=j)
+        x=x, rho=rho, rho_nw=np.abs(psi_nw) ** 2,
+        rho_nw0=factor * np.abs(rho), j=bilinear_j(psi, psix))
 
 
 def acausal_probability(packet: Packet, t: float, refine: int = 1) -> float:
@@ -419,8 +503,8 @@ def acausal_probability(packet: Packet, t: float, refine: int = 1) -> float:
     if packet.spec.shape != "cos2":
         raise ValueError("acausal probability needs a compactly "
                          "supported (cos2) packet")
-    row = _fft_row(packet, t, refine)
-    integral = _RowIntegral(np.abs(row.psi_nw) ** 2, row.dx)
+    row = _fft_row(packet, t, refine, rho=False, nw=True)
+    integral = _RowIntegral(row.rho_nw, row.dx)
     edge = packet.support_edge + t
     L = packet.decay_window() + t
     outer = integral(edge, L) + integral(-L, -edge)
@@ -430,15 +514,16 @@ def acausal_probability(packet: Packet, t: float, refine: int = 1) -> float:
 def zero_crossings(packet: Packet):
     """(x_th, x_0) at t = 0 for a cos2 packet.
 
-    x_0 is the smallest positive zero of rho(x, 0), found by a scan and
-    brentq on Packet.fields.  x_th solves int_{x_th}^{L} rho dx = 0 (only
-    virtual pairs beyond the threshold; L = decay_window()); brentq runs
-    on that tail integral taken exactly on the t = 0 FFT row
-    (_RowIntegral).  Both to 1e-8 or better.
+    x_0 is the smallest positive zero of rho(x, 0), found by a scan of
+    [0, 2.5 a] and brentq on Packet.fields, on the rule of that reach.
+    x_th solves int_{x_th}^{L} rho dx = 0 (only virtual pairs beyond the
+    threshold; L = decay_window()); brentq runs on that tail integral
+    taken exactly on the t = 0 FFT row (_RowIntegral).  Both to 1e-8 or
+    better.
 
-    Raises ArithmeticError when Packet.fields departs from the FFT row
-    by more than ENGINE_GAP_TOL within the decay window: the k
-    quadrature then aliases rho where the row integrals reach.
+    Raises ArithmeticError when the packet's configured k rule departs
+    from the FFT row by more than ENGINE_GAP_TOL within the decay window:
+    it then aliases rho where the row integrals reach.
     """
     # imported here: scipy.optimize is most of the import time of
     # relbohm.cli, and only explode needs it
@@ -447,9 +532,10 @@ def zero_crossings(packet: Packet):
     if packet.spec.shape != "cos2":
         raise ValueError("zero crossings are defined for the cos2 packet")
     a = packet.spec.a
+    view = packet.at_reach(2.5 * a)
 
     def rho0(x):
-        return packet.rho(np.asarray(x, dtype=float), 0.0)
+        return view.rho(np.asarray(x, dtype=float), 0.0)
 
     # Smallest positive root of rho by scan + brentq.
     xs = np.linspace(1e-3 * a, 2.5 * a, 400)
@@ -461,19 +547,12 @@ def zero_crossings(packet: Packet):
     i = sign_change[0]
     x0 = brentq(lambda x: float(rho0(x)), xs[i], xs[i + 1], xtol=1e-8)
 
-    row = _fft_row(packet, 0.0)
-    rho_row = bilinear_rho(row.psi, row.psi_t)
+    row = packet.t0_row
     L = packet.decay_window()
     # Packet.fields and the row sample the same truncated field; a k
     # quadrature that aliases within the decay window parts them
-    n_in = int(L / row.dx)
-    j = np.arange(0, n_in + 1, max(1, n_in // 128))
-    gap = float(np.max(np.abs(rho0(j * row.dx) - rho_row[j])))
-    if gap > ENGINE_GAP_TOL * np.max(np.abs(rho_row)):
-        raise ArithmeticError(
-            f"Packet.fields departs from the FFT row by {gap:.2g} in rho "
-            f"within the decay window |x| <= {L:g}; k quadrature too coarse")
-    integral = _RowIntegral(rho_row, row.dx)
+    _check_rule(packet, row, L)
+    integral = _RowIntegral(row.rho, row.dx)
 
     def tail(x):
         return integral(x, L)
@@ -494,9 +573,9 @@ def threshold_charges(packet: Packet, x_th: float):
     threshold of zero_crossings the first is half the total charge and
     the second vanishes; the third is half the total by symmetry.
     """
-    row = _fft_row(packet, 0.0)
-    rho = _RowIntegral(bilinear_rho(row.psi, row.psi_t), row.dx)
-    rho_nw = _RowIntegral(np.abs(row.psi_nw) ** 2, row.dx)
+    row = packet.t0_row
+    rho = _RowIntegral(row.rho, row.dx)
+    rho_nw = _RowIntegral(row.rho_nw, row.dx)
     return (rho(0.0, x_th), rho(x_th, packet.decay_window()),
             rho_nw(0.0, packet.spec.a))
 
@@ -524,6 +603,8 @@ class FrontKernel:
         """F on the tensor grid x * t, shape (x.size, t.size).  Times are
         grouped by row size, each group with one e^{ikx} table."""
         x, t = np.ravel(x), np.ravel(t)
+        # rho is band-limited to 2 k_cut, below the rows' Nyquist limit
+        band = 2.0 * self.packet.k_cut
         F = np.empty((x.size, t.size))
         sizes = np.array([fft_row_size(self.packet, s)[1] for s in t])
         for n in np.unique(sizes):
@@ -531,11 +612,13 @@ class FrontKernel:
             # rows in parts of at most 2^19 points, to bound memory
             parts = np.array_split(cols, -(-cols.size * n // 2 ** 19))
             rows = (_fft_row(self.packet, t[p]) for p in parts)
-            integral = _RowIntegral(np.concatenate(
-                [bilinear_rho(r.psi, r.psi_t) for r in rows]), self.dx)
+            integral = _RowIntegral(np.concatenate([r.rho for r in rows]),
+                                    self.dx)
             L = self.packet.decay_window() + np.abs(t[cols])
-            lo, hi = (np.diagonal(integral.antiderivative(e)) for e in (-L, L))
-            G = np.where(x[:, None] > L, hi, integral.antiderivative(x))
+            lo, hi = (np.diagonal(integral.antiderivative(e, band))
+                      for e in (-L, L))
+            G = np.where(x[:, None] > L, hi,
+                         integral.antiderivative(x, band))
             F[:, cols] = 2.0 * (np.where(x[:, None] < -L, lo, G) - lo)
         return F
 
@@ -546,12 +629,15 @@ def annihilation_fronts(packet: Packet, grid: Grid2D, n_levels: int):
     Returns (F, TrajectorySet) with F of shape (n_x, n_t); contours
     meeting the rho = 0 locus carry the particle/anti-particle cusp
     structure.  F is twice the charge left of x: the paper's double-sum
-    integral up to a constant (see FrontKernel).
+    integral up to a constant (see FrontKernel).  rho and J on the
+    contours run on the rule of the grid window's reach.
     """
     F = FrontKernel(packet).evaluate(grid.x, grid.t)
-    scale = float(np.max(np.abs(packet.rho(
+    view = packet.at_reach(max(abs(grid.x_min), abs(grid.x_max))
+                           + max(abs(grid.t_min), abs(grid.t_max)))
+    scale = float(np.max(np.abs(view.rho(
         np.linspace(grid.x_min, grid.x_max, 64), 0.0))))
-    return F, contour_family(F, grid, n_levels, packet.rho_j,
+    return F, contour_family(F, grid, n_levels, view.rho_j,
                              EPS_RHO_SCALE * scale)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relbohm import packets
 from relbohm.numerics import Grid2D
 from relbohm.ode import integrate_trajectory
 from relbohm.packets import (FrontKernel, Packet, PacketSpec,
@@ -90,6 +91,84 @@ def test_gaussian_matches_naive_riemann(gauss):
                               * np.exp(1j * (k * x - w * t))) * dk
         psi, = gauss.fields(x, t, [(0, 0)])
         assert psi == pytest.approx(naive, abs=1e-7)
+
+
+def _within_reach(rng, reach, n):
+    """n random (x, t) with |x| + |t| <= reach."""
+    x = rng.uniform(-reach, reach, n)
+    t = rng.choice([-1.0, 1.0], n) * rng.uniform(0.0, 1.0, n) * (
+        reach - np.abs(x))
+    return x, t
+
+
+@pytest.mark.parametrize("spec, kwargs", [
+    (PacketSpec(shape="cos2", a=0.5), {}),
+    (PacketSpec(shape="cos2", a=1.0), {}),
+    (PacketSpec(shape="cos2", a=2.0), {}),
+    (PacketSpec(shape="cos2", a=1.0), {"k_cut": 40.0}),
+    (PacketSpec(shape="gaussian", k0=0.5, sigma_k=2.0), {}),
+], ids=["cos2-a0.5", "cos2-a1", "cos2-a2", "cos2-k_cut40", "gaussian"])
+def test_view_matches_configured_rule(spec, kwargs):
+    p = Packet(spec, **kwargs)
+    rng = np.random.default_rng(3)
+    # 55 and 70 pass the decay window, where the t = 0 row ends
+    for reach in (0.0, 2.5, 4.5, 7.0, 55.0, 70.0):
+        view = p.at_reach(reach)
+        assert view is not p and view.k.size < p.k.size
+        assert (view.spec, view.k_cut, view.norm) == (p.spec, p.k_cut,
+                                                      p.norm)
+        assert view.t0_row is p.t0_row
+        x, t = _within_reach(rng, reach, 64)
+        rho, j = p.rho_j(x, t)
+        rho_v, j_v = view.rho_j(x, t)
+        scale = np.max(np.abs(p.rho(np.linspace(-reach, reach, 65), 0.0)))
+        assert np.max(np.abs(rho_v - rho)) <= 1e-13 * scale
+        assert np.max(np.abs(j_v - j)) <= 1e-13 * scale
+
+
+def test_view_panels_even_and_no_finer_than_parent(cos2, gauss):
+    for reach in (0.0, 1.0, 3.3, 4.5, 10.0, 31.0, 40.0, 1e3):
+        view = cos2.at_reach(reach)
+        assert view.k.size <= cos2.k.size
+        if view is not cos2:
+            panels = view.k.size // Packet.REACH_ORDER
+            assert view.k.size % Packet.REACH_ORDER == 0 and panels % 2 == 0
+            # k = 0 on a panel edge: the nodes mirror about it, none on it
+            assert np.allclose(view.k, -view.k[::-1], rtol=0, atol=1e-12)
+            assert np.min(np.abs(view.k)) > 0
+    # the rule of the decay window is no coarser than the configured one
+    assert cos2.at_reach(1e3) is cos2
+    # sigma_k / 2 panels hold more nodes than the narrow gaussian's own
+    assert gauss.at_reach(1.0) is gauss
+
+
+def test_view_at_reach_zero(cos2):
+    view = cos2.at_reach(0.0)
+    assert view.k.size < cos2.k.size
+    rho, j = cos2.rho_j(0.0, 0.0)
+    rho_v, j_v = view.rho_j(0.0, 0.0)
+    assert abs(rho_v - rho) <= 1e-13 * abs(rho)
+    assert abs(j_v - j) <= 1e-13 * abs(rho)
+
+
+def test_densities_past_the_decay_window(cos2):
+    # reach 65: max |density_x| + t
+    x = np.linspace(-5.0, 5.0, 11)
+    prof = densities(cos2, x, 60.0)
+    rho, j = cos2.rho_j(x, 60.0)
+    scale = np.max(np.abs(cos2.rho(x, 0.0)))
+    assert np.max(np.abs(prof.rho - rho)) <= 1e-13 * scale
+    assert np.max(np.abs(prof.j - j)) <= 1e-13 * scale
+    assert np.max(np.abs(prof.rho_nw - cos2.rho_nw(x, 60.0))) <= 1e-13 * scale
+
+
+def test_view_too_coarse_raises(cos2, monkeypatch):
+    # a view on an eighth of the panels its reach needs aliases rho there
+    rule = packets._gl_panels
+    monkeypatch.setattr(packets, "_gl_panels", lambda lo, hi, n, order:
+                        rule(lo, hi, max(2, n // 8), order))
+    with pytest.raises(ArithmeticError, match="too coarse"):
+        cos2.at_reach(4.5)
 
 
 def test_parity_cos2(cos2):
