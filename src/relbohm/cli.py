@@ -95,6 +95,18 @@ def _real(value, name: str, positive: bool = False) -> float:
     return v
 
 
+def _check_fft_rows(packet, name: str, times, refine: int = 1) -> None:
+    """ConfigError when a time in times needs an FFT row (of refine times
+    fft_row_size points) past FFT_MAX_POINTS: rows grow with |t|, and a
+    huge t would allocate gigabytes."""
+    for t in times:
+        points = refine * packets.fft_row_size(packet, t)[1]
+        if points > packets.FFT_MAX_POINTS:
+            raise ConfigError(
+                f"{name} entry {t:g} needs an FFT row of {points} points, "
+                f"more than the limit of 2^22 = {packets.FFT_MAX_POINTS}")
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -251,18 +263,11 @@ def cmd_explode(cfg: dict, args) -> int:
         t_values = t_values[:2]
         p_times = [t for i, t in enumerate(p_times) if i % 2 == 0 or t == 0.0]
     grid = _grid(cfg, args.quick)
-    # x-integrals and F run on FFT rows that grow with |t|; P(t) also
-    # builds one row of twice the points for its error bar
-    for name, times, refine in (("t_values", t_values, 1),
-                                ("p_times", p_times, 2),
-                                ("grid t", (grid.t_min, grid.t_max), 1)):
-        for t in times:
-            points = refine * packets.fft_row_size(packet, t)[1]
-            if points > packets.FFT_MAX_POINTS:
-                raise ConfigError(
-                    f"{name} entry {t:g} needs an FFT row of {points} "
-                    f"points, more than the limit of 2^22 = "
-                    f"{packets.FFT_MAX_POINTS}")
+    # x-integrals and F run on FFT rows; P(t) also builds one row of
+    # twice the points for its error bar
+    _check_fft_rows(packet, "t_values", t_values)
+    _check_fft_rows(packet, "p_times", p_times, refine=2)
+    _check_fft_rows(packet, "grid t", (grid.t_min, grid.t_max))
     n_levels = _count(cfg.get("n_levels", 40), "n_levels")
     out = _out_dir(args)
 
@@ -330,6 +335,8 @@ def cmd_nearnr(cfg: dict, args) -> int:
             f"packet has {packet.k.size} k-nodes; nearnr's dense W kernel "
             f"accepts at most {nearnr.WKernel.MAX_NODES} (set a smaller "
             "packet.k_cut or packet.x_scale)")
+    # the moments are sums over the FFT row at t
+    _check_fft_rows(packet, "t", [t])
     out = _out_dir(args)
 
     field = nearnr.correction_field(packet, x, t)
@@ -340,6 +347,7 @@ def cmd_nearnr(cfg: dict, args) -> int:
 
     lhs = field.rho - field.rho_nw
     eq22_res = float(np.max(np.abs(lhs - field.d2W_dx2)))
+    w_gap = field.W - nearnr.w_approx(packet, x, t)
     m0, m1 = nearnr.moments(packet, t)
     lhs_t, r27a, r27b = nearnr.density_difference_timeform(packet, x, t)
     mask = np.abs(lhs_t) > 0.1 * np.max(np.abs(lhs_t))
@@ -347,6 +355,8 @@ def cmd_nearnr(cfg: dict, args) -> int:
     rel27ab = float(np.max(np.abs((r27a - r27b)[mask] / lhs_t[mask])))
     summary = {
         "eq22_max_residual": eq22_res,
+        "w_approx_rel": float(np.sqrt(np.mean(w_gap ** 2)
+                                      / np.mean(field.W ** 2))),
         "moment0": m0, "moment1": m1,
         "timeform_rel_27b": rel27b,
         "timeform_rel_27a_vs_27b": rel27ab,

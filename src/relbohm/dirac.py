@@ -47,7 +47,6 @@ __all__ = [
     "fw_spinor",
     "fw_u",
     "fw_velocity",
-    "gauge_transform",
     "quantum_potential_spinor",
     "spin_tensor",
     "verify_curl_formula",
@@ -196,13 +195,6 @@ def eval_spinor(field: DiracField, x) -> SpinorSample:
         for j in range(3):
             dpsi[j + 1] += 1j * m.k[j] * term
     return SpinorSample(psi=psi, dpsi=dpsi)
-
-
-def gauge_transform(s: SpinorSample, f: complex, df) -> SpinorSample:
-    """Sample of f(x) psi given f and its gradient df[mu] at the point."""
-    df = np.asarray(df, dtype=complex)
-    return SpinorSample(psi=f * s.psi,
-                        dpsi=f * s.dpsi + df[:, None] * s.psi[None, :])
 
 
 def convective_momentum(s: SpinorSample):
@@ -443,6 +435,11 @@ def _grad_amplitude(p):
     return -p * _amplitude(p)[..., None]
 
 
+def _u_du(shat: np.ndarray, ds: np.ndarray):
+    """u(s) and its gradient du[..., j, :] = d_j s_l du/ds_l."""
+    return fw_u(shat), np.einsum("...jl,...la->...ja", ds, _du_ds(shat))
+
+
 def fw_spinor(field: FWField, x):
     """(psi, dpsi4) of the FW state A u(s) at a static point.
 
@@ -453,14 +450,10 @@ def fw_spinor(field: FWField, x):
     shat = np.asarray(field.s(x), dtype=float)
     if abs(np.linalg.norm(shat) - 1.0) > 1e-12:
         raise ValueError("spin direction not unit length")
-    u = fw_u(shat)
-    psi = a * u
-    ga = _grad_amplitude(x)
-    dshat = np.asarray(field.ds(x), dtype=float)
-    du = np.einsum("jl,la->ja", dshat, _du_ds(shat))
+    u, du = _u_du(shat, np.asarray(field.ds(x), dtype=float))
     dpsi4 = np.zeros((4, 4), dtype=complex)
-    dpsi4[1:] = ga[:, None] * u[None, :] + a * du
-    return psi, dpsi4
+    dpsi4[1:] = _grad_amplitude(x)[:, None] * u[None, :] + a * du
+    return a * u, dpsi4
 
 
 def fw_velocity(field: FWField, x) -> np.ndarray:
@@ -469,10 +462,8 @@ def fw_velocity(field: FWField, x) -> np.ndarray:
     x has shape (..., 3) and v has the same shape.
     """
     x = np.asarray(x, dtype=float)
-    shat = np.asarray(field.s(x), dtype=float)
-    u = fw_u(shat)
-    du = np.einsum("...jl,...la->...ja", np.asarray(field.ds(x), dtype=float),
-                   _du_ds(shat))
+    u, du = _u_du(np.asarray(field.s(x), dtype=float),
+                  np.asarray(field.ds(x), dtype=float))
     return np.einsum("...a,...ja->...j", np.conj(u), du).imag
 
 

@@ -2,10 +2,10 @@
 
 A ModeSet is a finite list of (wavenumber, complex coefficient) pairs
 defining psi = sum_k omega_k^{-1/2} phi_k exp(i(k z - omega_k t)).  The
-module evaluates psi with analytic derivatives, the velocity field in its
-double-sum form, the conserved integral of motion F, and extracts
-trajectory families as iso-contours of F annotated with the
-particle/anti-particle classification.
+module evaluates the density, current and velocity in their double-sum
+form, the conserved integral of motion F, and extracts trajectory
+families as iso-contours of F annotated with the particle/anti-particle
+classification.
 """
 
 from __future__ import annotations
@@ -17,14 +17,12 @@ import numpy as np
 
 from . import io_utils
 from .contours import extract_contours
-from .numerics import Grid2D, omega
-from .scalar import EPS_RHO_SCALE, FieldSample
+from .numerics import EPS_RHO_SCALE, Grid2D, omega
 
 __all__ = [
     "ModeSet",
     "Trajectory",
     "TrajectorySet",
-    "eval_psi",
     "velocity_discrete",
     "integral_F",
     "contour_family",
@@ -75,16 +73,6 @@ def _mode_amplitudes(state: ModeSet, z, t) -> np.ndarray:
               - w * np.asarray(t)[..., None]))
 
 
-def eval_psi(state: ModeSet, z: float, t: float) -> FieldSample:
-    """psi and its analytic first derivatives at (z, t)."""
-    u = _mode_amplitudes(state, z, t)
-    return FieldSample(
-        psi=complex(np.sum(u)),
-        dpsi_dx=complex(np.sum(1j * state.k * u)),
-        dpsi_dt=complex(np.sum(-1j * state.omega * u)),
-    )
-
-
 def _rho_j(state: ModeSet, z, t):
     """Charge density and current from the symmetrized double sums."""
     u = _mode_amplitudes(state, z, t)
@@ -105,8 +93,9 @@ def _rho_floor(state: ModeSet) -> float:
 def velocity_discrete(state: ModeSet, z: float, t: float):
     """Velocity from the mode-pair double sums; None at a density zero.
 
-    Agrees with the bilinear J/rho of eval_psi to rounding; the two
-    formula paths are kept separate deliberately.
+    The RK4 oracle of the trajectory tests integrates it.  It agrees
+    with the bilinear J/rho of the summed psi to rounding; the tests keep
+    that second formula path as their own oracle.
     """
     rho, j = _rho_j(state, z, t)
     if abs(rho) < _rho_floor(state):

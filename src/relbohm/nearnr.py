@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .packets import PANEL_ORDER, Packet, _gl_panels
-from .scalar import EPS_RHO_SCALE, bilinear_rho
+from .numerics import EPS_RHO_SCALE, bilinear_rho
+from .packets import Packet, _fft_row
 
 __all__ = [
     "CorrectionField",
@@ -31,8 +31,6 @@ __all__ = [
     "w_approx",
 ]
 
-#: GL panels of the moments quadrature over the decay window
-MOMENT_PANELS = 256
 #: samples of the pushforward L1 window
 PUSHFORWARD_N = 2001
 
@@ -128,19 +126,14 @@ def density_difference_timeform(packet: Packet, x, t: float):
 
 
 def nw_position_map(packet: Packet, x, t: float):
-    """(x_mapped, f, rho): localized position x + f, f = (1/8) rho^{-1} dJ/dt.
+    """(x_mapped, f, rho, rho_nw): localized position x + f with
+    f = (1/8) rho^{-1} dJ/dt.
 
     dJ/dt = Im(psi_t* psi_x + psi* psi_xt), exact.  f is NaN where the
-    density is below the divergence floor.  rho is the charge density
-    from the same field evaluation, returned so callers need not
-    evaluate it again.
+    density is below the divergence floor.  The densities rho and rho_nw
+    come from the same Packet.fields pass, so callers need not evaluate
+    them again.
     """
-    return _position_map(packet, x, t)[:3]
-
-
-def _position_map(packet: Packet, x, t: float):
-    """nw_position_map's (x_mapped, f, rho) and rho_nw, from one
-    Packet.fields pass."""
     x = np.asarray(x, dtype=float)
     psi, psix, psit, psixt, psi_nw = packet.fields(
         x, t, [(0, 0), (1, 0), (0, 1), (1, 1), (0, 0)], nw=[0, 0, 0, 0, 1])
@@ -169,7 +162,7 @@ class CorrectionField:
 def correction_field(packet: Packet, x, t: float) -> CorrectionField:
     x = np.asarray(x, dtype=float)
     kernel = WKernel(packet)
-    x_mapped, f, rho, rho_nw = _position_map(packet, x, t)
+    x_mapped, f, rho, rho_nw = nw_position_map(packet, x, t)
     return CorrectionField(
         x=x, t=float(t),
         W=kernel.evaluate(x, np.full(x.shape, t)),
@@ -179,17 +172,22 @@ def correction_field(packet: Packet, x, t: float) -> CorrectionField:
 
 
 def moments(packet: Packet, t: float):
-    """Zeroth and first moments of rho - rho_nw over the decay window.
+    """Zeroth and first moments of rho - rho_nw at time t.
 
     Both must vanish: the two densities share their normalization and
-    mean.  Returns (m0, m1).
+    mean.  They are sums over the FFT row at t (packets.fft_row_size),
+    whose periodic box holds [-L, L] with L = decay_window() + |t|:
+    m0 = dx sum d_j and m1 = dx sum x_j d_j for d = rho - rho_nw, with
+    x_j the signed sample positions.  d is band-limited below the row's
+    Nyquist limit, so dx sum d_j is its exact integral over the period
+    and m0 vanishes to rounding (Parseval); m1 also needs d to vanish at
+    the box ends, as it does past L.  Returns (m0, m1).
     """
-    L = packet.decay_window() + abs(t)
-    nodes, weights = _gl_panels(-L, L, MOMENT_PANELS, PANEL_ORDER)
-    psi, psit, psi_nw = packet.fields(nodes, t, [(0, 0), (0, 1), (0, 0)],
-                                      nw=[0, 0, 1])
-    diff = bilinear_rho(psi, psit) - np.abs(psi_nw) ** 2
-    return float(np.sum(weights * diff)), float(np.sum(weights * nodes * diff))
+    row = _fft_row(packet, t, nw=True)
+    n = row.rho.size
+    d = row.rho - row.rho_nw
+    x = row.dx * np.fft.fftfreq(n, 1.0 / n)
+    return float(row.dx * np.sum(d)), float(row.dx * np.sum(x * d))
 
 
 def pushforward_l1(packet: Packet, t: float = 0.0):
@@ -206,7 +204,7 @@ def pushforward_l1(packet: Packet, t: float = 0.0):
     else:
         half_width = packet.support_edge + abs(t) + 6.0
     x = np.linspace(-half_width, half_width, PUSHFORWARD_N)
-    x_mapped, f, rho, rho_nw = _position_map(packet, x, t)
+    x_mapped, f, rho, rho_nw = nw_position_map(packet, x, t)
     if not np.all(np.isfinite(f)):
         raise ValueError("density zero inside the pushforward window; "
                          "the map is only defined for rho > 0")

@@ -1,5 +1,10 @@
-"""Shared numerical machinery: dispersion relation, the (x, t) grid,
-Lambert W.
+"""Shared numerical machinery: the dispersion relation, the charge and
+current bilinears of a scalar field, the (x, t) grid, Lambert W.
+
+The bilinears are single-valued forms of psi and its first derivatives,
+so no phase is ever unwrapped.  The charge density may legitimately be
+negative, and the velocity J / rho diverges where it crosses zero: a pair
+creation/annihilation locus, not a numerical failure.
 
 All routines are pure functions of their arguments and safe to call
 concurrently.
@@ -14,6 +19,8 @@ import numpy as np
 
 __all__ = [
     "Grid2D",
+    "bilinear_j",
+    "bilinear_rho",
     "omega",
     "lambert_w",
     "lambert_w_domain",
@@ -28,6 +35,25 @@ def omega(k):
     k = np.asarray(k, dtype=float)
     out = np.sqrt(1.0 + k * k)
     return out if out.ndim else float(out)
+
+
+#: Relative density floor below which the velocity J / rho is flagged as
+#: divergent; each caller scales it by a density scale of its field, so
+#: small amplitudes are not misclassified.
+EPS_RHO_SCALE = 1e-12
+
+
+def bilinear_rho(psi, dpsi_dt):
+    """Charge density (i/2)[psi* dpsi/dt - dpsi*/dt psi]; may be negative.
+
+    Elementwise on scalars or arrays.
+    """
+    return (0.5j * (np.conj(psi) * dpsi_dt - np.conj(dpsi_dt) * psi)).real
+
+
+def bilinear_j(psi, dpsi_dx):
+    """Spatial current (1/2i)[psi* dpsi/dx - dpsi*/dx psi], elementwise."""
+    return (-0.5j * (np.conj(psi) * dpsi_dx - np.conj(dpsi_dx) * psi)).real
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .modes import contour_family
-from .numerics import Grid2D, lambert_w, lambert_w_domain, omega
-from .scalar import EPS_RHO_SCALE, bilinear_j, bilinear_rho
+from .numerics import (EPS_RHO_SCALE, Grid2D, bilinear_j, bilinear_rho,
+                       lambert_w, lambert_w_domain, omega)
 
 __all__ = [
     "PacketSpec",

@@ -121,6 +121,9 @@ _K40 = {"shape": "cos2", "k_cut": 40.0, "gl_order": 8, "x_scale": 4.0}
     # a balance grid past 2^21 points: box_n^3 floats with no bound
     ("spin", {**_FW, "box_n": 129}, 2),
     ("spin", {**_FW, "box_n": 10 ** 6}, 2),
+    # the moments' FFT row at this t would need 2^30 points
+    ("nearnr", {"packet": {"shape": "gaussian", "sigma_k": 0.05},
+                "t": 1e9}, 2),
 ], ids=["modes-n_levels-string", "modes-nan-k", "explode-density_x-no-max",
         "nearnr-x-no-min", "spin-dirac-zero-points", "spin-dirac-h-string",
         "spin-dirac-h-zero", "spin-dirac-point_range-string",
@@ -134,7 +137,7 @@ _K40 = {"shape": "cos2", "k_cut": 40.0, "gl_order": 8, "x_scale": 4.0}
         "nearnr-packet-too-many-k-nodes", "spin-dirac-point-near-node",
         "explode-packet-string", "nearnr-packet-null", "nearnr-packet-list",
         "explode-grid-t-fft-row-too-large", "spin-fw-box_n-over-limit",
-        "spin-fw-box_n-huge"])
+        "spin-fw-box_n-huge", "nearnr-t-fft-row-too-large"])
 def test_malformed_or_unconverged_config_exit_code(tmp_path, command,
                                                    payload, code):
     cfg = write_cfg(tmp_path, "cfg.json", payload)
@@ -231,8 +234,22 @@ def test_nearnr_bundled_quick(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["eq22_max_residual"] < 1e-9
     assert abs(summary["moment0"]) < 1e-8
+    assert summary["w_approx_rel"] < 0.05
     assert summary["narrow_k_regime"] is True
     assert summary["pushforward"]["improvement"] > 5.0
+
+
+def test_nearnr_moments_on_wide_cos2(tmp_path):
+    # 1 280 k-nodes, within the W kernel's limit; rho - rho_nw is too
+    # sharp for fixed x panels over the decay window
+    cfg = write_cfg(tmp_path, "wide.json", {
+        "packet": {"shape": "cos2", "k_cut": 100.0, "x_scale": 1.0},
+        "x": {"min": -3.0, "max": 3.0, "n": 31}})
+    out = tmp_path / "out"
+    assert run(["nearnr", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert abs(summary["moment0"]) <= 1e-12
+    assert abs(summary["moment1"]) <= 1e-12
 
 
 def test_nearnr_wide_sigma_warns(tmp_path):

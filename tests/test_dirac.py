@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
+from oracles import gauge_transform
 from relbohm.dirac import (BALANCE_MAX_POINTS, GAMMA, GAMMA0, METRIC,
                            DiracField, DiracMode, FWField, SpinorSample,
                            _EPS3, _balance_terms, _du_ds, _metric_trace,
                            convective_momentum, effective_mass_sq,
                            eval_spinor, fw_gaussian_field, fw_hedgehog_field,
                            fw_rotating_field, fw_spinor, fw_u, fw_velocity,
-                           gauge_transform, quantum_potential_spinor,
-                           spin_tensor, verify_curl_formula,
-                           verify_ensemble_balance, verify_eom,
-                           verify_fw_spin_tensor, verify_mass_identity)
+                           quantum_potential_spinor, spin_tensor,
+                           verify_curl_formula, verify_ensemble_balance,
+                           verify_eom, verify_fw_spin_tensor,
+                           verify_mass_identity)
 from relbohm.numerics import omega
 
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import mode_sum, point_velocity
 from relbohm import modes
-from relbohm.numerics import Grid2D, omega
+from relbohm.numerics import Grid2D, bilinear_j, bilinear_rho, omega
 from relbohm.ode import integrate_trajectory
-from relbohm.scalar import current_j, density_rho, velocity
 
 
 def boost(state: modes.ModeSet, chi: float) -> modes.ModeSet:
@@ -35,32 +35,32 @@ def test_modeset_validation():
 
 def test_eval_single_mode():
     state = modes.ModeSet(k=[0.0], phi=[1.0])
-    s = modes.eval_psi(state, 0.37, 1.1)
-    assert s.psi == pytest.approx(np.exp(-1.1j), abs=1e-14)
-    assert abs(s.psi) == pytest.approx(1.0, abs=1e-14)
+    psi = np.sum(modes._mode_amplitudes(state, 0.37, 1.1))
+    assert psi == pytest.approx(np.exp(-1.1j), abs=1e-14)
+    assert abs(psi) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_eval_parity_pair():
     k = 0.6
     state = modes.ModeSet(k=[k, -k], phi=[1.0, 1.0])
-    s = modes.eval_psi(state, 0.0, 0.0)
-    assert s.psi == pytest.approx(2.0 * omega(k) ** -0.5, abs=1e-14)
-    assert s.dpsi_dx == pytest.approx(0.0, abs=1e-14)
+    u = modes._mode_amplitudes(state, 0.0, 0.0)
+    assert np.sum(u) == pytest.approx(2.0 * omega(k) ** -0.5, abs=1e-14)
+    assert np.sum(1j * state.k * u) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_eval_matches_naive_sum():
     state = modes.ModeSet(k=[0.1, -0.7, 2.0], phi=[1.0, 0.3 - 0.2j, 0.5j])
     z, t = 0.42, 0.87
-    naive = sum(p * omega(k) ** -0.5 * np.exp(1j * (k * z - omega(k) * t))
-                for k, p in zip(state.k, state.phi))
-    assert modes.eval_psi(state, z, t).psi == pytest.approx(naive, abs=1e-14)
+    naive = mode_sum(state, z, t)[0]
+    assert np.sum(modes._mode_amplitudes(state, z, t)) == pytest.approx(
+        naive, abs=1e-14)
 
 
 def test_velocity_two_formula_paths():
     state = modes.ModeSet(k=[0.1, -0.7, 2.0], phi=[1.0, 0.3 - 0.2j, 0.5j])
     for z, t in [(0.0, 0.0), (0.5, 0.3), (-1.2, 0.9)]:
         v1 = modes.velocity_discrete(state, z, t)
-        v2 = velocity(modes.eval_psi(state, z, t))
+        v2 = point_velocity(*mode_sum(state, z, t))
         assert v1 == pytest.approx(v2, abs=1e-12)
 
 
@@ -96,9 +96,11 @@ def test_f_gradients_match_densities():
              - modes.integral_F(state, z - h, t)) / (2 * h)
     dF_dt = (modes.integral_F(state, z, t + h)
              - modes.integral_F(state, z, t - h)) / (2 * h)
-    s = modes.eval_psi(state, z, t)
-    assert dF_dz == pytest.approx(density_rho(s) / state.weight, abs=1e-8)
-    assert dF_dt == pytest.approx(-current_j(s) / state.weight, abs=1e-8)
+    psi, psix, psit = mode_sum(state, z, t)
+    assert dF_dz == pytest.approx(bilinear_rho(psi, psit) / state.weight,
+                                  abs=1e-8)
+    assert dF_dt == pytest.approx(-bilinear_j(psi, psix) / state.weight,
+                                  abs=1e-8)
 
 
 def test_f_conserved_along_ode_trajectory():

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -19,6 +20,46 @@ def test_all_names_resolve(name):
     missing = [n for n in getattr(module, "__all__", [])
                if not hasattr(module, n)]
     assert not missing
+
+
+#: public names no command reaches, kept as deliberate oracles: the RK4
+#: integrator that cross-checks contours, and the double-sum velocity
+#: field it integrates
+ORACLES = {"ode.integrate_trajectory", "modes.velocity_discrete"}
+
+
+def _top_level_uses():
+    """(module, names a top-level statement defines, names it references
+    by ast Name or Attribute) for each statement of src/relbohm."""
+    uses = []
+    for name in MODULES:
+        path = importlib.import_module(f"relbohm.{name}").__file__
+        for stmt in ast.parse(Path(path).read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined = {stmt.name}
+            else:
+                targets = getattr(stmt, "targets", [getattr(stmt, "target",
+                                                            None)])
+                defined = {t.id for t in targets if isinstance(t, ast.Name)}
+            used = {n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(stmt)
+                    if isinstance(n, (ast.Name, ast.Attribute))}
+            uses.append((name, defined, used))
+    return uses
+
+
+def test_every_public_name_is_reached():
+    # a name in __all__ must be used by program code other than its own
+    # definition (docstrings do not count), or be a listed oracle
+    uses = _top_level_uses()
+    unreached = [
+        f"{module}.{name}" for module in MODULES
+        for name in getattr(importlib.import_module(f"relbohm.{module}"),
+                            "__all__", [])
+        if f"{module}.{name}" not in ORACLES
+        and not any(name in used and not (m == module and name in defined)
+                    for m, defined, used in uses)]
+    assert not unreached
 
 
 def _run_traced(code: str) -> subprocess.CompletedProcess:

@@ -9,13 +9,14 @@ from relbohm.packets import (FrontKernel, Packet, PacketSpec,
                              annihilation_fronts, densities,
                              fft_row_size, lambert_local_trajectories,
                              threshold_charges, zero_crossings)
-from relbohm.scalar import FieldSample, velocity
+from oracles import point_velocity
 
 
-def sample(packet, x, t):
-    psi, psix, psit = packet.fields(x, t, [(0, 0), (1, 0), (0, 1)])
-    return FieldSample(psi=complex(psi), dpsi_dx=complex(psix),
-                       dpsi_dt=complex(psit))
+def velocity(packet, x, t):
+    """The point_velocity oracle on psi and its first derivatives from
+    Packet.fields at one point."""
+    return point_velocity(*(complex(v) for v in packet.fields(
+        x, t, [(0, 0), (1, 0), (0, 1)])))
 
 
 @pytest.fixture(scope="module")
@@ -292,8 +293,8 @@ def test_velocity_none_at_density_zero(cos2):
     for _ in range(3):
         candidates.append(np.nextafter(candidates[-1], np.inf))
         candidates.insert(0, np.nextafter(candidates[0], -np.inf))
-    assert any(velocity(sample(cos2, x, 0.0)) is None for x in candidates)
-    assert velocity(sample(cos2, 0.0, 0.0)) is not None
+    assert any(velocity(cos2, x, 0.0) is None for x in candidates)
+    assert velocity(cos2, 0.0, 0.0) is not None
 
 
 def test_front_kernel_gradients(cos2):
@@ -332,7 +333,7 @@ def test_front_kernel_conserved_along_ode(cos2):
     kernel = FrontKernel(cos2)
     x0, t0, t1 = 0.2, 0.0, 1.0
     ts, xs = integrate_trajectory(
-        lambda x, t: velocity(sample(cos2, x, t)), z0=x0, t0=t0, t1=t1,
+        lambda x, t: velocity(cos2, x, t), z0=x0, t0=t0, t1=t1,
         dt=0.002)
     f0 = kernel.evaluate(x0, t0).item()
     f1 = kernel.evaluate(xs[-1], ts[-1]).item()
