@@ -393,34 +393,35 @@ def cmd_spin(cfg: dict, args) -> int:
         r = _real(cfg.get("point_range", 1.0), "point_range")
         pts = rng.uniform(-r, r, (n_pts, 4))
         out = _out_dir(args)
-        try:
-            mass_h, _ = dirac.verify_mass_identity(field, pts, h=h)
-            mass_h2, _ = dirac.verify_mass_identity(field, pts, h=h / 2)
-            eom_h, _ = dirac.verify_eom(field, pts, h=h)
-            eom_h2, _ = dirac.verify_eom(field, pts, h=h / 2)
-        except ValueError as exc:
-            # a sample point where psibar psi <= 0 lies outside the
-            # convective theory's domain
-            raise ConvergenceError(f"identity not evaluable: {exc}") from exc
+        res = dirac.identity_residuals(field, pts)
+        inside = res.in_domain
         report = {
             "kind": "dirac",
-            "h": h,
-            "mass_identity": {"residual_h": mass_h, "residual_h2": mass_h2,
-                              "ratio": mass_h / mass_h2},
-            "eom": {"residual_h": eom_h, "residual_h2": eom_h2,
-                    "ratio": eom_h / eom_h2},
+            "n_points": n_pts,
+            "excluded_points": int(np.sum(~inside)),
+            "min_density_ratio": float(np.min(res.density_ratio)),
         }
-        ratios = [report["mass_identity"]["ratio"], report["eom"]["ratio"]]
-        # trivially small residuals (single mode) need no convergence test
-        trivial = max(mass_h, eom_h) < 1e-10
-        report["converged"] = bool(trivial
-                                   or all(2.0 <= r <= 8.0 for r in ratios))
-        report["sign_dictionary_suspect"] = not report["converged"]
+        over = []
+        for name, resid, bound in (("mass_identity", res.mass, res.mass_bound),
+                                   ("eom", res.eom, res.eom_bound)):
+            resid, bound = resid[inside], bound[inside]
+            report[name] = {
+                "max_residual": float(resid.max()) if inside.any() else None,
+                "max_residual_over_bound":
+                    float(np.max(resid / bound)) if inside.any() else None,
+            }
+            if np.any(~(resid <= bound)):
+                over.append(name)
+        # converged: a non-empty domain, every residual within its bound
+        report["converged"] = bool(inside.any() and not over)
         write_json(out / "report.json", report, cfg)
-        if not report["converged"]:
+        if not inside.any():
             raise ConvergenceError(
-                "identity residuals do not converge as O(h^2); the metric "
-                "sign dictionary is the first suspect")
+                f"empty domain: psibar psi <= {dirac.EPS_NODE:g} |psi|^2 at "
+                f"all {n_pts} sample points")
+        if over:
+            raise ConvergenceError(
+                f"residual above its rounding bound: {', '.join(over)}")
         return 0
     if kind == "fw":
         name = cfg.get("field", "hedgehog")

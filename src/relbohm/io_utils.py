@@ -97,21 +97,33 @@ def write_csv(path, header: list[str], columns, config: dict) -> None:
     _overwrite(path, "\n".join(lines) + "\n")
 
 
-def _jsonable(obj):
+def _jsonable(obj, where: str = ""):
+    """obj with numpy values as Python ones; FloatingPointError names the
+    key path (e.g. "lambert.rho_slope" or "f_range[1]") of a non-finite
+    float, which JSON cannot hold."""
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+        return {k: _jsonable(v, f"{where}.{k}" if where else str(k))
+                for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v, f"{where}[{i}]") for i, v in enumerate(obj)]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        if not np.isfinite(obj):
+            raise FloatingPointError(f"non-finite value {float(obj)} at "
+                                     f"{where} of a JSON output")
+        return float(obj)
     return obj
 
 
 def write_json(path, payload: dict, config: dict) -> None:
+    """Write payload under the version/config/units header.
+
+    A non-finite float anywhere in payload raises FloatingPointError
+    (an ArithmeticError, so the CLI exits 3) before the file is opened.
+    """
     doc = {
         "version": __version__,
         "config_hash": config_hash(config),

@@ -4,7 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from relbohm import modes
+from relbohm import dirac, modes
 from relbohm.cli import main
 from relbohm.numerics import Grid2D
 
@@ -111,9 +111,9 @@ _K40 = {"shape": "cos2", "k_cut": 40.0, "gl_order": 8, "x_scale": 4.0}
                  "grid": _GRID}, 3),
     # well formed, but the dense W kernel cannot take 40 970 k-nodes
     ("nearnr", {"packet": {"shape": "cos2", "a": 1.0}}, 2),
-    # well formed, but a sample point is too near a node of psibar psi
-    ("spin", {"kind": "dirac", "n_modes": 2, "seed": 13, "n_points": 20,
-              "point_seed": 0}, 3),
+    # well formed, but psibar psi < 0 at all four sample points
+    ("spin", {"kind": "dirac", "n_modes": 2, "seed": 13, "n_points": 4,
+              "point_seed": 151}, 3),
     ("explode", {"packet": "cos2", "grid": _GRID}, 2),
     ("nearnr", {"packet": None}, 2),
     ("nearnr", {"packet": [1, 2]}, 2),
@@ -134,7 +134,7 @@ _K40 = {"shape": "cos2", "k_cut": 40.0, "gl_order": 8, "x_scale": 4.0}
         "explode-packet-a-nan", "explode-density_x-n-zero",
         "spin-dirac-k_max-nan", "explode-t_values-fft-row-too-large",
         "explode-p_times-fft-row-too-large", "explode-coarse-k-quadrature",
-        "nearnr-packet-too-many-k-nodes", "spin-dirac-point-near-node",
+        "nearnr-packet-too-many-k-nodes", "spin-dirac-empty-domain",
         "explode-packet-string", "nearnr-packet-null", "nearnr-packet-list",
         "explode-grid-t-fft-row-too-large", "spin-fw-box_n-over-limit",
         "spin-fw-box_n-huge", "nearnr-t-fft-row-too-large"])
@@ -262,15 +262,97 @@ def test_nearnr_wide_sigma_warns(tmp_path):
                     "--out", str(tmp_path / "o"), "--quick"]) == 0
 
 
+def _dirac_report(out):
+    return json.loads((out / "report.json").read_text())
+
+
+def _within_bound(report):
+    return all(report[name]["max_residual_over_bound"] <= 1.0
+               for name in ("mass_identity", "eom"))
+
+
 def test_spin_dirac_bundled_quick(tmp_path):
     out = tmp_path / "out"
     assert run(["spin", "--config", "dirac3.json", "--out", str(out),
                 "--quick"]) == 0
-    report = json.loads((out / "report.json").read_text())
+    report = _dirac_report(out)
     assert report["converged"] is True
-    assert report["sign_dictionary_suspect"] is False
-    assert report["mass_identity"]["residual_h"] < 1e-5
-    assert report["eom"]["residual_h"] < 1e-5
+    assert report["n_points"] == 6
+    assert report["excluded_points"] == 0
+    assert report["min_density_ratio"] > 0.0
+    assert _within_bound(report)
+    # exact jets: both identities close to rounding level
+    assert report["mass_identity"]["max_residual"] < 1e-13
+    assert report["eom"]["max_residual"] < 1e-13
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_spin_dirac_single_plane_wave(tmp_path, seed):
+    cfg = write_cfg(tmp_path, "one.json", {"kind": "dirac", "n_modes": 1,
+                                           "seed": seed, "n_points": 4})
+    out = tmp_path / "out"
+    assert run(["spin", "--config", cfg, "--out", str(out)]) == 0
+    report = _dirac_report(out)
+    assert report["converged"] is True and report["excluded_points"] == 0
+    assert report["mass_identity"]["max_residual"] < 1e-14
+    assert report["eom"]["max_residual"] < 1e-14
+
+
+def test_spin_dirac_negative_density_points_are_excluded(tmp_path):
+    # psibar psi / |psi|^2 is -0.25, -0.23 and -0.17 at three of the 20
+    # points: outside the convective theory's domain, not near a node
+    cfg = write_cfg(tmp_path, "s13.json", {"kind": "dirac", "n_modes": 2,
+                                           "seed": 13, "n_points": 20,
+                                           "point_seed": 0})
+    out = tmp_path / "out"
+    assert run(["spin", "--config", cfg, "--out", str(out)]) == 0
+    report = _dirac_report(out)
+    assert report["excluded_points"] == 3
+    assert report["min_density_ratio"] == pytest.approx(-0.2457, abs=1e-4)
+    assert _within_bound(report)
+
+
+def test_spin_dirac_empty_domain_is_named(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "empty.json", {"kind": "dirac", "n_modes": 2,
+                                             "seed": 13, "n_points": 4,
+                                             "point_seed": 151})
+    out = tmp_path / "out"
+    assert run(["spin", "--config", cfg, "--out", str(out)]) == 3
+    assert "empty domain" in capsys.readouterr().err
+    report = _dirac_report(out)
+    assert report["excluded_points"] == 4 and report["converged"] is False
+    assert report["eom"]["max_residual"] is None
+
+
+def test_spin_dirac_random_draws(tmp_path, capsys):
+    # every draw answers: exit 0, or exit 3 that names a residual above
+    # its bound or an empty domain; an exception would escape main
+    rng = np.random.default_rng(2024)
+    for i in range(30):
+        cfg = write_cfg(tmp_path, f"d{i}.json", {
+            "kind": "dirac", "n_modes": int(rng.integers(2, 5)),
+            "seed": int(rng.integers(1, 2 ** 31)), "k_max": 1.0,
+            "n_points": 20, "point_seed": int(rng.integers(1, 2 ** 31)),
+            "point_range": 1.0})
+        code = run(["spin", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code in (0, 3)
+        if code == 3:
+            assert ("above its rounding bound" in err
+                    or "empty domain" in err)
+        else:
+            assert _within_bound(_dirac_report(tmp_path / "o"))
+
+
+def test_non_finite_json_value_exits_3(tmp_path, capsys, monkeypatch):
+    # json.dumps would write NaN; the run must exit 3 and name the key
+    monkeypatch.setattr(dirac, "verify_ensemble_balance",
+                        lambda *args, **kwargs: float("nan"))
+    out = tmp_path / "out"
+    assert run(["spin", "--config", "fw_hedgehog.json", "--out", str(out),
+                "--quick"]) == 3
+    assert "ensemble_balance" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_spin_fw_bundled_quick(tmp_path):

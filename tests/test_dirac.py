@@ -5,9 +5,10 @@ from oracles import gauge_transform
 from relbohm.dirac import (BALANCE_MAX_POINTS, GAMMA, GAMMA0, METRIC,
                            DiracField, DiracMode, FWField, SpinorSample,
                            _EPS3, _balance_terms, _du_ds, _metric_trace,
-                           convective_momentum, effective_mass_sq,
+                           _q_contra, convective_momentum, effective_mass_sq,
                            eval_spinor, fw_gaussian_field, fw_hedgehog_field,
                            fw_rotating_field, fw_spinor, fw_u, fw_velocity,
+                           identity_residuals, jets,
                            quantum_potential_spinor, spin_tensor,
                            verify_curl_formula, verify_ensemble_balance,
                            verify_eom, verify_fw_spin_tensor,
@@ -135,6 +136,86 @@ def test_identity_boost_oracle():
     r_rot, _ = verify_mass_identity(rot, pts_rot)
     assert r_rot < 10.0 * max(r_base, 1e-8)
 
+
+
+def _fd_gaps(field, pts, h):
+    """Largest gaps of the jets' Phi, d Phi, d q and d (D T) from the
+    finite-difference oracle at step h (central differences of the
+    point-wise functions, Phi itself by quantum_potential_spinor)."""
+    J = jets(field, pts)
+
+    def dens_T(x):
+        s = eval_spinor(field, x)
+        return s.density * spin_tensor(s)
+
+    gaps = np.zeros(4)
+    for i, x in enumerate(pts):
+        steps = h * np.eye(4)
+        dphi = [(quantum_potential_spinor(field, x + e, h=h)
+                 - quantum_potential_spinor(field, x - e, h=h)) / (2 * h)
+                for e in steps]
+        dq = [(_q_contra(field, x + e) - _q_contra(field, x - e)) / (2 * h)
+              for e in steps]
+        dm = [(dens_T(x + e) - dens_T(x - e)) / (2 * h) for e in steps]
+        gaps = np.maximum(gaps, [
+            abs(quantum_potential_spinor(field, x, h=h) - J.phi[i]),
+            np.max(np.abs(np.array(dphi) - J.dphi[i])),
+            np.max(np.abs(np.array(dq) - J.dq[i])),
+            np.max(np.abs(np.array(dm) - J.dDT[i]))])
+    return gaps
+
+
+def test_jets_match_the_finite_difference_oracle():
+    # the criterion-8 field: each gap is the oracle's O(h^2) error
+    field = DiracField.random(3, seed=7)
+    pts = rng_points(np.random.default_rng(1), 4)
+    coarse, fine = _fd_gaps(field, pts, 2e-3), _fd_gaps(field, pts, 1e-3)
+    assert np.all(fine < 1e-5)
+    assert np.all((3.0 < coarse / fine) & (coarse / fine < 5.0))
+    # values without a derivative by differences agree to rounding
+    J = jets(field, pts)
+    for i, x in enumerate(pts):
+        s = eval_spinor(field, x)
+        assert J.density[i] == pytest.approx(s.density, abs=1e-13)
+        assert np.max(np.abs(J.q[i] - convective_momentum(s))) < 1e-13
+        assert abs(J.trace_T[i] - _metric_trace(spin_tensor(s))) < 1e-13
+
+
+def test_identity_residuals_at_rounding_level():
+    field = DiracField.random(3, seed=7)
+    pts = rng_points(np.random.default_rng(1), 12)
+    r = identity_residuals(field, pts)
+    assert r.in_domain.all()
+    assert np.all(r.mass <= r.mass_bound) and np.all(r.eom <= r.eom_bound)
+    assert r.mass.max() < 1e-14 and r.eom.max() < 1e-14
+    # the bounds are small enough to catch an O(1) sign error
+    assert r.mass_bound.max() < 1e-9 and r.eom_bound.max() < 1e-9
+
+
+def test_identity_bounds_grow_as_the_density_falls():
+    # seed 13 reaches psibar psi < 0; the bounds rise with |psi|^2 / D
+    # and are infinite outside the domain
+    field = DiracField.random(2, seed=13)
+    r = identity_residuals(field, rng_points(np.random.default_rng(0), 20))
+    assert np.sum(~r.in_domain) == 3
+    assert np.all(np.isinf(r.eom_bound[r.density_ratio <= 0.0]))
+    inside = r.in_domain
+    low = np.argmin(r.density_ratio[inside])       # psibar psi ~ 3e-3 |psi|^2
+    assert np.argmax(r.eom_bound[inside]) == low
+    assert r.eom_bound[inside][low] > 1e3 * r.eom_bound[inside].min()
+    assert np.all(r.mass[inside] <= r.mass_bound[inside])
+    assert np.all(r.eom[inside] <= r.eom_bound[inside])
+
+
+def test_identity_residuals_single_plane_wave():
+    # Phi = 0 and T = 0: the identities close with no cancellation
+    field = single_mode(k=(0.3, -0.2, 0.5), spin="down", coeff=0.6 - 0.8j)
+    pts = rng_points(np.random.default_rng(4), 5)
+    J = jets(field, pts)
+    assert np.max(np.abs(J.phi)) < 1e-15
+    assert np.max(np.abs(J.dDT)) < 1e-14
+    r = identity_residuals(field, pts)
+    assert r.mass.max() < 1e-14 and r.eom.max() < 1e-14
 
 # -- Foldy-Wouthuysen sector ------------------------------------------
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -123,6 +124,21 @@ def test_failed_formatting_keeps_previous_file(tmp_path, bad_write):
     before = path.read_bytes()
     with pytest.raises((RuntimeError, ValueError, TypeError)):
         bad_write(path)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("payload, where", [
+    ({"a": float("nan")}, "a"),
+    ({"a": {"b": [1.0, np.inf]}}, "a.b[1]"),
+    ({"a": np.array([[0.0, 1.0], [-np.inf, 2.0]])}, "a[1][0]"),
+    ({"a": (np.float32("nan"),)}, "a[0]"),
+])
+def test_write_json_refuses_non_finite(tmp_path, payload, where):
+    path = tmp_path / "out.json"
+    write_json(path, {"v": 1}, CFG)
+    before = path.read_bytes()
+    with pytest.raises(FloatingPointError, match=f"at {re.escape(where)} "):
+        write_json(path, payload, CFG)
     assert path.read_bytes() == before
 
 
