@@ -60,7 +60,7 @@ def _parsing(where: str):
         yield
     except KeyError as exc:
         raise ConfigError(f"{where}: missing required field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -379,7 +379,6 @@ def cmd_nearnr(cfg: dict, args) -> int:
 
 def cmd_spin(cfg: dict, args) -> int:
     kind = cfg.get("kind", "dirac")
-    h = _real(cfg.get("h", 1e-3), "h", positive=True)
     with _parsing("point_seed"):
         rng = np.random.default_rng(int(cfg.get("point_seed", 0)))
     if kind == "dirac":
@@ -390,7 +389,7 @@ def cmd_spin(cfg: dict, args) -> int:
         n_pts = _count(cfg.get("n_points", 20), "n_points")
         if args.quick:
             n_pts = min(n_pts, 6)
-        r = _real(cfg.get("point_range", 1.0), "point_range")
+        r = _real(cfg.get("point_range", 1.0), "point_range", positive=True)
         pts = rng.uniform(-r, r, (n_pts, 4))
         out = _out_dir(args)
         res = dirac.identity_residuals(field, pts)
@@ -442,15 +441,12 @@ def cmd_spin(cfg: dict, args) -> int:
         out = _out_dir(args)
         field = makers[name]()
         pts = rng.uniform(-1.5, 1.5, (n_pts, 3))
-        spin_res, _ = dirac.verify_fw_spin_tensor(field, pts)
-        curl_h, _ = dirac.verify_curl_formula(field, pts, h=h)
-        curl_h2, _ = dirac.verify_curl_formula(field, pts, h=h / 2)
-        balance = dirac.verify_ensemble_balance(field, box_half, n=box_n)
         report = {
-            "kind": "fw", "field": name, "h": h,
-            "spin_tensor_residual": spin_res,
-            "curl": {"residual_h": curl_h, "residual_h2": curl_h2},
-            "ensemble_balance": balance,
+            "kind": "fw", "field": name,
+            "spin_tensor_residual": dirac.verify_fw_spin_tensor(field, pts)[0],
+            "curl_residual": dirac.verify_curl_formula(field, pts)[0],
+            "ensemble_balance": dirac.verify_ensemble_balance(
+                field, box_half, n=box_n),
         }
         write_json(out / "report.json", report, cfg)
         return 0

@@ -6,7 +6,8 @@ the Dirac representation, evaluated with analytic first derivatives
 convective momentum, effective mass, spinor quantum potential, the spin
 stress tensor, and numerical verification of the mass identity, the
 stress-tensor equations of motion, and the Foldy-Wouthuysen (FW)
-reductions.
+reductions; the FW spin tensor and circulation identity are taken in
+closed form.
 
 Metric dictionary
 -----------------
@@ -51,7 +52,6 @@ __all__ = [
     "fw_rotating_field",
     "fw_spinor",
     "fw_u",
-    "fw_velocity",
     "identity_residuals",
     "jets",
     "quantum_potential_spinor",
@@ -559,9 +559,8 @@ def identity_residuals(field: DiracField, points) -> IdentityResiduals:
 
 # -- Foldy-Wouthuysen representation --------------------------------------
 #
-# FW directions, velocities and fields take points of shape (..., 3) and
-# keep the leading shape, so a verifier evaluates all its points and
-# stencil offsets in one call.
+# FW directions and fields take points of shape (..., 3) and keep the
+# leading shape, so a verifier evaluates all its points in one call.
 
 
 def _fw_w(s: np.ndarray) -> np.ndarray:
@@ -647,17 +646,6 @@ def fw_spinor(field: FWField, x):
     return a * u, dpsi4
 
 
-def fw_velocity(field: FWField, x) -> np.ndarray:
-    """Non-relativistic guidance velocity v_j = Im(u^dag d_j u).
-
-    x has shape (..., 3) and v has the same shape.
-    """
-    x = np.asarray(x, dtype=float)
-    u, du = _u_du(np.asarray(field.s(x), dtype=float),
-                  np.asarray(field.ds(x), dtype=float))
-    return np.einsum("...a,...ja->...j", np.conj(u), du).imag
-
-
 def verify_fw_spin_tensor(field: FWField, points):
     """Max residual of T_{jk}(bilinears) = (1/4) d_j s_l d_k s_l.
 
@@ -680,42 +668,34 @@ _EPS3 = np.zeros((3, 3, 3))
 for _p, _s in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
                ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
     _EPS3[_p] = _s
-#: (j, i) = (k + 1, k + 2) mod 3 for k = 0, 1, 2: curl_k = d_j v_i - d_i v_j
-_CURL_J, _CURL_I = [1, 2, 0], [2, 0, 1]
 
 
-def verify_curl_formula(field: FWField, points, h: float = 1e-4):
+def verify_curl_formula(field: FWField, points):
     """Max residual of the circulation identity.
 
     curl_k v = (1/4) eps_{kji} eps_{lmn} s_l d_j s_m d_i s_n
-    with curl v by central differences of the analytic velocity (O(h^2))
-    and the right side fully analytic.  points has shape (n, 3); the
-    velocity at every point's six offsets x +- h e_j comes from two
-    fw_velocity calls on shape (n, 3, 3).  Returns (max_residual,
+
+    for the guidance velocity v_i = Im(u^dag d_i u), both sides in closed
+    form: curl_k v = eps_{kji} Im(d_j u^dag d_i u), as u^dag d_j d_i u is
+    symmetric in j, i.  points has shape (n, 3).  Returns (max_residual,
     per-point residuals of shape (n,)).
     """
-    x = np.asarray(points, dtype=float)
-    step = h * np.eye(3)                          # row j is h e_j
-    near = x[..., None, :]
-    # dv[..., j, i] = d_j v_i
-    dv = (fw_velocity(field, near + step)
-          - fw_velocity(field, near - step)) / (2.0 * h)
-    curl = dv[..., _CURL_J, _CURL_I] - dv[..., _CURL_I, _CURL_J]
-    shat = np.asarray(field.s(x), dtype=float)
-    ds = np.asarray(field.ds(x), dtype=float)     # ds[..., j, m] = d_j s_m
+    shat = np.asarray(field.s(points), dtype=float)
+    ds = np.asarray(field.ds(points), dtype=float)  # ds[..., j, m] = d_j s_m
+    _, du = _u_du(shat, ds)
+    curl = np.einsum("kji,...ja,...ia->...k", _EPS3, np.conj(du), du).imag
     rhs = 0.25 * np.einsum("kji,lmn,...l,...jm,...in->...k", _EPS3, _EPS3,
                            shat, ds, ds)
     res = np.max(np.abs(curl - rhs), axis=-1)
     return float(res.max()), res
 
 
-def _shifted_terms(field: FWField, x: np.ndarray, i: int, step: float):
-    """Phi and the flux A^2 T_{ji} at the points x + step e_i.
+def _stress_flux(field: FWField, x: np.ndarray, i: int, step: float):
+    """The flux A^2 T_{ji} at the points x + step e_i.
 
-    x has shape (3, m), one row per coordinate.  Phi = -(1/2) lap A / A
-    = -(1/2)(|p|^2 - 3) for the Gaussian A.  Of the stress only the
+    x has shape (3, m), one row per coordinate.  Of the stress only the
     column T_{ji} = (1/4) d_j s_l d_i s_l that d_i takes is formed.
-    Returns Phi of shape (m,) and the flux of shape (3, m).
+    Returns the flux of shape (3, m).
     """
     p = x.copy()
     p[i] += step
@@ -724,34 +704,32 @@ def _shifted_terms(field: FWField, x: np.ndarray, i: int, step: float):
     # fields (see FWField)
     d = np.asarray(field.ds(p.T), dtype=float).transpose(1, 2, 0)
     col = 0.25 * (d[:, 0] * d[i, 0] + d[:, 1] * d[i, 1] + d[:, 2] * d[i, 2])
-    return -0.5 * (r2 - 3.0), np.exp(-0.5 * r2) ** 2 * col
+    return np.exp(-0.5 * r2) ** 2 * col
 
 
 def _balance_terms(field: FWField, axis: np.ndarray):
     """A and the two terms of the balance integrand on the grid axis^3.
 
     Returns (A, A^2 d_j Phi, d_i (A^2 T_{ji})) on the n^3 grid points in
-    C order, the terms with shape (3, n^3).  Both derivatives are central
-    differences with step BALANCE_H, and each of the six shifted grids
-    x +- h e_i is evaluated once (_shifted_terms).  The grid is taken
-    BALANCE_CHUNK points at a time.
+    C order, the terms with shape (3, n^3).  Phi = -(1/2) lap A / A =
+    -(1/2)(|x|^2 - 3) for the Gaussian A, so A^2 d_j Phi = -x_j A^2 in
+    closed form.  The stress divergence is a central difference with
+    step BALANCE_H, each of the six shifted grids x +- h e_i evaluated
+    once (_stress_flux), BALANCE_CHUNK grid points at a time.
     """
     h = BALANCE_H
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij",
                                 copy=False)).reshape(3, -1)
-    grad_phi = np.empty_like(grid)
     div = np.zeros_like(grid)
     for lo in range(0, grid.shape[1], BALANCE_CHUNK):
         part = slice(lo, lo + BALANCE_CHUNK)
         for i in range(3):
-            phi_p, flux_p = _shifted_terms(field, grid[:, part], i, h)
-            phi_m, flux_m = _shifted_terms(field, grid[:, part], i, -h)
-            grad_phi[i, part] = (phi_p - phi_m) / (2.0 * h)
-            div[:, part] += (flux_p - flux_m) / (2.0 * h)
+            div[:, part] += (_stress_flux(field, grid[:, part], i, h)
+                             - _stress_flux(field, grid[:, part], i, -h)
+                             ) / (2.0 * h)
     a = np.exp(-0.5 * (grid[0] * grid[0] + grid[1] * grid[1]
                        + grid[2] * grid[2]))
-    grad_phi *= a * a
-    return a, grad_phi, div
+    return a, -grid * (a * a), div
 
 
 def verify_ensemble_balance(field: FWField, box_half: float, n: int = 61):
@@ -760,9 +738,9 @@ def verify_ensemble_balance(field: FWField, box_half: float, n: int = 61):
     Integrates A^2 d_j Phi + d_i (A^2 T_{ji}) over the box [-box_half,
     box_half]^3 by a uniform-grid Riemann sum on n^3 points (spectrally
     accurate for the decaying test fields).  Phi is the
-    non-relativistic -(1/2) lap A / A; its gradient and the stress
-    divergence use central differences with step BALANCE_H (decoupled
-    from the grid spacing).  See _balance_terms.
+    non-relativistic -(1/2) lap A / A, its gradient taken in closed
+    form; the stress divergence uses central differences with step
+    BALANCE_H (decoupled from the grid spacing).  See _balance_terms.
 
     What this checks, and what it does not: both terms are total
     derivatives (A^2 d_j Phi = (1/2) d_j A^2 for the Gaussian A), and

@@ -11,7 +11,8 @@ took 63 ms by truncate-and-write, 42 ms by unlink-and-create and 33 ms
 by a temporary file and os.replace, against 0.15 ms in place; shrinking
 it to 20 kB in place took 47 ms.  Because the text is complete before
 the file is opened, an exception while formatting leaves the previous
-file as it was.
+file as it was.  A non-finite float stops a write the same way, by a
+FloatingPointError, bar NaN in the CSV columns it flags (NAN_FLAGGED).
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ UNITS_NOTE = "natural units: hbar = c = m0 = 1 (lengths in Compton wavelengths)"
 
 #: rows per work unit; fixed so results never depend on the thread count
 ROW_CHUNK = 16
+#: CSV columns where NaN (never +-inf) marks a missing value: v, f and
+#: x_mapped = x + f at a density zero, the Lambert branches past the fold
+NAN_FLAGGED = frozenset({"v", "f", "x_mapped", "x_branch0",
+                         "x_branch_minus1"})
 
 
 def config_hash(config: dict) -> str:
@@ -87,8 +92,17 @@ def _overwrite(path, text: str) -> None:
 def write_csv(path, header: list[str], columns, config: dict) -> None:
     """Write equal-length columns under a metadata comment header.
 
-    Floats are repr-exact.
+    Floats are repr-exact.  A non-finite value raises FloatingPointError
+    (the CLI exits 3) naming the file and the column before the file is
+    opened, except a NaN in a NAN_FLAGGED column.
     """
+    for name, values in zip(header, map(np.asarray, columns)):
+        if values.dtype.kind != "f":
+            continue
+        bad = np.isinf(values) if name in NAN_FLAGGED else ~np.isfinite(values)
+        if bad.any():
+            raise FloatingPointError(f"non-finite value {values[bad][0]} in "
+                                     f"column {name} of {os.fspath(path)}")
     cols = [_column_text(c) for c in columns]
     if len({len(c) for c in cols}) > 1:
         raise ValueError("CSV columns differ in length")

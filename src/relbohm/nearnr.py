@@ -70,15 +70,24 @@ class WKernel:
         self.k = k
         self.omega = w
 
+    def _phases(self, x, t):
+        """cos and sin of theta = k x - omega t at broadcastable x, t."""
+        theta = np.multiply.outer(x, self.k) - np.multiply.outer(t, self.omega)
+        return np.cos(theta), np.sin(theta)
+
     def evaluate(self, x, t) -> np.ndarray:
         """W at broadcastable x, t via cos(a-b) = cos a cos b + sin a sin b."""
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        theta = self.k * x[..., None] - self.omega * t[..., None]
-        a = np.cos(theta)
-        b = np.sin(theta)
+        a, b = self._phases(x, t)
         return (np.sum(a * (a @ self._M), axis=-1)
                 + np.sum(b * (b @ self._M), axis=-1))
+
+    def d2_dx2(self, x, t) -> np.ndarray:
+        """d^2 W / dx^2 at broadcastable x, t: W's sum with M_ab times
+        -(k_a - k_b)^2, which for symmetric M is -2 sum_a q_a [k_a (u M)_a
+        - (q M)_a] with q = k u, summed over u = cos theta, sin theta."""
+        k, M = self.k, self._M
+        return -2.0 * sum(np.sum(k * u * (k * (u @ M) - (k * u) @ M), axis=-1)
+                          for u in self._phases(x, t))
 
 
 def w_approx(packet: Packet, x, t):
@@ -92,15 +101,6 @@ def w_approx(packet: Packet, x, t):
     d2_abs2 = 2.0 * (np.conj(psi) * psixx).real + 2.0 * np.abs(psix) ** 2
     out = (d2_abs2 - 4.0 * np.abs(psix) ** 2) / 32.0
     return float(out) if np.ndim(out) == 0 else out
-
-
-def _d2w_dx2(kernel: WKernel, x, t, h: float = 1e-3):
-    """5-point central second x-derivative of the exact W (oracle route)."""
-    x = np.asarray(x, dtype=float)
-    stencil = [kernel.evaluate(x + m * h, t)
-               for m in (-2.0, -1.0, 0.0, 1.0, 2.0)]
-    return (-stencil[0] + 16 * stencil[1] - 30 * stencil[2]
-            + 16 * stencil[3] - stencil[4]) / (12.0 * h * h)
 
 
 def density_difference_timeform(packet: Packet, x, t: float):
@@ -166,7 +166,7 @@ def correction_field(packet: Packet, x, t: float) -> CorrectionField:
     return CorrectionField(
         x=x, t=float(t),
         W=kernel.evaluate(x, np.full(x.shape, t)),
-        d2W_dx2=_d2w_dx2(kernel, x, t),
+        d2W_dx2=kernel.d2_dx2(x, t),
         rho=rho, rho_nw=rho_nw,
         f=f, x_mapped=x_mapped)
 

@@ -12,11 +12,11 @@ amplitude drops the omega^{-1/2} factor.  Built-in shapes:
 Two engines evaluate the same truncated spectrum.  Field values at given
 points are k-integrals on a composite Gauss-Legendre rule over
 [-k_cut, k_cut] (Packet.fields); evaluations are plain weighted sums and
-therefore deterministic.  Scattered points run on the rule their reach
-max(|x| + |t|) needs (Packet.at_reach).  The x-integrals over a whole
-fixed-t row (the acausal probability, the |rho| mass, the threshold tail
-and charges, and FrontKernel's F) sample it by FFT on a periodic box
-(fft_row_size) and integrate there.
+therefore deterministic.  Scattered points run on the rule that their
+reach max(|x| + |t|) and the packet's width need (Packet.at_reach).  The
+x-integrals over a whole fixed-t row (the acausal probability, the |rho|
+mass, the threshold tail and charges, and FrontKernel's F) sample it by
+FFT on a periodic box (fft_row_size) and integrate there.
 """
 
 from __future__ import annotations
@@ -55,9 +55,8 @@ PANEL_ORDER = 12
 #: with t, and a row of this size holds 64 MB per complex field
 FFT_MAX_POINTS = 2 ** 22
 #: largest gap between Packet.fields and the t = 0 FFT row, relative to
-#: max |rho|, before a k rule counts as too coarse for its reach
-#: (well-resolved rules stay below 1e-7; an aliasing one reaches 1e-2 and
-#: more)
+#: max |rho|, before the engine check (_check_rule) fails (well-resolved
+#: rules stay below 1e-7; an aliasing one reaches 1e-2 and more)
 ENGINE_GAP_TOL = 1e-6
 
 
@@ -174,11 +173,12 @@ class Packet:
         The rule has REACH_ORDER Gauss-Legendre nodes on each of an even
         number of equal panels of [-k_cut, k_cut], so that k = 0 sits on a
         panel edge, away from the nodes next to omega's branch points.
-        The panel width h is at most REACH_ORDER / max(reach, REACH_FLOOR),
-        so the phase kx - omega t turns by at most REACH_ORDER radians
-        across a panel: half of where such a rule starts to lose digits
-        (h reach / 2 ~ REACH_ORDER).  For a gaussian, h is also at most
-        sigma_k / 2.  The view shares spec, k_cut and norm with this
+        The panel width h is at most REACH_ORDER / R, R = max(reach,
+        2 support_edge, REACH_FLOOR): with the cos2 spectrum's phases
+        e^{+-ika}, the phase turns by at most h (R + a) / 2 <= 18 radians
+        across a panel, below the ~24 (h R / 2 ~ REACH_ORDER) at which
+        such a rule starts to lose digits.  For a gaussian, h is also at
+        most sigma_k / 2.  The view shares spec, k_cut and norm with this
         packet; this packet is returned itself when the rule would hold as
         many nodes or more.
 
@@ -187,7 +187,7 @@ class Packet:
         decay window when the reach passes it: the row holds the field
         only there, and beyond it the t = 0 field is negligible.
         """
-        reach = max(float(reach), self.REACH_FLOOR)
+        reach = max(float(reach), 2.0 * self.support_edge, self.REACH_FLOOR)
         h = self.REACH_ORDER / reach
         if self.spec.shape == "gaussian":
             h = min(h, self.spec.sigma_k / 2.0)
@@ -316,8 +316,12 @@ def _k_weights(m: np.ndarray, dk: float, k_cut: float) -> np.ndarray:
     carry the trapezoid rule's Euler-Maclaurin term and the partial cell
     up to k_cut, both through f'' by backward differences.  A plain
     Riemann sum would part from the Gauss-Legendre k quadrature of
-    Packet.fields by O(dk s(k_cut)), 1e-6 of rho for k_cut = 40; these
-    weights close that gap to ~1e-9 at any k_cut.
+    Packet.fields by O(dk s(k_cut)), 1e-6 of rho for k_cut = 40.  With
+    these weights the t = 0 row of the a = 1 cos2 packet parts from a
+    converged k rule, over the decay window, by 4e-10 of max |rho| at
+    k_cut = 40 and 1.6e-8 at 20, but by 1.5e-4 at k_cut = 5: the
+    differences for f'' cannot follow e^{ikx} at large |x|, and what
+    they miss grows with the spectrum left at the cut.
     """
     end = int(np.floor(k_cut / dk))
     d = k_cut - end * dk
@@ -366,15 +370,17 @@ def _fft_row(packet: Packet, t, refine: int = 1, rho: bool = True,
 def _check_rule(packet: Packet, row: _Row, reach: float) -> None:
     """Raise ArithmeticError when packet's k rule departs from the t = 0
     row by more than ENGINE_GAP_TOL of max |rho| at <= 129 points of
-    [0, reach]: the rule then aliases rho there."""
+    [0, reach]: the k rule is then too coarse for the reach, or the row's
+    end correction at k_cut falls short (see _k_weights)."""
     n_in = int(reach / row.dx)
     j = np.arange(0, n_in + 1, max(1, -(-n_in // 128)))
     gap = float(np.max(np.abs(packet.rho(j * row.dx, 0.0) - row.rho[j])))
     if gap > ENGINE_GAP_TOL * np.max(np.abs(row.rho)):
         raise ArithmeticError(
-            f"Packet.fields on {packet.k.size} k-nodes departs from the FFT "
-            f"row by {gap:.2g} in rho within |x| <= {reach:g}; k "
-            "quadrature too coarse")
+            f"Packet.fields on {packet.k.size} k-nodes and the t = 0 FFT "
+            f"row part by {gap:.2g} in rho within |x| <= {reach:g}: the k "
+            "rule is too coarse, or the row's end correction at k_cut = "
+            f"{packet.k_cut:g} falls short")
 
 
 class _RowIntegral:
@@ -522,8 +528,9 @@ def zero_crossings(packet: Packet):
     better.
 
     Raises ArithmeticError when the packet's configured k rule departs
-    from the FFT row by more than ENGINE_GAP_TOL within the decay window:
-    it then aliases rho where the row integrals reach.
+    from the FFT row by more than ENGINE_GAP_TOL within the decay window
+    (_check_rule): one of the two engines is then off where the row
+    integrals reach.
     """
     # imported here: scipy.optimize is most of the import time of
     # relbohm.cli, and only explode needs it

@@ -3,7 +3,9 @@
 The program evaluates psi and the Bohm velocity through vectorized
 passes (the double sums of relbohm.modes, Packet.fields).  These
 functions take one point at a time by a separate formula path, so a
-test that agrees with them checks the program and not itself.
+test that agrees with them checks the program and not itself.  Where
+the program takes a derivative in closed form, the oracle here takes it
+by finite differences of the underlying function.
 """
 
 import numpy as np
@@ -40,3 +42,10 @@ def gauge_transform(s: SpinorSample, f: complex, df) -> SpinorSample:
     df = np.asarray(df, dtype=complex)
     return SpinorSample(psi=f * s.psi,
                         dpsi=f * s.dpsi + df[:, None] * s.psi[None, :])
+
+
+def d2w_dx2_5point(kernel, x, t, h: float = 1e-3):
+    """5-point central second x-derivative of a WKernel's W, O(h^4)."""
+    x = np.asarray(x, dtype=float)
+    w = [kernel.evaluate(x + m * h, t) for m in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+    return (-w[0] + 16 * w[1] - 30 * w[2] + 16 * w[3] - w[4]) / (12.0 * h * h)

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import gauge_transform
+from oracles import d2w_dx2_5point, gauge_transform
 from relbohm import dirac, modes, nearnr, packets
 from relbohm.cli import main
 from relbohm.numerics import Grid2D
@@ -215,12 +215,12 @@ def test_criterion_06_exact_identity_and_moments():
     xg = np.linspace(-15.0, 15.0, 31)
     kern_g = nearnr.WKernel(gauss)
     res_g = np.max(np.abs(
-        nearnr._d2w_dx2(kern_g, xg, 0.3, h=1e-2)
+        d2w_dx2_5point(kern_g, xg, 0.3, h=1e-2)
         - (gauss.rho(xg, 0.3) - gauss.rho_nw(xg, 0.3))))
     xc = np.linspace(-2.0, 2.0, 21)
     kern_c = nearnr.WKernel(cos2)
     res_c = np.max(np.abs(
-        nearnr._d2w_dx2(kern_c, xc, 0.0)
+        d2w_dx2_5point(kern_c, xc, 0.0)
         - (cos2.rho(xc, 0.0) - cos2.rho_nw(xc, 0.0))))
     m = [nearnr.moments(p, 0.0) for p in (gauss, cos2)]
     mom = max(abs(v) for pair in m for v in pair)
@@ -266,16 +266,15 @@ def test_criterion_08_spinor_identities():
     T = dirac.spin_tensor(s)
     T2 = dirac.spin_tensor(gauge_transform(s, 0.8 - 0.6j, np.zeros(4)))
     gauge = float(np.max(np.abs(T2 - T)))
-    c1, _ = dirac.verify_curl_formula(fw, fpts, h=2e-4)
-    c2, _ = dirac.verify_curl_formula(fw, fpts, h=1e-4)
+    curl, _ = dirac.verify_curl_formula(fw, fpts)
     bal = dirac.verify_ensemble_balance(dirac.fw_rotating_field(),
                                         box_half=7.0)
-    fw_ok = bil < 1e-10 and gauge < 1e-10 and c2 < c1 and bal < 1e-4
+    fw_ok = bil < 1e-10 and gauge < 1e-10 and curl < 1e-13 and bal < 1e-4
     ok = ratios_ok and resid_ok and fw_ok
     _line(8, ok, f"mass ratio {m1 / m2:.2f}, eom ratio {e1 / e2:.2f} "
                  f"(in [3,5]); residuals {m2:.1e}/{e2:.1e} (< 1e-5); "
                  f"bilinears {bil:.1e}, gauge {gauge:.1e} (< 1e-10); "
-                 f"curl O(h^2); balance {bal:.1e} (< 1e-4)")
+                 f"curl {curl:.1e} (< 1e-13); balance {bal:.1e} (< 1e-4)")
     assert ratios_ok
     assert resid_ok
     assert fw_ok

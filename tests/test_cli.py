@@ -1,10 +1,15 @@
 import json
+import math
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from relbohm import dirac, modes
+from relbohm import dirac, modes, nearnr
 from relbohm.cli import main
 from relbohm.numerics import Grid2D
 
@@ -78,8 +83,6 @@ _K40 = {"shape": "cos2", "k_cut": 40.0, "gl_order": 8, "x_scale": 4.0}
     ("nearnr", {"packet": {"shape": "gaussian", "sigma_k": 0.05},
                 "x": {"max": 4.0, "n": 33}}, 2),
     ("spin", {"kind": "dirac", "n_modes": 2, "seed": 1, "n_points": 0}, 2),
-    ("spin", {**_DIRAC, "h": "x"}, 2),
-    ("spin", {**_DIRAC, "h": 0}, 2),
     ("spin", {**_DIRAC, "point_range": "x"}, 2),
     ("spin", {**_DIRAC, "point_seed": "x"}, 2),
     ("spin", {**_FW, "box_n": 0}, 2),
@@ -125,8 +128,8 @@ _K40 = {"shape": "cos2", "k_cut": 40.0, "gl_order": 8, "x_scale": 4.0}
     ("nearnr", {"packet": {"shape": "gaussian", "sigma_k": 0.05},
                 "t": 1e9}, 2),
 ], ids=["modes-n_levels-string", "modes-nan-k", "explode-density_x-no-max",
-        "nearnr-x-no-min", "spin-dirac-zero-points", "spin-dirac-h-string",
-        "spin-dirac-h-zero", "spin-dirac-point_range-string",
+        "nearnr-x-no-min", "spin-dirac-zero-points",
+        "spin-dirac-point_range-string",
         "spin-dirac-point_seed-string",
         "spin-fw-box_n-zero", "spin-fw-box_n-one", "spin-fw-box_half-string",
         "spin-fw-box_half-zero", "nearnr-x-min-nan", "explode-t_values-nan",
@@ -225,6 +228,73 @@ def test_explode_small_run(tmp_path):
     assert (out / "density_t0.csv").is_file()
     assert (out / "acausal.csv").is_file()
     assert (out / "fronts.csv").is_file()
+
+
+@pytest.mark.parametrize("a", [12.0, 20.0])
+def test_explode_wide_cos2(tmp_path, a):
+    # the spectrum's phases e^{+-ika} widen every reach rule to 2a: a
+    # rule sized by the density window alone (192 and 144 k-nodes) parts
+    # from the FFT row by 6e-7 and 4e-5 in rho, past ENGINE_GAP_TOL
+    cfg = write_cfg(tmp_path, "wide.json", {
+        "packet": {"shape": "cos2", "a": a},
+        "t_values": [0.0], "p_times": [0.0], "n_levels": 10,
+        "density_x": {"min": -5.0, "max": 5.0, "n": 51},
+        "grid": {"x_min": 0.0, "x_max": 15.0, "n_x": 31,
+                 "t_min": 0.0, "t_max": 1.0, "n_t": 11}})
+    out = tmp_path / "out"
+    assert run(["explode", "--config", cfg, "--out", str(out)]) == 0
+    th = json.loads((out / "thresholds.json").read_text())
+    assert abs(th["charge_tail"]) < 1e-4 * abs(th["charge_inside"])
+    assert th["charge_inside"] == pytest.approx(1.0, abs=1e-3)
+    assert th["charge_nw_inside"] == pytest.approx(1.0, abs=1e-3)
+    assert 0.0 < th["x_th"] < th["x_0"] < a
+
+
+def test_engine_check_names_both_engines(tmp_path, capsys):
+    # at k_cut = 5 the 48-node reach rule is right and the FFT row's end
+    # correction is off; the message must not blame the k rule alone
+    cfg = write_cfg(tmp_path, "k5.json", {
+        "packet": {"shape": "cos2", "a": 1.0, "k_cut": 5.0},
+        "density_x": {"min": -3.0, "max": 3.0, "n": 31}, "grid": _GRID})
+    assert run(["explode", "--config", cfg,
+                "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "Packet.fields on 48 k-nodes and the t = 0 FFT row" in err
+    assert "end correction at k_cut = 5" in err
+
+
+def test_non_finite_csv_value_exits_3(tmp_path, capsys, monkeypatch):
+    real = nearnr.correction_field
+
+    def nan_density(*args):
+        field = real(*args)
+        field.rho[3] = np.nan
+        return field
+
+    monkeypatch.setattr(nearnr, "correction_field", nan_density)
+    out = tmp_path / "out"
+    assert run(["nearnr", "--config", "gauss.json", "--out", str(out),
+                "--quick"]) == 3
+    err = capsys.readouterr().err
+    assert "column rho of" in err and "correction.csv" in err
+    assert not (out / "correction.csv").exists()
+
+
+def test_nearnr_density_floor_nan_is_written(tmp_path):
+    # sigma_k 0.28 over the default x window: at the window's edges
+    # rho / max rho ~ exp(-sigma_k^2 x^2) < 1e-12, so f and x_mapped =
+    # x + f are NaN there, and only those flagged columns
+    cfg = write_cfg(tmp_path, "floor.json", {
+        "packet": {"shape": "gaussian", "sigma_k": 0.28}})
+    out = tmp_path / "out"
+    assert run(["nearnr", "--config", cfg, "--out", str(out),
+                "--quick"]) == 0
+    lines = [ln for ln in (out / "correction.csv").read_text().splitlines()
+             if not ln.startswith("#")]
+    names = lines[0].split(",")
+    table = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    nan_cols = {n for n, col in zip(names, table.T) if np.isnan(col).any()}
+    assert nan_cols == {"f", "x_mapped"}
 
 
 def test_nearnr_bundled_quick(tmp_path):
@@ -361,8 +431,19 @@ def test_spin_fw_bundled_quick(tmp_path):
                 "--quick"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["spin_tensor_residual"] < 1e-10
-    assert report["curl"]["residual_h2"] < report["curl"]["residual_h"]
+    # both sides of the circulation identity in closed form
+    assert report["curl_residual"] < 1e-15
     assert report["ensemble_balance"] < 1e-6
+    assert "h" not in report and "curl" not in report
+
+
+@pytest.mark.parametrize("payload", [_DIRAC, _FW])
+def test_spin_ignores_h(tmp_path, payload):
+    # spin reads no step size; the bundled configs still carry h
+    for h in ("x", 0, None):
+        cfg = write_cfg(tmp_path, "h.json", {**payload, "h": h})
+        assert run(["spin", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 0
 
 
 def test_spin_unknown_kind(tmp_path):
@@ -390,3 +471,74 @@ def test_nearnr_thread_determinism(tmp_path):
         outs.append(out)
     for name in ("correction.csv", "summary.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+#: malformed values (a few, such as a negative k_max, are valid for some
+#: keys); _ABSENT drops the key
+_ABSENT = object()
+_MALFORMED = st.sampled_from(["x", "", None, math.nan, math.inf, -math.inf,
+                              -3, -0.5, [1, 2], [], _ABSENT])
+
+
+_COMMON = {"n_points": st.integers(1, 40),
+           "point_seed": st.integers(0, 2 ** 31),
+           "h": st.floats(1e-4, 1e-2)}
+#: small valid values of each kind's keys: n_points <= 40, n_modes <= 4
+#: and box_n <= 21, so no case allocates a large grid
+_VALID = {
+    "dirac": {**_COMMON, "n_modes": st.integers(1, 4),
+              "seed": st.integers(0, 2 ** 31), "k_max": st.floats(0.1, 2.0),
+              "point_range": st.floats(0.1, 2.0)},
+    "fw": {**_COMMON,
+           "field": st.sampled_from(["gaussian", "rotating", "hedgehog"]),
+           "box_n": st.integers(2, 21), "box_half": st.floats(1.0, 8.0)},
+}
+
+
+@st.composite
+def _spin_configs(draw):
+    """A valid dirac or fw config, or one of an unknown kind, with up to
+    two keys malformed or missing."""
+    kind = draw(st.sampled_from(["dirac", "fw", "pauli"]))
+    valid = _VALID.get(kind, _VALID["dirac"])
+    cfg = {"kind": kind, **draw(st.fixed_dictionaries(valid))}
+    bad = draw(st.dictionaries(st.sampled_from(["kind", *valid]),
+                               _MALFORMED, max_size=2))
+    for key, value in bad.items():
+        if value is _ABSENT:
+            del cfg[key]
+        else:
+            cfg[key] = value
+    # box_n's default, 61^3 points, is no small grid
+    if kind == "fw":
+        cfg.setdefault("box_n", 21)
+    return cfg
+
+
+def _floats(obj):
+    if isinstance(obj, dict):
+        return [v for value in obj.values() for v in _floats(value)]
+    if isinstance(obj, list):
+        return [v for value in obj for v in _floats(value)]
+    return [obj] if isinstance(obj, float) else []
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cfg=_spin_configs(), quick=st.booleans())
+# a negative point_range once escaped main from numpy's uniform draw
+@example(cfg={**_DIRAC, "point_range": -0.5}, quick=False)
+def test_spin_configs_never_escape(cfg, quick):
+    # any spin config answers with an exit code; an exit-0 report holds
+    # only finite floats
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_cfg(Path(tmp), "cfg.json", cfg)
+        out = Path(tmp) / "o"
+        code = run(["spin", "--config", path, "--out", str(out)]
+                   + ["--quick"] * quick)
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert not out.exists()
+        if code == 0:
+            report = json.loads((out / "report.json").read_text(),
+                                parse_constant=lambda c: pytest.fail(c))
+            assert all(math.isfinite(v) for v in _floats(report))

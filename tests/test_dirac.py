@@ -7,7 +7,7 @@ from relbohm.dirac import (BALANCE_MAX_POINTS, GAMMA, GAMMA0, METRIC,
                            _EPS3, _balance_terms, _du_ds, _metric_trace,
                            _q_contra, convective_momentum, effective_mass_sq,
                            eval_spinor, fw_gaussian_field, fw_hedgehog_field,
-                           fw_rotating_field, fw_spinor, fw_u, fw_velocity,
+                           fw_rotating_field, fw_spinor, fw_u,
                            identity_residuals, jets,
                            quantum_potential_spinor, spin_tensor,
                            verify_curl_formula, verify_ensemble_balance,
@@ -278,18 +278,16 @@ def test_fw_rotating_txx_hand_value():
 
 
 def test_curl_formula():
-    # constant spin and a single rotation axis both give zero curl;
-    # the hedgehog field has nonzero curl matched at O(h^2)
+    # constant spin and a single rotation axis both give zero curl; the
+    # hedgehog field's nonzero curl is matched to rounding, both sides
+    # in closed form
     rng = np.random.default_rng(6)
     pts = rng.uniform(-1.0, 1.0, (8, 3))
-    r, _ = verify_curl_formula(fw_gaussian_field(), pts)
-    assert r < 1e-9
-    r, _ = verify_curl_formula(fw_rotating_field(), pts)
-    assert r < 1e-7
-    r1, _ = verify_curl_formula(fw_hedgehog_field(), pts, h=2e-4)
-    r2, _ = verify_curl_formula(fw_hedgehog_field(), pts, h=1e-4)
-    assert r2 < 1e-7
-    assert r2 < r1
+    for field in (fw_gaussian_field(), fw_rotating_field(),
+                  fw_hedgehog_field()):
+        r, res = verify_curl_formula(field, pts)
+        assert res.shape == (8,) and r == res.max()
+        assert r < 1e-15
 
 
 def test_ensemble_balance():
@@ -334,14 +332,15 @@ def test_ensemble_balance_point_limit():
 
 
 def _velocity_at(field, x):
-    """Per-point oracle for fw_velocity: one (3,) point at a time."""
+    """Per-point velocity v_j = Im(u^dag d_j u), one (3,) point at a time."""
     shat = field.s(x)
     du = np.einsum("jl,la->ja", field.ds(x), _du_ds(shat))
     return np.einsum("a,ja->j", np.conj(fw_u(shat)), du).imag
 
 
 def _curl_residuals(field, points, h):
-    """Per-point oracle for verify_curl_formula's residuals."""
+    """Per-point oracle for verify_curl_formula's residuals: curl v by
+    central differences of _velocity_at, so O(h^2)."""
     res = []
     for x in points:
         curl = np.zeros(3)
@@ -363,24 +362,20 @@ def _curl_residuals(field, points, h):
 
 
 def test_vectorized_velocity_and_curl_match_per_point_loop():
+    # the vectorized closed-form curl against the per-point velocity
+    # loop: its residuals sit at rounding, and the differenced ones close
+    # on them as O(h^2)
     rng = np.random.default_rng(8)
     pts = rng.uniform(-1.5, 1.5, (12, 3))
     for field in (fw_gaussian_field(), fw_rotating_field(),
                   fw_hedgehog_field()):
-        v = fw_velocity(field, pts)
-        assert v.shape == (12, 3)
-        oracle = np.array([_velocity_at(field, x) for x in pts])
-        assert np.max(np.abs(v - oracle)) < 1e-13
-        # any leading shape
-        grid = pts.reshape(3, 4, 3)
-        assert np.max(np.abs(fw_velocity(field, grid).reshape(12, 3)
-                             - oracle)) < 1e-13
-        for h in (1e-3, 5e-4):
-            r, res = verify_curl_formula(field, pts, h=h)
-            assert res.shape == (12,)
-            assert np.max(np.abs(res - _curl_residuals(field, pts, h))) \
-                < 1e-13
-            assert r == res.max()
+        _, exact = verify_curl_formula(field, pts)
+        gaps = [np.max(np.abs(_curl_residuals(field, pts, h) - exact))
+                for h in (1e-3, 5e-4)]
+        assert gaps[1] < 1e-7
+    # the hedgehog's curl is not zero, so its truncation error shows:
+    # halving h cuts it 4x
+    assert 3.0 < gaps[0] / gaps[1] < 5.0
 
 
 def test_fw_u_rejects_s3_minus_one_in_an_array():

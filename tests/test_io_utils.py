@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relbohm.io_utils import metadata_lines, write_csv, write_json
+from relbohm.io_utils import (_column_text, metadata_lines, write_csv,
+                              write_json)
 from relbohm.modes import Trajectory, TrajectorySet
 
 CFG = {"k": [0.0, 1.0]}
@@ -55,11 +56,34 @@ COLUMN_CASES = {
 @pytest.mark.parametrize("name", sorted(COLUMN_CASES))
 def test_columnar_text_matches_row_writer(tmp_path, name):
     col = COLUMN_CASES[name]
-    columns = [np.linspace(-1.0, 1.0, 11), col, np.arange(11)]
+    # every value, the non-finite ones included, formats as the row
+    # writer's; write_csv refuses those, so the file holds the rest
+    assert _column_text(col) == [_row_fmt(v) for v in col]
+    keep = np.isfinite(np.asarray(col, dtype=float))
+    col = (col[keep] if isinstance(col, np.ndarray)
+           else [v for v, k in zip(col, keep) if k])
+    columns = [np.linspace(-1.0, 1.0, 11)[keep], col, np.arange(11)[keep]]
     header = ["x", name, "i"]
     write_csv(tmp_path / "a.csv", header, columns, CFG)
     expect = _row_writer_text(header, zip(*columns), CFG)
     assert (tmp_path / "a.csv").read_bytes() == expect.encode()
+
+
+@pytest.mark.parametrize("column, value", [
+    ("rho", np.nan), ("rho", np.inf), ("v", np.inf), ("f", -np.inf)])
+def test_write_csv_refuses_non_finite(tmp_path, column, value):
+    path = tmp_path / "out.csv"
+    with pytest.raises(FloatingPointError,
+                       match=f"in column {column} of .*out.csv"):
+        write_csv(path, ["x", column], [[0.0, 1.0], [2.0, value]], CFG)
+    assert not path.exists()
+
+
+def test_write_csv_keeps_nan_flags(tmp_path):
+    # NaN marks a missing value in the NaN-flagged columns
+    path = tmp_path / "out.csv"
+    write_csv(path, ["x", "v"], [[0.0, 1.0], np.array([2.0, np.nan])], CFG)
+    assert path.read_text().splitlines()[-1] == "1.0,nan"
 
 
 def test_trajectory_columns_match_rows(tmp_path):

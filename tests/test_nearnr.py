@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from relbohm.nearnr import (WKernel, _d2w_dx2, correction_field,
+from oracles import d2w_dx2_5point
+from relbohm.nearnr import (WKernel, correction_field,
                             density_difference_timeform, moments,
                             nw_position_map, pushforward_l1, w_approx)
 from relbohm.packets import Packet, PacketSpec
@@ -39,7 +40,7 @@ def test_anchor_identity_gaussian(gauss, gauss_kernel):
     t = 0.3
     # wide FD step: W varies on the packet width ~1/sigma_k, and a small
     # step runs into roundoff because the difference itself is tiny
-    lhs = _d2w_dx2(gauss_kernel, x, t, h=1e-2)
+    lhs = d2w_dx2_5point(gauss_kernel, x, t, h=1e-2)
     rhs = gauss.rho(x, t) - gauss.rho_nw(x, t)
     scale = np.max(np.abs(rhs))
     assert np.max(np.abs(lhs - rhs)) < 1e-7 * scale
@@ -48,9 +49,21 @@ def test_anchor_identity_gaussian(gauss, gauss_kernel):
 def test_anchor_identity_cos2(cos2_coarse):
     kernel = WKernel(cos2_coarse)
     x = np.linspace(-2.0, 2.0, 21)
-    lhs = _d2w_dx2(kernel, x, 0.0)
+    lhs = d2w_dx2_5point(kernel, x, 0.0)
     rhs = cos2_coarse.rho(x, 0.0) - cos2_coarse.rho_nw(x, 0.0)
     assert np.max(np.abs(lhs - rhs)) < 1e-6 * np.max(np.abs(rhs))
+
+
+def test_exact_d2w_dx2_closes_the_identity(gauss, gauss_kernel, cos2_coarse):
+    # the weighted cosine sum of d^2 W / dx^2 meets rho - rho_nw to
+    # rounding, where the stencil above gets 1e-7 to 1e-6
+    for packet, kernel, x, t in (
+            (gauss, gauss_kernel, np.linspace(-15.0, 15.0, 31), 0.3),
+            (cos2_coarse, WKernel(cos2_coarse), np.linspace(-2.0, 2.0, 21),
+             0.0)):
+        rho = packet.rho(x, t)
+        gap = kernel.d2_dx2(x, t) - (rho - packet.rho_nw(x, t))
+        assert np.max(np.abs(gap)) <= 1e-13 * np.max(np.abs(rho))
 
 
 def test_w_parity(gauss, gauss_kernel):
