@@ -363,13 +363,18 @@ def cmd_nearnr(cfg: dict, args) -> int:
         "narrow_k_regime": bool(packet.spec.shape != "gaussian"
                                 or packet.spec.sigma_k < 0.3),
     }
-    if packet.spec.shape == "gaussian" and summary["narrow_k_regime"]:
-        raw, mapped = nearnr.pushforward_l1(packet, t)
-        summary["pushforward"] = {"l1_raw": raw, "l1_mapped": mapped,
-                                  "improvement": raw / mapped}
-    elif packet.spec.shape == "gaussian":
-        # outside the narrow-k regime the map need not be monotone
+    if packet.spec.shape == "gaussian":
+        # null outside the narrow-k regime, where the map need not be
+        # monotone, and where it is undefined on the window
         summary["pushforward"] = None
+        if summary["narrow_k_regime"]:
+            try:
+                raw, mapped = nearnr.pushforward_l1(packet, t)
+            except ValueError as exc:
+                warnings.warn(f"pushforward is null: {exc}", RuntimeWarning)
+            else:
+                summary["pushforward"] = {"l1_raw": raw, "l1_mapped": mapped,
+                                          "improvement": raw / mapped}
     write_json(out / "summary.json", summary, cfg)
     return 0
 
@@ -385,7 +390,7 @@ def cmd_spin(cfg: dict, args) -> int:
         with _parsing("dirac field"):
             field = dirac.DiracField.random(
                 n_modes=int(cfg["n_modes"]), seed=int(cfg["seed"]),
-                k_max=_real(cfg.get("k_max", 1.0), "k_max"))
+                k_max=_real(cfg.get("k_max", 1.0), "k_max", positive=True))
         n_pts = _count(cfg.get("n_points", 20), "n_points")
         if args.quick:
             n_pts = min(n_pts, 6)

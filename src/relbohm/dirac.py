@@ -9,6 +9,11 @@ stress-tensor equations of motion, and the Foldy-Wouthuysen (FW)
 reductions; the FW spin tensor and circulation identity are taken in
 closed form.
 
+Evaluations take points of any leading shape, (..., 4), or (..., 3) for
+static FW states; one helper, _terms, sums the plane waves for
+eval_spinor, the density and jets.  At a node of psibar psi, q, (mu0)^2
+and T are NaN, and the verifiers raise ValueError naming the point.
+
 Metric dictionary
 -----------------
 All components are real-time with signature (+, -, -, -) and index order
@@ -135,19 +140,20 @@ class DiracField:
         if not modes:
             raise ValueError("need at least one mode")
         self.modes = list(modes)
-        self._u = []
-        for m in self.modes:
-            u = _plane_spinor(m.k, m.spin)
-            w = float(omega(np.linalg.norm(m.k)))
-            p = np.array([w, *m.k])
-            slash = np.einsum("m,m,mab->ab", METRIC, p, GAMMA)
-            res = np.linalg.norm(slash @ u - u) / np.linalg.norm(u)
-            if res > 1e-12:
-                raise AssertionError(
-                    f"plane-wave spinor violates the Dirac equation: {res:.2e}")
-            self._u.append(u)
-        self._omega = np.array(
-            [omega(np.linalg.norm(m.k)) for m in self.modes])
+        k = np.array([m.k for m in self.modes])
+        w = np.array([omega(np.linalg.norm(m.k)) for m in self.modes])
+        u = np.array([_plane_spinor(m.k, m.spin) for m in self.modes])
+        # (gamma^mu p_mu - 1) u of each mode, p = (omega, k)
+        slash_u = np.einsum("m,am,mbc,ac->ab", METRIC, np.column_stack([w, k]),
+                            GAMMA, u)
+        res = np.linalg.norm(slash_u - u, axis=1) / np.linalg.norm(u, axis=1)
+        if np.any(res > 1e-12):
+            raise AssertionError("plane-wave spinor violates the Dirac "
+                                 f"equation: {res.max():.2e}")
+        # per mode, shape (M, 4): p_a = (-omega_a, k_a), so that the phase
+        # is p_a.x, and the amplitude c_a u_a
+        self._p = np.column_stack([-w, k])
+        self._amp = np.array([m.coeff for m in self.modes])[:, None] * u
 
     @classmethod
     def random(cls, n_modes: int, seed: int, k_max: float = 1.0
@@ -164,116 +170,125 @@ class DiracField:
         return cls(modes)
 
 
+def _bar(j: np.ndarray) -> np.ndarray:
+    """psibar components conj(j) gamma0 on the last (spinor) axis."""
+    return np.conj(j) * GAMMA0.diagonal().real
+
+
 @dataclass
 class SpinorSample:
-    """psi and its coordinate derivatives at one spacetime point.
+    """psi and its coordinate derivatives at points of any leading shape.
 
-    dpsi[mu] = d psi / d x^mu with index order (t, x, y, z).
+    psi has shape (..., 4) and dpsi (..., 4, 4), with dpsi[..., mu, :] =
+    d psi / d x^mu in index order (t, x, y, z).
     """
 
-    psi: np.ndarray        # (4,) complex
-    dpsi: np.ndarray       # (4, 4) complex
+    psi: np.ndarray
+    dpsi: np.ndarray
 
     @property
     def psibar(self) -> np.ndarray:
-        return np.conj(self.psi) @ GAMMA0
+        return _bar(self.psi)
 
     @property
     def dpsibar(self) -> np.ndarray:
-        """(4, 4): row mu is d psibar / d x^mu."""
-        return np.conj(self.dpsi) @ GAMMA0
+        """(..., 4, 4): row mu is d psibar / d x^mu."""
+        return _bar(self.dpsi)
 
     @property
-    def density(self) -> float:
-        """psibar psi; real by construction (imaginary part asserted)."""
-        val = self.psibar @ self.psi
-        if abs(val.imag) > 1e-10 * (abs(val.real) + 1e-300):
+    def density(self) -> np.ndarray:
+        """psibar psi, shape (...); real by construction (the imaginary
+        part is asserted small at each point)."""
+        val = np.einsum("...a,...a->...", self.psibar, self.psi)
+        if np.any(np.abs(val.imag) > 1e-10 * (np.abs(val.real) + 1e-300)):
             raise AssertionError("psibar psi not real")
-        return float(val.real)
+        return val.real
+
+
+def _terms(field: DiracField, x, dtype=float) -> np.ndarray:
+    """Plane-wave terms c_a u_a exp(i p_a.x) at points x (..., 4), computed
+    in dtype; shape (..., M, 4)."""
+    x = np.asarray(x, dtype=dtype)
+    return np.exp(1j * (x @ field._p.T))[..., None] * field._amp
 
 
 def eval_spinor(field: DiracField, x) -> SpinorSample:
-    """psi(x) = sum c u(k, s) exp(i(k.r - w t)) with analytic derivatives."""
-    x = np.asarray(x, dtype=float)
-    psi = np.zeros(4, dtype=complex)
-    dpsi = np.zeros((4, 4), dtype=complex)
-    for m, u, w in zip(field.modes, field._u, field._omega):
-        phase = np.exp(1j * (m.k @ x[1:] - w * x[0]))
-        term = m.coeff * phase * u
-        psi += term
-        dpsi[0] += -1j * w * term
-        for j in range(3):
-            dpsi[j + 1] += 1j * m.k[j] * term
-    return SpinorSample(psi=psi, dpsi=dpsi)
+    """psi(x) = sum c u(k, s) exp(i(k.r - w t)) with analytic derivatives,
+    at points x (..., 4)."""
+    terms = _terms(field, x)
+    return SpinorSample(psi=terms.sum(axis=-2),
+                        dpsi=(1j * field._p.T) @ terms)
 
 
-def convective_momentum(s: SpinorSample):
-    """Contravariant convective momentum mu0 u^mu, or None at a node.
+def convective_momentum(s: SpinorSample) -> np.ndarray:
+    """Convective momentum mu0 u^mu (contravariant), (..., 4); NaN at nodes.
 
     Covariant components are (i/2)(psibar d_mu psi - c.c.)/(psibar psi);
     a single plane wave gives (omega, k) contravariant.  Real to
-    rounding (asserted).
+    rounding (asserted at each point off the nodes).
     """
     dens = s.density
-    scale = float(np.linalg.norm(s.psi) * np.linalg.norm(s.dpsi) + 1e-300)
-    if abs(dens) < EPS_NODE * scale:
-        return None
+    scale = (np.linalg.norm(s.psi, axis=-1)
+             * np.linalg.norm(s.dpsi, axis=(-2, -1)) + 1e-300)
+    node = np.abs(dens) < EPS_NODE * scale
     # covariant bilinear per index
-    q = 0.5j * (np.einsum("a,ma->m", s.psibar, s.dpsi)
-                - np.einsum("ma,a->m", s.dpsibar, s.psi)) / dens
-    if np.max(np.abs(q.imag)) > 1e-10 * (np.max(np.abs(q.real)) + 1e-300):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = 0.5j * (np.einsum("...a,...ma->...m", s.psibar, s.dpsi)
+                    - np.einsum("...ma,...a->...m", s.dpsibar, s.psi)
+                    ) / dens[..., None]
+    bad = (np.max(np.abs(q.imag), axis=-1)
+           > 1e-10 * (np.max(np.abs(q.real), axis=-1) + 1e-300))
+    if np.any(bad & ~node):
         raise AssertionError("convective momentum not real")
-    return METRIC * q.real
+    return np.where(node[..., None], np.nan, METRIC * q.real)
 
 
-def effective_mass_sq(s: SpinorSample):
-    """(mu0)^2 = q_mu q^mu; may go negative for extreme superpositions."""
+def effective_mass_sq(s: SpinorSample) -> np.ndarray:
+    """(mu0)^2 = q_mu q^mu, shape (...); NaN at a node, and may go
+    negative for extreme superpositions."""
     q = convective_momentum(s)
-    if q is None:
-        return None
-    return float(np.sum(METRIC * q * q))
+    return np.sum(METRIC * q * q, axis=-1)
 
 
-def _density(field: DiracField, x):
-    """psibar psi in extended precision.
+def _density(field: DiracField, x) -> np.ndarray:
+    """psibar psi at points x (..., 4) in extended precision.
 
     The quantum potential and its gradient stack up to three finite
     differences; 80-bit evaluation of the density keeps the rounding
     floor below the O(h^2) truncation bias at h ~ 1e-3.
     """
-    x = np.asarray(x, dtype=np.longdouble)
-    psi = np.zeros(4, dtype=np.clongdouble)
-    for m, u, w in zip(field.modes, field._u, field._omega):
-        phase = np.exp(1j * (np.clongdouble(m.k @ x[1:])
-                             - np.clongdouble(w) * x[0]))
-        psi += np.clongdouble(m.coeff) * phase * u.astype(np.clongdouble)
-    val = np.conj(psi) @ GAMMA0.astype(np.clongdouble) @ psi
-    return val.real
+    psi = _terms(field, x, np.longdouble).sum(axis=-2)
+    return np.sum(_bar(psi) * psi, axis=-1).real
 
 
-def quantum_potential_spinor(field: DiracField, x, h: float = 1e-4) -> float:
+def _stencil(h: float) -> np.ndarray:
+    """Offsets (9, 4) of a central-difference stencil: 0, then +h e_mu
+    and -h e_mu for mu = 0..3."""
+    e = h * np.eye(4)
+    return np.concatenate([np.zeros((1, 4)),
+                           np.stack([e, -e], axis=1).reshape(8, 4)])
+
+
+def quantum_potential_spinor(field: DiracField, x, h: float = 1e-4):
     """Phi = -(1/2) R^{-1} (laplacian - d^2/dt^2) R, R = (psibar psi)^{1/2}.
 
-    Central differences in all four coordinates with step h; the
+    At points x (..., 4), by central differences with step h in all four
+    coordinates, all 9-point stencils in one density call; the
     spacelike-positive d'Alembertian matches the scalar convention (so a
     single plane wave gives Phi = 0 and the mass identity closes).
     """
     x = np.asarray(x, dtype=float)
-    center = _density(field, x)
-    if center <= 0.0:
-        raise ValueError("psibar psi not positive at the evaluation point")
-    r0 = np.sqrt(center)
-    box = 0.0
-    for mu in range(4):
-        step = np.zeros(4)
-        step[mu] = h
-        dp = _density(field, x + step)
-        dm = _density(field, x - step)
-        if dp <= 0.0 or dm <= 0.0:
-            raise ValueError("psibar psi not positive on the stencil")
-        second = (np.sqrt(dp) - 2.0 * r0 + np.sqrt(dm)) / np.longdouble(h * h)
-        box += second if mu > 0 else -second
-    return float(-0.5 * box / r0)
+    d = _density(field, x[..., None, :] + _stencil(h))
+    bad = np.any(d <= 0.0, axis=-1)
+    if np.any(bad):
+        raise ValueError("psibar psi not positive on the stencil of the "
+                         f"point {x[bad][0]}")
+    r = np.sqrt(d)
+    r0 = r[..., 0]
+    second = (r[..., 1::2] - 2.0 * r0[..., None] + r[..., 2::2]
+              ) / np.longdouble(h * h)
+    box = -second[..., 0] + second[..., 1] + second[..., 2] + second[..., 3]
+    return (-0.5 * box / r0).astype(float)
 
 
 def spin_tensor(s: SpinorSample) -> np.ndarray:
@@ -282,57 +297,55 @@ def spin_tensor(s: SpinorSample) -> np.ndarray:
     T_{mu nu} = (1/2) D^{-1} [dbar_mu d_nu + dbar_nu d_mu]
               - (1/2) D^{-2} [(dbar_mu psi)(psibar d_nu) + (mu <-> nu)]
 
-    with D = psibar psi; real and symmetric to rounding (asserted).
+    with D = psibar psi, shape (..., 4, 4); NaN at a node of D.  Real
+    and symmetric to rounding (asserted at each point off the nodes).
     Vanishes for any scalar-like (single spinor direction) field.
     """
     dens = s.density
-    scale = float(np.linalg.norm(s.psi) ** 2 + 1e-300)
-    if abs(dens) < EPS_NODE * scale:
-        raise ValueError("spin tensor undefined at a node of psibar psi")
-    db = s.dpsibar                       # (mu, a)
-    d = s.dpsi                           # (nu, a)
-    first = np.einsum("ma,na->mn", db, d)
-    a = np.einsum("ma,a->m", db, s.psi)  # (dbar_mu psi)
-    b = np.einsum("a,na->n", s.psibar, d)
-    second = np.outer(a, b)
-    T = (0.5 / dens) * (first + first.T) \
-        - (0.5 / dens ** 2) * (second + second.T)
-    # reality scale from the raw bilinears: T itself may be exactly 0
-    term_scale = (np.max(np.abs(first)) / abs(dens)
-                  + np.max(np.abs(second)) / dens ** 2 + 1e-300)
-    if np.max(np.abs(T.imag)) > 1e-10 * term_scale:
+    node = np.abs(dens) < EPS_NODE * (np.linalg.norm(s.psi, axis=-1) ** 2
+                                      + 1e-300)
+    db = s.dpsibar                                  # (..., mu, a)
+    d = s.dpsi                                      # (..., nu, a)
+    first = np.einsum("...ma,...na->...mn", db, d)
+    a = np.einsum("...ma,...a->...m", db, s.psi)    # (dbar_mu psi)
+    b = np.einsum("...a,...na->...n", s.psibar, d)
+    second = a[..., :, None] * b[..., None, :]
+    D = dens[..., None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        T = (0.5 / D) * (first + first.swapaxes(-1, -2)) \
+            - (0.5 / D ** 2) * (second + second.swapaxes(-1, -2))
+        # reality scale from the raw bilinears: T itself may be exactly 0
+        term_scale = (np.max(np.abs(first), axis=(-2, -1)) / np.abs(dens)
+                      + np.max(np.abs(second), axis=(-2, -1)) / dens ** 2
+                      + 1e-300)
+    bad = np.max(np.abs(T.imag), axis=(-2, -1)) > 1e-10 * term_scale
+    if np.any(bad & ~node):
         raise AssertionError("spin tensor not real")
-    return T.real
+    return np.where(node[..., None, None], np.nan, T.real)
 
 
-def _metric_trace(T: np.ndarray) -> float:
-    """g^{mu nu} T_{mu nu}."""
-    return float(np.sum(METRIC * np.diag(T)))
+def _metric_trace(T: np.ndarray) -> np.ndarray:
+    """g^{mu nu} T_{mu nu} over the last two axes."""
+    return np.einsum("m,...mm->...", METRIC, T)
 
 
 def verify_mass_identity(field: DiracField, points, h: float = 1e-3):
     """Max residual of (mu0)^2 = 1 + 2 Phi - g^{mu nu} T_{mu nu}.
 
     Phi is finite-differenced (step h), everything else analytic, so the
-    residual must scale as O(h^2).  Returns (max_residual, residuals).
+    residual must scale as O(h^2).  points has shape (n, 4).  Returns
+    (max_residual, residuals (n,)).
     """
-    res = []
-    for x in points:
-        s = eval_spinor(field, np.asarray(x, dtype=float))
-        mu2 = effective_mass_sq(s)
-        if mu2 is None:
-            raise ValueError(f"sample point {x} sits on a node")
-        phi = quantum_potential_spinor(field, x, h=h)
-        res.append(abs(mu2 - (1.0 + 2.0 * phi - _metric_trace(spin_tensor(s)))))
-    res = np.array(res)
+    x = np.asarray(points, dtype=float)
+    s = eval_spinor(field, x)
+    mu2 = effective_mass_sq(s)
+    trace = _metric_trace(spin_tensor(s))
+    node = np.isnan(mu2) | np.isnan(trace)
+    if np.any(node):
+        raise ValueError(f"sample point {x[node][0]} sits on a node")
+    phi = quantum_potential_spinor(field, x, h=h)
+    res = np.abs(mu2 - (1.0 + 2.0 * phi - trace))
     return float(res.max()), res
-
-
-def _q_contra(field: DiracField, x) -> np.ndarray:
-    q = convective_momentum(eval_spinor(field, np.asarray(x, dtype=float)))
-    if q is None:
-        raise ValueError(f"node at {x}")
-    return q
 
 
 def verify_eom(field: DiracField, points, h: float = 1e-3):
@@ -343,36 +356,26 @@ def verify_eom(field: DiracField, points, h: float = 1e-3):
 
     (the real-metric transcription of the covariant balance; a vanishing
     O(h^2) residual is what certifies the transcription).  Outer
-    derivatives of q, Phi and D T by central differences with step h.
-    Returns (max_residual, residuals (n_points, 4)).
+    derivatives of q, Phi and D T by central differences with step h, on
+    all stencils x +- h e_nu (and Phi's own) in one call each.  points
+    has shape (n, 4).  Returns (max_residual, residuals (n, 4)).
     """
-    def dens_T(x):
-        s = eval_spinor(field, x)
-        return s.density * spin_tensor(s)
-
-    out = []
-    for xp in points:
-        xp = np.asarray(xp, dtype=float)
-        s = eval_spinor(field, xp)
-        dens = s.density
-        q = _q_contra(field, xp)
-        dq = np.empty((4, 4))        # dq[nu, mu] = d_nu q^mu
-        dphi = np.empty(4)
-        dM = np.empty((4, 4, 4))     # dM[lam, nu, sig] = d_lam (D T)_{nu sig}
-        for nu in range(4):
-            step = np.zeros(4)
-            step[nu] = h
-            dq[nu] = (_q_contra(field, xp + step)
-                      - _q_contra(field, xp - step)) / (2.0 * h)
-            dphi[nu] = (quantum_potential_spinor(field, xp + step, h=h)
-                        - quantum_potential_spinor(field, xp - step, h=h)
-                        ) / (2.0 * h)
-            dM[nu] = (dens_T(xp + step) - dens_T(xp - step)) / (2.0 * h)
-        conv = q @ dq                            # q^nu d_nu q^mu
-        div = np.einsum("n,nns->s", METRIC, dM)  # d^nu (D T)_{nu sigma}
-        resid = conv - METRIC * dphi + METRIC * div / dens
-        out.append(np.abs(resid))
-    out = np.array(out)
+    x = np.asarray(points, dtype=float)
+    xs = x[..., None, :] + _stencil(h)                  # (n, 9, 4)
+    s = eval_spinor(field, xs)
+    q = convective_momentum(s)
+    dens = s.density
+    DT = dens[..., None, None] * spin_tensor(s)         # D T_{nu sig}
+    node = np.any(np.isnan(q), axis=-1) | np.any(np.isnan(DT), axis=(-2, -1))
+    if np.any(node):
+        raise ValueError(f"node at {xs[node][0]}")
+    phi = quantum_potential_spinor(field, xs[..., 1:, :], h=h)
+    dq = (q[..., 1::2, :] - q[..., 2::2, :]) / (2.0 * h)   # d_nu q^mu
+    dphi = (phi[..., 0::2] - phi[..., 1::2]) / (2.0 * h)
+    dDT = (DT[..., 1::2, :, :] - DT[..., 2::2, :, :]) / (2.0 * h)
+    conv = np.einsum("...v,...vm->...m", q[..., 0, :], dq)  # q^nu d_nu q^mu
+    div = np.einsum("v,...vvs->...s", METRIC, dDT)  # d^nu (D T)_{nu sigma}
+    out = np.abs(conv - METRIC * dphi + METRIC * div / dens[..., :1])
     return float(out.max()), out
 
 
@@ -408,19 +411,6 @@ class Jets:
     trace_T: np.ndarray
 
 
-def _bar(j: np.ndarray) -> np.ndarray:
-    """psibar components conj(j) gamma0 on the last (spinor) axis."""
-    return np.conj(j) * GAMMA0.diagonal().real
-
-
-def _mode_data(field: DiracField):
-    """Per-mode p_a = (-omega_a, k_a), shape (M, 4), and c_a u_a, (M, 4)."""
-    k = np.array([m.k for m in field.modes])
-    amp = np.array([m.coeff for m in field.modes])[:, None] * np.array(
-        field._u)
-    return np.column_stack([-field._omega, k]), amp
-
-
 def jets(field: DiracField, points) -> Jets:
     """Phi, q, T and their first derivatives at points (n, 4), exactly.
 
@@ -431,9 +421,8 @@ def jets(field: DiracField, points) -> Jets:
     same T as spin_tensor.
     """
     x = np.asarray(points, dtype=float).reshape(-1, 4)
-    p, amp = _mode_data(field)
-    P = 1j * p
-    psi_a = np.exp(1j * (x @ p.T))[..., None] * amp
+    P = 1j * field._p
+    psi_a = _terms(field, x)
     box = np.einsum("m,am,am->a", METRIC, P, P)     # g^{mu nu} P_mu P_nu
     j0 = psi_a.sum(axis=1)                            # (n, s)
     j1 = np.einsum("am,nas->nms", P, psi_a)           # d_m psi
@@ -518,8 +507,8 @@ def _rounding_bounds(field: DiracField, x: np.ndarray, dens: np.ndarray):
     3 000 random fields (1-8 modes, |k| <= 3, points out to |x^mu| <=
     100), no in-domain residual came within 1/60 of its bound.
     """
-    p, amp = _mode_data(field)
-    a = np.linalg.norm(amp, axis=1)
+    p = field._p
+    a = np.linalg.norm(field._amp, axis=1)
     size = np.linalg.norm(p, axis=1)
     pair = size[:, None] + size[None, :]
     s0, s2, s3 = (float(np.sum(np.outer(a, a) * pair ** n)) for n in (0, 2, 3))
@@ -615,52 +604,40 @@ class FWField:
     ds: object
 
 
-def _amplitude(p):
-    p = np.asarray(p, dtype=float)
-    return np.exp(-0.5 * np.sum(p * p, axis=-1))
-
-
-def _grad_amplitude(p):
-    p = np.asarray(p, dtype=float)
-    return -p * _amplitude(p)[..., None]
-
-
 def _u_du(shat: np.ndarray, ds: np.ndarray):
     """u(s) and its gradient du[..., j, :] = d_j s_l du/ds_l."""
     return fw_u(shat), np.einsum("...jl,...la->...ja", ds, _du_ds(shat))
 
 
 def fw_spinor(field: FWField, x):
-    """(psi, dpsi4) of the FW state A u(s) at a static point.
-
-    dpsi4 has shape (4, 4) with the time row zero (static fields).
-    """
+    """(psi (..., 4), dpsi4 (..., 4, 4)) of the FW state A u(s) at static
+    points x (..., 3); the time row of dpsi4 is zero."""
     x = np.asarray(x, dtype=float)
-    a = float(_amplitude(x))
+    a = np.exp(-0.5 * np.sum(x * x, axis=-1))[..., None]
     shat = np.asarray(field.s(x), dtype=float)
-    if abs(np.linalg.norm(shat) - 1.0) > 1e-12:
+    if np.any(np.abs(np.linalg.norm(shat, axis=-1) - 1.0) > 1e-12):
         raise ValueError("spin direction not unit length")
     u, du = _u_du(shat, np.asarray(field.ds(x), dtype=float))
-    dpsi4 = np.zeros((4, 4), dtype=complex)
-    dpsi4[1:] = _grad_amplitude(x)[:, None] * u[None, :] + a * du
+    dpsi4 = np.zeros(x.shape[:-1] + (4, 4), dtype=complex)
+    # d_j A = -x_j A
+    dpsi4[..., 1:, :] = ((-x * a)[..., :, None] * u[..., None, :]
+                         + a[..., None] * du)
     return a * u, dpsi4
 
 
 def verify_fw_spin_tensor(field: FWField, points):
     """Max residual of T_{jk}(bilinears) = (1/4) d_j s_l d_k s_l.
 
-    Both sides analytic; for an exact identity the residual is at
-    rounding level (1e-10 budget).  Returns (max_residual, per-point).
+    Both sides analytic, at all points (n, 3) at once; for an exact
+    identity the residual is at rounding level (1e-10 budget).  Returns
+    (max_residual, per-point residuals (n,)).
     """
-    res = []
-    for x in points:
-        psi, dpsi4 = fw_spinor(field, x)
-        s = SpinorSample(psi=psi, dpsi=dpsi4)
-        T = spin_tensor(s)[1:, 1:]
-        ds = np.asarray(field.ds(np.asarray(x, dtype=float)), dtype=float)
-        rhs = 0.25 * ds @ ds.T
-        res.append(np.max(np.abs(T - rhs)))
-    res = np.array(res)
+    x = np.asarray(points, dtype=float)
+    psi, dpsi4 = fw_spinor(field, x)
+    T = spin_tensor(SpinorSample(psi=psi, dpsi=dpsi4))[..., 1:, 1:]
+    ds = np.asarray(field.ds(x), dtype=float)
+    rhs = 0.25 * ds @ ds.swapaxes(-1, -2)
+    res = np.max(np.abs(T - rhs), axis=(-2, -1))
     return float(res.max()), res
 
 

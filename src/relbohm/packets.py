@@ -527,10 +527,11 @@ def zero_crossings(packet: Packet):
     taken exactly on the t = 0 FFT row (_RowIntegral).  Both to 1e-8 or
     better.
 
-    Raises ArithmeticError when the packet's configured k rule departs
-    from the FFT row by more than ENGINE_GAP_TOL within the decay window
-    (_check_rule): one of the two engines is then off where the row
-    integrals reach.
+    Raises ArithmeticError when rho(x, 0) has no sign change on (0, 2.5 a]
+    (a k_cut too small for a narrow packet), and when the packet's
+    configured k rule departs from the FFT row by more than
+    ENGINE_GAP_TOL within the decay window (_check_rule): one of the two
+    engines is then off where the row integrals reach.
     """
     # imported here: scipy.optimize is most of the import time of
     # relbohm.cli, and only explode needs it
@@ -549,8 +550,8 @@ def zero_crossings(packet: Packet):
     r = rho0(xs)
     sign_change = np.nonzero(np.diff(np.sign(r)) != 0)[0]
     if sign_change.size == 0:
-        raise ValueError("rho(x, 0) has no sign change; wrong packet "
-                         "configuration")
+        raise ArithmeticError("rho(x, 0) has no sign change on (0, 2.5 a] "
+                              f"for a = {a:g}, k_cut = {packet.k_cut:g}")
     i = sign_change[0]
     x0 = brentq(lambda x: float(rho0(x)), xs[i], xs[i + 1], xtol=1e-8)
 

@@ -1,16 +1,17 @@
 """Point-wise oracles the tests compare the program against.
 
 The program evaluates psi and the Bohm velocity through vectorized
-passes (the double sums of relbohm.modes, Packet.fields).  These
-functions take one point at a time by a separate formula path, so a
-test that agrees with them checks the program and not itself.  Where
+passes (the double sums of relbohm.modes, Packet.fields, the plane-wave
+terms of relbohm.dirac).  These functions take one point at a time by a
+separate formula path, so a test that agrees with them checks the
+program and not itself.  Where
 the program takes a derivative in closed form, the oracle here takes it
 by finite differences of the underlying function.
 """
 
 import numpy as np
 
-from relbohm.dirac import SpinorSample
+from relbohm.dirac import SpinorSample, _plane_spinor
 from relbohm.numerics import EPS_RHO_SCALE, bilinear_j, bilinear_rho, omega
 
 
@@ -24,6 +25,22 @@ def mode_sum(state, z, t):
         psix += 1j * k * u
         psit += -1j * w * u
     return psi, psix, psit
+
+
+def spinor_mode_sum(field, x) -> SpinorSample:
+    """psi and dpsi of a DiracField at one point x (4,), mode by mode."""
+    x = np.asarray(x, dtype=float)
+    psi = np.zeros(4, dtype=complex)
+    dpsi = np.zeros((4, 4), dtype=complex)
+    for m in field.modes:
+        w = omega(np.linalg.norm(m.k))
+        phase = np.exp(1j * (m.k @ x[1:] - w * x[0]))
+        term = m.coeff * phase * _plane_spinor(m.k, m.spin)
+        psi += term
+        dpsi[0] += -1j * w * term
+        for j in range(3):
+            dpsi[j + 1] += 1j * m.k[j] * term
+    return SpinorSample(psi=psi, dpsi=dpsi)
 
 
 def point_velocity(psi, dpsi_dx, dpsi_dt):

@@ -106,6 +106,8 @@ _K40 = {"shape": "cos2", "k_cut": 40.0, "gl_order": 8, "x_scale": 4.0}
                  "density_x": {"min": -3.0, "max": 3.0, "n": 0},
                  "grid": _GRID}, 2),
     ("spin", {**_DIRAC, "k_max": "nan"}, 2),
+    ("spin", {**_DIRAC, "k_max": -3}, 2),
+    ("spin", {**_DIRAC, "k_max": 0}, 2),
     # an FFT row past 2^22 points: a huge t would allocate gigabytes
     ("explode", {"packet": _K40, "t_values": [1e6], "grid": _GRID}, 2),
     ("explode", {"packet": _K40, "p_times": [1e6], "grid": _GRID}, 2),
@@ -127,6 +129,9 @@ _K40 = {"shape": "cos2", "k_cut": 40.0, "gl_order": 8, "x_scale": 4.0}
     # the moments' FFT row at this t would need 2^30 points
     ("nearnr", {"packet": {"shape": "gaussian", "sigma_k": 0.05},
                 "t": 1e9}, 2),
+    # well formed, but k_cut is too small to resolve the zero of rho(x, 0)
+    ("explode", {"packet": {"shape": "cos2", "a": 0.05, "k_cut": 20},
+                 "grid": _GRID}, 3),
 ], ids=["modes-n_levels-string", "modes-nan-k", "explode-density_x-no-max",
         "nearnr-x-no-min", "spin-dirac-zero-points",
         "spin-dirac-point_range-string",
@@ -135,12 +140,14 @@ _K40 = {"shape": "cos2", "k_cut": 40.0, "gl_order": 8, "x_scale": 4.0}
         "spin-fw-box_half-zero", "nearnr-x-min-nan", "explode-t_values-nan",
         "nearnr-x-n-zero", "modes-grid-x_max-inf", "spin-fw-field-list",
         "explode-packet-a-nan", "explode-density_x-n-zero",
-        "spin-dirac-k_max-nan", "explode-t_values-fft-row-too-large",
+        "spin-dirac-k_max-nan", "spin-dirac-k_max-negative",
+        "spin-dirac-k_max-zero", "explode-t_values-fft-row-too-large",
         "explode-p_times-fft-row-too-large", "explode-coarse-k-quadrature",
         "nearnr-packet-too-many-k-nodes", "spin-dirac-empty-domain",
         "explode-packet-string", "nearnr-packet-null", "nearnr-packet-list",
         "explode-grid-t-fft-row-too-large", "spin-fw-box_n-over-limit",
-        "spin-fw-box_n-huge", "nearnr-t-fft-row-too-large"])
+        "spin-fw-box_n-huge", "nearnr-t-fft-row-too-large",
+        "explode-unresolved-narrow-packet"])
 def test_malformed_or_unconverged_config_exit_code(tmp_path, command,
                                                    payload, code):
     cfg = write_cfg(tmp_path, "cfg.json", payload)
@@ -148,6 +155,14 @@ def test_malformed_or_unconverged_config_exit_code(tmp_path, command,
     assert run([command, "--config", cfg, "--out", str(out)]) == code
     if code == 2:
         assert not out.exists()
+
+
+def test_explode_unresolved_packet_is_named(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "narrow.json", {
+        "packet": {"shape": "cos2", "a": 0.05, "k_cut": 20}, "grid": _GRID})
+    assert run(["explode", "--config", cfg,
+                "--out", str(tmp_path / "o")]) == 3
+    assert "a = 0.05, k_cut = 20" in capsys.readouterr().err
 
 
 def test_explode_fft_row_limit_is_named(tmp_path, capsys):
@@ -309,6 +324,21 @@ def test_nearnr_bundled_quick(tmp_path):
     assert summary["pushforward"]["improvement"] > 5.0
 
 
+def test_nearnr_pushforward_null_where_rho_vanishes(tmp_path):
+    # by t = 30 rho has a zero in the pushforward window, where the map is
+    # undefined: pushforward is null, as outside the narrow-k regime
+    cfg = json.loads(resources.files("relbohm").joinpath(
+        "configs", "gauss.json").read_text())
+    path = write_cfg(tmp_path, "late.json", {**cfg, "t": 30.0})
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="pushforward is null"):
+        assert run(["nearnr", "--config", path, "--out", str(out)]) == 0
+    assert (out / "correction.csv").exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["narrow_k_regime"] is True
+    assert summary["pushforward"] is None
+
+
 def test_nearnr_moments_on_wide_cos2(tmp_path):
     # 1 280 k-nodes, within the W kernel's limit; rho - rho_nw is too
     # sharp for fixed x panels over the decay window
@@ -439,7 +469,7 @@ def test_spin_fw_bundled_quick(tmp_path):
 
 @pytest.mark.parametrize("payload", [_DIRAC, _FW])
 def test_spin_ignores_h(tmp_path, payload):
-    # spin reads no step size; the bundled configs still carry h
+    # spin reads no step size; an h key, as older configs carry, is ignored
     for h in ("x", 0, None):
         cfg = write_cfg(tmp_path, "h.json", {**payload, "h": h})
         assert run(["spin", "--config", cfg,
@@ -523,22 +553,64 @@ def _floats(obj):
     return [obj] if isinstance(obj, float) else []
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(cfg=_spin_configs(), quick=st.booleans())
-# a negative point_range once escaped main from numpy's uniform draw
-@example(cfg={**_DIRAC, "point_range": -0.5}, quick=False)
-def test_spin_configs_never_escape(cfg, quick):
-    # any spin config answers with an exit code; an exit-0 report holds
-    # only finite floats
+def _answers_with_a_code(command, cfg, quick, report):
+    """Run cfg: the exit code is 0, 2 or 3, exit 2 leaves no --out, and an
+    exit-0 report file holds only finite floats."""
     with tempfile.TemporaryDirectory() as tmp:
         path = write_cfg(Path(tmp), "cfg.json", cfg)
         out = Path(tmp) / "o"
-        code = run(["spin", "--config", path, "--out", str(out)]
+        code = run([command, "--config", path, "--out", str(out)]
                    + ["--quick"] * quick)
         assert code in (0, 2, 3)
         if code == 2:
             assert not out.exists()
         if code == 0:
-            report = json.loads((out / "report.json").read_text(),
-                                parse_constant=lambda c: pytest.fail(c))
-            assert all(math.isfinite(v) for v in _floats(report))
+            summary = json.loads((out / report).read_text(),
+                                 parse_constant=lambda c: pytest.fail(c))
+            assert all(math.isfinite(v) for v in _floats(summary))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cfg=_spin_configs(), quick=st.booleans())
+# a negative point_range once escaped main from numpy's uniform draw
+@example(cfg={**_DIRAC, "point_range": -0.5}, quick=False)
+def test_spin_configs_never_escape(cfg, quick):
+    _answers_with_a_code("spin", cfg, quick, "report.json")
+
+
+@st.composite
+def _nearnr_configs(draw):
+    """A small gaussian or cos2 nearnr config, with up to two keys
+    malformed or missing."""
+    if draw(st.booleans()):
+        packet = {"shape": "gaussian", "sigma_k": draw(st.floats(0.02, 0.5)),
+                  "k0": draw(st.floats(-1.0, 1.0))}
+    else:
+        packet = {"shape": "cos2", "k_cut": draw(st.floats(1.0, 40.0))}
+    half = draw(st.floats(1.0, 20.0))
+    cfg = {"packet": packet,
+           "x": {"min": -half, "max": half, "n": draw(st.integers(1, 41))},
+           "t": draw(st.floats(0.0, 50.0))}
+    paths = [("packet",), ("x",), ("t",), *(("packet", k) for k in packet),
+             *(("x", k) for k in cfg["x"])]
+    bad = draw(st.dictionaries(st.sampled_from(paths), _MALFORMED,
+                               max_size=2))
+    for path, value in bad.items():
+        node = cfg.get(path[0]) if len(path) == 2 else cfg
+        if not isinstance(node, dict):
+            continue            # its parent is malformed already
+        if value is _ABSENT:
+            node.pop(path[-1], None)
+        else:
+            node[path[-1]] = value
+    return cfg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cfg=_nearnr_configs(), quick=st.booleans())
+# rho has a zero in the pushforward window: this once escaped main
+@example(cfg={"packet": {"shape": "gaussian", "k0": 0.1, "sigma_k": 0.05},
+              "x": {"min": -20.0, "max": 20.0, "n": 161}, "t": 30.0},
+         quick=False)
+def test_nearnr_configs_never_escape(cfg, quick):
+    _answers_with_a_code("nearnr", cfg, quick, "summary.json")

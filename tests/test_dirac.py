@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import gauge_transform
+from oracles import gauge_transform, spinor_mode_sum
 from relbohm.dirac import (BALANCE_MAX_POINTS, GAMMA, GAMMA0, METRIC,
                            DiracField, DiracMode, FWField, SpinorSample,
                            _EPS3, _balance_terms, _du_ds, _metric_trace,
-                           _q_contra, convective_momentum, effective_mass_sq,
+                           convective_momentum, effective_mass_sq,
                            eval_spinor, fw_gaussian_field, fw_hedgehog_field,
                            fw_rotating_field, fw_spinor, fw_u,
                            identity_residuals, jets,
@@ -44,6 +44,54 @@ def test_spinor_normalization_and_dirac_equation():
     u = s.psi
     op = w * GAMMA0 - sum(k[j] * GAMMA[j + 1] for j in range(3)) - np.eye(4)
     assert np.linalg.norm(op @ u) < 1e-12 * np.linalg.norm(u)
+
+
+def test_batched_eval_spinor_matches_the_mode_sum_oracle():
+    field = DiracField.random(4, seed=3)
+    rng = np.random.default_rng(5)
+    for shape in ((6, 4), (3, 2, 4, 4)):
+        pts = rng.uniform(-2.0, 2.0, shape)
+        s = eval_spinor(field, pts)
+        assert s.psi.shape == shape[:-1] + (4,)
+        assert s.dpsi.shape == shape[:-1] + (4, 4)
+        for idx in np.ndindex(shape[:-1]):
+            ref = spinor_mode_sum(field, pts[idx])
+            assert np.max(np.abs(s.psi[idx] - ref.psi)) < 1e-14
+            assert np.max(np.abs(s.dpsi[idx] - ref.dpsi)) < 1e-14
+
+
+def test_bilinears_nan_at_a_node_and_per_point_elsewhere():
+    # psibar psi = |psi_1|^2 + |psi_2|^2 - |psi_3|^2 - |psi_4|^2 vanishes
+    # in the first row
+    psi = np.array([[1.0, 0.0, 1.0, 0.0], [1.0, 0.2, 0.1j, 0.0]])
+    rng = np.random.default_rng(2)
+    dpsi = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+    s = SpinorSample(psi=psi, dpsi=dpsi)
+    q, mu2, T = convective_momentum(s), effective_mass_sq(s), spin_tensor(s)
+    assert np.isnan(q[0]).all() and np.isnan(mu2[0]) and np.isnan(T[0]).all()
+    one = SpinorSample(psi=psi[1], dpsi=dpsi[1])
+    assert s.density[1] == pytest.approx(one.density, abs=1e-15)
+    assert np.allclose(q[1], convective_momentum(one), rtol=0, atol=1e-14)
+    assert mu2[1] == pytest.approx(effective_mass_sq(one), abs=1e-14)
+    assert np.allclose(T[1], spin_tensor(one), rtol=0, atol=1e-14)
+
+
+def test_verifiers_name_a_node():
+    # seed 13 takes psibar psi through zero; brentq puts a point on it
+    from scipy.optimize import brentq
+    field = DiracField.random(2, seed=13)
+    pts = rng_points(np.random.default_rng(0), 20)
+    dens = eval_spinor(field, pts).density
+    a, b = pts[np.argmax(dens)], pts[np.argmin(dens)]
+    assert dens.max() > 0.0 > dens.min()
+    frac = brentq(lambda f: eval_spinor(field, a + f * (b - a)).density,
+                  0.0, 1.0, xtol=1e-15)
+    node = a + frac * (b - a)
+    assert np.isnan(effective_mass_sq(eval_spinor(field, node)))
+    for verify in (verify_mass_identity, verify_eom):
+        with pytest.raises(ValueError, match="node") as info:
+            verify(field, np.array([a, node]))
+        assert str(node) in str(info.value)
 
 
 def test_plane_wave_momentum_and_mass():
@@ -141,28 +189,23 @@ def test_identity_boost_oracle():
 def _fd_gaps(field, pts, h):
     """Largest gaps of the jets' Phi, d Phi, d q and d (D T) from the
     finite-difference oracle at step h (central differences of the
-    point-wise functions, Phi itself by quantum_potential_spinor)."""
+    batched functions, Phi itself by quantum_potential_spinor)."""
     J = jets(field, pts)
+    # xp[i, nu] = pts[i] + h e_nu
+    xp, xm = pts[:, None] + h * np.eye(4), pts[:, None] - h * np.eye(4)
+    sp, sm = eval_spinor(field, xp), eval_spinor(field, xm)
 
-    def dens_T(x):
-        s = eval_spinor(field, x)
-        return s.density * spin_tensor(s)
+    def diff(f):
+        return (f(sp) - f(sm)) / (2 * h)
 
-    gaps = np.zeros(4)
-    for i, x in enumerate(pts):
-        steps = h * np.eye(4)
-        dphi = [(quantum_potential_spinor(field, x + e, h=h)
-                 - quantum_potential_spinor(field, x - e, h=h)) / (2 * h)
-                for e in steps]
-        dq = [(_q_contra(field, x + e) - _q_contra(field, x - e)) / (2 * h)
-              for e in steps]
-        dm = [(dens_T(x + e) - dens_T(x - e)) / (2 * h) for e in steps]
-        gaps = np.maximum(gaps, [
-            abs(quantum_potential_spinor(field, x, h=h) - J.phi[i]),
-            np.max(np.abs(np.array(dphi) - J.dphi[i])),
-            np.max(np.abs(np.array(dq) - J.dq[i])),
-            np.max(np.abs(np.array(dm) - J.dDT[i]))])
-    return gaps
+    dq = diff(convective_momentum)
+    dm = diff(lambda s: s.density[..., None, None] * spin_tensor(s))
+    dphi = (quantum_potential_spinor(field, xp, h=h)
+            - quantum_potential_spinor(field, xm, h=h)) / (2 * h)
+    return np.array([
+        np.max(np.abs(quantum_potential_spinor(field, pts, h=h) - J.phi)),
+        np.max(np.abs(dphi - J.dphi)), np.max(np.abs(dq - J.dq)),
+        np.max(np.abs(dm - J.dDT))])
 
 
 def test_jets_match_the_finite_difference_oracle():
@@ -266,6 +309,18 @@ def test_fw_spin_tensor_exact():
         pts = rng.uniform(-1.5, 1.5, (10, 3))
         r, _ = verify_fw_spin_tensor(field, pts)
         assert r < 1e-10
+
+
+def test_batched_fw_spinor_matches_per_point_calls():
+    pts = np.random.default_rng(9).uniform(-1.5, 1.5, (7, 3))
+    for field in (fw_gaussian_field(), fw_rotating_field(),
+                  fw_hedgehog_field()):
+        psi, dpsi4 = fw_spinor(field, pts)
+        assert psi.shape == (7, 4) and dpsi4.shape == (7, 4, 4)
+        for i, x in enumerate(pts):
+            one_psi, one_dpsi4 = fw_spinor(field, x)
+            assert np.max(np.abs(psi[i] - one_psi)) < 1e-15
+            assert np.max(np.abs(dpsi4[i] - one_dpsi4)) < 1e-15
 
 
 def test_fw_rotating_txx_hand_value():
