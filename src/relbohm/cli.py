@@ -318,10 +318,6 @@ def cmd_explode(cfg: dict, args) -> int:
 
 def cmd_nearnr(cfg: dict, args) -> int:
     packet = _packet_from(cfg)
-    if packet.spec.shape == "gaussian" and packet.spec.sigma_k >= 0.3:
-        warnings.warn("sigma_k >= 0.3 is outside the documented narrow-k "
-                      "regime; the approximate identities are not expected "
-                      "to hold (the exact one still is)", RuntimeWarning)
     xcfg = cfg.get("x", {"min": -20.0, "max": 20.0, "n": 161})
     with _parsing("x"):
         n = _count(xcfg["n"], "x.n")
@@ -353,21 +349,26 @@ def cmd_nearnr(cfg: dict, args) -> int:
     mask = np.abs(lhs_t) > 0.1 * np.max(np.abs(lhs_t))
     rel27b = float(np.max(np.abs((lhs_t - r27b)[mask] / lhs_t[mask])))
     rel27ab = float(np.max(np.abs((r27a - r27b)[mask] / lhs_t[mask])))
+    w_rel = float(np.sqrt(np.mean(w_gap ** 2) / np.mean(field.W ** 2)))
+    # the regime is where the expansion measurably holds; NaN is outside
+    narrow = bool(np.max([w_rel, rel27b]) <= nearnr.NARROW_K_REL)
+    if not narrow:
+        warnings.warn(f"w_approx_rel {w_rel:.3g} or timeform_rel_27b "
+                      f"{rel27b:.3g} over {nearnr.NARROW_K_REL:g}: outside "
+                      "the narrow-k regime", RuntimeWarning)
     summary = {
         "eq22_max_residual": eq22_res,
-        "w_approx_rel": float(np.sqrt(np.mean(w_gap ** 2)
-                                      / np.mean(field.W ** 2))),
+        "w_approx_rel": w_rel,
         "moment0": m0, "moment1": m1,
         "timeform_rel_27b": rel27b,
         "timeform_rel_27a_vs_27b": rel27ab,
-        "narrow_k_regime": bool(packet.spec.shape != "gaussian"
-                                or packet.spec.sigma_k < 0.3),
+        "narrow_k_regime": narrow,
     }
     if packet.spec.shape == "gaussian":
         # null outside the narrow-k regime, where the map need not be
         # monotone, and where it is undefined on the window
         summary["pushforward"] = None
-        if summary["narrow_k_regime"]:
+        if narrow:
             try:
                 raw, mapped = nearnr.pushforward_l1(packet, t)
             except ValueError as exc:
@@ -438,10 +439,10 @@ def cmd_spin(cfg: dict, args) -> int:
         box_n = _count(cfg.get("box_n", 61), "box_n", least=2)
         if args.quick:
             box_n = min(box_n, 41)
-        if box_n ** 3 > dirac.BALANCE_MAX_POINTS:
+        if box_n > dirac.BALANCE_MAX_N:
             raise ConfigError(
-                f"box_n {box_n} needs a balance grid of {box_n}^3 points, "
-                f"more than the limit of 2^21 = {dirac.BALANCE_MAX_POINTS}")
+                f"box_n {box_n} is over the limit of {dirac.BALANCE_MAX_N} "
+                "Gauss-Legendre nodes per face axis")
         box_half = _real(cfg.get("box_half", 7.0), "box_half", positive=True)
         out = _out_dir(args)
         field = makers[name]()

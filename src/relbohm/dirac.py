@@ -7,7 +7,7 @@ convective momentum, effective mass, spinor quantum potential, the spin
 stress tensor, and numerical verification of the mass identity, the
 stress-tensor equations of motion, and the Foldy-Wouthuysen (FW)
 reductions; the FW spin tensor and circulation identity are taken in
-closed form.
+closed form, and the FW ensemble balance as a flux through the box faces.
 
 Evaluations take points of any leading shape, (..., 4), or (..., 3) for
 static FW states; one helper, _terms, sums the plane waves for
@@ -35,6 +35,7 @@ flipped sign leaves an O(1) residual.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -92,14 +93,8 @@ EPS_NODE = 1e-12
 #: roundings of the closed forms counted in the rounding bounds of
 #: identity_residuals, on top of the phase and the mode sums
 ROUNDING_OPS = 32
-#: central-difference step inside verify_ensemble_balance
-BALANCE_H = 1e-3
-#: most grid points (n^3 <= 128^3) of verify_ensemble_balance; its
-#: arrays take ~104 bytes a point, ~220 MB at the limit
-BALANCE_MAX_POINTS = 2 ** 21
-#: grid points per pass of verify_ensemble_balance; a pass's temporaries
-#: (~1 MB of field.ds) stay in cache
-BALANCE_CHUNK = 2 ** 14
+#: most Gauss-Legendre nodes per face axis of verify_ensemble_balance
+BALANCE_MAX_N = 128
 #: z component of the unnormalized hedgehog spin direction (x, y, c)
 HEDGEHOG_C = 2.0
 
@@ -596,8 +591,7 @@ class FWField:
     The state is A u(s) with A = exp(-|x|^2 / 2) and zero phase.  Both
     callables take points of shape (..., 3): s -> (..., 3), ds ->
     (..., 3, 3) with ds[..., j, l] = d s_l / d x_j.  |s| = 1 is checked
-    on use.  The built-in fields return ds as a view whose point axes
-    are last in memory, which verify_ensemble_balance reads fastest.
+    on use.
     """
 
     s: object
@@ -667,87 +661,69 @@ def verify_curl_formula(field: FWField, points):
     return float(res.max()), res
 
 
-def _stress_flux(field: FWField, x: np.ndarray, i: int, step: float):
-    """The flux A^2 T_{ji} at the points x + step e_i.
+#: outward normals of the box faces: -e_x, +e_x, -e_y, +e_y, -e_z, +e_z
+_FACES = np.repeat(np.eye(3), 2, axis=0) * np.tile([-1.0, 1.0], 3)[:, None]
 
-    x has shape (3, m), one row per coordinate.  Of the stress only the
-    column T_{ji} = (1/4) d_j s_l d_i s_l that d_i takes is formed.
-    Returns the flux of shape (3, m).
+
+def _face_fluxes(field: FWField, box_half: float, n: int):
+    """Flux of each balance term through each face of the box.
+
+    Returns (phi, stress, a_face): phi[f, j] = (1/2) oint_f A^2 n_j dS
+    and stress[f, j] = oint_f A^2 T_{ji} n_i dS, shape (6, 3), one row
+    per face of _FACES, each by an n x n Gauss-Legendre rule with one
+    field.ds call on all 6 n^2 nodes, and a_face the largest A on them.
     """
-    p = x.copy()
-    p[i] += step
-    r2 = p[0] * p[0] + p[1] * p[1] + p[2] * p[2]
-    # d[j, l] = d_j s_l, each of shape (m,): contiguous for the built-in
-    # fields (see FWField)
-    d = np.asarray(field.ds(p.T), dtype=float).transpose(1, 2, 0)
-    col = 0.25 * (d[:, 0] * d[i, 0] + d[:, 1] * d[i, 1] + d[:, 2] * d[i, 2])
-    return np.exp(-0.5 * r2) ** 2 * col
-
-
-def _balance_terms(field: FWField, axis: np.ndarray):
-    """A and the two terms of the balance integrand on the grid axis^3.
-
-    Returns (A, A^2 d_j Phi, d_i (A^2 T_{ji})) on the n^3 grid points in
-    C order, the terms with shape (3, n^3).  Phi = -(1/2) lap A / A =
-    -(1/2)(|x|^2 - 3) for the Gaussian A, so A^2 d_j Phi = -x_j A^2 in
-    closed form.  The stress divergence is a central difference with
-    step BALANCE_H, each of the six shifted grids x +- h e_i evaluated
-    once (_stress_flux), BALANCE_CHUNK grid points at a time.
-    """
-    h = BALANCE_H
-    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij",
-                                copy=False)).reshape(3, -1)
-    div = np.zeros_like(grid)
-    for lo in range(0, grid.shape[1], BALANCE_CHUNK):
-        part = slice(lo, lo + BALANCE_CHUNK)
-        for i in range(3):
-            div[:, part] += (_stress_flux(field, grid[:, part], i, h)
-                             - _stress_flux(field, grid[:, part], i, -h)
-                             ) / (2.0 * h)
-    a = np.exp(-0.5 * (grid[0] * grid[0] + grid[1] * grid[1]
-                       + grid[2] * grid[2]))
-    return a, -grid * (a * a), div
+    x, w = np.polynomial.legendre.leggauss(n)
+    u, v = np.meshgrid(box_half * x, box_half * x, indexing="ij")
+    pts = np.empty((6, n, n, 3))
+    for f in range(6):
+        i = f // 2
+        pts[f, ..., i] = _FACES[f, i] * box_half
+        pts[f, ..., (i + 1) % 3] = u
+        pts[f, ..., (i + 2) % 3] = v
+    a2 = np.exp(-np.sum(pts * pts, axis=-1))
+    da = a2 * np.outer(box_half * w, box_half * w)   # A^2 dS
+    # d_j s_l; einsum reads the built-in fields' point-last layout fastest
+    ds = np.asarray(field.ds(pts), dtype=float)
+    dn = np.einsum("fabil,fi->fabl", ds, _FACES)     # n_i d_i s_l
+    phi = 0.5 * np.sum(da, axis=(1, 2))[:, None] * _FACES
+    stress = 0.25 * np.einsum("fab,fabjl,fabl->fj", da, ds, dn)
+    return phi, stress, float(np.sqrt(a2.max()))
 
 
 def verify_ensemble_balance(field: FWField, box_half: float, n: int = 61):
     """Relative residual of the vanishing ensemble-average acceleration.
 
     Integrates A^2 d_j Phi + d_i (A^2 T_{ji}) over the box [-box_half,
-    box_half]^3 by a uniform-grid Riemann sum on n^3 points (spectrally
-    accurate for the decaying test fields).  Phi is the
-    non-relativistic -(1/2) lap A / A, its gradient taken in closed
-    form; the stress divergence uses central differences with step
-    BALANCE_H (decoupled from the grid spacing).  See _balance_terms.
+    box_half]^3.  Phi = -(1/2) lap A / A = -(1/2)(|x|^2 - 3) for the
+    Gaussian A, so A^2 d_j Phi = (1/2) d_j A^2, and by Gauss's theorem
+    the integral is the flux oint A^2 ((1/2) delta_{ij} + T_{ji}) n_i dS,
+    exact on an n x n Gauss-Legendre rule per face (_face_fluxes).
 
-    What this checks, and what it does not: both terms are total
-    derivatives (A^2 d_j Phi = (1/2) d_j A^2 for the Gaussian A), and
-    for the built-in fields component j of each is also odd under
-    x_j -> -x_j on the centred box, so each term integrates to rounding
-    level on its own.  The result is therefore at rounding level
-    whatever the relative sign or weight of the two terms, and it does
-    not pin T.  verify_fw_spin_tensor (T against the Dirac bilinears)
-    and verify_curl_formula are the checks that do.
+    What this checks, and what it does not: for the built-in fields
+    component j of each term is odd under x_j -> -x_j on the centred
+    box, so opposite faces cancel, each term on its own.  The result is
+    therefore at rounding level whatever the relative sign or weight of
+    the two terms, and it does not pin T.  verify_fw_spin_tensor (T
+    against the Dirac bilinears) and verify_curl_formula are the checks
+    that do.
 
-    Returns max_j |integral_j| / sum_j integral of |A^2 d_j Phi| +
-    |d_i (A^2 T_{ji})|.  Warns if A is not negligible on the box
-    boundary.  Raises ValueError past BALANCE_MAX_POINTS grid points.
+    Returns max_j |integral_j| / M, with M = sum_j integral of
+    |A^2 d_j Phi| = 3 pi erf(L)^2 (1 - exp(-L^2)), L = box_half, the L1
+    mass of the Phi term.  Warns if A is not negligible on the faces.
+    Raises ValueError for n over BALANCE_MAX_N.
     """
-    if n ** 3 > BALANCE_MAX_POINTS:
-        raise ValueError(f"a balance grid of {n}^3 points is over the "
-                         f"limit of {BALANCE_MAX_POINTS}")
-    axis = np.linspace(-box_half, box_half, n)
-    a, a2_grad_phi, div = _balance_terms(field, axis)
-    cube = a.reshape(n, n, n)
-    face = max(cube[[0, -1]].max(), cube[:, [0, -1]].max(),
-               cube[:, :, [0, -1]].max())
-    if face > 1e-10 * a.max():
+    if n > BALANCE_MAX_N:
+        raise ValueError(f"n = {n} is over the limit of {BALANCE_MAX_N} "
+                         "Gauss-Legendre nodes per face axis")
+    phi, stress, a_face = _face_fluxes(field, box_half, n)
+    if a_face > 1e-10:
         warnings.warn("amplitude not negligible on the box boundary; "
                       "the balance integrals will leak", RuntimeWarning,
                       stacklevel=2)
-    vol = (axis[1] - axis[0]) ** 3
-    comp = np.sum(a2_grad_phi + div, axis=1) * vol
-    norm = np.sum(np.abs(a2_grad_phi) + np.abs(div)) * vol
-    return float(np.max(np.abs(comp)) / norm)
+    mass = 3.0 * np.pi * math.erf(box_half) ** 2 * (1.0 - math.exp(
+        -box_half * box_half))
+    return float(np.max(np.abs(np.sum(phi + stress, axis=0))) / mass)
 
 
 # -- built-in FW test fields ----------------------------------------------

@@ -10,8 +10,10 @@ classification.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +66,19 @@ class ModeSet:
         """Total weight sum |phi|^2 normalizing the expectation values."""
         return float(np.sum(np.abs(self.phi) ** 2))
 
+    @cached_property
+    def _rho_floor(self) -> float:
+        """Absolute density below which the velocity is flagged divergent."""
+        return EPS_RHO_SCALE * float(np.sum(np.abs(self.phi) ** 2)
+                                     * np.max(np.abs(self.k) + self.omega))
+
+    @cached_property
+    def _scalar_modes(self) -> list:
+        """(k, omega, phi omega^{-1/2}) of each mode as Python scalars."""
+        w = self.omega
+        return list(zip(self.k.tolist(), w.tolist(),
+                        (self.phi * w ** -0.5).tolist()))
+
 
 def _mode_amplitudes(state: ModeSet, z, t) -> np.ndarray:
     """u_k = phi_k omega_k^{-1/2} exp(i(k z - omega t)), shape (n_modes,)."""
@@ -84,23 +99,26 @@ def _rho_j(state: ModeSet, z, t):
     return rho, j
 
 
-def _rho_floor(state: ModeSet) -> float:
-    """Absolute density below which the velocity is flagged divergent."""
-    return EPS_RHO_SCALE * float(np.sum(np.abs(state.phi) ** 2)
-                                 * np.max(np.abs(state.k) + state.omega))
-
-
 def velocity_discrete(state: ModeSet, z: float, t: float):
     """Velocity from the mode-pair double sums; None at a density zero.
 
-    The RK4 oracle of the trajectory tests integrates it.  It agrees
-    with the bilinear J/rho of the summed psi to rounding; the tests keep
-    that second formula path as their own oracle.
+    The RK4 oracle of the trajectory tests integrates it a point at a
+    time, on Python scalars: (M, M) numpy temporaries cost more than the
+    sums.  It agrees with the bilinear J/rho of the summed psi to
+    rounding; the tests keep that second formula path as their oracle.
     """
-    rho, j = _rho_j(state, z, t)
-    if abs(rho) < _rho_floor(state):
+    z, t = float(z), float(t)
+    u = [(k, w, c * cmath.exp(1j * (k * z - w * t)))
+         for k, w, c in state._scalar_modes]
+    rho = j = 0.0
+    for ka, wa, ua in u:
+        for kb, wb, ub in u:
+            re = (ua.conjugate() * ub).real
+            rho += 0.5 * (wa + wb) * re
+            j += 0.5 * (ka + kb) * re
+    if abs(rho) < state._rho_floor:
         return None
-    return float(j / rho)
+    return j / rho
 
 
 def integral_F(state: ModeSet, z, t):
@@ -232,7 +250,7 @@ def trajectories(state: ModeSet, grid: Grid2D, n_levels: int,
         lambda i: np.asarray(integral_F(state, grid.x[i], grid.t)),
         grid.n_x, threads))
     traj = contour_family(F, grid, n_levels,
-                          lambda x, t: _rho_j(state, x, t), _rho_floor(state))
+                          lambda x, t: _rho_j(state, x, t), state._rho_floor)
     spacing = float(F.max() - F.min()) / n_levels
     cell_jump = max(np.max(np.abs(np.diff(F, axis=0))),
                     np.max(np.abs(np.diff(F, axis=1))))

@@ -33,6 +33,8 @@ __all__ = [
 
 #: samples of the pushforward L1 window
 PUSHFORWARD_N = 2001
+#: largest w_approx_rel and timeform_rel_27b of the narrow-k regime
+NARROW_K_REL = 0.25
 
 
 class WKernel:

@@ -6,7 +6,9 @@ terms of relbohm.dirac).  These functions take one point at a time by a
 separate formula path, so a test that agrees with them checks the
 program and not itself.  Where
 the program takes a derivative in closed form, the oracle here takes it
-by finite differences of the underlying function.
+by finite differences of the underlying function.  Where the program
+takes an integral as a boundary flux, the oracle differences the
+integrand for a volume rule.
 """
 
 import numpy as np
@@ -66,3 +68,20 @@ def d2w_dx2_5point(kernel, x, t, h: float = 1e-3):
     x = np.asarray(x, dtype=float)
     w = [kernel.evaluate(x + m * h, t) for m in (-2.0, -1.0, 0.0, 1.0, 2.0)]
     return (-w[0] + 16 * w[1] - 30 * w[2] + 16 * w[3] - w[4]) / (12.0 * h * h)
+
+
+def stress_divergence(field, x, h: float = 1e-4):
+    """d_i (A^2 T_{ji}) of an FWField at points x (..., 3) by central
+    differences of step h, O(h^2); T_{ji} = (1/4) d_j s_l d_i s_l and
+    A = exp(-|x|^2 / 2).  Returns shape (..., 3)."""
+    x = np.asarray(x, dtype=float)
+    div = np.zeros_like(x)
+    for i in range(3):
+        for sign in (1.0, -1.0):
+            p = x.copy()
+            p[..., i] += sign * h
+            d = np.asarray(field.ds(p), dtype=float)
+            col = 0.25 * np.einsum("...jl,...l->...j", d, d[..., i, :])
+            a2 = np.exp(-np.sum(p * p, axis=-1))
+            div += sign * a2[..., None] * col / (2.0 * h)
+    return div

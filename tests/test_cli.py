@@ -123,7 +123,7 @@ _K40 = {"shape": "cos2", "k_cut": 40.0, "gl_order": 8, "x_scale": 4.0}
     ("nearnr", {"packet": None}, 2),
     ("nearnr", {"packet": [1, 2]}, 2),
     ("explode", {"packet": _K40, "grid": {**_GRID, "t_max": 1e6}}, 2),
-    # a balance grid past 2^21 points: box_n^3 floats with no bound
+    # past 128 Gauss-Legendre nodes per face axis: no bound on the rule
     ("spin", {**_FW, "box_n": 129}, 2),
     ("spin", {**_FW, "box_n": 10 ** 6}, 2),
     # the moments' FFT row at this t would need 2^30 points
@@ -177,7 +177,8 @@ def test_explode_fft_row_limit_is_named(tmp_path, capsys):
 def test_spin_fw_box_limit_is_named(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "big.json", {**_FW, "box_n": 129})
     assert run(["spin", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "limit of 2^21" in capsys.readouterr().err
+    assert ("over the limit of 128 Gauss-Legendre nodes per face axis"
+            in capsys.readouterr().err)
     # --quick caps box_n at 41 first, so the same config runs
     assert run(["spin", "--config", cfg, "--out", str(tmp_path / "q"),
                 "--quick"]) == 0
@@ -362,6 +363,25 @@ def test_nearnr_wide_sigma_warns(tmp_path):
                     "--out", str(tmp_path / "o"), "--quick"]) == 0
 
 
+@pytest.mark.parametrize("payload", [
+    {"packet": {"shape": "gaussian", "sigma_k": 0.29, "k0": 0.5}, "t": 10.0},
+    {"packet": {"shape": "cos2", "a": 1.0, "x_scale": 0.5}},
+], ids=["gaussian-k0-late", "cos2-narrow-box"])
+def test_nearnr_narrow_k_regime_follows_the_measured_errors(tmp_path,
+                                                            payload):
+    # sigma_k < 0.3, yet the expansion misses by O(1): the flag, the
+    # warning and the pushforward gate follow the measured errors
+    cfg = write_cfg(tmp_path, "far.json", payload)
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="narrow-k regime"):
+        assert run(["nearnr", "--config", cfg, "--out", str(out),
+                    "--quick"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert max(summary["w_approx_rel"], summary["timeform_rel_27b"]) > 0.25
+    assert summary["narrow_k_regime"] is False
+    assert summary.get("pushforward") is None
+
+
 def _dirac_report(out):
     return json.loads((out / "report.json").read_text())
 
@@ -514,7 +534,7 @@ _COMMON = {"n_points": st.integers(1, 40),
            "point_seed": st.integers(0, 2 ** 31),
            "h": st.floats(1e-4, 1e-2)}
 #: small valid values of each kind's keys: n_points <= 40, n_modes <= 4
-#: and box_n <= 21, so no case allocates a large grid
+#: and box_n <= 21, so every case runs in milliseconds
 _VALID = {
     "dirac": {**_COMMON, "n_modes": st.integers(1, 4),
               "seed": st.integers(0, 2 ** 31), "k_max": st.floats(0.1, 2.0),
@@ -539,9 +559,6 @@ def _spin_configs(draw):
             del cfg[key]
         else:
             cfg[key] = value
-    # box_n's default, 61^3 points, is no small grid
-    if kind == "fw":
-        cfg.setdefault("box_n", 21)
     return cfg
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import gauge_transform, spinor_mode_sum
-from relbohm.dirac import (BALANCE_MAX_POINTS, GAMMA, GAMMA0, METRIC,
+from oracles import gauge_transform, spinor_mode_sum, stress_divergence
+from relbohm.dirac import (BALANCE_MAX_N, GAMMA, GAMMA0, METRIC,
                            DiracField, DiracMode, FWField, SpinorSample,
-                           _EPS3, _balance_terms, _du_ds, _metric_trace,
+                           _EPS3, _du_ds, _face_fluxes, _metric_trace,
                            convective_momentum, effective_mass_sq,
                            eval_spinor, fw_gaussian_field, fw_hedgehog_field,
                            fw_rotating_field, fw_spinor, fw_u,
@@ -360,30 +360,56 @@ def test_ensemble_balance():
 
 
 def test_ensemble_balance_terms_vanish_on_their_own():
-    # Both terms are total derivatives and odd on the centred box, so each
-    # integrates to rounding level alone.  The balance therefore holds for
-    # any relative weight of the stress term, a wrong one included: it
-    # does not pin T (verify_fw_spin_tensor and the curl identity do).
-    axis = np.linspace(-7.0, 7.0, 41)
+    # Each term's flux through a single face is not zero, but opposite
+    # faces cancel by parity, each term on its own.  The balance therefore
+    # holds for any relative weight of the stress term, a wrong one
+    # included: it does not pin T (verify_fw_spin_tensor and the curl
+    # identity do).
     for field in (fw_gaussian_field(), fw_rotating_field(),
                   fw_hedgehog_field()):
-        _, phi_term, stress_term = _balance_terms(field, axis)
-        for term in (phi_term, stress_term, phi_term - 3.0 * stress_term):
-            integral = np.max(np.abs(term.sum(axis=1)))
-            assert integral <= 1e-12 * np.sum(np.abs(term))
-    _, _, stress_term = _balance_terms(fw_hedgehog_field(), axis)
-    assert np.sum(np.abs(stress_term)) > 1.0
+        phi, stress, _ = _face_fluxes(field, 1.5, 30)
+        for term in (phi, stress, phi - 3.0 * stress):
+            scale = np.max(np.abs(term))
+            assert np.max(np.abs(term[0::2] + term[1::2])) <= 1e-15 * scale
+        assert np.all(np.abs(phi[np.arange(6), np.arange(6) // 2]) > 0.1)
+    _, stress, _ = _face_fluxes(fw_hedgehog_field(), 1.5, 30)
+    assert np.max(np.abs(stress)) > 1e-3
+
+
+def _offset_hedgehog(offset):
+    """The hedgehog field moved off the amplitude's centre: no parity."""
+    hedgehog = fw_hedgehog_field()
+    return FWField(s=lambda p: hedgehog.s(np.asarray(p) - offset),
+                   ds=lambda p: hedgehog.ds(np.asarray(p) - offset))
+
+
+def test_face_flux_matches_the_differenced_volume_integral():
+    # Gauss's theorem against the oracle: a Gauss-Legendre volume rule on
+    # A^2 d_j Phi + d_i (A^2 T_ji), the divergence by central differences.
+    # Off centre the flux vector is not zero, so a wrong sign or weight of
+    # T shows (flipping T, or dropping its 1/4, moves it by O(1)).
+    field = _offset_hedgehog(np.array([0.4, -0.3, 0.0]))
+    half = 1.5
+    for n in (30, 60):
+        phi, stress, _ = _face_fluxes(field, half, n)
+        flux = np.sum(phi + stress, axis=0)
+        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = half * x, half * w
+        grid = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1)
+        dv = np.einsum("a,b,c->abc", w, w, w)
+        a2 = np.exp(-np.sum(grid * grid, axis=-1))
+        integrand = -grid * a2[..., None] + stress_divergence(field, grid)
+        volume = np.einsum("abc,abcj->j", dv, integrand)
+        assert np.max(np.abs(flux[:2])) > 1e-3
+        assert np.max(np.abs(flux - volume)) < 1e-6 * np.max(np.abs(flux))
 
 
 def test_ensemble_balance_point_limit():
-    # the check comes before any grid is allocated
-    n = round(BALANCE_MAX_POINTS ** (1 / 3)) + 1
-    assert n ** 3 > BALANCE_MAX_POINTS
-    with pytest.raises(ValueError, match="limit"):
-        verify_ensemble_balance(fw_gaussian_field(), box_half=7.0, n=n)
-    with pytest.raises(ValueError, match="limit"):
-        verify_ensemble_balance(fw_gaussian_field(), box_half=7.0,
-                                n=10 ** 6)
+    # the check comes before the Gauss-Legendre rule is built
+    for n in (BALANCE_MAX_N + 1, 10 ** 6):
+        with pytest.raises(ValueError, match="over the limit of 128 "
+                                             "Gauss-Legendre nodes per face"):
+            verify_ensemble_balance(fw_gaussian_field(), box_half=7.0, n=n)
 
 
 def _velocity_at(field, x):
