@@ -683,8 +683,12 @@ def _face_fluxes(field: FWField, box_half: float, n: int):
         pts[f, ..., (i + 2) % 3] = v
     a2 = np.exp(-np.sum(pts * pts, axis=-1))
     da = a2 * np.outer(box_half * w, box_half * w)   # A^2 dS
-    # d_j s_l; einsum reads the built-in fields' point-last layout fastest
-    ds = np.asarray(field.ds(pts), dtype=float)
+    # d_j s_l, in the built-in fields' point-last memory layout, which
+    # einsum reads ~10x faster than C order in (..., 3, 3); for those
+    # fields the layout is already so and nothing is copied
+    ds = np.moveaxis(np.ascontiguousarray(np.moveaxis(
+        np.asarray(field.ds(pts), dtype=float), (-2, -1), (0, 1))),
+        (0, 1), (-2, -1))
     dn = np.einsum("fabil,fi->fabl", ds, _FACES)     # n_i d_i s_l
     phi = 0.5 * np.sum(da, axis=(1, 2))[:, None] * _FACES
     stress = 0.25 * np.einsum("fab,fabjl,fabl->fj", da, ds, dn)

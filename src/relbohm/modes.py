@@ -207,17 +207,21 @@ class TrajectorySet:
 def annotate_contours(lines, rho_j_fn, floor: float) -> TrajectorySet:
     """Turn raw contour polylines into an annotated TrajectorySet.
 
-    rho_j_fn(x_array, t_array) must return (rho, j) arrays; floor is the
-    absolute density threshold below which the velocity is flagged (NaN).
+    rho_j_fn(x_array, t_array) must return (rho, j) arrays; it is called
+    once, on the vertices of all lines, which share the grid times.
+    floor is the absolute density threshold below which the velocity is
+    flagged (NaN).
     """
     out = TrajectorySet()
-    for line in lines:
-        xs, ts = line.points[:, 0], line.points[:, 1]
-        rho, j = rho_j_fn(xs, ts)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = np.where(np.abs(rho) < floor, np.nan, j / rho)
-        out.trajectories.append(Trajectory(
-            points=line.points, rho=rho, v=v))
+    if not lines:
+        return out
+    points = np.concatenate([line.points for line in lines])
+    rho, j = rho_j_fn(points[:, 0], points[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = np.where(np.abs(rho) < floor, np.nan, j / rho)
+    ends = np.cumsum([len(line.points) for line in lines])[:-1]
+    for line, r, vl in zip(lines, np.split(rho, ends), np.split(v, ends)):
+        out.trajectories.append(Trajectory(points=line.points, rho=r, v=vl))
     return out
 
 

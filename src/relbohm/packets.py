@@ -17,6 +17,13 @@ reach max(|x| + |t|) and the packet's width need (Packet.at_reach).  The
 x-integrals over a whole fixed-t row (the acausal probability, the |rho|
 mass, the threshold tail and charges, and FrontKernel's F) sample it by
 FFT on a periodic box (fft_row_size) and integrate there.
+
+Both engines sum plane waves on structured k-nodes, and build them as
+products rather than taking one complex exponential per (point, node):
+a node of a Gauss-Legendre rule is a panel centre plus an offset, and an
+FFT mode m = q B + r is q B dk plus r dk, so e^{ikx} is the product of
+two short tables of exponentials (_waves); e^{-i omega t} is taken once
+per distinct t.
 """
 
 from __future__ import annotations
@@ -111,14 +118,29 @@ class PacketSpec:
 
 def _gl_panels(k_lo, k_hi, n_panels, order):
     """Composite Gauss-Legendre nodes/weights on n_panels equal panels of
-    [k_lo, k_hi]."""
+    [k_lo, k_hi], and their split (mid, off): node p * order + j is
+    mid[p] + off[j], the panel's centre plus the node's offset in it."""
     edges = np.linspace(k_lo, k_hi, n_panels + 1)
     xg, wg = np.polynomial.legendre.leggauss(order)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     weights = (half[:, None] * wg[None, :]).ravel()
-    return nodes, weights
+    return nodes, weights, (mid, 0.5 * (k_hi - k_lo) / n_panels * xg)
+
+
+def _waves(x, split) -> np.ndarray:
+    """e^{i x (a_p + b_j)} at the points of a 1-d x on the flat (p, j)
+    nodes, split = (a, b), shape (x.size, a.size * b.size).
+
+    Each point takes a.size + b.size complex exponentials and one product
+    per node, instead of an exponential per node.  The product carries
+    the rounding of both phases, as e^{i x k} carries that of x k.
+    """
+    a, b = split
+    ea = np.exp(np.multiply.outer(x, 1j * a))
+    eb = np.exp(np.multiply.outer(x, 1j * b))
+    return (ea[:, :, None] * eb[:, None, :]).reshape(x.size, -1)
 
 
 class Packet:
@@ -133,8 +155,12 @@ class Packet:
     that points with |x| + |t| <= R need: same spec, k_cut and norm.
     """
 
-    #: max entries of any (points x k-nodes) phase matrix
-    _CHUNK_BUDGET = 4_000_000
+    #: points x k-nodes of a fields chunk.  A chunk holds up to three
+    #: complex arrays of that size (the phases, e^{-i omega t} at its
+    #: distinct t, and those gathered per point), 16 MB each; at
+    #: 4 000 000 the peak RSS of an explode run on 6 576 k-nodes rose
+    #: from 147 to 232 MB
+    _CHUNK_BUDGET = 1_000_000
     #: Gauss-Legendre order of the rules at_reach makes
     REACH_ORDER = 24
     #: least reach at_reach sizes a rule for; below it the branch points
@@ -150,18 +176,20 @@ class Packet:
                     self.k_cut / 8.0)
         if spec.shape == "gaussian":
             panel = min(panel, spec.sigma_k / 2.0)
-        k, w = _gl_panels(-self.k_cut, self.k_cut,
-                          max(1, int(np.ceil(2.0 * self.k_cut / panel))),
-                          gl_order)
+        k, w, split = _gl_panels(
+            -self.k_cut, self.k_cut,
+            max(1, int(np.ceil(2.0 * self.k_cut / panel))), gl_order)
         s = spec.shape_values(k)
         # int rho_nw dx = 2 pi N^2 int s^2 dk  ==  total_charge.
         s2 = float(np.sum(w * s * s))
         self.norm = np.sqrt(spec.total_charge / (2.0 * np.pi * s2))
-        self._tabulate(k, w)
+        self._tabulate(k, w, split)
 
-    def _tabulate(self, k: np.ndarray, w: np.ndarray) -> None:
-        """Take k, w as the k rule, under the packet's norm."""
+    def _tabulate(self, k: np.ndarray, w: np.ndarray, split) -> None:
+        """Take k, w as the k rule, under the packet's norm; split is the
+        (panel centre, offset) split of k that _waves takes."""
         self.k = k
+        self._split = split
         self.omega = omega(k)
         # quadrature weight * normalized k-space coefficient
         self._ws = w * (self.norm * self.spec.shape_values(k))
@@ -222,26 +250,32 @@ class Packet:
 
         orders is a sequence of (dx, dt) pairs, of psi_nw where nw is true
         and of psi otherwise; nw is a flag or one flag per order.  x and t
-        broadcast against each other.  The exponential phase factor is
-        shared between the orders, and points are processed in fixed-size
-        chunks so memory stays bounded.
+        broadcast against each other.  The plane waves e^{i(kx - omega t)}
+        are built as products and shared between the orders: e^{ikx} from
+        the panel split of the k-nodes (_waves), e^{-i omega t} once per
+        distinct t of a chunk.  One matrix product then sums every order.
+        Points are taken in order of t, in chunks of _CHUNK_BUDGET
+        point-nodes, so that points at one t share a chunk and memory
+        stays bounded.
         """
         x, t = np.broadcast_arrays(np.asarray(x, dtype=float),
                                    np.asarray(t, dtype=float))
         shape = x.shape
-        xf = x.ravel()
-        tf = t.ravel()
-        coefs = [self._coef(dx, dt, bool(flag)) for (dx, dt), flag
-                 in zip(orders, np.broadcast_to(nw, len(orders)))]
-        outs = [np.empty(xf.size, dtype=complex) for _ in orders]
+        by_t = np.argsort(t, axis=None, kind="stable")
+        xf = x.ravel()[by_t]
+        tf = t.ravel()[by_t]
+        coefs = np.stack([self._coef(dx, dt, bool(flag)) for (dx, dt), flag
+                          in zip(orders, np.broadcast_to(nw, len(orders)))],
+                         axis=1)
+        out = np.empty((len(orders), xf.size), dtype=complex)
         chunk = max(1, self._CHUNK_BUDGET // self.k.size)
         for i in range(0, xf.size, chunk):
             sl = slice(i, i + chunk)
-            E = np.exp(1j * (self.k * xf[sl, None]
-                             - self.omega * tf[sl, None]))
-            for out, coef in zip(outs, coefs):
-                out[sl] = E @ coef
-        return [o.reshape(shape) for o in outs]
+            times, which = np.unique(tf[sl], return_inverse=True)
+            E = _waves(xf[sl], self._split)
+            E *= np.exp(np.multiply.outer(times, -1j * self.omega))[which]
+            out[:, by_t[sl]] = (E @ coefs).T
+        return [o.reshape(shape) for o in out]
 
     # -- densities ----------------------------------------------------
 
@@ -276,7 +310,7 @@ def _panel_integral(fn, a, b, n_panels: int = 64) -> float:
     Nothing in the library integrates this way any more; the tests keep
     it as a direct-sum oracle for the FFT-row integrals below.
     """
-    nodes, weights = _gl_panels(a, b, n_panels, PANEL_ORDER)
+    nodes, weights, _ = _gl_panels(a, b, n_panels, PANEL_ORDER)
     return float(np.sum(weights * fn(nodes)))
 
 
@@ -346,6 +380,8 @@ def _fft_row(packet: Packet, t, refine: int = 1, rho: bool = True,
     zeroed beyond k_cut like the k quadrature of Packet.fields and
     weighted by _k_weights.  refine multiplies n, the box and k_cut of
     fft_row_size (dx unchanged).  t may be an array of one row size.
+    The spectrum is formed only on the modes inside k_cut and zero-filled
+    beyond.
     """
     dx, n = fft_row_size(packet, t)
     n *= refine
@@ -353,14 +389,21 @@ def _fft_row(packet: Packet, t, refine: int = 1, rho: bool = True,
         raise ValueError(f"FFT row at |t| = {np.max(np.abs(t)):g} needs "
                          f"{n} points, over the limit of 2^22")
     dk = 2.0 * np.pi / (n * dx)
+    k_cut = refine * packet.k_cut
     m = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
-    k = m * dk
+    live = np.abs(m) <= int(np.floor(k_cut / dk))
+    k = m[live] * dk
     w = omega(k)
     # psi(j dx) = sum_k weight N s(k) w^-1/2 e^{i(k j dx - w t)}
-    c = (n * packet.norm * _k_weights(m, dk, refine * packet.k_cut)
+    c = (n * packet.norm * _k_weights(m[live], dk, k_cut)
          * packet.spec.shape_values(k)
          * np.exp(np.multiply.outer(t, -1j * w)))
-    ifft = np.fft.ifft
+
+    def ifft(spectrum):
+        full = np.zeros(np.shape(t) + (n,), dtype=complex)
+        full[..., live] = spectrum
+        return np.fft.ifft(full)
+
     return _Row(dx=dx,
                 rho=bilinear_rho(ifft(c / np.sqrt(w)),
                                  ifft(-1j * np.sqrt(w) * c)) if rho else None,
@@ -396,6 +439,7 @@ class _RowIntegral:
         self.f, self.dx = f, dx
         n = f.shape[-1]
         self.fh = np.fft.rfft(f)
+        self.dk = 2.0 * np.pi / (n * dx)
         self.k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
         self.mean = self.fh[..., 0].real / n
         # rfft of the periodic part of the antiderivative
@@ -409,19 +453,32 @@ class _RowIntegral:
             weight[-1] = 1.0 / n
         self.series = weight * self.anti
 
-    def antiderivative(self, x, band: float) -> np.ndarray:
+    def antiderivative(self, x, band: float,
+                       diagonal: bool = False) -> np.ndarray:
         """G(x) = mean x + Re sum_m f_m e^{ik_m x} / (i k_m), so G' = f, at
-        a 1-d array x; one column per row of a stack.  Only the modes
-        k_m <= band enter: a row band-limited to it holds nothing but
-        rounding above.  The rows share each table of e^{ik_m x}, of at
-        most 2^21 entries to bound memory."""
+        a 1-d array x; one column per row of a stack, or with diagonal,
+        G of row r at x[r] alone.  Only the modes k_m <= band enter: a
+        row band-limited to it holds nothing but rounding above.
+
+        The rows share each table of e^{ik_m x}, of at most 2^21 entries
+        to bound memory.  A table is a product (_waves): with B = ceil(
+        sqrt(M)) for M modes, mode m = q B + r takes e^{i x q B dk} e^{i x
+        r dk}, and the modes past M that fill the last q carry zero.
+        """
         m = int(np.searchsorted(self.k, band, side="right"))
-        k, series = self.k[:m], self.series[..., :m]
-        G = np.multiply.outer(x, self.mean)
-        step = max(1, 2 ** 21 // m)
+        base = int(np.ceil(np.sqrt(m)))
+        split = (self.dk * base * np.arange(-(-m // base)),
+                 self.dk * np.arange(base))
+        series = np.zeros(self.series.shape[:-1] + (split[0].size * base,),
+                          dtype=complex)
+        series[..., :m] = self.series[..., :m]
+        G = x * self.mean if diagonal else np.multiply.outer(x, self.mean)
+        step = max(1, 2 ** 21 // series.shape[-1])
         for i in range(0, x.size, step):
-            table = np.multiply.outer(x[i:i + step], 1j * k)
-            G[i:i + step] += (np.exp(table, out=table) @ series.T).real
+            sl = slice(i, i + step)
+            table = _waves(x[sl], split)
+            G[sl] += (np.einsum("rm,rm->r", table, series[sl]) if diagonal
+                      else table @ series.T).real
         return G
 
     def __call__(self, a: float, b: float) -> float:
@@ -609,7 +666,8 @@ class FrontKernel:
 
     def evaluate(self, x, t) -> np.ndarray:
         """F on the tensor grid x * t, shape (x.size, t.size).  Times are
-        grouped by row size, each group with one e^{ikx} table."""
+        grouped by row size, each group with one e^{ikx} table on x; the
+        ends G(+-L) are taken on each row at its own L alone."""
         x, t = np.ravel(x), np.ravel(t)
         # rho is band-limited to 2 k_cut, below the rows' Nyquist limit
         band = 2.0 * self.packet.k_cut
@@ -623,7 +681,7 @@ class FrontKernel:
             integral = _RowIntegral(np.concatenate([r.rho for r in rows]),
                                     self.dx)
             L = self.packet.decay_window() + np.abs(t[cols])
-            lo, hi = (np.diagonal(integral.antiderivative(e, band))
+            lo, hi = (integral.antiderivative(e, band, diagonal=True)
                       for e in (-L, L))
             G = np.where(x[:, None] > L, hi,
                          integral.antiderivative(x, band))

@@ -4,7 +4,8 @@ The program evaluates psi and the Bohm velocity through vectorized
 passes (the double sums of relbohm.modes, Packet.fields, the plane-wave
 terms of relbohm.dirac).  These functions take one point at a time by a
 separate formula path, so a test that agrees with them checks the
-program and not itself.  Where
+program and not itself; packet_fields takes one complex exponential per
+(point, k-node) where Packet.fields builds the plane waves as products.  Where
 the program takes a derivative in closed form, the oracle here takes it
 by finite differences of the underlying function.  Where the program
 takes an integral as a boundary flux, the oracle differences the
@@ -43,6 +44,17 @@ def spinor_mode_sum(field, x) -> SpinorSample:
         for j in range(3):
             dpsi[j + 1] += 1j * m.k[j] * term
     return SpinorSample(psi=psi, dpsi=dpsi)
+
+
+def packet_fields(packet, x, t, orders, nw=False):
+    """Packet.fields with one complex exponential e^{i(kx - omega t)} per
+    (point, k-node), summed order by order."""
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(t, dtype=float))
+    phase = np.exp(1j * (packet.k * x[..., None]
+                         - packet.omega * t[..., None]))
+    return [phase @ packet._coef(dx, dt, bool(flag)) for (dx, dt), flag
+            in zip(orders, np.broadcast_to(nw, len(orders)))]
 
 
 def point_velocity(psi, dpsi_dx, dpsi_dt):

@@ -404,6 +404,23 @@ def test_face_flux_matches_the_differenced_volume_integral():
         assert np.max(np.abs(flux - volume)) < 1e-6 * np.max(np.abs(flux))
 
 
+def test_face_flux_independent_of_ds_layout():
+    # a field that returns d_j s_l C-ordered in (..., 3, 3), not in the
+    # built-in fields' point-last layout, gets the same fluxes
+    for field in (fw_hedgehog_field(),
+                  _offset_hedgehog(np.array([0.4, -0.3, 0.0]))):
+        c_order = FWField(s=field.s,
+                          ds=lambda p, f=field: np.ascontiguousarray(f.ds(p)))
+        want = _face_fluxes(field, 1.5, 30)
+        got = _face_fluxes(c_order, 1.5, 30)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(np.subtract(g, w))) <= 1e-15 * np.max(
+                np.abs(w))
+        assert verify_ensemble_balance(c_order, box_half=7.0) == \
+            pytest.approx(verify_ensemble_balance(field, box_half=7.0),
+                          rel=1e-12, abs=1e-15)
+
+
 def test_ensemble_balance_point_limit():
     # the check comes before the Gauss-Legendre rule is built
     for n in (BALANCE_MAX_N + 1, 10 ** 6):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import mode_sum, point_velocity
 from relbohm import modes
+from relbohm.contours import extract_contours
 from relbohm.numerics import Grid2D, bilinear_j, bilinear_rho, omega
 from relbohm.ode import integrate_trajectory
 
@@ -136,6 +137,31 @@ def test_fig1_state_has_pair_events(fig1_state):
     grid = Grid2D(-0.005, 0.005, 121, 0.0, 0.01, 121)
     _, traj = modes.trajectories(fig1_state, grid, 25)
     assert traj.n_pair_events >= 1
+
+
+def test_annotate_contours_one_call(fig1_state):
+    # one rho_j_fn call on all vertices gives each line what a call on
+    # its own vertices gives it
+    grid = Grid2D(-0.005, 0.005, 61, 0.0, 0.01, 61)
+    F, _ = modes.trajectories(fig1_state, grid, 12)
+    lines = extract_contours(grid.x, grid.t, F,
+                                   np.linspace(F.min(), F.max(), 14)[1:-1])
+    calls = []
+
+    def rho_j(x, t):
+        calls.append(x.size)
+        return modes._rho_j(fig1_state, x, t)
+
+    traj = modes.annotate_contours(lines, rho_j, fig1_state._rho_floor)
+    assert len(lines) > 1 and calls == [sum(len(line.points) for line in lines)]
+    for line, tr in zip(lines, traj.trajectories):
+        rho, j = modes._rho_j(fig1_state, *line.points.T)
+        assert np.array_equal(tr.points, line.points)
+        assert np.array_equal(tr.rho, rho)
+        assert np.array_equal(tr.v, np.where(
+            np.abs(rho) < fig1_state._rho_floor, np.nan, j / rho),
+            equal_nan=True)
+    assert modes.annotate_contours([], rho_j, 1.0).trajectories == []
 
 
 def test_mild_two_mode_no_pair_events():

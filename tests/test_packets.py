@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from relbohm import packets
-from relbohm.numerics import Grid2D
+from relbohm.numerics import Grid2D, bilinear_rho, omega
 from relbohm.ode import integrate_trajectory
-from relbohm.packets import (FrontKernel, Packet, PacketSpec,
-                             _panel_integral, acausal_probability,
+from relbohm.packets import (FrontKernel, Packet, PacketSpec, _fft_row,
+                             _k_weights, _panel_integral, _RowIntegral,
+                             acausal_probability,
                              annihilation_fronts, densities,
                              fft_row_size, lambert_local_trajectories,
                              threshold_charges, zero_crossings)
-from oracles import point_velocity
+from oracles import packet_fields, point_velocity
 
 
 def velocity(packet, x, t):
@@ -161,6 +162,91 @@ def test_densities_past_the_decay_window(cos2):
     assert np.max(np.abs(prof.rho - rho)) <= 1e-13 * scale
     assert np.max(np.abs(prof.j - j)) <= 1e-13 * scale
     assert np.max(np.abs(prof.rho_nw - cos2.rho_nw(x, 60.0))) <= 1e-13 * scale
+
+
+#: orders of psi and psi_nw that explode and nearnr read
+FIELD_ORDERS = [(0, 0), (1, 0), (0, 1), (2, 1), (0, 3), (0, 0)]
+FIELD_NW = [0, 0, 0, 0, 0, 1]
+
+
+def _times(kind, x):
+    rng = np.random.default_rng(3)
+    if kind == "scalar":
+        return 0.7
+    if kind == "shared":        # a few grid times, each at many points
+        return rng.choice([0.0, 0.375, 1.5], x.size)
+    return rng.uniform(0.0, 1.5, x.size)
+
+
+@pytest.mark.parametrize("times", ["scalar", "shared", "distinct"])
+@pytest.mark.parametrize("packet, n", [("cos2", 40), ("view", 1200),
+                                       ("gauss", 300)])
+def test_fields_match_single_exp_oracle(request, packet, n, times):
+    # the product-built plane waves against one exp per (point, k-node),
+    # over several chunks of points
+    pk = (request.getfixturevalue("cos2").at_reach(4.5) if packet == "view"
+          else request.getfixturevalue(packet))
+    x = np.random.default_rng(1).uniform(-3.0, 3.0, n)
+    t = _times(times, x)
+    got = pk.fields(x, t, FIELD_ORDERS, nw=FIELD_NW)
+    want = packet_fields(pk, x, t, FIELD_ORDERS, nw=FIELD_NW)
+    for g, w in zip(got, want):
+        assert g.shape == x.shape
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+
+def test_fields_broadcast_shape(cos2):
+    view = cos2.at_reach(4.5)
+    x = np.linspace(-1.0, 1.0, 3)[:, None]
+    t = np.linspace(0.0, 1.0, 4)
+    psi, psix = view.fields(x, t, [(0, 0), (1, 0)])
+    want = packet_fields(view, x, t, [(0, 0), (1, 0)])
+    assert psi.shape == psix.shape == (3, 4)
+    assert np.max(np.abs(psi - want[0])) <= 1e-13 * np.max(np.abs(want[0]))
+
+
+def test_antiderivative_matches_direct_table(cos2_k40):
+    p = cos2_k40
+    row = _fft_row(p, np.array([0.0, 0.5, 1.0]))
+    integral = _RowIntegral(row.rho, row.dx)
+    band = 2.0 * p.k_cut
+    m = int(np.searchsorted(integral.k, band, side="right"))
+
+    def direct(x):
+        table = np.exp(1j * np.multiply.outer(x, integral.k[:m]))
+        return (np.multiply.outer(x, integral.mean)
+                + (table @ integral.series[:, :m].T).real)
+
+    L = p.decay_window() + 1.0
+    x = np.linspace(-L, L, 301)
+    want = direct(x)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(integral.antiderivative(x, band) - want)) \
+        <= 1e-13 * scale
+    ends = np.array([-L, 0.3, L])   # one point per row
+    assert np.max(np.abs(integral.antiderivative(ends, band, diagonal=True)
+                         - np.diagonal(direct(ends)))) <= 1e-13 * scale
+
+
+def test_fft_row_spectrum_only_inside_k_cut(cos2_k40):
+    # forming the spectrum on the modes inside k_cut alone leaves the
+    # rows byte-identical to the full-spectrum formula
+    p = cos2_k40
+    t = np.array([0.0, 0.75])
+    for refine in (1, 2):
+        row = _fft_row(p, t, refine, nw=True)
+        dx, n = fft_row_size(p, t)
+        n *= refine
+        dk = 2.0 * np.pi / (n * dx)
+        m = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
+        w = omega(m * dk)
+        c = (n * p.norm * _k_weights(m, dk, refine * p.k_cut)
+             * p.spec.shape_values(m * dk)
+             * np.exp(np.multiply.outer(t, -1j * w)))
+        rho = bilinear_rho(np.fft.ifft(c / np.sqrt(w)),
+                           np.fft.ifft(-1j * np.sqrt(w) * c))
+        assert np.array_equal(row.rho, rho)
+        assert np.array_equal(row.rho_nw, np.abs(np.fft.ifft(c)) ** 2)
 
 
 def test_view_too_coarse_raises(cos2, monkeypatch):
