@@ -96,11 +96,14 @@ def _real(value, name: str, positive: bool = False) -> float:
 
 
 def _check_fft_rows(packet, name: str, times, refine: int = 1) -> None:
-    """ConfigError when a time in times needs an FFT row (of refine times
-    fft_row_size points) past FFT_MAX_POINTS: rows grow with |t|, and a
-    huge t would allocate gigabytes."""
+    """ConfigError when a time in times needs an FFT row (fft_row_size
+    with refine) past FFT_MAX_POINTS: rows grow with |t|, and a huge t
+    would allocate gigabytes."""
     for t in times:
-        points = refine * packets.fft_row_size(packet, t)[1]
+        try:
+            points = packets.fft_row_size(packet, t, refine)[1]
+        except OverflowError:   # a row size past the float range
+            points = np.inf
         if points > packets.FFT_MAX_POINTS:
             raise ConfigError(
                 f"{name} entry {t:g} needs an FFT row of {points} points, "
@@ -263,8 +266,8 @@ def cmd_explode(cfg: dict, args) -> int:
         t_values = t_values[:2]
         p_times = [t for i, t in enumerate(p_times) if i % 2 == 0 or t == 0.0]
     grid = _grid(cfg, args.quick)
-    # x-integrals and F run on FFT rows; P(t) also builds one row of
-    # twice the points for its error bar
+    # x-integrals and F run on FFT rows; P(t)'s error bar also builds
+    # one row with twice the box and k_cut
     _check_fft_rows(packet, "t_values", t_values)
     _check_fft_rows(packet, "p_times", p_times, refine=2)
     _check_fft_rows(packet, "grid t", (grid.t_min, grid.t_max))
@@ -281,7 +284,7 @@ def cmd_explode(cfg: dict, args) -> int:
                   [prof.x, prof.rho, prof.rho_nw, prof.rho_nw0, prof.j],
                   cfg)
 
-    # err: shift of P when the FFT row's box, points and k_cut double
+    # err: shift of P when the FFT row's box and k_cut double
     p_vals, p_errs = [], []
     for t in p_times:
         p = packets.acausal_probability(packet, t)

@@ -16,7 +16,9 @@ therefore deterministic.  Scattered points run on the rule that their
 reach max(|x| + |t|) and the packet's width need (Packet.at_reach).  The
 x-integrals over a whole fixed-t row (the acausal probability, the |rho|
 mass, the threshold tail and charges, and FrontKernel's F) sample it by
-FFT on a periodic box (fft_row_size) and integrate there.
+FFT on a periodic box (fft_row_size), at the fewest points that hold a
+density's band 2 k_cut below the row's Nyquist limit, and integrate on
+the row's trigonometric interpolant.
 
 Both engines sum plane waves on structured k-nodes, and build them as
 products rather than taking one complex exponential per (point, node):
@@ -29,6 +31,7 @@ per distinct t.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -317,19 +320,48 @@ def _panel_integral(fn, a, b, n_panels: int = 64) -> float:
 # -- fixed-t rows by FFT ----------------------------------------------------
 
 
-def fft_row_size(packet: Packet, t: float) -> tuple[float, int]:
+@functools.lru_cache(maxsize=64)
+def _smooth_size(bound: float) -> int:
+    """The least even 2^a 3^b 5^c above bound: a size numpy's FFT takes
+    fast (scipy.fft.next_fast_len gives the same on even sizes, but
+    importing scipy.fft would add ~0.35 s to every run).  OverflowError
+    past 2^62 points, which no row could hold."""
+    if not bound < 2.0 ** 62:
+        raise OverflowError(f"an FFT row of over {bound:.3g} points")
+    best = 2
+    while best <= bound:
+        best *= 2
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            n = 2 * f35
+            while n <= bound:
+                n *= 2
+            best = min(best, n)
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
+def fft_row_size(packet: Packet, t: float,
+                 refine: int = 1) -> tuple[float, int]:
     """(dx, n) of the periodic FFT row at time t (an array: its largest |t|).
 
-    dx is the largest power of two <= pi / (3 k_cut): a product of two
-    fields (band 2 k_cut) is then sampled below its Nyquist limit.  The
-    box n dx is the least power of two >= 2 (decay_window() + |t|), so
-    periodic images of the field stay outside [-L, L].  For the default
-    cos2 packet (k_cut = 214.5) that is 2^14 points on a box of 64 up to
-    t = 1 and 2^15 on 128 up to t = 33.
+    The box n dx is refine times the least power of two >= 2
+    (decay_window() + |t|), so periodic images of the field stay outside
+    [-L, L]; it fixes the modes k = m dk, dk = 2 pi / (n dx).  The row's
+    own k_cut is refine k_cut, and n is the least even 2^a 3^b 5^c above
+    2 refine k_cut n dx / pi: a product of two fields (band 2 refine
+    k_cut) is then sampled below its Nyquist limit pi / dx.  For the
+    default cos2 packet (k_cut = 214.5) that is 8 748 points on a box of
+    64 up to t = 1 and 17 496 on 128 up to t = 33; refine = 2 takes
+    34 992 points on 128 up to t = 1.
     """
-    c = int(np.ceil(np.log2(3.0 * packet.k_cut / np.pi)))
     e_box = 1 + int(np.ceil(np.log2(packet.decay_window() + np.abs(t).max())))
-    return 2.0 ** -c, 2 ** (e_box + c)
+    box = refine * 2.0 ** e_box
+    n = _smooth_size(2.0 * refine * packet.k_cut * box / np.pi)
+    return box / n, n
 
 
 @dataclass
@@ -378,30 +410,31 @@ def _fft_row(packet: Packet, t, refine: int = 1, rho: bool = True,
 
     The spectrum is the packet's own norm * s(k) on the FFT frequencies,
     zeroed beyond k_cut like the k quadrature of Packet.fields and
-    weighted by _k_weights.  refine multiplies n, the box and k_cut of
-    fft_row_size (dx unchanged).  t may be an array of one row size.
-    The spectrum is formed only on the modes inside k_cut and zero-filled
-    beyond.
+    weighted by _k_weights.  The row is fft_row_size(packet, t, refine):
+    refine multiplies its box and its k_cut, and so n about refine^2
+    times.  t may be an array of one row size.  The spectrum is formed
+    only on the modes inside k_cut and zero-filled beyond.
     """
-    dx, n = fft_row_size(packet, t)
-    n *= refine
+    dx, n = fft_row_size(packet, t, refine)
     if n > FFT_MAX_POINTS:
         raise ValueError(f"FFT row at |t| = {np.max(np.abs(t)):g} needs "
                          f"{n} points, over the limit of 2^22")
     dk = 2.0 * np.pi / (n * dx)
     k_cut = refine * packet.k_cut
-    m = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
-    live = np.abs(m) <= int(np.floor(k_cut / dk))
-    k = m[live] * dk
+    # the modes inside k_cut in FFT order: 0, ..., end, -end, ..., -1
+    end = int(np.floor(k_cut / dk))
+    m = np.concatenate([np.arange(end + 1), np.arange(-end, 0)])
+    k = m * dk
     w = omega(k)
     # psi(j dx) = sum_k weight N s(k) w^-1/2 e^{i(k j dx - w t)}
-    c = (n * packet.norm * _k_weights(m[live], dk, k_cut)
+    c = (n * packet.norm * _k_weights(m, dk, k_cut)
          * packet.spec.shape_values(k)
          * np.exp(np.multiply.outer(t, -1j * w)))
 
     def ifft(spectrum):
         full = np.zeros(np.shape(t) + (n,), dtype=complex)
-        full[..., live] = spectrum
+        full[..., :end + 1] = spectrum[..., :end + 1]
+        full[..., n - end:] = spectrum[..., end + 1:]
         return np.fft.ifft(full)
 
     return _Row(dx=dx,
@@ -436,8 +469,8 @@ class _RowIntegral:
     """
 
     def __init__(self, f: np.ndarray, dx: float):
-        self.f, self.dx = f, dx
         n = f.shape[-1]
+        self.n, self.dx = n, dx
         self.fh = np.fft.rfft(f)
         self.dk = 2.0 * np.pi / (n * dx)
         self.k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
@@ -488,23 +521,33 @@ class _RowIntegral:
                      + np.sum(self.series * (np.exp(1j * self.k * b)
                                              - np.exp(1j * self.k * a))).real)
 
-    def abs_total(self) -> float:
-        """int |f| over the period: +-int f between consecutive zeros.
+    def abs_total(self, band: float) -> float:
+        """int |f| over the period: +-int f between consecutive zeros, for
+        one row band-limited to band.
 
-        The antiderivative is tabulated on the grid by FFT and carried
-        from the sample before each zero to the zero by its Taylor
-        series through f''.  The zero is the linear root in its cell;
-        its error enters only at second order, because f vanishes there.
+        The row is resampled exactly, by zero-padding its spectrum up to
+        band, to a step <= pi / (3 band).  On it the antiderivative is
+        tabulated by FFT and carried from the sample before each zero to
+        the zero by its Taylor series through f''.  The zero is the
+        linear root in its cell; its error enters only at second order,
+        because f vanishes there.  The error falls as the step's fourth
+        power: ~4e-11 of the mass for the default cos2 packet at this
+        step, 6e-10 at twice it.
         """
-        f, dx, n = self.f, self.dx, self.f.size
-        period = n * dx
+        period = self.n * self.dx
+        n = _smooth_size(3.0 * band * period / np.pi)
+        dx = period / n
+        m = int(np.searchsorted(self.k, band, side="right"))
+        fh, k = self.fh[:m] * (n / self.n), self.k[:m]
+        f = np.fft.irfft(fh, n)
         neg = f < 0
         j = np.nonzero(neg != np.roll(neg, -1))[0]
         if j.size == 0:
             return abs(self.mean) * period
-        F = np.fft.irfft(self.anti, n) + self.mean * dx * np.arange(n)
-        f1 = np.fft.irfft(1j * self.k * self.fh, n)
-        f2 = np.fft.irfft(-self.k ** 2 * self.fh, n)
+        F = (np.fft.irfft(self.anti[:m] * (n / self.n), n)
+             + self.mean * dx * np.arange(n))
+        f1 = np.fft.irfft(1j * k * fh, n)
+        f2 = np.fft.irfft(-k ** 2 * fh, n)
         after = (j + 1) % n
         d = dx * f[j] / (f[j] - f[after])
         Fz = F[j] + d * (f[j] + d * (0.5 * f1[j] + d * f2[j] / 6.0))
@@ -529,19 +572,20 @@ def densities(packet: Packet, x, t: float) -> DensityProfile:
     rho_nw0 is |rho| rescaled so its full-line integral matches the
     packet's total charge (the charge-blind zeroth-order reading).  The
     |rho| mass comes from the FFT row at t (fft_row_size) as the sum of
-    +-int rho between the zeros of rho, each exact on the row
-    (_RowIntegral.abs_total); it agrees with 32-fold oversampled
-    trapezoid sums to ~2e-9 relative for the default cos2 packet.  (A
-    plain trapezoid sum on the row is off by O(dx^2) at each kink of
-    |rho|: 1.5e-6 at t = 0.  The composite Gauss-Legendre sum used
-    before, 128 panels across the kinks, was off by 3.7e-4 at t = 0
-    and 2.5e-5 at t = 0.5.)  The densities on x come from one
+    +-int rho between the zeros of rho, each exact on the row, with the
+    zeros found on the row resampled to a step <= pi / (6 k_cut)
+    (_RowIntegral.abs_total); it agrees with the same integral on a
+    16-fold finer row to ~4e-11 relative for the default cos2 packet.
+    (A plain trapezoid sum on a row with dx = 2^-8 is off by O(dx^2) at
+    each kink of |rho|: 1.5e-6 at t = 0.  The composite Gauss-Legendre
+    sum used before, 128 panels across the kinks, was off by 3.7e-4 at
+    t = 0 and 2.5e-5 at t = 0.5.)  The densities on x come from one
     Packet.fields pass on the rule of reach max |x| + |t|.
     """
     x = np.asarray(x, dtype=float)
     row = _fft_row(packet, t)
     factor = (packet.spec.total_charge
-              / _RowIntegral(row.rho, row.dx).abs_total())
+              / _RowIntegral(row.rho, row.dx).abs_total(2.0 * packet.k_cut))
     view = packet.at_reach(np.max(np.abs(x), initial=0.0) + abs(t))
     psi, psix, psit, psi_nw = view.fields(
         x, t, [(0, 0), (1, 0), (0, 1), (0, 0)], nw=[0, 0, 0, 1])
@@ -558,8 +602,9 @@ def acausal_probability(packet: Packet, t: float, refine: int = 1) -> float:
     requires t >= 0 and an initially compact (cos2) packet.  P is the
     share of int rho_nw over |x| in [edge + t, L] (L = decay_window() +
     t) within [-L, L], both integrals taken exactly on the FFT row at t
-    (_RowIntegral).  refine = 2 doubles the row's box, n and k_cut; the
-    shift it causes is the error bar the explode command reports.
+    (_RowIntegral).  refine = 2 doubles the row's box and k_cut (about
+    four times the points, fft_row_size); the shift it causes is the
+    error bar the explode command reports.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -653,21 +698,25 @@ class FrontKernel:
     2 int_{-L}^{x} rho dx' for L = decay_window() + |t|, as J vanishes at
     -L.  The two differ by a constant, which the levels of contour_family
     (fractions of F's range) do not see.  The integral is exact on each
-    FFT row; past +-L, where the row's periodic images begin, F is held
-    at 0 and at twice the charge in [-L, L].  k holds the t = 0 row's
-    modes inside [-k_cut, k_cut].
+    FFT row (fft_row_size: rho's band 2 k_cut lies below the row's
+    Nyquist limit, and dx varies with the box); past +-L, where the
+    row's periodic images begin, F is held at 0 and at twice the charge
+    in [-L, L].  k holds the t = 0 row's modes inside [-k_cut, k_cut].
     """
 
     def __init__(self, packet: Packet):
         self.packet = packet
-        self.dx, n = fft_row_size(packet, 0.0)
-        k = 2.0 * np.pi * np.fft.fftfreq(n, d=self.dx)
+        dx, n = fft_row_size(packet, 0.0)
+        k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
         self.k = k[np.abs(k) <= packet.k_cut]
 
     def evaluate(self, x, t) -> np.ndarray:
         """F on the tensor grid x * t, shape (x.size, t.size).  Times are
-        grouped by row size, each group with one e^{ikx} table on x; the
-        ends G(+-L) are taken on each row at its own L alone."""
+        grouped by row size and taken in parts of at most 2^19 row
+        points, to bound memory: each part makes its rows, integrates
+        them on their own dx and fills its columns of F, with one e^{ikx}
+        table on x.  The ends G(+-L) are taken on each row at its own L
+        alone."""
         x, t = np.ravel(x), np.ravel(t)
         # rho is band-limited to 2 k_cut, below the rows' Nyquist limit
         band = 2.0 * self.packet.k_cut
@@ -675,17 +724,15 @@ class FrontKernel:
         sizes = np.array([fft_row_size(self.packet, s)[1] for s in t])
         for n in np.unique(sizes):
             cols = np.nonzero(sizes == n)[0]
-            # rows in parts of at most 2^19 points, to bound memory
-            parts = np.array_split(cols, -(-cols.size * n // 2 ** 19))
-            rows = (_fft_row(self.packet, t[p]) for p in parts)
-            integral = _RowIntegral(np.concatenate([r.rho for r in rows]),
-                                    self.dx)
-            L = self.packet.decay_window() + np.abs(t[cols])
-            lo, hi = (integral.antiderivative(e, band, diagonal=True)
-                      for e in (-L, L))
-            G = np.where(x[:, None] > L, hi,
-                         integral.antiderivative(x, band))
-            F[:, cols] = 2.0 * (np.where(x[:, None] < -L, lo, G) - lo)
+            for part in np.array_split(cols, -(-cols.size * n // 2 ** 19)):
+                row = _fft_row(self.packet, t[part])
+                integral = _RowIntegral(row.rho, row.dx)
+                L = self.packet.decay_window() + np.abs(t[part])
+                lo, hi = (integral.antiderivative(e, band, diagonal=True)
+                          for e in (-L, L))
+                G = np.where(x[:, None] > L, hi,
+                             integral.antiderivative(x, band))
+                F[:, part] = 2.0 * (np.where(x[:, None] < -L, lo, G) - lo)
         return F
 
 

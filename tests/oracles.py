@@ -9,13 +9,16 @@ program and not itself; packet_fields takes one complex exponential per
 the program takes a derivative in closed form, the oracle here takes it
 by finite differences of the underlying function.  Where the program
 takes an integral as a boundary flux, the oracle differences the
-integrand for a volume rule.
+integrand for a volume rule.  Where the program integrates a fixed-t
+FFT row, the oracle takes the row finer and sums its Fourier series
+directly, one exponential per (point, mode).
 """
 
 import numpy as np
 
 from relbohm.dirac import SpinorSample, _plane_spinor
 from relbohm.numerics import EPS_RHO_SCALE, bilinear_j, bilinear_rho, omega
+from relbohm.packets import _k_weights, fft_row_size
 
 
 def mode_sum(state, z, t):
@@ -97,3 +100,71 @@ def stress_divergence(field, x, h: float = 1e-4):
             a2 = np.exp(-np.sum(p * p, axis=-1))
             div += sign * a2[..., None] * col / (2.0 * h)
     return div
+
+
+def _series_antiderivative(x, fh, k, n):
+    """G(x) = mean x + Re sum_m c_m e^{ik_m x} / (i k_m) of a real row
+    with rfft fh of n points on modes k, one exponential per entry."""
+    weight = np.full(k.size, 2.0 / n)
+    if n % 2 == 0 and k.size == n // 2 + 1:
+        weight[-1] = 1.0 / n
+    table = np.exp(1j * np.multiply.outer(x, k[1:]))
+    return (x * fh[0].real / n
+            + (table @ (weight[1:] * fh[1:] / (1j * k[1:]))).real)
+
+
+def front_kernel_fine(packet, x, t, factor: int = 2):
+    """FrontKernel's F on the grid x * t from rows of factor times the
+    points fft_row_size takes, on the same box: each row's spectrum is
+    formed on all its modes, and F = 2 (G(x) - G(-L)) with x held to
+    [-L, L] is a direct Fourier sum."""
+    x = np.ravel(x)
+    F = np.empty((x.size, np.size(t)))
+    for i, s in enumerate(np.ravel(t)):
+        dx, n = fft_row_size(packet, s)
+        dx, n = dx / factor, n * factor
+        dk = 2.0 * np.pi / (n * dx)
+        m = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
+        w = omega(m * dk)
+        c = (n * packet.norm * _k_weights(m, dk, packet.k_cut)
+             * packet.spec.shape_values(m * dk) * np.exp(-1j * w * s))
+        rho = bilinear_rho(np.fft.ifft(c / np.sqrt(w)),
+                           np.fft.ifft(-1j * np.sqrt(w) * c))
+        L = packet.decay_window() + abs(s)
+        G = _series_antiderivative(np.append(np.clip(x, -L, L), -L),
+                                   np.fft.rfft(rho),
+                                   2.0 * np.pi * np.fft.rfftfreq(n, d=dx), n)
+        F[:, i] = 2.0 * (G[:-1] - G[-1])
+    return F
+
+
+def abs_mass(f, dx: float, band: float, factor: int = 16) -> float:
+    """int |f| over the period of a row f (samples at j dx) band-limited
+    to band.  The zeros of its Fourier series are bracketed on a row
+    factor times finer (zero-padded spectrum), taken from the linear
+    root there and polished by Newton steps on the direct sum, each held
+    to its cell; between consecutive zeros the integral is the direct
+    sum antiderivative's difference.  Sign changes where f stays below
+    1e-12 of its peak on both sides are rounding in the tails and are
+    skipped: a merged segment is off by twice the skipped part, under
+    1e-12 of the peak times the period."""
+    n = f.size
+    fh = np.fft.rfft(f)
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
+    keep = k <= band
+    fh, k = fh[keep], k[keep]
+    fine = np.fft.irfft(fh * factor, n * factor)
+    neg = fine < 0
+    after = np.roll(np.arange(fine.size), -1)
+    j = np.nonzero((neg != neg[after]) & (np.maximum(
+        np.abs(fine), np.abs(fine[after])) > 1e-12 * np.max(np.abs(fine))))[0]
+    h = dx / factor
+    z = (j + fine[j] / (fine[j] - fine[after[j]])) * h
+    c = np.where(k > 0, 2.0, 1.0) * fh / n      # f(x) = Re sum c e^{ikx}
+    for _ in range(3):
+        table = np.exp(1j * np.multiply.outer(z, k))
+        z = np.clip(z - (table @ c).real / (table @ (1j * k * c)).real,
+                    j * h, (j + 1) * h)
+    G = _series_antiderivative(z, fh, k, n)
+    steps = np.diff(np.append(G, G[0] + fh[0].real * dx))
+    return float(np.sum(np.abs(steps)))

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relbohm import dirac, modes, nearnr
-from relbohm.cli import main
+from relbohm import dirac, modes, nearnr, packets
+from relbohm.cli import ConfigError, _check_fft_rows, main
 from relbohm.numerics import Grid2D
 
 
@@ -172,6 +172,27 @@ def test_explode_fft_row_limit_is_named(tmp_path, capsys):
         assert run(["explode", "--config", cfg,
                     "--out", str(tmp_path / "o")]) == 2
         assert "limit of 2^22" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+def test_fft_row_check_counts_the_row_built(monkeypatch, refine):
+    # the count the check holds against the limit is the n of the row
+    # _fft_row makes, error-bar rows (refine = 2) included
+    packet = packets.Packet(packets.PacketSpec(shape="cos2"), k_cut=40.0,
+                            gl_order=8, x_scale=4.0)
+    times = (0.0, 0.75, 2.0, 40.0)
+    sizes = [packets._fft_row(packet, t, refine, rho=False, nw=True)
+             .rho_nw.size for t in times]
+    for t, n in zip(times, sizes):
+        monkeypatch.setattr(packets, "FFT_MAX_POINTS", n)
+        _check_fft_rows(packet, "t", [t], refine)
+        monkeypatch.setattr(packets, "FFT_MAX_POINTS", n - 1)
+        with pytest.raises(ConfigError, match=f"FFT row of {n} points"):
+            _check_fft_rows(packet, "t", [t], refine)
+    monkeypatch.undo()
+    # a t whose box passes the float range is a config error too
+    with pytest.raises(ConfigError, match="limit of 2"):
+        _check_fft_rows(packet, "t", [1e308], refine)
 
 
 def test_spin_fw_box_limit_is_named(tmp_path, capsys):

@@ -6,11 +6,11 @@ from relbohm.numerics import Grid2D, bilinear_rho, omega
 from relbohm.ode import integrate_trajectory
 from relbohm.packets import (FrontKernel, Packet, PacketSpec, _fft_row,
                              _k_weights, _panel_integral, _RowIntegral,
-                             acausal_probability,
+                             _smooth_size, acausal_probability,
                              annihilation_fronts, densities,
                              fft_row_size, lambert_local_trajectories,
                              threshold_charges, zero_crossings)
-from oracles import packet_fields, point_velocity
+from oracles import abs_mass, front_kernel_fine, packet_fields, point_velocity
 
 
 def velocity(packet, x, t):
@@ -235,8 +235,7 @@ def test_fft_row_spectrum_only_inside_k_cut(cos2_k40):
     t = np.array([0.0, 0.75])
     for refine in (1, 2):
         row = _fft_row(p, t, refine, nw=True)
-        dx, n = fft_row_size(p, t)
-        n *= refine
+        dx, n = fft_row_size(p, t, refine)
         dk = 2.0 * np.pi / (n * dx)
         m = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
         w = omega(m * dk)
@@ -361,6 +360,80 @@ def test_fft_rows_match_direct_sums(cos2_k40):
         # rho_nw0 = total_charge |rho| / (|rho| mass)
         assert (p.spec.total_charge * np.abs(prof.rho) / prof.rho_nw0
                 == pytest.approx(mass, rel=1e-6))
+
+
+#: every even 2^a 3^b 5^c below 2^18, in order
+_EVEN_SMOOTH = sorted(2 ** a * 3 ** b * 5 ** c for a in range(1, 18)
+                      for b in range(12) for c in range(8)
+                      if 2 ** a * 3 ** b * 5 ** c < 2 ** 18)
+
+
+def test_smooth_size_is_least_even_five_smooth():
+    bounds = np.random.default_rng(3).uniform(0.0, 1e5, 200)
+    for bound in [0.5, 1.0, 2.0, 8.0, 8739.64, *bounds]:
+        assert _smooth_size(bound) == next(n for n in _EVEN_SMOOTH
+                                           if n > bound)
+    with pytest.raises(OverflowError):
+        _smooth_size(1e300)
+
+
+@pytest.mark.parametrize("packet", ["cos2", "cos2_k40", "gauss"])
+def test_fft_row_size_rule(request, packet):
+    # the box stays the power of two that holds [-L, L], times refine; n
+    # is the least even 5-smooth count that puts the row's band 2 refine
+    # k_cut below its Nyquist limit pi / dx
+    p = request.getfixturevalue(packet)
+    for t in (0.0, 0.75, 2.0):
+        box = 2.0 ** np.ceil(np.log2(2.0 * (p.decay_window() + t)))
+        for refine in (1, 2):
+            band = 2.0 * refine * p.k_cut
+            dx, n = fft_row_size(p, t, refine)
+            assert n * dx == refine * box
+            assert n == next(m for m in _EVEN_SMOOTH
+                             if np.pi * m / (refine * box) > band)
+            assert np.pi / dx > band
+            assert _fft_row(p, t, refine, rho=False, nw=True).rho_nw.size \
+                == n
+
+
+@pytest.fixture(scope="module")
+def cos2_gl24():
+    # the bundled cos2 packet on a coarser k rule (6 576 k-nodes): F and
+    # the row integrals depend on k_cut and the norm alone
+    return Packet(PacketSpec(shape="cos2", a=1.0), gl_order=24, x_scale=0.5)
+
+
+@pytest.fixture(scope="module")
+def cos2_k45():
+    # 1 920 row points on the box of 64 and 3 750 on 128: unlike k_cut =
+    # 40 or the default, the two boxes' rows have different dx
+    p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=45.0)
+    assert fft_row_size(p, 0.0)[0] != fft_row_size(p, 1.5)[0]
+    return p
+
+
+@pytest.mark.parametrize("packet", ["cos2_k40", "cos2_gl24", "cos2_k45"])
+def test_front_kernel_matches_finer_rows(request, packet):
+    # oracle: F on rows of twice the points on the same box, by a direct
+    # Fourier sum; x reaches past +-L on both sides, t spans both boxes
+    p = request.getfixturevalue(packet)
+    x = np.concatenate([np.linspace(0.0, 3.0, 31), [-40.0, -32.5, 32.5,
+                                                   40.0]])
+    t = np.linspace(0.0, 1.5, 7)
+    want = front_kernel_fine(p, x, t)
+    got = FrontKernel(p).evaluate(x, t)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.ptp(want)
+
+
+def test_abs_total_matches_finer_row(cos2_gl24):
+    # oracle: the zeros of rho polished on its Fourier series, bracketed
+    # on a row 16 times finer, and the direct-sum antiderivative
+    band = 2.0 * cos2_gl24.k_cut
+    for t in (0.0, 0.5, 1.0, 1.5):
+        row = _fft_row(cos2_gl24, t)
+        want = abs_mass(row.rho, row.dx, band)
+        got = _RowIntegral(row.rho, row.dx).abs_total(band)
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_acausal_requires_compact_support(gauss):
