@@ -95,19 +95,35 @@ def _real(value, name: str, positive: bool = False) -> float:
     return v
 
 
-def _check_fft_rows(packet, name: str, times, refine: int = 1) -> None:
+def _check_fft_rows(packet, name: str, times, refine: int = 1,
+                    x=None) -> None:
     """ConfigError when a time in times needs an FFT row (fft_row_size
-    with refine) past FFT_MAX_POINTS: rows grow with |t|, and a huge t
-    would allocate gigabytes."""
+    with refine) past FFT_MAX_POINTS, or, given the x window the times
+    serve, when points at max |x| + max |t| need a k rule
+    (Packet.rule_nodes) past that limit: rows grow with |t| and rules
+    with the reach, and a huge t or x would allocate gigabytes.  The rows
+    are checked first."""
+    limit = packets.FFT_MAX_POINTS
     for t in times:
         try:
             points = packets.fft_row_size(packet, t, refine)[1]
         except OverflowError:   # a row size past the float range
             points = np.inf
-        if points > packets.FFT_MAX_POINTS:
+        if points > limit:
             raise ConfigError(
                 f"{name} entry {t:g} needs an FFT row of {points} points, "
-                f"more than the limit of 2^22 = {packets.FFT_MAX_POINTS}")
+                f"more than the limit of 2^22 = {limit}")
+    if x is None:
+        return
+    reach = float(np.max(np.abs(x))) + max(abs(t) for t in times)
+    try:
+        nodes = packet.rule_nodes(reach)
+    except OverflowError:       # a rule size past the float range
+        nodes = np.inf
+    if nodes > limit:
+        raise ConfigError(
+            f"{name} at |x| + |t| up to {reach:g} needs a k rule of {nodes} "
+            f"nodes, more than the limit of 2^22 = {limit}")
 
 
 def _out_dir(args) -> Path:
@@ -162,14 +178,9 @@ def _packet_from(cfg: dict) -> packets.Packet:
                for key, default in (("a", 1.0), ("k0", 0.0),
                                     ("sigma_k", 0.05),
                                     ("total_charge", 2.0))})
-        kwargs = {}
-        if "k_cut" in p:
-            kwargs["k_cut"] = _real(p["k_cut"], "packet.k_cut", positive=True)
-        if "x_scale" in p:
-            kwargs["x_scale"] = _real(p["x_scale"], "packet.x_scale")
-        if "gl_order" in p:
-            kwargs["gl_order"] = int(p["gl_order"])
-        return packets.Packet(spec, **kwargs)
+        k_cut = (_real(p["k_cut"], "packet.k_cut", positive=True)
+                 if "k_cut" in p else None)
+        return packets.Packet(spec, k_cut)
 
 
 def _lambert_fit(packet, traj_set, grid):
@@ -266,11 +277,14 @@ def cmd_explode(cfg: dict, args) -> int:
         t_values = t_values[:2]
         p_times = [t for i, t in enumerate(p_times) if i % 2 == 0 or t == 0.0]
     grid = _grid(cfg, args.quick)
-    # x-integrals and F run on FFT rows; P(t)'s error bar also builds
-    # one row with twice the box and k_cut
-    _check_fft_rows(packet, "t_values", t_values)
+    # x-integrals and F run on FFT rows, and points on the k rule of
+    # their reach; P(t)'s error bar also builds one row with twice the
+    # box and k_cut
+    _check_fft_rows(packet, "t_values", t_values, x=xd)
     _check_fft_rows(packet, "p_times", p_times, refine=2)
-    _check_fft_rows(packet, "grid t", (grid.t_min, grid.t_max))
+    _check_fft_rows(packet, "grid", (grid.t_min, grid.t_max),
+                    x=(grid.x_min, grid.x_max))
+    _check_fft_rows(packet, "x_0 scan", [0.0], x=[2.5 * packet.spec.a])
     n_levels = _count(cfg.get("n_levels", 40), "n_levels")
     out = _out_dir(args)
 
@@ -329,13 +343,16 @@ def cmd_nearnr(cfg: dict, args) -> int:
         x = np.linspace(_real(xcfg["min"], "x.min"),
                         _real(xcfg["max"], "x.max"), n)
     t = _real(cfg.get("t", 0.0), "t")
-    if packet.k.size > nearnr.WKernel.MAX_NODES:
+    # the moments are sums over the FFT row at t, and the fields at x run
+    # on the k rule of the window's reach
+    _check_fft_rows(packet, "t", [t], x=x)
+    nodes = packet.rule_nodes(np.max(np.abs(x)) + abs(t))
+    if nodes > nearnr.WKernel.MAX_NODES:
         raise ConfigError(
-            f"packet has {packet.k.size} k-nodes; nearnr's dense W kernel "
-            f"accepts at most {nearnr.WKernel.MAX_NODES} (set a smaller "
-            "packet.k_cut or packet.x_scale)")
-    # the moments are sums over the FFT row at t
-    _check_fft_rows(packet, "t", [t])
+            f"the x window at t = {t:g} needs a k rule of {nodes} nodes; "
+            f"nearnr's dense W kernel accepts at most "
+            f"{nearnr.WKernel.MAX_NODES} (set a smaller packet.k_cut or a "
+            "narrower x window)")
     out = _out_dir(args)
 
     field = nearnr.correction_field(packet, x, t)

@@ -8,7 +8,8 @@ map x -> x + f(x, t).  Pushing the charge density through that map
 reproduces the localized-position density to the next expansion order.
 
 Everything here is the 1-d specialization; the tensor indices of the
-3-d form are diagonal under it.
+3-d form are diagonal under it.  Fields at points x run on the packet's
+k rule of their reach max |x| + |t| (Packet.at_reach), as explode's do.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ PUSHFORWARD_N = 2001
 NARROW_K_REL = 0.25
 
 
+def _at_reach(packet: Packet, x, t: float) -> Packet:
+    """The packet on the k rule of the points x at time t."""
+    return packet.at_reach(np.max(np.abs(x), initial=0.0) + abs(t))
+
+
 class WKernel:
     """Tabulated exact density-difference potential W(x, t).
 
@@ -46,20 +52,20 @@ class WKernel:
 
     so that d^2 W / dx^2 = rho - rho_nw identically (the kernel is the
     difference kernel (sqrt w - sqrt w')^2 / (2 sqrt(w w')) divided by
-    -(k - k')^2, which is finite on the diagonal).  Built on the
-    packet's own quadrature grid; evaluation is a weighted cosine sum.
+    -(k - k')^2, which is finite on the diagonal).  Built on the k rule
+    of the packet it is given (correction_field passes the rule of its
+    reach); evaluation is a weighted cosine sum.
     """
 
-    #: largest packet quadrature grid the dense kernel matrix accepts
+    #: most k-nodes of a rule the dense kernel matrix accepts
     MAX_NODES = 4096
 
     def __init__(self, packet: Packet):
         if packet.k.size > self.MAX_NODES:
             raise ValueError(
-                f"packet quadrature grid has {packet.k.size} nodes; the "
-                f"dense W kernel accepts at most {self.MAX_NODES}.  Build "
-                "the packet with a smaller k_cut / x_scale for this "
-                "analysis (narrow-k regime).")
+                f"the k rule has {packet.k.size} nodes; the dense W kernel "
+                f"accepts at most {self.MAX_NODES}.  Set a smaller k_cut "
+                "or a narrower x window (narrow-k regime).")
         k = packet.k
         w = packet.omega
         ws = packet._ws                       # quad weight * coefficient
@@ -99,7 +105,8 @@ def w_approx(packet: Packet, x, t):
     omega ~ 1 (localized-position) amplitude and analytic derivatives.
     Valid when the k-support is narrow compared to 1.
     """
-    psi, psix, psixx = packet.fields(x, t, [(0, 0), (1, 0), (2, 0)], nw=True)
+    psi, psix, psixx = _at_reach(packet, x, t).fields(
+        x, t, [(0, 0), (1, 0), (2, 0)], nw=True)
     d2_abs2 = 2.0 * (np.conj(psi) * psixx).real + 2.0 * np.abs(psix) ** 2
     out = (d2_abs2 - 4.0 * np.abs(psix) ** 2) / 32.0
     return float(out) if np.ndim(out) == 0 else out
@@ -118,7 +125,8 @@ def density_difference_timeform(packet: Packet, x, t: float):
     of the packet's k-spread.
     """
     x = np.asarray(x, dtype=float)
-    psi, psit, psixx, psitt, psixxt, psittt, psi_nw = packet.fields(
+    view = _at_reach(packet, x, t)
+    psi, psit, psixx, psitt, psixxt, psittt, psi_nw = view.fields(
         x, t, [(0, 0), (0, 1), (2, 0), (0, 2), (2, 1), (0, 3), (0, 0)],
         nw=[0, 0, 0, 0, 0, 0, 1])
     lhs = bilinear_rho(psi, psit) - np.abs(psi_nw) ** 2
@@ -137,7 +145,7 @@ def nw_position_map(packet: Packet, x, t: float):
     them again.
     """
     x = np.asarray(x, dtype=float)
-    psi, psix, psit, psixt, psi_nw = packet.fields(
+    psi, psix, psit, psixt, psi_nw = _at_reach(packet, x, t).fields(
         x, t, [(0, 0), (1, 0), (0, 1), (1, 1), (0, 0)], nw=[0, 0, 0, 0, 1])
     rho = bilinear_rho(psi, psit)
     dj_dt = (np.conj(psit) * psix + np.conj(psi) * psixt).imag
@@ -162,9 +170,12 @@ class CorrectionField:
 
 
 def correction_field(packet: Packet, x, t: float) -> CorrectionField:
+    """W, its second x-derivative, the densities and the position map at
+    x, all on the packet's k rule of reach max |x| + |t|."""
     x = np.asarray(x, dtype=float)
-    kernel = WKernel(packet)
-    x_mapped, f, rho, rho_nw = nw_position_map(packet, x, t)
+    view = _at_reach(packet, x, t)
+    kernel = WKernel(view)
+    x_mapped, f, rho, rho_nw = nw_position_map(view, x, t)
     return CorrectionField(
         x=x, t=float(t),
         W=kernel.evaluate(x, np.full(x.shape, t)),
@@ -197,8 +208,8 @@ def pushforward_l1(packet: Packet, t: float = 0.0):
 
     Pushes rho through x -> x + f via the change-of-variables Jacobian
     1 + df/dx and interpolates back to PUSHFORWARD_N samples over the
-    packet's width.  The mapped distance should beat the unmapped one by
-    the next expansion order.
+    packet's width, on the k rule of that window.  The mapped distance
+    should beat the unmapped one by the next expansion order.
     """
     # Position-space width: ~1/sigma_k for a gaussian shape.
     if packet.spec.shape == "gaussian":

@@ -44,16 +44,15 @@ EPS_RHO_SCALE = 1e-12
 
 
 def bilinear_rho(psi, dpsi_dt):
-    """Charge density (i/2)[psi* dpsi/dt - dpsi*/dt psi]; may be negative.
-
-    Elementwise on scalars or arrays.
-    """
-    return (0.5j * (np.conj(psi) * dpsi_dt - np.conj(dpsi_dt) * psi)).real
+    """Charge density (i/2)[psi* dpsi/dt - dpsi*/dt psi] = -Im(psi*
+    dpsi/dt); may be negative.  Elementwise on scalars or arrays."""
+    return -(np.conj(psi) * dpsi_dt).imag
 
 
 def bilinear_j(psi, dpsi_dx):
-    """Spatial current (1/2i)[psi* dpsi/dx - dpsi*/dx psi], elementwise."""
-    return (-0.5j * (np.conj(psi) * dpsi_dx - np.conj(dpsi_dx) * psi)).real
+    """Spatial current (1/2i)[psi* dpsi/dx - dpsi*/dx psi] = Im(psi*
+    dpsi/dx), elementwise."""
+    return (np.conj(psi) * dpsi_dx).imag
 
 
 @dataclass(frozen=True)

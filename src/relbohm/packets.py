@@ -12,8 +12,10 @@ amplitude drops the omega^{-1/2} factor.  Built-in shapes:
 Two engines evaluate the same truncated spectrum.  Field values at given
 points are k-integrals on a composite Gauss-Legendre rule over
 [-k_cut, k_cut] (Packet.fields); evaluations are plain weighted sums and
-therefore deterministic.  Scattered points run on the rule that their
-reach max(|x| + |t|) and the packet's width need (Packet.at_reach).  The
+therefore deterministic.  Every k rule is the rule of a reach: points
+run on the rule that their reach max(|x| + |t|) and the packet's width
+need (Packet.at_reach), and the packet's own rule, which fixes its
+normalization, is that of its decay window.  No rule is configured.  The
 x-integrals over a whole fixed-t row (the acausal probability, the |rho|
 mass, the threshold tail and charges, and FrontKernel's F) sample it by
 FFT on a periodic box (fft_row_size), at the fewest points that hold a
@@ -61,8 +63,9 @@ __all__ = [
 ENVELOPE_TOL = 1e-6
 #: Gauss-Legendre order of the x-space panel quadratures
 PANEL_ORDER = 12
-#: most points of an FFT row (a fixed-t x-integral); fft_row_size grows
-#: with t, and a row of this size holds 64 MB per complex field
+#: most points of an FFT row (a fixed-t x-integral) and most nodes of a
+#: k rule: fft_row_size grows with |t| and Packet.rule_nodes with the
+#: reach, and a row or rule of this size holds 64 MB per complex array
 FFT_MAX_POINTS = 2 ** 22
 #: largest gap between Packet.fields and the t = 0 FFT row, relative to
 #: max |rho|, before the engine check (_check_rule) fails (well-resolved
@@ -147,15 +150,14 @@ def _waves(x, split) -> np.ndarray:
 
 
 class Packet:
-    """A PacketSpec with its tabulated quadrature grid and normalization.
+    """A PacketSpec with its k rule and normalization.
 
-    The configured k grid has gl_order Gauss-Legendre nodes on each equal
-    panel of [-k_cut, k_cut]; the panel width is the least of
-    pi / (2 max(x_scale, 1)), k_cut / 8 and, for a gaussian, sigma_k / 2.
-    It fixes the normalization, is the rule the explode engine check
-    holds against the FFT row over the whole decay window, and bounds the
-    nodes of every view.  at_reach(R) is this packet on the coarser rule
-    that points with |x| + |t| <= R need: same spec, k_cut and norm.
+    Every k rule of a packet is the rule of a reach (rule_nodes): the one
+    that points with |x| + |t| <= reach need.  The packet's own rule is
+    that of its decay window; it fixes the normalization, and the explode
+    engine check holds it against the t = 0 FFT row over the whole decay
+    window (zero_crossings).  at_reach(R) is this packet on the rule of R,
+    coarser or finer: same spec, k_cut and norm.
     """
 
     #: points x k-nodes of a fields chunk.  A chunk holds up to three
@@ -164,24 +166,17 @@ class Packet:
     #: 4 000 000 the peak RSS of an explode run on 6 576 k-nodes rose
     #: from 147 to 232 MB
     _CHUNK_BUDGET = 1_000_000
-    #: Gauss-Legendre order of the rules at_reach makes
+    #: Gauss-Legendre order of every k rule
     REACH_ORDER = 24
-    #: least reach at_reach sizes a rule for; below it the branch points
-    #: of omega at k = +-i, not the phase, bound the panels next to k = 0
+    #: least reach a rule is sized for; below it the branch points of
+    #: omega at k = +-i, not the phase, bound the panels next to k = 0
     REACH_FLOOR = 4.0
 
-    def __init__(self, spec: PacketSpec, k_cut: float | None = None,
-                 gl_order: int = 10, x_scale: float = 15.0):
+    def __init__(self, spec: PacketSpec, k_cut: float | None = None):
         self.spec = spec
         self.k_cut = float(k_cut if k_cut is not None
                            else spec.default_k_cut())
-        panel = min(0.25 * 2.0 * np.pi / max(x_scale, 1.0),
-                    self.k_cut / 8.0)
-        if spec.shape == "gaussian":
-            panel = min(panel, spec.sigma_k / 2.0)
-        k, w, split = _gl_panels(
-            -self.k_cut, self.k_cut,
-            max(1, int(np.ceil(2.0 * self.k_cut / panel))), gl_order)
+        k, w, split = self._rule(self.decay_window())
         s = spec.shape_values(k)
         # int rho_nw dx = 2 pi N^2 int s^2 dk  ==  total_charge.
         s2 = float(np.sum(w * s * s))
@@ -197,39 +192,58 @@ class Packet:
         # quadrature weight * normalized k-space coefficient
         self._ws = w * (self.norm * self.spec.shape_values(k))
 
-    def at_reach(self, reach: float) -> Packet:
-        """This packet on the k rule that points with |x| + |t| <= reach
-        need.
+    def _reach(self, reach: float) -> float:
+        """The reach a rule is sized for: at least twice the support edge
+        and REACH_FLOOR."""
+        return max(float(reach), 2.0 * self.support_edge, self.REACH_FLOOR)
+
+    def rule_nodes(self, reach: float) -> int:
+        """k-nodes of the rule that points with |x| + |t| <= reach need.
 
         The rule has REACH_ORDER Gauss-Legendre nodes on each of an even
         number of equal panels of [-k_cut, k_cut], so that k = 0 sits on a
         panel edge, away from the nodes next to omega's branch points.
-        The panel width h is at most REACH_ORDER / R, R = max(reach,
-        2 support_edge, REACH_FLOOR): with the cos2 spectrum's phases
-        e^{+-ika}, the phase turns by at most h (R + a) / 2 <= 18 radians
-        across a panel, below the ~24 (h R / 2 ~ REACH_ORDER) at which
-        such a rule starts to lose digits.  For a gaussian, h is also at
-        most sigma_k / 2.  The view shares spec, k_cut and norm with this
-        packet; this packet is returned itself when the rule would hold as
-        many nodes or more.
+        The panel width h is at most REACH_ORDER / R, R = _reach(reach):
+        with the cos2 spectrum's phases e^{+-ika}, the phase turns by at
+        most h (R + a) / 2 <= 18 radians across a panel, below the ~24
+        (h R / 2 ~ REACH_ORDER) at which such a rule starts to lose
+        digits.  For a gaussian, R >= 2 support_edge = 10 / sigma_k bounds
+        h by 2.4 sigma_k.  About 2 k_cut R nodes; OverflowError where R
+        passes the float range.
+        """
+        h = self.REACH_ORDER / self._reach(reach)
+        return 2 * int(np.ceil(self.k_cut / h)) * self.REACH_ORDER
+
+    def _rule(self, reach: float):
+        """The (nodes, weights, split) of the rule of reach (rule_nodes);
+        ValueError past FFT_MAX_POINTS nodes, before any is made."""
+        n = self.rule_nodes(reach)
+        if n > FFT_MAX_POINTS:
+            raise ValueError(
+                f"the k rule of reach {self._reach(reach):g} needs {n} "
+                f"nodes, over the limit of 2^22 = {FFT_MAX_POINTS}")
+        return _gl_panels(-self.k_cut, self.k_cut, n // self.REACH_ORDER,
+                          self.REACH_ORDER)
+
+    def at_reach(self, reach: float) -> Packet:
+        """This packet on the k rule that points with |x| + |t| <= reach
+        need (rule_nodes), coarser or finer than its own; the packet
+        itself when the two are equal.  The view shares spec, k_cut, norm
+        and t0_row with this packet.  ValueError when the rule would pass
+        FFT_MAX_POINTS nodes.
 
         Raises ArithmeticError when the view departs from the t = 0 FFT
         row by more than ENGINE_GAP_TOL within its reach, or within the
         decay window when the reach passes it: the row holds the field
         only there, and beyond it the t = 0 field is negligible.
         """
-        reach = max(float(reach), 2.0 * self.support_edge, self.REACH_FLOOR)
-        h = self.REACH_ORDER / reach
-        if self.spec.shape == "gaussian":
-            h = min(h, self.spec.sigma_k / 2.0)
-        n_panels = 2 * int(np.ceil(self.k_cut / h))
-        if n_panels * self.REACH_ORDER >= self.k.size:
+        if self.rule_nodes(reach) == self.k.size:
             return self
+        rule = self._rule(reach)
         row = self.t0_row  # made before the copy, so the view shares it
         view = copy.copy(self)
-        view._tabulate(*_gl_panels(-self.k_cut, self.k_cut, n_panels,
-                                   self.REACH_ORDER))
-        _check_rule(view, row, min(reach, self.decay_window()))
+        view._tabulate(*rule)
+        _check_rule(view, row, min(self._reach(reach), self.decay_window()))
         return view
 
     @cached_property
@@ -514,13 +528,6 @@ class _RowIntegral:
                       else table @ series.T).real
         return G
 
-    def __call__(self, a: float, b: float) -> float:
-        """int_a^b f dx = G(b) - G(a) for one row, summed term by term:
-        the two series cancel before rounding."""
-        return float(self.mean * (b - a)
-                     + np.sum(self.series * (np.exp(1j * self.k * b)
-                                             - np.exp(1j * self.k * a))).real)
-
     def abs_total(self, band: float) -> float:
         """int |f| over the period: +-int f between consecutive zeros, for
         one row band-limited to band.
@@ -602,9 +609,10 @@ def acausal_probability(packet: Packet, t: float, refine: int = 1) -> float:
     requires t >= 0 and an initially compact (cos2) packet.  P is the
     share of int rho_nw over |x| in [edge + t, L] (L = decay_window() +
     t) within [-L, L], both integrals taken exactly on the FFT row at t
-    (_RowIntegral).  refine = 2 doubles the row's box and k_cut (about
-    four times the points, fft_row_size); the shift it causes is the
-    error bar the explode command reports.
+    as G(b) - G(a) of its antiderivative (_RowIntegral.antiderivative,
+    on the band 2 refine k_cut of rho_nw).  refine = 2 doubles the row's
+    box and k_cut (about four times the points, fft_row_size); the shift
+    it causes is the error bar the explode command reports.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -612,11 +620,12 @@ def acausal_probability(packet: Packet, t: float, refine: int = 1) -> float:
         raise ValueError("acausal probability needs a compactly "
                          "supported (cos2) packet")
     row = _fft_row(packet, t, refine, rho=False, nw=True)
-    integral = _RowIntegral(row.rho_nw, row.dx)
     edge = packet.support_edge + t
     L = packet.decay_window() + t
-    outer = integral(edge, L) + integral(-L, -edge)
-    return outer / integral(-L, L)
+    # rho_nw is band-limited to twice the row's k_cut
+    G = _RowIntegral(row.rho_nw, row.dx).antiderivative(
+        np.array([-L, -edge, edge, L]), 2.0 * refine * packet.k_cut)
+    return float((G[3] - G[2] + G[1] - G[0]) / (G[3] - G[0]))
 
 
 def zero_crossings(packet: Packet):
@@ -626,12 +635,13 @@ def zero_crossings(packet: Packet):
     [0, 2.5 a] and brentq on Packet.fields, on the rule of that reach.
     x_th solves int_{x_th}^{L} rho dx = 0 (only virtual pairs beyond the
     threshold; L = decay_window()); brentq runs on that tail integral
-    taken exactly on the t = 0 FFT row (_RowIntegral).  Both to 1e-8 or
+    taken exactly on the t = 0 FFT row as G(L) - G(x) of its
+    antiderivative (_RowIntegral.antiderivative).  Both to 1e-8 or
     better.
 
     Raises ArithmeticError when rho(x, 0) has no sign change on (0, 2.5 a]
-    (a k_cut too small for a narrow packet), and when the packet's
-    configured k rule departs from the FFT row by more than
+    (a k_cut too small for a narrow packet), and when the packet's own
+    k rule (that of its decay window) departs from the FFT row by more than
     ENGINE_GAP_TOL within the decay window (_check_rule): one of the two
     engines is then off where the row integrals reach.
     """
@@ -663,9 +673,11 @@ def zero_crossings(packet: Packet):
     # quadrature that aliases within the decay window parts them
     _check_rule(packet, row, L)
     integral = _RowIntegral(row.rho, row.dx)
+    band = 2.0 * packet.k_cut
+    G_L = integral.antiderivative(np.array([L]), band)[0]
 
     def tail(x):
-        return integral(x, L)
+        return float(G_L - integral.antiderivative(np.array([x]), band)[0])
 
     lo, hi = 0.1 * a, x0
     if tail(lo) * tail(hi) > 0:
@@ -679,15 +691,18 @@ def threshold_charges(packet: Packet, x_th: float):
     """Charges at t = 0 that test the threshold reading x_th.
 
     Returns (int_0^{x_th} rho, int_{x_th}^{L} rho, int_0^{a} rho_nw) with
-    L = decay_window(), each taken exactly on the t = 0 FFT row.  At the
+    L = decay_window(), each taken exactly on the t = 0 FFT row as G(b) -
+    G(a) of its antiderivative (_RowIntegral.antiderivative).  At the
     threshold of zero_crossings the first is half the total charge and
     the second vanishes; the third is half the total by symmetry.
     """
     row = packet.t0_row
-    rho = _RowIntegral(row.rho, row.dx)
-    rho_nw = _RowIntegral(row.rho_nw, row.dx)
-    return (rho(0.0, x_th), rho(x_th, packet.decay_window()),
-            rho_nw(0.0, packet.spec.a))
+    band = 2.0 * packet.k_cut
+    G = _RowIntegral(row.rho, row.dx).antiderivative(
+        np.array([0.0, x_th, packet.decay_window()]), band)
+    G_nw = _RowIntegral(row.rho_nw, row.dx).antiderivative(
+        np.array([0.0, packet.spec.a]), band)
+    return (float(G[1] - G[0]), float(G[2] - G[1]), float(G_nw[1] - G_nw[0]))
 
 
 class FrontKernel:

@@ -11,14 +11,18 @@ by finite differences of the underlying function.  Where the program
 takes an integral as a boundary flux, the oracle differences the
 integrand for a volume rule.  Where the program integrates a fixed-t
 FFT row, the oracle takes the row finer and sums its Fourier series
-directly, one exponential per (point, mode).
+directly, one exponential per (point, mode).  Where the program sums a
+k-integral on the rule of a reach, the reference is a deliberately finer
+rule (fine_rule).
 """
+
+import copy
 
 import numpy as np
 
 from relbohm.dirac import SpinorSample, _plane_spinor
 from relbohm.numerics import EPS_RHO_SCALE, bilinear_j, bilinear_rho, omega
-from relbohm.packets import _k_weights, fft_row_size
+from relbohm.packets import _gl_panels, _k_weights, fft_row_size
 
 
 def mode_sum(state, z, t):
@@ -58,6 +62,17 @@ def packet_fields(packet, x, t, orders, nw=False):
                          - packet.omega * t[..., None]))
     return [phase @ packet._coef(dx, dt, bool(flag)) for (dx, dt), flag
             in zip(orders, np.broadcast_to(nw, len(orders)))]
+
+
+def fine_rule(packet, reach, factor: int = 4):
+    """packet (same spec, k_cut and norm) on a Gauss-Legendre rule of
+    order 32 with factor times the panels of the rule Packet.at_reach
+    makes for reach, and so a panel width at most REACH_ORDER /
+    (factor R).  No engine check: it is the reference, not the program."""
+    panels = factor * packet.rule_nodes(reach) // packet.REACH_ORDER
+    fine = copy.copy(packet)
+    fine._tabulate(*_gl_panels(-packet.k_cut, packet.k_cut, panels, 32))
+    return fine
 
 
 def point_velocity(psi, dpsi_dx, dpsi_dt):

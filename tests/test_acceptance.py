@@ -42,8 +42,7 @@ def test_criterion_01_thresholds(thresholds):
     ok_a1 = abs(x_th - 0.57) <= 0.02 and abs(x0 - 0.72) <= 0.02
     # the alternative half-width reading a = 2 rescales both crossings by
     # 2 and cannot reproduce the quoted values; a = 1 is the winner
-    alt = packets.Packet(packets.PacketSpec(shape="cos2", a=2.0),
-                        k_cut=20.0, gl_order=8, x_scale=8.0)
+    alt = packets.Packet(packets.PacketSpec(shape="cos2", a=2.0), k_cut=20.0)
     x_th2, x02 = packets.zero_crossings(alt)
     ok_a2 = abs(x_th2 - 0.57) <= 0.02 and abs(x02 - 0.72) <= 0.02
     ok = (ok_a1 or ok_a2) and thresholds["a"] == 1.0
@@ -210,8 +209,7 @@ def test_criterion_05_rejects_doctored_curves(thresholds, acausal_oracle):
 def test_criterion_06_exact_identity_and_moments():
     gauss = packets.Packet(packets.PacketSpec(
         shape="gaussian", k0=0.1, sigma_k=0.05, total_charge=1.0))
-    cos2 = packets.Packet(packets.PacketSpec(shape="cos2", a=1.0),
-                          k_cut=40.0, gl_order=8, x_scale=4.0)
+    cos2 = packets.Packet(packets.PacketSpec(shape="cos2", a=1.0), k_cut=40.0)
     xg = np.linspace(-15.0, 15.0, 31)
     kern_g = nearnr.WKernel(gauss)
     res_g = np.max(np.abs(

@@ -70,7 +70,8 @@ _GRID = {"x_min": -1, "x_max": 1, "n_x": 11, "t_min": 0, "t_max": 1,
          "n_t": 11}
 _DIRAC = {"kind": "dirac", "n_modes": 2, "seed": 1, "n_points": 2}
 _FW = {"kind": "fw", "field": "gaussian", "n_points": 2, "box_n": 9}
-_K40 = {"shape": "cos2", "k_cut": 40.0, "gl_order": 8, "x_scale": 4.0}
+_K40 = {"shape": "cos2", "k_cut": 40.0}
+_GAUSS = {"shape": "gaussian", "k0": 0.1, "sigma_k": 0.05}
 
 
 @pytest.mark.parametrize("command, payload, code", [
@@ -91,9 +92,7 @@ _K40 = {"shape": "cos2", "k_cut": 40.0, "gl_order": 8, "x_scale": 4.0}
     ("spin", {**_FW, "box_half": 0}, 2),
     ("nearnr", {"packet": {"shape": "gaussian", "sigma_k": 0.05},
                 "x": {"min": "nan", "max": 4.0, "n": 33}}, 2),
-    ("explode", {"packet": {"shape": "cos2", "k_cut": 40.0, "gl_order": 8,
-                            "x_scale": 4.0},
-                 "t_values": ["nan"], "grid": _GRID}, 2),
+    ("explode", {"packet": _K40, "t_values": ["nan"], "grid": _GRID}, 2),
     ("nearnr", {"packet": {"shape": "gaussian", "sigma_k": 0.05},
                 "x": {"min": -4.0, "max": 4.0, "n": 0}}, 2),
     ("modes", {"k": [0.0, 0.1], "phi": [[1, 0], [1, 0]],
@@ -101,8 +100,7 @@ _K40 = {"shape": "cos2", "k_cut": 40.0, "gl_order": 8, "x_scale": 4.0}
     ("spin", {**_FW, "field": []}, 2),
     ("explode", {"packet": {"shape": "cos2", "a": "nan", "k_cut": 40.0},
                  "grid": _GRID}, 2),
-    ("explode", {"packet": {"shape": "cos2", "k_cut": 40.0, "gl_order": 8,
-                            "x_scale": 4.0},
+    ("explode", {"packet": _K40,
                  "density_x": {"min": -3.0, "max": 3.0, "n": 0},
                  "grid": _GRID}, 2),
     ("spin", {**_DIRAC, "k_max": "nan"}, 2),
@@ -111,10 +109,12 @@ _K40 = {"shape": "cos2", "k_cut": 40.0, "gl_order": 8, "x_scale": 4.0}
     # an FFT row past 2^22 points: a huge t would allocate gigabytes
     ("explode", {"packet": _K40, "t_values": [1e6], "grid": _GRID}, 2),
     ("explode", {"packet": _K40, "p_times": [1e6], "grid": _GRID}, 2),
-    # well formed, but the k quadrature aliases rho within the decay window
-    ("explode", {"packet": {"shape": "cos2", "gl_order": 8, "x_scale": 0.5},
-                 "grid": _GRID}, 3),
-    # well formed, but the dense W kernel cannot take 40 970 k-nodes
+    # well formed, but the t = 0 FFT row's end correction at k_cut = 5
+    # falls short of the k rule of the x_0 scan
+    ("explode", {"packet": {"shape": "cos2", "k_cut": 5.0}, "grid": _GRID},
+     3),
+    # well formed, but the dense W kernel cannot take the 8 592 k-nodes
+    # of the default window's rule
     ("nearnr", {"packet": {"shape": "cos2", "a": 1.0}}, 2),
     # well formed, but psibar psi < 0 at all four sample points
     ("spin", {"kind": "dirac", "n_modes": 2, "seed": 13, "n_points": 4,
@@ -132,6 +132,14 @@ _K40 = {"shape": "cos2", "k_cut": 40.0, "gl_order": 8, "x_scale": 4.0}
     # well formed, but k_cut is too small to resolve the zero of rho(x, 0)
     ("explode", {"packet": {"shape": "cos2", "a": 0.05, "k_cut": 20},
                  "grid": _GRID}, 3),
+    # a reach whose k rule would pass 2^22 nodes
+    ("explode", {"packet": _K40, "grid": _GRID,
+                 "density_x": {"min": -1e7, "max": 1e7, "n": 5}}, 2),
+    ("explode", {"packet": _K40, "grid": {**_GRID, "x_max": 1e7}}, 2),
+    ("nearnr", {"packet": _GAUSS, "x": {"min": -1e7, "max": 1e7, "n": 5}},
+     2),
+    ("explode", {"packet": {"shape": "cos2", "a": 1e7, "k_cut": 40.0},
+                 "grid": _GRID}, 2),
 ], ids=["modes-n_levels-string", "modes-nan-k", "explode-density_x-no-max",
         "nearnr-x-no-min", "spin-dirac-zero-points",
         "spin-dirac-point_range-string",
@@ -142,12 +150,14 @@ _K40 = {"shape": "cos2", "k_cut": 40.0, "gl_order": 8, "x_scale": 4.0}
         "explode-packet-a-nan", "explode-density_x-n-zero",
         "spin-dirac-k_max-nan", "spin-dirac-k_max-negative",
         "spin-dirac-k_max-zero", "explode-t_values-fft-row-too-large",
-        "explode-p_times-fft-row-too-large", "explode-coarse-k-quadrature",
+        "explode-p_times-fft-row-too-large", "explode-short-end-correction",
         "nearnr-packet-too-many-k-nodes", "spin-dirac-empty-domain",
         "explode-packet-string", "nearnr-packet-null", "nearnr-packet-list",
         "explode-grid-t-fft-row-too-large", "spin-fw-box_n-over-limit",
         "spin-fw-box_n-huge", "nearnr-t-fft-row-too-large",
-        "explode-unresolved-narrow-packet"])
+        "explode-unresolved-narrow-packet", "explode-density_x-rule-too-large",
+        "explode-grid-x-rule-too-large", "nearnr-x-rule-too-large",
+        "explode-huge-a-rule-too-large"])
 def test_malformed_or_unconverged_config_exit_code(tmp_path, command,
                                                    payload, code):
     cfg = write_cfg(tmp_path, "cfg.json", payload)
@@ -178,8 +188,7 @@ def test_explode_fft_row_limit_is_named(tmp_path, capsys):
 def test_fft_row_check_counts_the_row_built(monkeypatch, refine):
     # the count the check holds against the limit is the n of the row
     # _fft_row makes, error-bar rows (refine = 2) included
-    packet = packets.Packet(packets.PacketSpec(shape="cos2"), k_cut=40.0,
-                            gl_order=8, x_scale=4.0)
+    packet = packets.Packet(packets.PacketSpec(shape="cos2"), k_cut=40.0)
     times = (0.0, 0.75, 2.0, 40.0)
     sizes = [packets._fft_row(packet, t, refine, rho=False, nw=True)
              .rho_nw.size for t in times]
@@ -249,8 +258,7 @@ def test_explode_requires_cos2(tmp_path):
 
 def test_explode_small_run(tmp_path):
     cfg = write_cfg(tmp_path, "small.json", {
-        "packet": {"shape": "cos2", "a": 1.0, "k_cut": 40.0,
-                   "gl_order": 8, "x_scale": 4.0},
+        "packet": {"shape": "cos2", "a": 1.0, "k_cut": 40.0},
         "t_values": [0.0], "p_times": [0.0, 1.0], "n_levels": 20,
         "density_x": {"min": -3.0, "max": 3.0, "n": 51},
         "grid": {"x_min": 0.0, "x_max": 1.5, "n_x": 81,
@@ -285,6 +293,63 @@ def test_explode_wide_cos2(tmp_path, a):
     assert th["charge_inside"] == pytest.approx(1.0, abs=1e-3)
     assert th["charge_nw_inside"] == pytest.approx(1.0, abs=1e-3)
     assert 0.0 < th["x_th"] < th["x_0"] < a
+
+
+def _table(path):
+    """(header, rows) of an output CSV."""
+    lines = [ln for ln in path.read_text().splitlines()
+             if not ln.startswith("#")]
+    return lines[0].split(","), np.array(
+        [[float(v) for v in ln.split(",")] for ln in lines[1:]])
+
+
+def test_explode_densities_past_the_decay_window(tmp_path):
+    # the benchmark's packet keys once set a 6 576-node rule that capped
+    # every view: at x = +-60 it gave rho = 0.117, 4 % of max rho, where
+    # the field is 2.8e-17
+    cfg = write_cfg(tmp_path, "far.json", {
+        "packet": {"shape": "cos2", "a": 1.0, "gl_order": 24,
+                   "x_scale": 0.5},
+        "t_values": [0.0], "p_times": [0.0], "n_levels": 5,
+        "density_x": {"min": -60.0, "max": 60.0, "n": 5},
+        "grid": {**_GRID, "x_min": 0.0, "x_max": 3.0}})
+    out = tmp_path / "out"
+    assert run(["explode", "--config", cfg, "--out", str(out)]) == 0
+    names, rows = _table(out / "density_t0.csv")
+    col = dict(zip(names, rows.T))
+    np.testing.assert_array_equal(col["x"], [-60.0, -30.0, 0.0, 30.0, 60.0])
+    far = np.abs(col["x"]) > 0.0
+    for name in ("rho", "rho_nw", "j"):
+        assert np.max(np.abs(col[name][far])) <= 1e-12 * col["rho"][2]
+
+
+def _outputs(out):
+    """Each output file's lines, the config-hash line dropped."""
+    return {path.name: [ln for ln in path.read_text().splitlines()
+                        if not ln.startswith("# config:")
+                        and '"config_hash"' not in ln]
+            for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("explode", {"packet": {"shape": "cos2", "a": 1.0}, "t_values": [0.5],
+                 "p_times": [0.5], "n_levels": 5,
+                 "density_x": {"min": -3.0, "max": 3.0, "n": 7},
+                 "grid": {**_GRID, "x_min": 0.0, "x_max": 3.0}}),
+    ("nearnr", {"packet": _GAUSS, "x": {"min": -20.0, "max": 20.0, "n": 41},
+                "t": 0.3}),
+])
+def test_rule_keys_are_ignored(tmp_path, command, payload):
+    # the benchmark's explode configs still carry gl_order and x_scale;
+    # like any unknown key they change nothing but the config hash
+    outs = []
+    for keys in ({}, {"gl_order": 24, "x_scale": 0.5}):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            **payload, "packet": {**payload["packet"], **keys}})
+        out = tmp_path / f"out{len(outs)}"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 0
+        outs.append(_outputs(out))
+    assert outs[0] == outs[1]
 
 
 def test_engine_check_names_both_engines(tmp_path, capsys):
@@ -362,10 +427,10 @@ def test_nearnr_pushforward_null_where_rho_vanishes(tmp_path):
 
 
 def test_nearnr_moments_on_wide_cos2(tmp_path):
-    # 1 280 k-nodes, within the W kernel's limit; rho - rho_nw is too
-    # sharp for fixed x panels over the decay window
+    # the x window's rule has 816 k-nodes, within the W kernel's limit;
+    # rho - rho_nw is too sharp for fixed x panels over the decay window
     cfg = write_cfg(tmp_path, "wide.json", {
-        "packet": {"shape": "cos2", "k_cut": 100.0, "x_scale": 1.0},
+        "packet": {"shape": "cos2", "k_cut": 100.0},
         "x": {"min": -3.0, "max": 3.0, "n": 31}})
     out = tmp_path / "out"
     assert run(["nearnr", "--config", cfg, "--out", str(out)]) == 0
@@ -386,7 +451,7 @@ def test_nearnr_wide_sigma_warns(tmp_path):
 
 @pytest.mark.parametrize("payload", [
     {"packet": {"shape": "gaussian", "sigma_k": 0.29, "k0": 0.5}, "t": 10.0},
-    {"packet": {"shape": "cos2", "a": 1.0, "x_scale": 0.5}},
+    {"packet": {"shape": "cos2", "a": 1.0, "k_cut": 40.0}},
 ], ids=["gaussian-k0-late", "cos2-narrow-box"])
 def test_nearnr_narrow_k_regime_follows_the_measured_errors(tmp_path,
                                                             payload):

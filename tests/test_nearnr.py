@@ -21,10 +21,10 @@ def gauss_kernel(gauss):
 
 @pytest.fixture(scope="module")
 def cos2_coarse():
-    # truncated quadrature keeps the dense kernel matrix affordable while
-    # the identity below stays exact at matched truncation
-    return Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0, gl_order=8,
-                  x_scale=4.0)
+    # k_cut = 40 keeps the dense kernel matrix affordable (2 496 k-nodes
+    # on the decay window's rule) while the identity below stays exact at
+    # matched truncation
+    return Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0)
 
 
 def test_kernel_node_guard():
@@ -137,9 +137,9 @@ def test_moments_vanish(gauss):
 
 @pytest.mark.parametrize("k_cut", [100.0, 150.0, 200.0])
 def test_moments_vanish_on_wide_cos2(k_cut):
-    # packets nearnr accepts (1 280 to 2 550 k-nodes) whose rho - rho_nw
-    # fixed x panels over the decay window resolve only to ~1e-3
-    p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=k_cut, x_scale=1.0)
+    # wide packets whose rho - rho_nw fixed x panels over the decay
+    # window resolve only to ~1e-3
+    p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=k_cut)
     for t in (0.0, 0.3):
         m0, m1 = moments(p, t)
         assert abs(m0) <= 1e-12
@@ -157,8 +157,7 @@ def test_position_map_odd_shift(gauss):
 
 
 def test_position_map_nan_at_zero():
-    cos2 = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0, gl_order=8,
-                  x_scale=4.0)
+    cos2 = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0)
     from scipy.optimize import brentq
     root = brentq(lambda xx: float(cos2.rho(xx, 0.0)), 0.6, 0.9,
                   xtol=1e-15, rtol=8.9e-16)

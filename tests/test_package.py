@@ -75,17 +75,20 @@ def _run_traced(code: str) -> subprocess.CompletedProcess:
 
 def test_benchmark_trace_still_wraps_the_program():
     # perfbench/layers.py wraps library entry points by name and the
-    # benchmark worker calls cli._packet_from; a deleted or renamed one
-    # fails here with a KeyError or AttributeError
+    # benchmark worker calls cli._packet_from on the workloads' packets;
+    # a deleted or renamed entry point, or a parser that refuses a key of
+    # the benchmark's explode packet, fails here
     code = ("from layers import instrument\n"
             "from spans import Tracer\n"
+            "from workloads import EXPLODE_PACKET\n"
             "from relbohm import cli\n"
             "instrument(Tracer())\n"
-            "print(cli._packet_from({'packet': {'shape': 'gaussian', "
-            "'sigma_k': 0.05}}).k.size)\n")
+            "for packet in (EXPLODE_PACKET, {'shape': 'gaussian', "
+            "'sigma_k': 0.05}):\n"
+            "    print(cli._packet_from({'packet': packet}).k.size)\n")
     proc = _run_traced(code)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) > 0
+    assert all(int(n) > 0 for n in proc.stdout.split())
 
 
 def test_benchmark_trace_runs_the_front_kernel():
@@ -97,8 +100,8 @@ def test_benchmark_trace_runs_the_front_kernel():
             "from relbohm.numerics import Grid2D\n"
             "tracer = Tracer()\n"
             "instrument(tracer)\n"
-            "p = packets.Packet(packets.PacketSpec(shape='cos2'), k_cut=40.0,"
-            " gl_order=8, x_scale=4.0)\n"
+            "p = packets.Packet(packets.PacketSpec(shape='cos2'), k_cut=40.0)"
+            "\n"
             "packets.annihilation_fronts(p, Grid2D(0.0, 3.0, 16, 0.0, 1.5, "
             "11), 5)\n"
             "for s in tracer.spans:\n"

@@ -10,7 +10,8 @@ from relbohm.packets import (FrontKernel, Packet, PacketSpec, _fft_row,
                              annihilation_fronts, densities,
                              fft_row_size, lambert_local_trajectories,
                              threshold_charges, zero_crossings)
-from oracles import abs_mass, front_kernel_fine, packet_fields, point_velocity
+from oracles import (abs_mass, fine_rule, front_kernel_fine, packet_fields,
+                     point_velocity)
 
 
 def velocity(packet, x, t):
@@ -111,36 +112,38 @@ def _within_reach(rng, reach, n):
     (PacketSpec(shape="gaussian", k0=0.5, sigma_k=2.0), {}),
 ], ids=["cos2-a0.5", "cos2-a1", "cos2-a2", "cos2-k_cut40", "gaussian"])
 def test_view_matches_configured_rule(spec, kwargs):
+    # the reference is a deliberately fine rule (oracles.fine_rule), not
+    # a rule the program makes
     p = Packet(spec, **kwargs)
     rng = np.random.default_rng(3)
     # 55 and 70 pass the decay window, where the t = 0 row ends
     for reach in (0.0, 2.5, 4.5, 7.0, 55.0, 70.0):
         view = p.at_reach(reach)
-        assert view is not p and view.k.size < p.k.size
+        assert view.k.size == p.rule_nodes(reach) != p.k.size
         assert (view.spec, view.k_cut, view.norm) == (p.spec, p.k_cut,
                                                       p.norm)
         assert view.t0_row is p.t0_row
+        fine = fine_rule(p, reach)
         x, t = _within_reach(rng, reach, 64)
-        rho, j = p.rho_j(x, t)
+        rho, j = fine.rho_j(x, t)
         rho_v, j_v = view.rho_j(x, t)
-        scale = np.max(np.abs(p.rho(np.linspace(-reach, reach, 65), 0.0)))
+        scale = np.max(np.abs(fine.rho(np.linspace(-reach, reach, 65), 0.0)))
         assert np.max(np.abs(rho_v - rho)) <= 1e-13 * scale
         assert np.max(np.abs(j_v - j)) <= 1e-13 * scale
 
 
 def test_view_panels_even_and_no_finer_than_parent(cos2, gauss):
-    for reach in (0.0, 1.0, 3.3, 4.5, 10.0, 31.0, 40.0, 1e3):
-        view = cos2.at_reach(reach)
-        assert view.k.size <= cos2.k.size
-        if view is not cos2:
+    # no rule is capped: a view may be finer than the packet's own rule
+    for p in (cos2, gauss):
+        for reach in (0.0, 1.0, 3.3, 4.5, 10.0, 31.0, 40.0, 1e3):
+            view = p.at_reach(reach)
             panels = view.k.size // Packet.REACH_ORDER
             assert view.k.size % Packet.REACH_ORDER == 0 and panels % 2 == 0
             # k = 0 on a panel edge: the nodes mirror about it, none on it
             assert np.allclose(view.k, -view.k[::-1], rtol=0, atol=1e-12)
             assert np.min(np.abs(view.k)) > 0
-    # the rule of the decay window is no coarser than the configured one
-    assert cos2.at_reach(1e3) is cos2
-    # sigma_k / 2 panels hold more nodes than the narrow gaussian's own
+    # the packet's own rule is that of its decay window
+    assert cos2.at_reach(cos2.decay_window()) is cos2
     assert gauss.at_reach(1.0) is gauss
 
 
@@ -157,11 +160,12 @@ def test_densities_past_the_decay_window(cos2):
     # reach 65: max |density_x| + t
     x = np.linspace(-5.0, 5.0, 11)
     prof = densities(cos2, x, 60.0)
-    rho, j = cos2.rho_j(x, 60.0)
-    scale = np.max(np.abs(cos2.rho(x, 0.0)))
+    fine = fine_rule(cos2, 65.0)
+    rho, j = fine.rho_j(x, 60.0)
+    scale = np.max(np.abs(fine.rho(x, 0.0)))
     assert np.max(np.abs(prof.rho - rho)) <= 1e-13 * scale
     assert np.max(np.abs(prof.j - j)) <= 1e-13 * scale
-    assert np.max(np.abs(prof.rho_nw - cos2.rho_nw(x, 60.0))) <= 1e-13 * scale
+    assert np.max(np.abs(prof.rho_nw - fine.rho_nw(x, 60.0))) <= 1e-13 * scale
 
 
 #: orders of psi and psi_nw that explode and nearnr read
@@ -313,10 +317,9 @@ def test_acausal_probability_curve(cos2):
 
 @pytest.fixture(scope="module")
 def cos2_k40():
-    # k_cut = 40 keeps direct sums cheap; 24-point panels keep them exact
-    # out to the edge of the decay window
-    return Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0, gl_order=24,
-                  x_scale=1.0)
+    # k_cut = 40 keeps direct sums cheap; the rule of the decay window
+    # keeps them exact out to its edge
+    return Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0)
 
 
 def test_fft_rows_match_direct_sums(cos2_k40):
@@ -398,9 +401,9 @@ def test_fft_row_size_rule(request, packet):
 
 @pytest.fixture(scope="module")
 def cos2_gl24():
-    # the bundled cos2 packet on a coarser k rule (6 576 k-nodes): F and
-    # the row integrals depend on k_cut and the norm alone
-    return Packet(PacketSpec(shape="cos2", a=1.0), gl_order=24, x_scale=0.5)
+    # the benchmark's explode packet, whose gl_order 24 and x_scale 0.5
+    # keys are ignored: the bundled cos2 packet
+    return Packet(PacketSpec(shape="cos2", a=1.0))
 
 
 @pytest.fixture(scope="module")
@@ -473,8 +476,7 @@ def test_front_kernel_gradients(cos2):
 def test_front_kernel_uses_packet_truncation():
     # a configured k_cut must reach the kernel: its gradient is then
     # (2 rho, -2 J) of the same truncated packet, not of a wider one
-    p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0, gl_order=8,
-               x_scale=4.0)
+    p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0)
     kernel = FrontKernel(p)
     assert np.max(np.abs(kernel.k)) <= p.k_cut
     h = 1e-5
@@ -537,8 +539,7 @@ def test_front_kernel_gradient_on_explode_window(cos2):
 def test_front_kernel_flat_beyond_decay_window():
     # an explode grid reaching past L = decay_window() + |t|: F is 0 left
     # of -L and twice the total charge right of L, with no periodic image
-    p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0, gl_order=8,
-               x_scale=4.0)
+    p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0)
     x = np.linspace(-60.0, 60.0, 481)
     t = np.array([0.0, 0.75, 1.5])
     F = FrontKernel(p).evaluate(x, t)
@@ -555,8 +556,7 @@ def test_front_kernel_flat_beyond_decay_window():
 def test_front_kernel_negative_times():
     # a grid with t_min < 0: the real, even spectrum makes rho even in t,
     # so F(x, -t) = F(x, t), and the gradient still holds there
-    p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0, gl_order=8,
-               x_scale=4.0)
+    p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0)
     kernel = FrontKernel(p)
     x = np.linspace(-3.0, 3.0, 61)
     t = np.array([-1.2, -0.5, 0.0, 0.5, 1.2])
