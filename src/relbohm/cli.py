@@ -5,6 +5,10 @@ Subcommands: modes, explode, nearnr, spin.  Each takes --config (JSON),
 only; results are byte-identical for any thread count).
 
 Exit codes: 0 success, 2 config error, 3 numerical non-convergence.
+An array past its size limit (numerics.SizeError: an FFT row, k rule, W
+kernel or face rule) is a config error, at whatever stage the library
+meets it.  explode, nearnr and spin fw run every analysis before they
+make --out, so a run that exits 2 leaves no --out.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import dirac, modes, nearnr, packets
 from .io_utils import write_csv, write_json
-from .numerics import Grid2D
+from .numerics import Grid2D, SizeError
 
 __all__ = ["main"]
 
@@ -93,37 +97,6 @@ def _real(value, name: str, positive: bool = False) -> float:
         raise ConfigError(f"{name} must be finite"
                           + (" and > 0" if positive else ""))
     return v
-
-
-def _check_fft_rows(packet, name: str, times, refine: int = 1,
-                    x=None) -> None:
-    """ConfigError when a time in times needs an FFT row (fft_row_size
-    with refine) past FFT_MAX_POINTS, or, given the x window the times
-    serve, when points at max |x| + max |t| need a k rule
-    (Packet.rule_nodes) past that limit: rows grow with |t| and rules
-    with the reach, and a huge t or x would allocate gigabytes.  The rows
-    are checked first."""
-    limit = packets.FFT_MAX_POINTS
-    for t in times:
-        try:
-            points = packets.fft_row_size(packet, t, refine)[1]
-        except OverflowError:   # a row size past the float range
-            points = np.inf
-        if points > limit:
-            raise ConfigError(
-                f"{name} entry {t:g} needs an FFT row of {points} points, "
-                f"more than the limit of 2^22 = {limit}")
-    if x is None:
-        return
-    reach = float(np.max(np.abs(x))) + max(abs(t) for t in times)
-    try:
-        nodes = packet.rule_nodes(reach)
-    except OverflowError:       # a rule size past the float range
-        nodes = np.inf
-    if nodes > limit:
-        raise ConfigError(
-            f"{name} at |x| + |t| up to {reach:g} needs a k rule of {nodes} "
-            f"nodes, more than the limit of 2^22 = {limit}")
 
 
 def _out_dir(args) -> Path:
@@ -277,43 +250,29 @@ def cmd_explode(cfg: dict, args) -> int:
         t_values = t_values[:2]
         p_times = [t for i, t in enumerate(p_times) if i % 2 == 0 or t == 0.0]
     grid = _grid(cfg, args.quick)
-    # x-integrals and F run on FFT rows, and points on the k rule of
-    # their reach; P(t)'s error bar also builds one row with twice the
-    # box and k_cut
-    _check_fft_rows(packet, "t_values", t_values, x=xd)
-    _check_fft_rows(packet, "p_times", p_times, refine=2)
-    _check_fft_rows(packet, "grid", (grid.t_min, grid.t_max),
-                    x=(grid.x_min, grid.x_max))
-    _check_fft_rows(packet, "x_0 scan", [0.0], x=[2.5 * packet.spec.a])
     n_levels = _count(cfg.get("n_levels", 40), "n_levels")
-    out = _out_dir(args)
 
     x_th, x0 = packets.zero_crossings(packet)
     q_in, q_out, q_nw = packets.threshold_charges(packet, x_th)
+    profiles = [packets.densities(packet, xd, t) for t in t_values]
+    p_vals = [packets.acausal_probability(packet, t) for t in p_times]
+    # err: shift of P when the FFT row's box and k_cut double
+    p_errs = [abs(packets.acausal_probability(packet, t, refine=2) - p)
+              for t, p in zip(p_times, p_vals)]
+    _, traj = packets.annihilation_fronts(packet, grid, n_levels)
+    lam, lam_cols = _lambert_fit(packet, traj, grid)
 
-    for t in t_values:
-        prof = packets.densities(packet, xd, t)
+    out = _out_dir(args)
+    for t, prof in zip(t_values, profiles):
         write_csv(out / f"density_t{t:g}.csv",
                   ["x", "rho", "rho_nw", "rho_nw0", "j"],
                   [prof.x, prof.rho, prof.rho_nw, prof.rho_nw0, prof.j],
                   cfg)
-
-    # err: shift of P when the FFT row's box and k_cut double
-    p_vals, p_errs = [], []
-    for t in p_times:
-        p = packets.acausal_probability(packet, t)
-        p_vals.append(p)
-        p_errs.append(abs(packets.acausal_probability(packet, t, refine=2)
-                          - p))
     write_csv(out / "acausal.csv", ["t", "P", "err"],
               [p_times, p_vals, p_errs], cfg)
-
-    _, traj = packets.annihilation_fronts(packet, grid, n_levels)
     write_csv(out / "fronts.csv",
               ["level_id", "vertex_id", "x", "t", "rho_sign", "v"],
               traj.columns(), cfg)
-
-    lam, lam_cols = _lambert_fit(packet, traj, grid)
     if lam_cols is not None:
         write_csv(out / "lambert.csv", ["t", "x_branch0", "x_branch_minus1"],
                   lam_cols, cfg)
@@ -343,24 +302,8 @@ def cmd_nearnr(cfg: dict, args) -> int:
         x = np.linspace(_real(xcfg["min"], "x.min"),
                         _real(xcfg["max"], "x.max"), n)
     t = _real(cfg.get("t", 0.0), "t")
-    # the moments are sums over the FFT row at t, and the fields at x run
-    # on the k rule of the window's reach
-    _check_fft_rows(packet, "t", [t], x=x)
-    nodes = packet.rule_nodes(np.max(np.abs(x)) + abs(t))
-    if nodes > nearnr.WKernel.MAX_NODES:
-        raise ConfigError(
-            f"the x window at t = {t:g} needs a k rule of {nodes} nodes; "
-            f"nearnr's dense W kernel accepts at most "
-            f"{nearnr.WKernel.MAX_NODES} (set a smaller packet.k_cut or a "
-            "narrower x window)")
-    out = _out_dir(args)
 
     field = nearnr.correction_field(packet, x, t)
-    write_csv(out / "correction.csv",
-              ["x", "rho", "rho_nw", "W", "d2W_dx2", "f", "x_mapped"],
-              [field.x, field.rho, field.rho_nw, field.W,
-               field.d2W_dx2, field.f, field.x_mapped], cfg)
-
     lhs = field.rho - field.rho_nw
     eq22_res = float(np.max(np.abs(lhs - field.d2W_dx2)))
     w_gap = field.W - nearnr.w_approx(packet, x, t)
@@ -396,6 +339,12 @@ def cmd_nearnr(cfg: dict, args) -> int:
             else:
                 summary["pushforward"] = {"l1_raw": raw, "l1_mapped": mapped,
                                           "improvement": raw / mapped}
+
+    out = _out_dir(args)
+    write_csv(out / "correction.csv",
+              ["x", "rho", "rho_nw", "W", "d2W_dx2", "f", "x_mapped"],
+              [field.x, field.rho, field.rho_nw, field.W,
+               field.d2W_dx2, field.f, field.x_mapped], cfg)
     write_json(out / "summary.json", summary, cfg)
     return 0
 
@@ -459,12 +408,7 @@ def cmd_spin(cfg: dict, args) -> int:
         box_n = _count(cfg.get("box_n", 61), "box_n", least=2)
         if args.quick:
             box_n = min(box_n, 41)
-        if box_n > dirac.BALANCE_MAX_N:
-            raise ConfigError(
-                f"box_n {box_n} is over the limit of {dirac.BALANCE_MAX_N} "
-                "Gauss-Legendre nodes per face axis")
         box_half = _real(cfg.get("box_half", 7.0), "box_half", positive=True)
-        out = _out_dir(args)
         field = makers[name]()
         pts = rng.uniform(-1.5, 1.5, (n_pts, 3))
         report = {
@@ -474,7 +418,7 @@ def cmd_spin(cfg: dict, args) -> int:
             "ensemble_balance": dirac.verify_ensemble_balance(
                 field, box_half, n=box_n),
         }
-        write_json(out / "report.json", report, cfg)
+        write_json(_out_dir(args) / "report.json", report, cfg)
         return 0
     raise ConfigError(f"unknown spin kind {cfg.get('kind')!r}")
 
@@ -518,7 +462,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
+    except (ConfigError, SizeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, ArithmeticError) as exc:

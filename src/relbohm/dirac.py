@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import omega
+from .numerics import SizeError, omega
 
 __all__ = [
     "DiracField",
@@ -715,10 +715,11 @@ def verify_ensemble_balance(field: FWField, box_half: float, n: int = 61):
     Returns max_j |integral_j| / M, with M = sum_j integral of
     |A^2 d_j Phi| = 3 pi erf(L)^2 (1 - exp(-L^2)), L = box_half, the L1
     mass of the Phi term.  Warns if A is not negligible on the faces.
-    Raises ValueError for n over BALANCE_MAX_N.
+    Raises SizeError for n over BALANCE_MAX_N, before the face rule is
+    made.
     """
     if n > BALANCE_MAX_N:
-        raise ValueError(f"n = {n} is over the limit of {BALANCE_MAX_N} "
+        raise SizeError(f"n = {n} is over the limit of {BALANCE_MAX_N} "
                          "Gauss-Legendre nodes per face axis")
     phi, stress, a_face = _face_fluxes(field, box_half, n)
     if a_face > 1e-10:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import EPS_RHO_SCALE, bilinear_rho
+from .numerics import EPS_RHO_SCALE, SizeError, bilinear_rho
 from .packets import Packet, _fft_row
 
 __all__ = [
@@ -54,7 +54,8 @@ class WKernel:
     difference kernel (sqrt w - sqrt w')^2 / (2 sqrt(w w')) divided by
     -(k - k')^2, which is finite on the diagonal).  Built on the k rule
     of the packet it is given (correction_field passes the rule of its
-    reach); evaluation is a weighted cosine sum.
+    reach); evaluation is a weighted cosine sum.  SizeError for a rule
+    of over MAX_NODES nodes, before the kernel matrix is made.
     """
 
     #: most k-nodes of a rule the dense kernel matrix accepts
@@ -62,7 +63,7 @@ class WKernel:
 
     def __init__(self, packet: Packet):
         if packet.k.size > self.MAX_NODES:
-            raise ValueError(
+            raise SizeError(
                 f"the k rule has {packet.k.size} nodes; the dense W kernel "
                 f"accepts at most {self.MAX_NODES}.  Set a smaller k_cut "
                 "or a narrower x window (narrow-k regime).")

@@ -1,5 +1,6 @@
 """Shared numerical machinery: the dispersion relation, the charge and
-current bilinears of a scalar field, the (x, t) grid, Lambert W.
+current bilinears of a scalar field, the (x, t) grid, Lambert W, and
+the error that refuses an array past its size limit.
 
 The bilinears are single-valued forms of psi and its first derivatives,
 so no phase is ever unwrapped.  The charge density may legitimately be
@@ -19,12 +20,20 @@ import numpy as np
 
 __all__ = [
     "Grid2D",
+    "SizeError",
     "bilinear_j",
     "bilinear_rho",
     "omega",
     "lambert_w",
     "lambert_w_domain",
 ]
+
+
+class SizeError(ValueError):
+    """An array past its size limit, refused before it is allocated: an
+    FFT row or k rule over packets.FFT_MAX_POINTS points, a W kernel over
+    nearnr.WKernel.MAX_NODES nodes, a face rule over
+    dirac.BALANCE_MAX_N nodes per axis.  The CLI exits 2 on it."""
 
 
 def omega(k):

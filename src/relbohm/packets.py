@@ -40,8 +40,8 @@ from functools import cached_property
 import numpy as np
 
 from .modes import contour_family
-from .numerics import (EPS_RHO_SCALE, Grid2D, bilinear_j, bilinear_rho,
-                       lambert_w, lambert_w_domain, omega)
+from .numerics import (EPS_RHO_SCALE, Grid2D, SizeError, bilinear_j,
+                       bilinear_rho, lambert_w, lambert_w_domain, omega)
 
 __all__ = [
     "PacketSpec",
@@ -65,7 +65,8 @@ ENVELOPE_TOL = 1e-6
 PANEL_ORDER = 12
 #: most points of an FFT row (a fixed-t x-integral) and most nodes of a
 #: k rule: fft_row_size grows with |t| and Packet.rule_nodes with the
-#: reach, and a row or rule of this size holds 64 MB per complex array
+#: reach, and a row or rule of this size holds 64 MB per complex array.
+#: Past it both raise SizeError, before any array is made.
 FFT_MAX_POINTS = 2 ** 22
 #: largest gap between Packet.fields and the t = 0 FFT row, relative to
 #: max |rho|, before the engine check (_check_rule) fails (well-resolved
@@ -208,29 +209,31 @@ class Packet:
         most h (R + a) / 2 <= 18 radians across a panel, below the ~24
         (h R / 2 ~ REACH_ORDER) at which such a rule starts to lose
         digits.  For a gaussian, R >= 2 support_edge = 10 / sigma_k bounds
-        h by 2.4 sigma_k.  About 2 k_cut R nodes; OverflowError where R
-        passes the float range.
+        h by 2.4 sigma_k.  About 2 k_cut R nodes; SizeError past
+        FFT_MAX_POINTS of them, a count past the float range or a NaN
+        reach included.
         """
-        h = self.REACH_ORDER / self._reach(reach)
-        return 2 * int(np.ceil(self.k_cut / h)) * self.REACH_ORDER
+        R = self._reach(reach)
+        h = self.REACH_ORDER / R    # 0 for an infinite reach
+        n = 2 * np.ceil(self.k_cut / h) * self.REACH_ORDER if h > 0 else np.inf
+        if not n <= FFT_MAX_POINTS:
+            raise SizeError(f"the k rule of reach {R:g} needs {n:.0f} nodes, "
+                            f"over the limit of 2^22 = {FFT_MAX_POINTS}")
+        return int(n)
 
     def _rule(self, reach: float):
-        """The (nodes, weights, split) of the rule of reach (rule_nodes);
-        ValueError past FFT_MAX_POINTS nodes, before any is made."""
-        n = self.rule_nodes(reach)
-        if n > FFT_MAX_POINTS:
-            raise ValueError(
-                f"the k rule of reach {self._reach(reach):g} needs {n} "
-                f"nodes, over the limit of 2^22 = {FFT_MAX_POINTS}")
-        return _gl_panels(-self.k_cut, self.k_cut, n // self.REACH_ORDER,
+        """The (nodes, weights, split) of the rule of reach; SizeError
+        past FFT_MAX_POINTS nodes (rule_nodes), before any is made."""
+        return _gl_panels(-self.k_cut, self.k_cut,
+                          self.rule_nodes(reach) // self.REACH_ORDER,
                           self.REACH_ORDER)
 
     def at_reach(self, reach: float) -> Packet:
         """This packet on the k rule that points with |x| + |t| <= reach
         need (rule_nodes), coarser or finer than its own; the packet
         itself when the two are equal.  The view shares spec, k_cut, norm
-        and t0_row with this packet.  ValueError when the rule would pass
-        FFT_MAX_POINTS nodes.
+        and t0_row with this packet.  SizeError when the rule would pass
+        FFT_MAX_POINTS nodes (rule_nodes).
 
         Raises ArithmeticError when the view departs from the t = 0 FFT
         row by more than ENGINE_GAP_TOL within its reach, or within the
@@ -338,10 +341,10 @@ def _panel_integral(fn, a, b, n_panels: int = 64) -> float:
 def _smooth_size(bound: float) -> int:
     """The least even 2^a 3^b 5^c above bound: a size numpy's FFT takes
     fast (scipy.fft.next_fast_len gives the same on even sizes, but
-    importing scipy.fft would add ~0.35 s to every run).  OverflowError
-    past 2^62 points, which no row could hold."""
+    importing scipy.fft would add ~0.35 s to every run).  SizeError from
+    2^62 points on, which no row could hold, and for a NaN bound."""
     if not bound < 2.0 ** 62:
-        raise OverflowError(f"an FFT row of over {bound:.3g} points")
+        raise SizeError(f"an FFT row of over {bound:.3g} points")
     best = 2
     while best <= bound:
         best *= 2
@@ -370,11 +373,18 @@ def fft_row_size(packet: Packet, t: float,
     k_cut) is then sampled below its Nyquist limit pi / dx.  For the
     default cos2 packet (k_cut = 214.5) that is 8 748 points on a box of
     64 up to t = 1 and 17 496 on 128 up to t = 33; refine = 2 takes
-    34 992 points on 128 up to t = 1.
+    34 992 points on 128 up to t = 1.  SizeError for a row past
+    FFT_MAX_POINTS points, or a box past the float range.
     """
-    e_box = 1 + int(np.ceil(np.log2(packet.decay_window() + np.abs(t).max())))
-    box = refine * 2.0 ** e_box
+    t_max = float(np.abs(t).max())
+    e_box = 1 + np.ceil(np.log2(packet.decay_window() + t_max))
+    # a box past 2^1023 (or of a NaN t) is an infinite row, which
+    # _smooth_size refuses
+    box = refine * 2.0 ** int(e_box) if e_box < 1024 else np.inf
     n = _smooth_size(2.0 * refine * packet.k_cut * box / np.pi)
+    if n > FFT_MAX_POINTS:
+        raise SizeError(f"FFT row at |t| = {t_max:g} needs {n} points, "
+                        f"over the limit of 2^22 = {FFT_MAX_POINTS}")
     return box / n, n
 
 
@@ -382,9 +392,11 @@ def fft_row_size(packet: Packet, t: float,
 class _Row:
     """rho and rho_nw on x_j = j dx of a periodic box, a row per time (the
     negative half of the line is the upper half of a row); None where the
-    caller did not ask for it."""
+    caller did not ask for it.  Both are band-limited to band, twice the
+    row's k_cut."""
 
     dx: float
+    band: float
     rho: np.ndarray | None
     rho_nw: np.ndarray | None
 
@@ -426,13 +438,11 @@ def _fft_row(packet: Packet, t, refine: int = 1, rho: bool = True,
     zeroed beyond k_cut like the k quadrature of Packet.fields and
     weighted by _k_weights.  The row is fft_row_size(packet, t, refine):
     refine multiplies its box and its k_cut, and so n about refine^2
-    times.  t may be an array of one row size.  The spectrum is formed
-    only on the modes inside k_cut and zero-filled beyond.
+    times; SizeError past FFT_MAX_POINTS points, before any is made.  t
+    may be an array of one row size.  The spectrum is formed only on the
+    modes inside k_cut and zero-filled beyond.
     """
     dx, n = fft_row_size(packet, t, refine)
-    if n > FFT_MAX_POINTS:
-        raise ValueError(f"FFT row at |t| = {np.max(np.abs(t)):g} needs "
-                         f"{n} points, over the limit of 2^22")
     dk = 2.0 * np.pi / (n * dx)
     k_cut = refine * packet.k_cut
     # the modes inside k_cut in FFT order: 0, ..., end, -end, ..., -1
@@ -451,7 +461,7 @@ def _fft_row(packet: Packet, t, refine: int = 1, rho: bool = True,
         full[..., n - end:] = spectrum[..., end + 1:]
         return np.fft.ifft(full)
 
-    return _Row(dx=dx,
+    return _Row(dx=dx, band=2.0 * k_cut,
                 rho=bilinear_rho(ifft(c / np.sqrt(w)),
                                  ifft(-1j * np.sqrt(w) * c)) if rho else None,
                 rho_nw=np.abs(ifft(c)) ** 2 if nw else None)
@@ -477,17 +487,19 @@ class _RowIntegral:
     """Integrals of a real periodic row on its trigonometric interpolant.
 
     f holds samples at x_j = j dx over one period (a stack of rows along
-    its last axis, for antiderivative).  When band-limited below the
-    Nyquist limit, as FFT-row densities are, the interpolant is f itself
-    and the integrals below are exact up to rounding.
+    its last axis, for antiderivative), band-limited to band as an FFT
+    row's densities are (_Row.band).  Only the modes k_m <= band enter:
+    above it f holds nothing but rounding.  Below the Nyquist limit the
+    interpolant is f itself and the integrals are exact up to rounding.
     """
 
-    def __init__(self, f: np.ndarray, dx: float):
+    def __init__(self, f: np.ndarray, dx: float, band: float):
         n = f.shape[-1]
-        self.n, self.dx = n, dx
+        self.n, self.dx, self.band = n, dx, band
         self.fh = np.fft.rfft(f)
         self.dk = 2.0 * np.pi / (n * dx)
         self.k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
+        self.m = int(np.searchsorted(self.k, band, side="right"))
         self.mean = self.fh[..., 0].real / n
         # rfft of the periodic part of the antiderivative
         self.anti = np.zeros_like(self.fh)
@@ -500,19 +512,17 @@ class _RowIntegral:
             weight[-1] = 1.0 / n
         self.series = weight * self.anti
 
-    def antiderivative(self, x, band: float,
-                       diagonal: bool = False) -> np.ndarray:
+    def antiderivative(self, x, diagonal: bool = False) -> np.ndarray:
         """G(x) = mean x + Re sum_m f_m e^{ik_m x} / (i k_m), so G' = f, at
         a 1-d array x; one column per row of a stack, or with diagonal,
-        G of row r at x[r] alone.  Only the modes k_m <= band enter: a
-        row band-limited to it holds nothing but rounding above.
+        G of row r at x[r] alone.
 
         The rows share each table of e^{ik_m x}, of at most 2^21 entries
         to bound memory.  A table is a product (_waves): with B = ceil(
         sqrt(M)) for M modes, mode m = q B + r takes e^{i x q B dk} e^{i x
         r dk}, and the modes past M that fill the last q carry zero.
         """
-        m = int(np.searchsorted(self.k, band, side="right"))
+        m = self.m
         base = int(np.ceil(np.sqrt(m)))
         split = (self.dk * base * np.arange(-(-m // base)),
                  self.dk * np.arange(base))
@@ -528,12 +538,12 @@ class _RowIntegral:
                       else table @ series.T).real
         return G
 
-    def abs_total(self, band: float) -> float:
-        """int |f| over the period: +-int f between consecutive zeros, for
-        one row band-limited to band.
+    def abs_total(self) -> float:
+        """int |f| over the period, for one row: +-int f between
+        consecutive zeros.
 
         The row is resampled exactly, by zero-padding its spectrum up to
-        band, to a step <= pi / (3 band).  On it the antiderivative is
+        the band, to a step <= pi / (3 band).  On it the antiderivative is
         tabulated by FFT and carried from the sample before each zero to
         the zero by its Taylor series through f''.  The zero is the
         linear root in its cell; its error enters only at second order,
@@ -542,16 +552,15 @@ class _RowIntegral:
         step, 6e-10 at twice it.
         """
         period = self.n * self.dx
-        n = _smooth_size(3.0 * band * period / np.pi)
+        n = _smooth_size(3.0 * self.band * period / np.pi)
         dx = period / n
-        m = int(np.searchsorted(self.k, band, side="right"))
-        fh, k = self.fh[:m] * (n / self.n), self.k[:m]
+        fh, k = self.fh[:self.m] * (n / self.n), self.k[:self.m]
         f = np.fft.irfft(fh, n)
         neg = f < 0
         j = np.nonzero(neg != np.roll(neg, -1))[0]
         if j.size == 0:
             return abs(self.mean) * period
-        F = (np.fft.irfft(self.anti[:m] * (n / self.n), n)
+        F = (np.fft.irfft(self.anti[:self.m] * (n / self.n), n)
              + self.mean * dx * np.arange(n))
         f1 = np.fft.irfft(1j * k * fh, n)
         f2 = np.fft.irfft(-k ** 2 * fh, n)
@@ -592,7 +601,7 @@ def densities(packet: Packet, x, t: float) -> DensityProfile:
     x = np.asarray(x, dtype=float)
     row = _fft_row(packet, t)
     factor = (packet.spec.total_charge
-              / _RowIntegral(row.rho, row.dx).abs_total(2.0 * packet.k_cut))
+              / _RowIntegral(row.rho, row.dx, row.band).abs_total())
     view = packet.at_reach(np.max(np.abs(x), initial=0.0) + abs(t))
     psi, psix, psit, psi_nw = view.fields(
         x, t, [(0, 0), (1, 0), (0, 1), (0, 0)], nw=[0, 0, 0, 1])
@@ -622,9 +631,8 @@ def acausal_probability(packet: Packet, t: float, refine: int = 1) -> float:
     row = _fft_row(packet, t, refine, rho=False, nw=True)
     edge = packet.support_edge + t
     L = packet.decay_window() + t
-    # rho_nw is band-limited to twice the row's k_cut
-    G = _RowIntegral(row.rho_nw, row.dx).antiderivative(
-        np.array([-L, -edge, edge, L]), 2.0 * refine * packet.k_cut)
+    G = _RowIntegral(row.rho_nw, row.dx, row.band).antiderivative(
+        np.array([-L, -edge, edge, L]))
     return float((G[3] - G[2] + G[1] - G[0]) / (G[3] - G[0]))
 
 
@@ -672,12 +680,11 @@ def zero_crossings(packet: Packet):
     # Packet.fields and the row sample the same truncated field; a k
     # quadrature that aliases within the decay window parts them
     _check_rule(packet, row, L)
-    integral = _RowIntegral(row.rho, row.dx)
-    band = 2.0 * packet.k_cut
-    G_L = integral.antiderivative(np.array([L]), band)[0]
+    integral = _RowIntegral(row.rho, row.dx, row.band)
+    G_L = integral.antiderivative(np.array([L]))[0]
 
     def tail(x):
-        return float(G_L - integral.antiderivative(np.array([x]), band)[0])
+        return float(G_L - integral.antiderivative(np.array([x]))[0])
 
     lo, hi = 0.1 * a, x0
     if tail(lo) * tail(hi) > 0:
@@ -697,11 +704,10 @@ def threshold_charges(packet: Packet, x_th: float):
     the second vanishes; the third is half the total by symmetry.
     """
     row = packet.t0_row
-    band = 2.0 * packet.k_cut
-    G = _RowIntegral(row.rho, row.dx).antiderivative(
-        np.array([0.0, x_th, packet.decay_window()]), band)
-    G_nw = _RowIntegral(row.rho_nw, row.dx).antiderivative(
-        np.array([0.0, packet.spec.a]), band)
+    G = _RowIntegral(row.rho, row.dx, row.band).antiderivative(
+        np.array([0.0, x_th, packet.decay_window()]))
+    G_nw = _RowIntegral(row.rho_nw, row.dx, row.band).antiderivative(
+        np.array([0.0, packet.spec.a]))
     return (float(G[1] - G[0]), float(G[2] - G[1]), float(G_nw[1] - G_nw[0]))
 
 
@@ -733,20 +739,17 @@ class FrontKernel:
         table on x.  The ends G(+-L) are taken on each row at its own L
         alone."""
         x, t = np.ravel(x), np.ravel(t)
-        # rho is band-limited to 2 k_cut, below the rows' Nyquist limit
-        band = 2.0 * self.packet.k_cut
         F = np.empty((x.size, t.size))
         sizes = np.array([fft_row_size(self.packet, s)[1] for s in t])
         for n in np.unique(sizes):
             cols = np.nonzero(sizes == n)[0]
             for part in np.array_split(cols, -(-cols.size * n // 2 ** 19)):
                 row = _fft_row(self.packet, t[part])
-                integral = _RowIntegral(row.rho, row.dx)
+                integral = _RowIntegral(row.rho, row.dx, row.band)
                 L = self.packet.decay_window() + np.abs(t[part])
-                lo, hi = (integral.antiderivative(e, band, diagonal=True)
+                lo, hi = (integral.antiderivative(e, diagonal=True)
                           for e in (-L, L))
-                G = np.where(x[:, None] > L, hi,
-                             integral.antiderivative(x, band))
+                G = np.where(x[:, None] > L, hi, integral.antiderivative(x))
                 F[:, part] = 2.0 * (np.where(x[:, None] < -L, lo, G) - lo)
         return F
 

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relbohm import dirac, modes, nearnr, packets
-from relbohm.cli import ConfigError, _check_fft_rows, main
-from relbohm.numerics import Grid2D
+from relbohm.cli import main
+from relbohm.numerics import Grid2D, SizeError
 
 
 def write_cfg(tmp_path, name, payload):
@@ -140,6 +140,13 @@ _GAUSS = {"shape": "gaussian", "k0": 0.1, "sigma_k": 0.05}
      2),
     ("explode", {"packet": {"shape": "cos2", "a": 1e7, "k_cut": 40.0},
                  "grid": _GRID}, 2),
+    # a row or rule whose size passes the float range
+    ("explode", {"packet": _K40, "t_values": [1e308], "grid": _GRID}, 2),
+    ("explode", {"packet": _K40, "p_times": [1e308], "grid": _GRID}, 2),
+    ("nearnr", {"packet": _GAUSS, "t": 1e308}, 2),
+    # a window whose x step overflows: NaN points, a NaN reach
+    ("explode", {"packet": _K40, "grid": _GRID,
+                 "density_x": {"min": -1e308, "max": 1e308, "n": 5}}, 2),
 ], ids=["modes-n_levels-string", "modes-nan-k", "explode-density_x-no-max",
         "nearnr-x-no-min", "spin-dirac-zero-points",
         "spin-dirac-point_range-string",
@@ -157,7 +164,9 @@ _GAUSS = {"shape": "gaussian", "k0": 0.1, "sigma_k": 0.05}
         "spin-fw-box_n-huge", "nearnr-t-fft-row-too-large",
         "explode-unresolved-narrow-packet", "explode-density_x-rule-too-large",
         "explode-grid-x-rule-too-large", "nearnr-x-rule-too-large",
-        "explode-huge-a-rule-too-large"])
+        "explode-huge-a-rule-too-large", "explode-t_values-past-float-range",
+        "explode-p_times-past-float-range", "nearnr-t-past-float-range",
+        "explode-density_x-step-past-float-range"])
 def test_malformed_or_unconverged_config_exit_code(tmp_path, command,
                                                    payload, code):
     cfg = write_cfg(tmp_path, "cfg.json", payload)
@@ -186,22 +195,38 @@ def test_explode_fft_row_limit_is_named(tmp_path, capsys):
 
 @pytest.mark.parametrize("refine", [1, 2])
 def test_fft_row_check_counts_the_row_built(monkeypatch, refine):
-    # the count the check holds against the limit is the n of the row
-    # _fft_row makes, error-bar rows (refine = 2) included
+    # the library's guard holds the n of the row _fft_row makes against
+    # the limit, error-bar rows (refine = 2) included
     packet = packets.Packet(packets.PacketSpec(shape="cos2"), k_cut=40.0)
     times = (0.0, 0.75, 2.0, 40.0)
     sizes = [packets._fft_row(packet, t, refine, rho=False, nw=True)
              .rho_nw.size for t in times]
     for t, n in zip(times, sizes):
         monkeypatch.setattr(packets, "FFT_MAX_POINTS", n)
-        _check_fft_rows(packet, "t", [t], refine)
+        assert packets._fft_row(packet, t, refine, rho=False,
+                                nw=True).rho_nw.size == n
         monkeypatch.setattr(packets, "FFT_MAX_POINTS", n - 1)
-        with pytest.raises(ConfigError, match=f"FFT row of {n} points"):
-            _check_fft_rows(packet, "t", [t], refine)
+        with pytest.raises(SizeError, match=f"needs {n} points"):
+            packets._fft_row(packet, t, refine, rho=False, nw=True)
     monkeypatch.undo()
-    # a t whose box passes the float range is a config error too
-    with pytest.raises(ConfigError, match="limit of 2"):
-        _check_fft_rows(packet, "t", [1e308], refine)
+    # a t whose box passes the float range is a size error too
+    with pytest.raises(SizeError, match="FFT row"):
+        packets._fft_row(packet, 1e308, refine, rho=False, nw=True)
+
+
+def test_size_limit_met_after_other_stages(tmp_path, monkeypatch, capsys):
+    # the bundled cos2 run builds every refine = 1 row and every rule it
+    # needs, and computes x_th, the densities and P, before P's error bar
+    # asks for the refine = 2 row at t = 0, one point past the limit
+    packet = packets.Packet(packets.PacketSpec(shape="cos2", a=1.0))
+    n = packets.fft_row_size(packet, 0.0, refine=2)[1]
+    assert packets.fft_row_size(packet, 2.0)[1] < n - 1
+    monkeypatch.setattr(packets, "FFT_MAX_POINTS", n - 1)
+    out = tmp_path / "o"
+    assert run(["explode", "--config", "cos2.json", "--out", str(out),
+                "--quick"]) == 2
+    assert f"FFT row at |t| = 0 needs {n} points" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_spin_fw_box_limit_is_named(tmp_path, capsys):
@@ -715,5 +740,16 @@ def _nearnr_configs(draw):
 @example(cfg={"packet": {"shape": "gaussian", "k0": 0.1, "sigma_k": 0.05},
               "x": {"min": -20.0, "max": 20.0, "n": 161}, "t": 30.0},
          quick=False)
+# past the size limits, as far as the float range: a W kernel refused
+# after the view is built, a row or rule whose size passes the float
+# range, a reach of inf, and a window whose x step overflows (NaN points)
+@example(cfg={"packet": _GAUSS, "x": {"min": -20.0, "max": 20.0, "n": 5},
+              "t": 1e4}, quick=False)
+@example(cfg={"packet": _GAUSS, "x": {"min": -4.0, "max": 4.0, "n": 5},
+              "t": 1e308}, quick=True)
+@example(cfg={"packet": _K40, "x": {"min": 0.0, "max": 1e308, "n": 5},
+              "t": 1e308}, quick=False)
+@example(cfg={"packet": _GAUSS, "x": {"min": -1e308, "max": 1e308, "n": 5},
+              "t": 0.0}, quick=False)
 def test_nearnr_configs_never_escape(cfg, quick):
     _answers_with_a_code("nearnr", cfg, quick, "summary.json")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relbohm import packets
-from relbohm.numerics import Grid2D, bilinear_rho, omega
+from relbohm.numerics import Grid2D, SizeError, bilinear_rho, omega
 from relbohm.ode import integrate_trajectory
 from relbohm.packets import (FrontKernel, Packet, PacketSpec, _fft_row,
                              _k_weights, _panel_integral, _RowIntegral,
@@ -212,9 +212,8 @@ def test_fields_broadcast_shape(cos2):
 def test_antiderivative_matches_direct_table(cos2_k40):
     p = cos2_k40
     row = _fft_row(p, np.array([0.0, 0.5, 1.0]))
-    integral = _RowIntegral(row.rho, row.dx)
-    band = 2.0 * p.k_cut
-    m = int(np.searchsorted(integral.k, band, side="right"))
+    integral = _RowIntegral(row.rho, row.dx, row.band)
+    m = int(np.searchsorted(integral.k, row.band, side="right"))
 
     def direct(x):
         table = np.exp(1j * np.multiply.outer(x, integral.k[:m]))
@@ -225,10 +224,10 @@ def test_antiderivative_matches_direct_table(cos2_k40):
     x = np.linspace(-L, L, 301)
     want = direct(x)
     scale = np.max(np.abs(want))
-    assert np.max(np.abs(integral.antiderivative(x, band) - want)) \
+    assert np.max(np.abs(integral.antiderivative(x) - want)) \
         <= 1e-13 * scale
     ends = np.array([-L, 0.3, L])   # one point per row
-    assert np.max(np.abs(integral.antiderivative(ends, band, diagonal=True)
+    assert np.max(np.abs(integral.antiderivative(ends, diagonal=True)
                          - np.diagonal(direct(ends)))) <= 1e-13 * scale
 
 
@@ -376,7 +375,7 @@ def test_smooth_size_is_least_even_five_smooth():
     for bound in [0.5, 1.0, 2.0, 8.0, 8739.64, *bounds]:
         assert _smooth_size(bound) == next(n for n in _EVEN_SMOOTH
                                            if n > bound)
-    with pytest.raises(OverflowError):
+    with pytest.raises(SizeError):
         _smooth_size(1e300)
 
 
@@ -395,8 +394,28 @@ def test_fft_row_size_rule(request, packet):
             assert n == next(m for m in _EVEN_SMOOTH
                              if np.pi * m / (refine * box) > band)
             assert np.pi / dx > band
-            assert _fft_row(p, t, refine, rho=False, nw=True).rho_nw.size \
-                == n
+            row = _fft_row(p, t, refine, rho=False, nw=True)
+            assert row.rho_nw.size == n and row.band == band
+
+
+@pytest.mark.parametrize("packet", ["cos2", "gauss"])
+def test_sizes_past_the_float_range_are_size_errors(request, packet):
+    # a box 2^e past 2^1023, a row past 2^62 points, a rule count past
+    # the float range and a NaN reach are size errors, not OverflowError
+    # (an ArithmeticError) or a NaN-to-int ValueError
+    p = request.getfixturevalue(packet)
+    for far in (1e308, np.inf, np.nan):
+        with pytest.raises(SizeError, match="k rule of reach"):
+            p.rule_nodes(far)
+        with pytest.raises(SizeError, match="k rule of reach"):
+            p.at_reach(far)
+    for t in (1e308, np.inf, np.nan):
+        for refine in (1, 2):
+            with pytest.raises(SizeError, match="FFT row"):
+                fft_row_size(p, t, refine)
+    if packet == "cos2":
+        with pytest.raises(SizeError, match="FFT row"):
+            acausal_probability(p, 1e308)
 
 
 @pytest.fixture(scope="module")
@@ -431,11 +450,10 @@ def test_front_kernel_matches_finer_rows(request, packet):
 def test_abs_total_matches_finer_row(cos2_gl24):
     # oracle: the zeros of rho polished on its Fourier series, bracketed
     # on a row 16 times finer, and the direct-sum antiderivative
-    band = 2.0 * cos2_gl24.k_cut
     for t in (0.0, 0.5, 1.0, 1.5):
         row = _fft_row(cos2_gl24, t)
-        want = abs_mass(row.rho, row.dx, band)
-        got = _RowIntegral(row.rho, row.dx).abs_total(band)
+        want = abs_mass(row.rho, row.dx, row.band)
+        got = _RowIntegral(row.rho, row.dx, row.band).abs_total()
         assert got == pytest.approx(want, rel=1e-9)
 
 
