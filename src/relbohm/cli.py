@@ -99,6 +99,16 @@ def _real(value, name: str, positive: bool = False) -> float:
     return v
 
 
+def _window(w: dict, name: str, n: int) -> np.ndarray:
+    """n points from w["min"] to w["max"]: both finite, and their
+    difference too, or a ConfigError that names the window."""
+    lo, hi = (_real(w[key], f"{name}.{key}") for key in ("min", "max"))
+    if not np.isfinite(hi - lo):
+        raise ConfigError(f"{name} window [{lo:g}, {hi:g}] is wider than "
+                          "the float range")
+    return np.linspace(lo, hi, n)
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -195,41 +205,33 @@ def _lambert_fit(packet, traj_set, grid):
     ar, br = np.polyfit(xs, rho, 1)
     aj, bj = np.polyfit(xs, j, 1)
     t_samples = t_c + np.linspace(-0.07, 0.02, 451)
-
-    def family_distance(x_ref):
-        fam = packets.lambert_local_trajectories(
-            rho_slope=ar, rho_zero=-br / ar, j_slope=aj, j_zero=-bj / aj,
-            t_samples=t_samples, t_ref=t_c, x_ref=x_ref)
-        curve = np.concatenate([
-            np.stack([b[np.isfinite(b)], fam.t[np.isfinite(b)]], axis=1)
-            for b in (fam.x_branch0, fam.x_branch_minus1)])
-        if curve.size == 0:
-            return fam, [np.inf]
-        d = [float(np.min(np.hypot(curve[:, 0] - xp, curve[:, 1] - tp)))
-             for xp, tp in tr.points[mask]]
-        return fam, d
-
     # the local family has one integration constant; the contour vertex
     # fixes it only to grid accuracy, so pick the family member closest
     # to the extracted contour (same fold side as the vertex)
-    best = None
-    for x_ref in x_c + np.linspace(-2.0 * grid.dx, 2.0 * grid.dx, 41):
-        if (x_ref + bj / aj) * (x_c + bj / aj) <= 0:
-            continue
-        fam, dists = family_distance(x_ref)
-        if best is None or max(dists) < max(best[1]):
-            best = (fam, dists, x_ref)
-    fam, dists, _ = best
+    x_refs = x_c + np.linspace(-2.0 * grid.dx, 2.0 * grid.dx, 41)
+    x_refs = x_refs[(x_refs + bj / aj) * (x_c + bj / aj) > 0]
+    fam = packets.lambert_local_trajectories(
+        rho_slope=ar, rho_zero=-br / ar, j_slope=aj, j_zero=-bj / aj,
+        t_samples=t_samples, t_ref=t_c, x_ref=x_refs[:, None])
+    xp, tp = tr.points[mask].T
+    # dists[m, v]: distance from contour vertex v to member m's curve
+    # (both branches, NaN beyond the fold skipped; inf for an empty curve)
+    dists = np.full((x_refs.size, xp.size), np.inf)
+    for branch in (fam.x_branch0, fam.x_branch_minus1):
+        d = np.hypot(branch[:, None, :] - xp[:, None], fam.t - tp[:, None])
+        dists = np.fmin(dists, np.fmin.reduce(d, axis=2))
+    worst = dists.max(axis=1)
+    best = int(np.argmin(worst))    # the first of equal members wins
     cell = float(np.hypot(grid.dx, grid.dt))
     summary = {
         "vertex": [float(x_c), float(t_c)],
         "rho_slope": float(ar), "rho_zero": float(-br / ar),
         "j_slope": float(aj), "j_zero": float(-bj / aj),
-        "max_contour_distance": float(max(dists)) if dists else None,
+        "max_contour_distance": float(worst[best]),
         "grid_cell_diagonal": cell,
-        "within_one_cell": bool(dists and max(dists) <= cell),
+        "within_one_cell": bool(worst[best] <= cell),
     }
-    return summary, [fam.t, fam.x_branch0, fam.x_branch_minus1]
+    return summary, [fam.t, fam.x_branch0[best], fam.x_branch_minus1[best]]
 
 
 def cmd_explode(cfg: dict, args) -> int:
@@ -241,9 +243,8 @@ def cmd_explode(cfg: dict, args) -> int:
         p_times = [float(t) for t in cfg.get("p_times", [0.0])]
         dx_cfg = cfg.get("density_x", {"min": -5.0, "max": 5.0, "n": 401})
         n = _count(dx_cfg["n"], "density_x.n")
-        xd = np.linspace(_real(dx_cfg["min"], "density_x.min"),
-                         _real(dx_cfg["max"], "density_x.max"),
-                         n if not args.quick else max(2, n // 2))
+        xd = _window(dx_cfg, "density_x",
+                     n if not args.quick else max(2, n // 2))
     if not all(0.0 <= t < np.inf for t in t_values + p_times):
         raise ConfigError("t values must be finite and >= 0")
     if args.quick:
@@ -299,8 +300,7 @@ def cmd_nearnr(cfg: dict, args) -> int:
         n = _count(xcfg["n"], "x.n")
         if args.quick:
             n = max(9, n // 2)
-        x = np.linspace(_real(xcfg["min"], "x.min"),
-                        _real(xcfg["max"], "x.max"), n)
+        x = _window(xcfg, "x", n)
     t = _real(cfg.get("t", 0.0), "t")
 
     field = nearnr.correction_field(packet, x, t)

@@ -13,6 +13,7 @@ concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -78,6 +79,11 @@ class Grid2D:
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.t_min < self.t_max):
             raise ValueError("grid extents must satisfy min < max")
+        for axis, lo, hi in (("x", self.x_min, self.x_max),
+                             ("t", self.t_min, self.t_max)):
+            if not math.isfinite(float(hi) - float(lo)):
+                raise ValueError(f"{axis} window [{lo:g}, {hi:g}] is wider "
+                                 "than the float range")
         if self.n_x < 2 or self.n_t < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
 

@@ -74,79 +74,89 @@ _K40 = {"shape": "cos2", "k_cut": 40.0}
 _GAUSS = {"shape": "gaussian", "k0": 0.1, "sigma_k": 0.05}
 
 
-@pytest.mark.parametrize("command, payload, code", [
+@pytest.mark.parametrize("command, payload, code, message", [
     ("modes", {"k": [0.0, 0.1], "phi": [[1, 0], [1, 0]], "grid": _GRID,
-               "n_levels": "many"}, 2),
+               "n_levels": "many"}, 2, None),
     ("modes", {"k": ["nan", 0.1], "phi": [[1, 0], [1, 0]], "grid": _GRID},
-     2),
+     2, None),
     ("explode", {"packet": {"shape": "cos2", "k_cut": 40.0},
-                 "density_x": {"min": -3.0, "n": 51}, "grid": _GRID}, 2),
+                 "density_x": {"min": -3.0, "n": 51}, "grid": _GRID}, 2, None),
     ("nearnr", {"packet": {"shape": "gaussian", "sigma_k": 0.05},
-                "x": {"max": 4.0, "n": 33}}, 2),
-    ("spin", {"kind": "dirac", "n_modes": 2, "seed": 1, "n_points": 0}, 2),
-    ("spin", {**_DIRAC, "point_range": "x"}, 2),
-    ("spin", {**_DIRAC, "point_seed": "x"}, 2),
-    ("spin", {**_FW, "box_n": 0}, 2),
-    ("spin", {**_FW, "box_n": 1}, 2),
-    ("spin", {**_FW, "box_half": "x"}, 2),
-    ("spin", {**_FW, "box_half": 0}, 2),
+                "x": {"max": 4.0, "n": 33}}, 2, None),
+    ("spin", {"kind": "dirac", "n_modes": 2, "seed": 1, "n_points": 0}, 2,
+     None),
+    ("spin", {**_DIRAC, "point_range": "x"}, 2, None),
+    ("spin", {**_DIRAC, "point_seed": "x"}, 2, None),
+    ("spin", {**_FW, "box_n": 0}, 2, None),
+    ("spin", {**_FW, "box_n": 1}, 2, None),
+    ("spin", {**_FW, "box_half": "x"}, 2, None),
+    ("spin", {**_FW, "box_half": 0}, 2, None),
     ("nearnr", {"packet": {"shape": "gaussian", "sigma_k": 0.05},
-                "x": {"min": "nan", "max": 4.0, "n": 33}}, 2),
-    ("explode", {"packet": _K40, "t_values": ["nan"], "grid": _GRID}, 2),
+                "x": {"min": "nan", "max": 4.0, "n": 33}}, 2, None),
+    ("explode", {"packet": _K40, "t_values": ["nan"], "grid": _GRID}, 2, None),
     ("nearnr", {"packet": {"shape": "gaussian", "sigma_k": 0.05},
-                "x": {"min": -4.0, "max": 4.0, "n": 0}}, 2),
+                "x": {"min": -4.0, "max": 4.0, "n": 0}}, 2, None),
     ("modes", {"k": [0.0, 0.1], "phi": [[1, 0], [1, 0]],
-               "grid": {**_GRID, "x_max": "inf"}}, 2),
-    ("spin", {**_FW, "field": []}, 2),
+               "grid": {**_GRID, "x_max": "inf"}}, 2, None),
+    ("spin", {**_FW, "field": []}, 2, None),
     ("explode", {"packet": {"shape": "cos2", "a": "nan", "k_cut": 40.0},
-                 "grid": _GRID}, 2),
+                 "grid": _GRID}, 2, None),
     ("explode", {"packet": _K40,
                  "density_x": {"min": -3.0, "max": 3.0, "n": 0},
-                 "grid": _GRID}, 2),
-    ("spin", {**_DIRAC, "k_max": "nan"}, 2),
-    ("spin", {**_DIRAC, "k_max": -3}, 2),
-    ("spin", {**_DIRAC, "k_max": 0}, 2),
+                 "grid": _GRID}, 2, None),
+    ("spin", {**_DIRAC, "k_max": "nan"}, 2, None),
+    ("spin", {**_DIRAC, "k_max": -3}, 2, None),
+    ("spin", {**_DIRAC, "k_max": 0}, 2, None),
     # an FFT row past 2^22 points: a huge t would allocate gigabytes
-    ("explode", {"packet": _K40, "t_values": [1e6], "grid": _GRID}, 2),
-    ("explode", {"packet": _K40, "p_times": [1e6], "grid": _GRID}, 2),
+    ("explode", {"packet": _K40, "t_values": [1e6], "grid": _GRID}, 2, None),
+    ("explode", {"packet": _K40, "p_times": [1e6], "grid": _GRID}, 2, None),
     # well formed, but the t = 0 FFT row's end correction at k_cut = 5
     # falls short of the k rule of the x_0 scan
     ("explode", {"packet": {"shape": "cos2", "k_cut": 5.0}, "grid": _GRID},
-     3),
+     3, None),
     # well formed, but the dense W kernel cannot take the 8 592 k-nodes
     # of the default window's rule
-    ("nearnr", {"packet": {"shape": "cos2", "a": 1.0}}, 2),
+    ("nearnr", {"packet": {"shape": "cos2", "a": 1.0}}, 2, None),
     # well formed, but psibar psi < 0 at all four sample points
     ("spin", {"kind": "dirac", "n_modes": 2, "seed": 13, "n_points": 4,
-              "point_seed": 151}, 3),
-    ("explode", {"packet": "cos2", "grid": _GRID}, 2),
-    ("nearnr", {"packet": None}, 2),
-    ("nearnr", {"packet": [1, 2]}, 2),
-    ("explode", {"packet": _K40, "grid": {**_GRID, "t_max": 1e6}}, 2),
+              "point_seed": 151}, 3, None),
+    ("explode", {"packet": "cos2", "grid": _GRID}, 2, None),
+    ("nearnr", {"packet": None}, 2, None),
+    ("nearnr", {"packet": [1, 2]}, 2, None),
+    ("explode", {"packet": _K40, "grid": {**_GRID, "t_max": 1e6}}, 2, None),
     # past 128 Gauss-Legendre nodes per face axis: no bound on the rule
-    ("spin", {**_FW, "box_n": 129}, 2),
-    ("spin", {**_FW, "box_n": 10 ** 6}, 2),
+    ("spin", {**_FW, "box_n": 129}, 2, None),
+    ("spin", {**_FW, "box_n": 10 ** 6}, 2, None),
     # the moments' FFT row at this t would need 2^30 points
     ("nearnr", {"packet": {"shape": "gaussian", "sigma_k": 0.05},
-                "t": 1e9}, 2),
+                "t": 1e9}, 2, None),
     # well formed, but k_cut is too small to resolve the zero of rho(x, 0)
     ("explode", {"packet": {"shape": "cos2", "a": 0.05, "k_cut": 20},
-                 "grid": _GRID}, 3),
+                 "grid": _GRID}, 3, None),
     # a reach whose k rule would pass 2^22 nodes
     ("explode", {"packet": _K40, "grid": _GRID,
-                 "density_x": {"min": -1e7, "max": 1e7, "n": 5}}, 2),
-    ("explode", {"packet": _K40, "grid": {**_GRID, "x_max": 1e7}}, 2),
+                 "density_x": {"min": -1e7, "max": 1e7, "n": 5}}, 2, None),
+    ("explode", {"packet": _K40, "grid": {**_GRID, "x_max": 1e7}}, 2, None),
     ("nearnr", {"packet": _GAUSS, "x": {"min": -1e7, "max": 1e7, "n": 5}},
-     2),
+     2, None),
     ("explode", {"packet": {"shape": "cos2", "a": 1e7, "k_cut": 40.0},
-                 "grid": _GRID}, 2),
+                 "grid": _GRID}, 2, None),
     # a row or rule whose size passes the float range
-    ("explode", {"packet": _K40, "t_values": [1e308], "grid": _GRID}, 2),
-    ("explode", {"packet": _K40, "p_times": [1e308], "grid": _GRID}, 2),
-    ("nearnr", {"packet": _GAUSS, "t": 1e308}, 2),
-    # a window whose x step overflows: NaN points, a NaN reach
+    ("explode", {"packet": _K40, "t_values": [1e308], "grid": _GRID}, 2, None),
+    ("explode", {"packet": _K40, "p_times": [1e308], "grid": _GRID}, 2, None),
+    ("nearnr", {"packet": _GAUSS, "t": 1e308}, 2, None),
+    # a window whose width max - min overflows
     ("explode", {"packet": _K40, "grid": _GRID,
-                 "density_x": {"min": -1e308, "max": 1e308, "n": 5}}, 2),
+                 "density_x": {"min": -1e308, "max": 1e308, "n": 5}}, 2,
+     "density_x window"),
+    ("modes", {"k": [0.0, 0.1], "phi": [[1, 0], [1, 0]],
+               "grid": {**_GRID, "x_min": -1e308, "x_max": 1e308}}, 2,
+     "grid: x window"),
+    ("explode", {"packet": _K40,
+                 "grid": {**_GRID, "t_min": -1e308, "t_max": 1e308}}, 2,
+     "grid: t window"),
+    ("nearnr", {"packet": _GAUSS, "x": {"min": -1e308, "max": 1e308,
+                                        "n": 5}}, 2, "x window"),
 ], ids=["modes-n_levels-string", "modes-nan-k", "explode-density_x-no-max",
         "nearnr-x-no-min", "spin-dirac-zero-points",
         "spin-dirac-point_range-string",
@@ -166,14 +176,19 @@ _GAUSS = {"shape": "gaussian", "k0": 0.1, "sigma_k": 0.05}
         "explode-grid-x-rule-too-large", "nearnr-x-rule-too-large",
         "explode-huge-a-rule-too-large", "explode-t_values-past-float-range",
         "explode-p_times-past-float-range", "nearnr-t-past-float-range",
-        "explode-density_x-step-past-float-range"])
-def test_malformed_or_unconverged_config_exit_code(tmp_path, command,
-                                                   payload, code):
+        "explode-density_x-step-past-float-range",
+        "modes-grid-width-past-float-range",
+        "explode-grid-width-past-float-range",
+        "nearnr-x-width-past-float-range"])
+def test_malformed_or_unconverged_config_exit_code(tmp_path, capsys, command,
+                                                   payload, code, message):
     cfg = write_cfg(tmp_path, "cfg.json", payload)
     out = tmp_path / "o"
     assert run([command, "--config", cfg, "--out", str(out)]) == code
     if code == 2:
         assert not out.exists()
+    if message is not None:
+        assert message in capsys.readouterr().err
 
 
 def test_explode_unresolved_packet_is_named(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -179,15 +181,23 @@ def _times(kind, x):
         return 0.7
     if kind == "shared":        # a few grid times, each at many points
         return rng.choice([0.0, 0.375, 1.5], x.size)
+    if kind == "vertices":
+        # as contour vertices lie: half on a few grid times, half at
+        # distinct t on shared x columns (x is moved onto the columns)
+        half = x.size // 2
+        x[half:] = rng.choice(np.linspace(-3.0, 3.0, 7), x.size - half)
+        return np.concatenate([rng.choice([0.0, 0.375, 1.5], half),
+                               rng.uniform(0.0, 1.5, x.size - half)])
     return rng.uniform(0.0, 1.5, x.size)
 
 
-@pytest.mark.parametrize("times", ["scalar", "shared", "distinct"])
+@pytest.mark.parametrize("times", ["scalar", "shared", "vertices",
+                                   "distinct"])
 @pytest.mark.parametrize("packet, n", [("cos2", 40), ("view", 1200),
                                        ("gauss", 300)])
 def test_fields_match_single_exp_oracle(request, packet, n, times):
-    # the product-built plane waves against one exp per (point, k-node),
-    # over several chunks of points
+    # the contraction over the panel split against one exp per (point,
+    # k-node)
     pk = (request.getfixturevalue("cos2").at_reach(4.5) if packet == "view"
           else request.getfixturevalue(packet))
     x = np.random.default_rng(1).uniform(-3.0, 3.0, n)
@@ -197,6 +207,52 @@ def test_fields_match_single_exp_oracle(request, packet, n, times):
     for g, w in zip(got, want):
         assert g.shape == x.shape
         assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+
+def test_fields_group_over_several_chunks(cos2, monkeypatch):
+    # one t shared by 300 points, taken 7 points a chunk, between groups
+    # of one; the output is the same as in one chunk, up to rounding
+    view = cos2.at_reach(4.5)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-3.0, 3.0, 310)
+    t = np.where(np.arange(x.size) < 300, 0.375, rng.uniform(0.0, 1.5, 310))
+    want = packet_fields(view, x, t, FIELD_ORDERS, nw=FIELD_NW)
+    one = view.fields(x, t, FIELD_ORDERS, nw=FIELD_NW)
+    mid, off = view._split
+    monkeypatch.setattr(Packet, "_CHUNK_BUDGET",
+                        7 * (mid.size + off.size * len(FIELD_ORDERS)))
+    got = view.fields(x, t, FIELD_ORDERS, nw=FIELD_NW)
+    for g, o, w in zip(got, one, want):
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+        assert np.max(np.abs(g - o)) <= 1e-13 * np.max(np.abs(w))
+
+
+def test_fields_of_no_points(cos2):
+    for x in (np.empty(0), np.empty((0, 3))):
+        got = cos2.fields(x, 0.5, FIELD_ORDERS, nw=FIELD_NW)
+        assert len(got) == len(FIELD_ORDERS)
+        assert all(g.shape == x.shape and g.dtype == complex for g in got)
+
+
+@pytest.mark.parametrize("spec", [
+    PacketSpec(shape="cos2", a=1.0), PacketSpec(shape="cos2", a=0.3),
+    PacketSpec(shape="gaussian", k0=0.5, sigma_k=0.2),
+    PacketSpec(shape="gaussian", k0=-0.1, sigma_k=0.05)],
+    ids=["cos2-a1", "cos2-a0.3", "gaussian-k0.5", "gaussian-k-0.1"])
+def test_rules_are_mirror_exact(spec):
+    # fields takes e^{-i omega t} once per |k|: node -k must be bitwise
+    # the negation of node k, and omega bitwise even, on every rule
+    p = Packet(spec)
+    for reach in (0.0, 3.3, 10.0, 55.0, 400.0):
+        view = p.at_reach(reach)
+        assert np.array_equal(view.k, -view.k[::-1])
+        assert np.array_equal(view.omega, view.omega[::-1])
+
+
+def test_fields_refuse_a_rule_that_is_not_mirror_exact(cos2):
+    k, w, split = packets._gl_panels(-cos2.k_cut, 0.9 * cos2.k_cut, 4, 24)
+    with pytest.raises(ValueError, match="mirror-exact"):
+        copy.copy(cos2)._tabulate(k, w, split)
 
 
 def test_fields_broadcast_shape(cos2):
@@ -627,3 +683,24 @@ def test_lambert_validation():
         lambert_local_trajectories(0.0, 0.0, 1.0, 0.1, [0.0], 0.0, 1.0)
     with pytest.raises(ValueError):
         lambert_local_trajectories(1.0, 0.0, 1.0, 0.1, [0.0], 0.0, 0.1)
+
+
+@pytest.mark.parametrize("j_zero", [0.0, 0.2], ids=["fold", "degenerate"])
+def test_lambert_members_match_scalar_calls(j_zero):
+    # an array of reference points gives each member bit for bit what a
+    # call with that point alone gives
+    t = np.linspace(-1.0, 4.0, 101)
+    x_refs = np.array([0.05, 0.1, 0.3, -0.2])
+    fam = lambert_local_trajectories(1.0, 0.2, -0.5, j_zero, t, 0.0,
+                                     x_refs[:, None])
+    assert fam.x_branch0.shape == fam.x_branch_minus1.shape == (4, t.size)
+    for m, x_ref in enumerate(x_refs):
+        one = lambert_local_trajectories(1.0, 0.2, -0.5, j_zero, t, 0.0,
+                                         x_ref)
+        assert np.array_equal(fam.x_branch0[m], one.x_branch0,
+                              equal_nan=True)
+        assert np.array_equal(fam.x_branch_minus1[m], one.x_branch_minus1,
+                              equal_nan=True)
+    with pytest.raises(ValueError, match="current zero"):
+        lambert_local_trajectories(1.0, 0.0, 1.0, 0.1, t, 0.0,
+                                   np.array([[0.3], [0.1]]))
