@@ -200,8 +200,7 @@ def _lambert_fit(packet, traj_set, grid):
     # alone degrades at the far ends of the +-0.05 window
     half = max(0.01, float(np.max(np.abs(tr.points[mask, 0] - x_c))))
     xs = np.linspace(x_c - half, x_c + half, 21)
-    rho, j = packet.at_reach(np.max(np.abs(xs)) + abs(t_c)).rho_j(
-        xs, np.full(xs.shape, t_c))
+    rho, j = packet.rho_j(xs, np.full(xs.shape, t_c))
     ar, br = np.polyfit(xs, rho, 1)
     aj, bj = np.polyfit(xs, j, 1)
     t_samples = t_c + np.linspace(-0.07, 0.02, 451)

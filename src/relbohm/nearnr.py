@@ -8,8 +8,9 @@ map x -> x + f(x, t).  Pushing the charge density through that map
 reproduces the localized-position density to the next expansion order.
 
 Everything here is the 1-d specialization; the tensor indices of the
-3-d form are diagonal under it.  Fields at points x run on the packet's
-k rule of their reach max |x| + |t| (Packet.at_reach), as explode's do.
+3-d form are diagonal under it.  Fields at points x come from
+Packet.fields, which runs on the k rule those points need, as explode's
+do; the W kernel asks the packet for the same rule.
 """
 
 from __future__ import annotations
@@ -38,11 +39,6 @@ PUSHFORWARD_N = 2001
 NARROW_K_REL = 0.25
 
 
-def _at_reach(packet: Packet, x, t: float) -> Packet:
-    """The packet on the k rule of the points x at time t."""
-    return packet.at_reach(np.max(np.abs(x), initial=0.0) + abs(t))
-
-
 class WKernel:
     """Tabulated exact density-difference potential W(x, t).
 
@@ -53,23 +49,24 @@ class WKernel:
     so that d^2 W / dx^2 = rho - rho_nw identically (the kernel is the
     difference kernel (sqrt w - sqrt w')^2 / (2 sqrt(w w')) divided by
     -(k - k')^2, which is finite on the diagonal).  Built on the k rule
-    of the packet it is given (correction_field passes the rule of its
-    reach); evaluation is a weighted cosine sum.  SizeError for a rule
-    of over MAX_NODES nodes, before the kernel matrix is made.
+    that the points (x, t) need (Packet.rule_at), on which Packet.fields
+    evaluates them; evaluation is a weighted cosine sum.  SizeError for a
+    rule of over MAX_NODES nodes, before the kernel matrix is made.
     """
 
     #: most k-nodes of a rule the dense kernel matrix accepts
     MAX_NODES = 4096
 
-    def __init__(self, packet: Packet):
-        if packet.k.size > self.MAX_NODES:
+    def __init__(self, packet: Packet, x, t):
+        rule = packet.rule_at(x, t)
+        if rule.k.size > self.MAX_NODES:
             raise SizeError(
-                f"the k rule has {packet.k.size} nodes; the dense W kernel "
+                f"the k rule has {rule.k.size} nodes; the dense W kernel "
                 f"accepts at most {self.MAX_NODES}.  Set a smaller k_cut "
                 "or a narrower x window (narrow-k regime).")
-        k = packet.k
-        w = packet.omega
-        ws = packet._ws                       # quad weight * coefficient
+        k = rule.k
+        w = rule.omega
+        ws = rule.ws                          # quad weight * coefficient
         sw = np.sqrt(w)
         kern = ((k[:, None] + k[None, :]) ** 2
                 / ((sw[:, None] + sw[None, :]) ** 2
@@ -106,8 +103,8 @@ def w_approx(packet: Packet, x, t):
     omega ~ 1 (localized-position) amplitude and analytic derivatives.
     Valid when the k-support is narrow compared to 1.
     """
-    psi, psix, psixx = _at_reach(packet, x, t).fields(
-        x, t, [(0, 0), (1, 0), (2, 0)], nw=True)
+    psi, psix, psixx = packet.fields(x, t, [(0, 0), (1, 0), (2, 0)],
+                                     nw=True)
     d2_abs2 = 2.0 * (np.conj(psi) * psixx).real + 2.0 * np.abs(psix) ** 2
     out = (d2_abs2 - 4.0 * np.abs(psix) ** 2) / 32.0
     return float(out) if np.ndim(out) == 0 else out
@@ -126,8 +123,7 @@ def density_difference_timeform(packet: Packet, x, t: float):
     of the packet's k-spread.
     """
     x = np.asarray(x, dtype=float)
-    view = _at_reach(packet, x, t)
-    psi, psit, psixx, psitt, psixxt, psittt, psi_nw = view.fields(
+    psi, psit, psixx, psitt, psixxt, psittt, psi_nw = packet.fields(
         x, t, [(0, 0), (0, 1), (2, 0), (0, 2), (2, 1), (0, 3), (0, 0)],
         nw=[0, 0, 0, 0, 0, 0, 1])
     lhs = bilinear_rho(psi, psit) - np.abs(psi_nw) ** 2
@@ -146,7 +142,7 @@ def nw_position_map(packet: Packet, x, t: float):
     them again.
     """
     x = np.asarray(x, dtype=float)
-    psi, psix, psit, psixt, psi_nw = _at_reach(packet, x, t).fields(
+    psi, psix, psit, psixt, psi_nw = packet.fields(
         x, t, [(0, 0), (1, 0), (0, 1), (1, 1), (0, 0)], nw=[0, 0, 0, 0, 1])
     rho = bilinear_rho(psi, psit)
     dj_dt = (np.conj(psit) * psix + np.conj(psi) * psixt).imag
@@ -172,11 +168,10 @@ class CorrectionField:
 
 def correction_field(packet: Packet, x, t: float) -> CorrectionField:
     """W, its second x-derivative, the densities and the position map at
-    x, all on the packet's k rule of reach max |x| + |t|."""
+    x, all on the k rule that the points need."""
     x = np.asarray(x, dtype=float)
-    view = _at_reach(packet, x, t)
-    kernel = WKernel(view)
-    x_mapped, f, rho, rho_nw = nw_position_map(view, x, t)
+    kernel = WKernel(packet, x, t)
+    x_mapped, f, rho, rho_nw = nw_position_map(packet, x, t)
     return CorrectionField(
         x=x, t=float(t),
         W=kernel.evaluate(x, np.full(x.shape, t)),
@@ -189,19 +184,20 @@ def moments(packet: Packet, t: float):
     """Zeroth and first moments of rho - rho_nw at time t.
 
     Both must vanish: the two densities share their normalization and
-    mean.  They are sums over the FFT row at t (packets.fft_row_size),
-    whose periodic box holds [-L, L] with L = decay_window() + |t|:
+    mean.  They are sums over the FFT rows of rho and rho_nw at t
+    (packets.fft_row_size), whose periodic box holds [-L, L] with L =
+    decay_window() + |t|:
     m0 = dx sum d_j and m1 = dx sum x_j d_j for d = rho - rho_nw, with
     x_j the signed sample positions.  d is band-limited below the row's
     Nyquist limit, so dx sum d_j is its exact integral over the period
     and m0 vanishes to rounding (Parseval); m1 also needs d to vanish at
     the box ends, as it does past L.  Returns (m0, m1).
     """
-    row = _fft_row(packet, t, nw=True)
-    n = row.rho.size
-    d = row.rho - row.rho_nw
-    x = row.dx * np.fft.fftfreq(n, 1.0 / n)
-    return float(row.dx * np.sum(d)), float(row.dx * np.sum(x * d))
+    rho, rho_nw = _fft_row(packet, t), _fft_row(packet, t, nw=True)
+    n, dx = rho.n, rho.dx
+    d = rho.f - rho_nw.f
+    x = dx * np.fft.fftfreq(n, 1.0 / n)
+    return float(dx * np.sum(d)), float(dx * np.sum(x * d))
 
 
 def pushforward_l1(packet: Packet, t: float = 0.0):

@@ -12,32 +12,34 @@ amplitude drops the omega^{-1/2} factor.  Built-in shapes:
 Two engines evaluate the same truncated spectrum.  Field values at given
 points are k-integrals on a composite Gauss-Legendre rule over
 [-k_cut, k_cut] (Packet.fields); evaluations are plain weighted sums and
-therefore deterministic.  Every k rule is the rule of a reach: points
-run on the rule that their reach max(|x| + |t|) and the packet's width
-need (Packet.at_reach), and the packet's own rule, which fixes its
-normalization, is that of its decay window.  No rule is configured.  The
-x-integrals over a whole fixed-t row (the acausal probability, the |rho|
-mass, the threshold tail and charges, and FrontKernel's F) sample it by
-FFT on a periodic box (fft_row_size), at the fewest points that hold a
-density's band 2 k_cut below the row's Nyquist limit, and integrate on
-the row's trigonometric interpolant.
+therefore deterministic.  Every k rule is the rule of a reach, and
+Packet.fields picks the one its points need, that of max |x| + max |t|
+(Packet.rule_at), from the packet's cache: each rule is built and held
+against the t = 0 FFT row (_check_rule) once per packet.  The packet's
+own rule, which fixes its normalization, is that of its decay window.  No
+rule is configured and no caller sizes one.  The x-integrals over a
+whole fixed-t row (the acausal probability, the |rho| mass, the
+threshold tail and charges, and FrontKernel's F) sample it by FFT on a
+periodic box (fft_row_size), at the fewest points that hold a density's
+band 2 k_cut below the row's Nyquist limit, and integrate on the row's
+trigonometric interpolant (_RowIntegral).
 
 Neither engine takes one complex exponential per (point, k-node).  Node
 p J + j of a Gauss-Legendre rule is its panel's centre plus an offset,
-mid_p + off_j, so Packet.fields groups its points by distinct t and, with
-C(t) = coefs e^{-i omega t}, sums psi = sum_j e^{i x off_j} sum_p e^{i x
-mid_p} C_pj(t): one matrix product and a short sum per group, with no
-array of points x k-nodes.  omega is even and every rule mirror-exact
-(_gl_panels), so e^{-i omega t} is taken once per |k|, in the FFT rows
-too.  The sums agree with one exponential per (point, node) to 4e-15 of
-max |psi| for |x| <= 3 and 5.3e-14 for |x| <= 25.  The antiderivative of
-an FFT row splits its modes m = q B + r alike and tabulates e^{ikx} as
-the product of two short tables (_waves), shared by the row's stack.
+mid_p + off_j, so a rule's fields (_Rule.fields) group the points by
+distinct t and, with C(t) = coefs e^{-i omega t}, sum psi = sum_j e^{i x
+off_j} sum_p e^{i x mid_p} C_pj(t): one matrix product and a short sum
+per group, with no array of points x k-nodes.  omega is even and every
+rule mirror-exact (_gl_panels), so e^{-i omega t} is taken once per |k|,
+in the FFT rows too.  The sums agree with one exponential per (point,
+node) to 4e-15 of max |psi| for |x| <= 3 and 5.3e-14 for |x| <= 25.  The
+antiderivative of an FFT row splits its modes m = q B + r alike and
+tabulates e^{ikx} as the product of two short tables (_waves), shared by
+the row's stack.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass
 from functools import cached_property
@@ -73,7 +75,7 @@ PANEL_ORDER = 12
 #: reach, and a row or rule of this size holds 64 MB per complex array.
 #: Past it both raise SizeError, before any array is made.
 FFT_MAX_POINTS = 2 ** 22
-#: largest gap between Packet.fields and the t = 0 FFT row, relative to
+#: largest gap between a k rule and the t = 0 FFT row, relative to
 #: max |rho|, before the engine check (_check_rule) fails (well-resolved
 #: rules stay below 1e-7; an aliasing one reaches 1e-2 and more)
 ENGINE_GAP_TOL = 1e-6
@@ -170,16 +172,28 @@ def _cis(phase) -> np.ndarray:
     return out
 
 
-class Packet:
-    """A PacketSpec with its k rule and normalization.
+class _Densities:
+    """rho, rho_nw and J from the fields(x, t, orders, nw) of a class."""
 
-    Every k rule of a packet is the rule of a reach (rule_nodes): the one
-    that points with |x| + |t| <= reach need.  The packet's own rule is
-    that of its decay window; it fixes the normalization, and the explode
-    engine check holds it against the t = 0 FFT row over the whole decay
-    window (zero_crossings).  at_reach(R) is this packet on the rule of R,
-    coarser or finer: same spec, k_cut and norm.
-    """
+    def rho(self, x, t) -> np.ndarray:
+        psi, psid = self.fields(x, t, [(0, 0), (0, 1)])
+        return bilinear_rho(psi, psid)
+
+    def rho_nw(self, x, t) -> np.ndarray:
+        """Localized-position density |psi_nw|^2 (no omega^{-1/2} weight)."""
+        return np.abs(self.fields(x, t, [(0, 0)], nw=True)[0]) ** 2
+
+    def rho_j(self, x, t):
+        psi, psix, psid = self.fields(x, t, [(0, 0), (1, 0), (0, 1)])
+        return bilinear_rho(psi, psid), bilinear_j(psi, psix)
+
+
+class _Rule(_Densities):
+    """psi on one k rule: nodes k, omega, their panel split (mid, off)
+    and ws, the quadrature weights times the packet's coefficients
+    N s(k); no reference to a packet.  The rule must be mirror-exact
+    (_gl_panels on [-k_cut, k_cut]): fields takes e^{-i omega t} once
+    per |k|."""
 
     #: points x (panels + J orders) of a fields chunk, for J nodes a
     #: panel: the size of its e^{i x mid} and its inner sums together.
@@ -188,6 +202,82 @@ class Packet:
     #: the peak RSS by 7.6 MB at 250 000, 27.5 MB at 1 000 000 and
     #: 60.5 MB at 4 000 000, at the same speed
     _CHUNK_BUDGET = 250_000
+
+    def __init__(self, k: np.ndarray, weights: np.ndarray, split,
+                 coef: np.ndarray):
+        self.k = k
+        self.split = split
+        self.omega = omega(k)
+        if not np.array_equal(self.omega, self.omega[::-1]):
+            raise ValueError("the k rule is not mirror-exact")
+        self.ws = weights * coef
+
+    def _coef(self, dx: int, dt: int, nw: bool) -> np.ndarray:
+        coef = self.ws if nw else self.ws * self.omega ** -0.5
+        if dx:
+            coef = coef * (1j * self.k) ** dx
+        if dt:
+            coef = coef * (-1j * self.omega) ** dt
+        return coef
+
+    def _wave_t(self, t: float) -> np.ndarray:
+        """e^{-i omega t} on the k-nodes.  omega is even and the rule
+        mirror-exact, so the nodes of one |k| share a value, taken once
+        on the upper half and mirrored onto the lower."""
+        n = self.k.size
+        half = n // 2
+        wave = np.empty(n, dtype=complex)
+        wave[half:] = _cis(-t * self.omega[half:])
+        wave[:half] = wave[n - half:][::-1]
+        return wave
+
+    def fields(self, x, t, orders, nw=False) -> list[np.ndarray]:
+        """Packet.fields on this rule, whatever the points' reach.
+
+        Points are grouped by distinct t; a point whose t no other point
+        shares is a group of one.  A group takes C(t) = coefs e^{-i omega
+        t} once (_wave_t: one cos and sin per |k|).  Node p J + j of the
+        rule is mid_p + off_j (the panel split of _gl_panels), so psi =
+        sum_j e^{i x off_j} sum_p e^{i x mid_p} C_{pj}(t): a matrix
+        product of the points' e^{i x mid} with C(t) as P x (J orders)
+        gives the inner sums for every order at once, and a sum over j
+        against e^{i x off} finishes them.  No array spans points x
+        k-nodes; a group is taken in chunks of _CHUNK_BUDGET entries.
+        """
+        x, t = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                   np.asarray(t, dtype=float))
+        shape = x.shape
+        by_t = np.argsort(t, axis=None, kind="stable")
+        xf = x.ravel()[by_t]
+        times, starts = np.unique(t.ravel()[by_t], return_index=True)
+        coefs = np.stack([self._coef(dx, dt, bool(flag)) for (dx, dt), flag
+                          in zip(orders, np.broadcast_to(nw, len(orders)))],
+                         axis=1)
+        mid, off = self.split
+        n_ord = len(orders)
+        out = np.empty((n_ord, xf.size), dtype=complex)
+        chunk = max(1, self._CHUNK_BUDGET // (mid.size + off.size * n_ord))
+        for s, lo, hi in zip(times, starts, np.append(starts[1:], xf.size)):
+            C = (coefs * self._wave_t(s)[:, None]).reshape(mid.size, -1)
+            for i in range(lo, hi, chunk):
+                sl = slice(i, min(i + chunk, hi))
+                inner = _cis(np.multiply.outer(xf[sl], mid)) @ C
+                out[:, by_t[sl]] = np.einsum(
+                    "nj,njo->on", _cis(np.multiply.outer(xf[sl], off)),
+                    inner.reshape(-1, off.size, n_ord))
+        return [o.reshape(shape) for o in out]
+
+
+class Packet(_Densities):
+    """A PacketSpec with its normalization and its k rules.
+
+    fields, rho, rho_nw and rho_j run on the k rule of their points'
+    reach (rule_at).  The packet's own rule is that of its decay window:
+    it fixes the normalization, k holds its nodes, and the explode engine
+    check holds it against the t = 0 FFT row over the whole decay window
+    (zero_crossings).
+    """
+
     #: Gauss-Legendre order of every k rule
     REACH_ORDER = 24
     #: least reach a rule is sized for; below it the branch points of
@@ -198,25 +288,14 @@ class Packet:
         self.spec = spec
         self.k_cut = float(k_cut if k_cut is not None
                            else spec.default_k_cut())
-        k, w, split = self._rule(self.decay_window())
+        k, w, split = self._gl_rule(self.rule_nodes(self.decay_window()))
         s = spec.shape_values(k)
         # int rho_nw dx = 2 pi N^2 int s^2 dk  ==  total_charge.
         s2 = float(np.sum(w * s * s))
         self.norm = np.sqrt(spec.total_charge / (2.0 * np.pi * s2))
-        self._tabulate(k, w, split)
-
-    def _tabulate(self, k: np.ndarray, w: np.ndarray, split) -> None:
-        """Take k, w as the k rule, under the packet's norm; split is the
-        (panel centre, offset) split of k that fields takes.  The rule
-        must be mirror-exact (_gl_panels on [-k_cut, k_cut]): fields
-        takes e^{-i omega t} once per |k|."""
         self.k = k
-        self._split = split
-        self.omega = omega(k)
-        if not np.array_equal(self.omega, self.omega[::-1]):
-            raise ValueError("the k rule is not mirror-exact")
-        # quadrature weight * normalized k-space coefficient
-        self._ws = w * (self.norm * self.spec.shape_values(k))
+        #: node count -> rule (rule_at); the own rule comes unchecked
+        self._rules = {k.size: _Rule(k, w, split, self.norm * s)}
 
     def _reach(self, reach: float) -> float:
         """The reach a rule is sized for: at least twice the support edge
@@ -246,114 +325,44 @@ class Packet:
                             f"over the limit of 2^22 = {FFT_MAX_POINTS}")
         return int(n)
 
-    def _rule(self, reach: float):
-        """The (nodes, weights, split) of the rule of reach; SizeError
-        past FFT_MAX_POINTS nodes (rule_nodes), before any is made."""
-        return _gl_panels(-self.k_cut, self.k_cut,
-                          self.rule_nodes(reach) // self.REACH_ORDER,
+    def _gl_rule(self, n: int):
+        """The (nodes, weights, split) of the n-node rule (rule_nodes)."""
+        return _gl_panels(-self.k_cut, self.k_cut, n // self.REACH_ORDER,
                           self.REACH_ORDER)
 
-    def at_reach(self, reach: float) -> Packet:
-        """This packet on the k rule that points with |x| + |t| <= reach
-        need (rule_nodes), coarser or finer than its own; the packet
-        itself when the two are equal.  The view shares spec, k_cut, norm
-        and t0_row with this packet.  SizeError when the rule would pass
-        FFT_MAX_POINTS nodes (rule_nodes).
-
-        Raises ArithmeticError when the view departs from the t = 0 FFT
-        row by more than ENGINE_GAP_TOL within its reach, or within the
-        decay window when the reach passes it: the row holds the field
-        only there, and beyond it the t = 0 field is negligible.
+    def rule_at(self, x, t) -> _Rule:
+        """The k rule that the points (x, t) need, that of their reach
+        max |x| + max |t| (rule_nodes): SizeError past FFT_MAX_POINTS
+        nodes.  Built on first use and kept, a rule is then held against
+        the t = 0 FFT row within that reach, or within the decay window
+        when the reach passes it, where the row ends and the t = 0 field
+        is negligible: ArithmeticError past ENGINE_GAP_TOL (_check_rule).
+        The own rule, made with the packet before any row, is not.
         """
-        if self.rule_nodes(reach) == self.k.size:
-            return self
-        rule = self._rule(reach)
-        row = self.t0_row  # made before the copy, so the view shares it
-        view = copy.copy(self)
-        view._tabulate(*rule)
-        _check_rule(view, row, min(self._reach(reach), self.decay_window()))
-        return view
+        R = self._reach(np.max(np.abs(x), initial=0.0)
+                        + np.max(np.abs(t), initial=0.0))
+        n = self.rule_nodes(R)
+        if n not in self._rules:
+            k, w, split = self._gl_rule(n)
+            rule = _Rule(k, w, split, self.norm * self.spec.shape_values(k))
+            _check_rule(rule, self.t0_row, min(R, self.decay_window()))
+            self._rules[n] = rule
+        return self._rules[n]
 
     @cached_property
-    def t0_row(self) -> _Row:
-        """rho and rho_nw on the t = 0 FFT row (fft_row_size), made once
-        and shared with every view."""
-        return _fft_row(self, 0.0, nw=True)
-
-    # -- field evaluation ---------------------------------------------
-
-    def _coef(self, dx: int, dt: int, nw: bool) -> np.ndarray:
-        coef = self._ws if nw else self._ws * self.omega ** -0.5
-        if dx:
-            coef = coef * (1j * self.k) ** dx
-        if dt:
-            coef = coef * (-1j * self.omega) ** dt
-        return coef
-
-    def _wave_t(self, t: float) -> np.ndarray:
-        """e^{-i omega t} on the k-nodes.  omega is even and the rule
-        mirror-exact (_tabulate), so the nodes of one |k| share a value,
-        taken once on the upper half and mirrored onto the lower."""
-        n = self.k.size
-        half = n // 2
-        wave = np.empty(n, dtype=complex)
-        wave[half:] = _cis(-t * self.omega[half:])
-        wave[:half] = wave[n - half:][::-1]
-        return wave
+    def t0_row(self) -> _RowIntegral:
+        """rho on the t = 0 FFT row (fft_row_size), made once."""
+        return _fft_row(self, 0.0)
 
     def fields(self, x, t, orders, nw=False) -> list[np.ndarray]:
         """Evaluate several derivative orders of psi in one pass.
 
         orders is a sequence of (dx, dt) pairs, of psi_nw where nw is true
         and of psi otherwise; nw is a flag or one flag per order.  x and t
-        broadcast against each other.
-
-        Points are grouped by distinct t; a point whose t no other point
-        shares is a group of one.  A group takes C(t) = coefs e^{-i omega
-        t} once (_wave_t: one cos and sin per |k|).  Node p J + j of the
-        rule is mid_p + off_j (the panel split of _gl_panels), so psi =
-        sum_j e^{i x off_j} sum_p e^{i x mid_p} C_{pj}(t): a matrix
-        product of the points' e^{i x mid} with C(t) as P x (J orders)
-        gives the inner sums for every order at once, and a sum over j
-        against e^{i x off} finishes them.  No array spans points x
-        k-nodes; a group is taken in chunks of _CHUNK_BUDGET entries.
+        broadcast against each other.  The sums run on the k rule that
+        the points need (rule_at; _Rule.fields).
         """
-        x, t = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                   np.asarray(t, dtype=float))
-        shape = x.shape
-        by_t = np.argsort(t, axis=None, kind="stable")
-        xf = x.ravel()[by_t]
-        times, starts = np.unique(t.ravel()[by_t], return_index=True)
-        coefs = np.stack([self._coef(dx, dt, bool(flag)) for (dx, dt), flag
-                          in zip(orders, np.broadcast_to(nw, len(orders)))],
-                         axis=1)
-        mid, off = self._split
-        n_ord = len(orders)
-        out = np.empty((n_ord, xf.size), dtype=complex)
-        chunk = max(1, self._CHUNK_BUDGET // (mid.size + off.size * n_ord))
-        for s, lo, hi in zip(times, starts, np.append(starts[1:], xf.size)):
-            C = (coefs * self._wave_t(s)[:, None]).reshape(mid.size, -1)
-            for i in range(lo, hi, chunk):
-                sl = slice(i, min(i + chunk, hi))
-                inner = _cis(np.multiply.outer(xf[sl], mid)) @ C
-                out[:, by_t[sl]] = np.einsum(
-                    "nj,njo->on", _cis(np.multiply.outer(xf[sl], off)),
-                    inner.reshape(-1, off.size, n_ord))
-        return [o.reshape(shape) for o in out]
-
-    # -- densities ----------------------------------------------------
-
-    def rho(self, x, t) -> np.ndarray:
-        psi, psid = self.fields(x, t, [(0, 0), (0, 1)])
-        return bilinear_rho(psi, psid)
-
-    def rho_nw(self, x, t) -> np.ndarray:
-        """Localized-position density |psi_nw|^2 (no omega^{-1/2} weight)."""
-        return np.abs(self.fields(x, t, [(0, 0)], nw=True)[0]) ** 2
-
-    def rho_j(self, x, t):
-        psi, psix, psid = self.fields(x, t, [(0, 0), (1, 0), (0, 1)])
-        return bilinear_rho(psi, psid), bilinear_j(psi, psix)
+        return self.rule_at(x, t).fields(x, t, orders, nw)
 
     @cached_property
     def support_edge(self) -> float:
@@ -432,19 +441,6 @@ def fft_row_size(packet: Packet, t: float,
     return box / n, n
 
 
-@dataclass
-class _Row:
-    """rho and rho_nw on x_j = j dx of a periodic box, a row per time (the
-    negative half of the line is the upper half of a row); None where the
-    caller did not ask for it.  Both are band-limited to band, twice the
-    row's k_cut."""
-
-    dx: float
-    band: float
-    rho: np.ndarray | None
-    rho_nw: np.ndarray | None
-
-
 def _k_weights(m: np.ndarray, dk: float, k_cut: float) -> np.ndarray:
     """Weights of the modes k = m dk for int_{-k_cut}^{k_cut} dk.
 
@@ -473,10 +469,12 @@ def _k_weights(m: np.ndarray, dk: float, k_cut: float) -> np.ndarray:
     return w
 
 
-def _fft_row(packet: Packet, t, refine: int = 1, rho: bool = True,
-             nw: bool = False) -> _Row:
-    """Sample rho (from psi and psi_t) and/or rho_nw (from psi_nw) at time
-    t, by one inverse FFT per field.
+def _fft_row(packet: Packet, t, refine: int = 1,
+             nw: bool = False) -> _RowIntegral:
+    """rho (from psi and psi_t), or rho_nw (from psi_nw) where nw is true,
+    sampled at time t on x_j = j dx of a periodic box by one inverse FFT
+    per field (the negative half of the line is the upper half of a row),
+    as a _RowIntegral on the band 2 refine k_cut.
 
     The spectrum is the packet's own norm * s(k) on the FFT frequencies,
     zeroed beyond k_cut like the k quadrature of Packet.fields and
@@ -509,26 +507,26 @@ def _fft_row(packet: Packet, t, refine: int = 1, rho: bool = True,
         full[..., n - end:] = spectrum[..., end + 1:]
         return np.fft.ifft(full)
 
-    return _Row(dx=dx, band=2.0 * k_cut,
-                rho=bilinear_rho(ifft(c / np.sqrt(w)),
-                                 ifft(-1j * np.sqrt(w) * c)) if rho else None,
-                rho_nw=np.abs(ifft(c)) ** 2 if nw else None)
+    f = (np.abs(ifft(c)) ** 2 if nw
+         else bilinear_rho(ifft(c / np.sqrt(w)), ifft(-1j * np.sqrt(w) * c)))
+    return _RowIntegral(f, dx, 2.0 * k_cut)
 
 
-def _check_rule(packet: Packet, row: _Row, reach: float) -> None:
-    """Raise ArithmeticError when packet's k rule departs from the t = 0
+def _check_rule(rule: _Rule, row: _RowIntegral, reach: float) -> None:
+    """Raise ArithmeticError when the k rule departs from the t = 0 rho
     row by more than ENGINE_GAP_TOL of max |rho| at <= 129 points of
     [0, reach]: the k rule is then too coarse for the reach, or the row's
-    end correction at k_cut falls short (see _k_weights)."""
+    end correction at its k_cut, half its band, falls short (see
+    _k_weights)."""
     n_in = int(reach / row.dx)
     j = np.arange(0, n_in + 1, max(1, -(-n_in // 128)))
-    gap = float(np.max(np.abs(packet.rho(j * row.dx, 0.0) - row.rho[j])))
-    if gap > ENGINE_GAP_TOL * np.max(np.abs(row.rho)):
+    gap = float(np.max(np.abs(rule.rho(j * row.dx, 0.0) - row.f[j])))
+    if gap > ENGINE_GAP_TOL * np.max(np.abs(row.f)):
         raise ArithmeticError(
-            f"Packet.fields on {packet.k.size} k-nodes and the t = 0 FFT "
+            f"Packet.fields on {rule.k.size} k-nodes and the t = 0 FFT "
             f"row part by {gap:.2g} in rho within |x| <= {reach:g}: the k "
             "rule is too coarse, or the row's end correction at k_cut = "
-            f"{packet.k_cut:g} falls short")
+            f"{0.5 * row.band:g} falls short")
 
 
 class _RowIntegral:
@@ -536,14 +534,15 @@ class _RowIntegral:
 
     f holds samples at x_j = j dx over one period (a stack of rows along
     its last axis, for antiderivative), band-limited to band as an FFT
-    row's densities are (_Row.band).  Only the modes k_m <= band enter:
+    row's densities are (_fft_row); the integral keeps them.  Only the
+    modes k_m <= band enter:
     above it f holds nothing but rounding.  Below the Nyquist limit the
     interpolant is f itself and the integrals are exact up to rounding.
     """
 
     def __init__(self, f: np.ndarray, dx: float, band: float):
         n = f.shape[-1]
-        self.n, self.dx, self.band = n, dx, band
+        self.f, self.n, self.dx, self.band = f, n, dx, band
         self.fh = np.fft.rfft(f)
         self.dk = 2.0 * np.pi / (n * dx)
         self.k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
@@ -644,14 +643,11 @@ def densities(packet: Packet, x, t: float) -> DensityProfile:
     each kink of |rho|: 1.5e-6 at t = 0.  The composite Gauss-Legendre
     sum used before, 128 panels across the kinks, was off by 3.7e-4 at
     t = 0 and 2.5e-5 at t = 0.5.)  The densities on x come from one
-    Packet.fields pass on the rule of reach max |x| + |t|.
+    Packet.fields pass.
     """
     x = np.asarray(x, dtype=float)
-    row = _fft_row(packet, t)
-    factor = (packet.spec.total_charge
-              / _RowIntegral(row.rho, row.dx, row.band).abs_total())
-    view = packet.at_reach(np.max(np.abs(x), initial=0.0) + abs(t))
-    psi, psix, psit, psi_nw = view.fields(
+    factor = packet.spec.total_charge / _fft_row(packet, t).abs_total()
+    psi, psix, psit, psi_nw = packet.fields(
         x, t, [(0, 0), (1, 0), (0, 1), (0, 0)], nw=[0, 0, 0, 1])
     rho = bilinear_rho(psi, psit)
     return DensityProfile(
@@ -676,11 +672,10 @@ def acausal_probability(packet: Packet, t: float, refine: int = 1) -> float:
     if packet.spec.shape != "cos2":
         raise ValueError("acausal probability needs a compactly "
                          "supported (cos2) packet")
-    row = _fft_row(packet, t, refine, rho=False, nw=True)
+    row = _fft_row(packet, t, refine, nw=True)
     edge = packet.support_edge + t
     L = packet.decay_window() + t
-    G = _RowIntegral(row.rho_nw, row.dx, row.band).antiderivative(
-        np.array([-L, -edge, edge, L]))
+    G = row.antiderivative(np.array([-L, -edge, edge, L]))
     return float((G[3] - G[2] + G[1] - G[0]) / (G[3] - G[0]))
 
 
@@ -688,12 +683,12 @@ def zero_crossings(packet: Packet):
     """(x_th, x_0) at t = 0 for a cos2 packet.
 
     x_0 is the smallest positive zero of rho(x, 0), found by a scan of
-    [0, 2.5 a] and brentq on Packet.fields, on the rule of that reach.
-    x_th solves int_{x_th}^{L} rho dx = 0 (only virtual pairs beyond the
-    threshold; L = decay_window()); brentq runs on that tail integral
-    taken exactly on the t = 0 FFT row as G(L) - G(x) of its
-    antiderivative (_RowIntegral.antiderivative).  Both to 1e-8 or
-    better.
+    [0, 2.5 a] and brentq, both on the k rule of the scan's points
+    (Packet.rule_at).  x_th solves int_{x_th}^{L} rho dx = 0 (only
+    virtual pairs beyond the threshold; L = decay_window()); brentq runs
+    on that tail integral taken exactly on the t = 0 FFT row as G(L) -
+    G(x) of its antiderivative (_RowIntegral.antiderivative).  Both to
+    1e-8 or better.
 
     Raises ArithmeticError when rho(x, 0) has no sign change on (0, 2.5 a]
     (a k_cut too small for a narrow packet), and when the packet's own
@@ -708,13 +703,15 @@ def zero_crossings(packet: Packet):
     if packet.spec.shape != "cos2":
         raise ValueError("zero crossings are defined for the cos2 packet")
     a = packet.spec.a
-    view = packet.at_reach(2.5 * a)
+    xs = np.linspace(1e-3 * a, 2.5 * a, 400)
+    # brentq's wrapper of f refers to itself, a cycle that keeps what f
+    # holds until the cyclic GC runs: f holds the rule, not the packet
+    rule = packet.rule_at(xs, 0.0)
 
     def rho0(x):
-        return view.rho(np.asarray(x, dtype=float), 0.0)
+        return rule.rho(np.asarray(x, dtype=float), 0.0)
 
     # Smallest positive root of rho by scan + brentq.
-    xs = np.linspace(1e-3 * a, 2.5 * a, 400)
     r = rho0(xs)
     sign_change = np.nonzero(np.diff(np.sign(r)) != 0)[0]
     if sign_change.size == 0:
@@ -723,12 +720,11 @@ def zero_crossings(packet: Packet):
     i = sign_change[0]
     x0 = brentq(lambda x: float(rho0(x)), xs[i], xs[i + 1], xtol=1e-8)
 
-    row = packet.t0_row
+    integral = packet.t0_row
     L = packet.decay_window()
     # Packet.fields and the row sample the same truncated field; a k
     # quadrature that aliases within the decay window parts them
-    _check_rule(packet, row, L)
-    integral = _RowIntegral(row.rho, row.dx, row.band)
+    _check_rule(packet.rule_at(L, 0.0), integral, L)
     G_L = integral.antiderivative(np.array([L]))[0]
 
     def tail(x):
@@ -746,15 +742,15 @@ def threshold_charges(packet: Packet, x_th: float):
     """Charges at t = 0 that test the threshold reading x_th.
 
     Returns (int_0^{x_th} rho, int_{x_th}^{L} rho, int_0^{a} rho_nw) with
-    L = decay_window(), each taken exactly on the t = 0 FFT row as G(b) -
-    G(a) of its antiderivative (_RowIntegral.antiderivative).  At the
-    threshold of zero_crossings the first is half the total charge and
-    the second vanishes; the third is half the total by symmetry.
+    L = decay_window(), each taken exactly on the t = 0 FFT rows of rho
+    and rho_nw as G(b) - G(a) of their antiderivatives
+    (_RowIntegral.antiderivative).  At the threshold of zero_crossings
+    the first is half the total charge and the second vanishes; the
+    third is half the total by symmetry.
     """
-    row = packet.t0_row
-    G = _RowIntegral(row.rho, row.dx, row.band).antiderivative(
+    G = packet.t0_row.antiderivative(
         np.array([0.0, x_th, packet.decay_window()]))
-    G_nw = _RowIntegral(row.rho_nw, row.dx, row.band).antiderivative(
+    G_nw = _fft_row(packet, 0.0, nw=True).antiderivative(
         np.array([0.0, packet.spec.a]))
     return (float(G[1] - G[0]), float(G[2] - G[1]), float(G_nw[1] - G_nw[0]))
 
@@ -792,14 +788,18 @@ class FrontKernel:
         for n in np.unique(sizes):
             cols = np.nonzero(sizes == n)[0]
             for part in np.array_split(cols, -(-cols.size * n // 2 ** 19)):
-                row = _fft_row(self.packet, t[part])
-                integral = _RowIntegral(row.rho, row.dx, row.band)
-                L = self.packet.decay_window() + np.abs(t[part])
-                lo, hi = (integral.antiderivative(e, diagonal=True)
-                          for e in (-L, L))
-                G = np.where(x[:, None] > L, hi, integral.antiderivative(x))
-                F[:, part] = 2.0 * (np.where(x[:, None] < -L, lo, G) - lo)
+                F[:, part] = self._columns(x, t[part])
         return F
+
+    def _columns(self, x, t) -> np.ndarray:
+        """F at x on the rows of the times t, of one size: a call of its
+        own frees a part's rows before the next part's are made (held,
+        they raised an explode run's peak RSS by up to 16 MB)."""
+        integral = _fft_row(self.packet, t)
+        L = self.packet.decay_window() + np.abs(t)
+        lo, hi = (integral.antiderivative(e, diagonal=True) for e in (-L, L))
+        G = np.where(x[:, None] > L, hi, integral.antiderivative(x))
+        return 2.0 * (np.where(x[:, None] < -L, lo, G) - lo)
 
 
 def annihilation_fronts(packet: Packet, grid: Grid2D, n_levels: int):
@@ -809,14 +809,12 @@ def annihilation_fronts(packet: Packet, grid: Grid2D, n_levels: int):
     meeting the rho = 0 locus carry the particle/anti-particle cusp
     structure.  F is twice the charge left of x: the paper's double-sum
     integral up to a constant (see FrontKernel).  rho and J on the
-    contours run on the rule of the grid window's reach.
+    contours come from one Packet.fields pass on their vertices.
     """
     F = FrontKernel(packet).evaluate(grid.x, grid.t)
-    view = packet.at_reach(max(abs(grid.x_min), abs(grid.x_max))
-                           + max(abs(grid.t_min), abs(grid.t_max)))
-    scale = float(np.max(np.abs(view.rho(
+    scale = float(np.max(np.abs(packet.rho(
         np.linspace(grid.x_min, grid.x_max, 64), 0.0))))
-    return F, contour_family(F, grid, n_levels, view.rho_j,
+    return F, contour_family(F, grid, n_levels, packet.rho_j,
                              EPS_RHO_SCALE * scale)
 
 

@@ -16,13 +16,11 @@ k-integral on the rule of a reach, the reference is a deliberately finer
 rule (fine_rule).
 """
 
-import copy
-
 import numpy as np
 
 from relbohm.dirac import SpinorSample, _plane_spinor
 from relbohm.numerics import EPS_RHO_SCALE, bilinear_j, bilinear_rho, omega
-from relbohm.packets import _gl_panels, _k_weights, fft_row_size
+from relbohm.packets import _gl_panels, _k_weights, _Rule, fft_row_size
 
 
 def mode_sum(state, z, t):
@@ -53,26 +51,26 @@ def spinor_mode_sum(field, x) -> SpinorSample:
     return SpinorSample(psi=psi, dpsi=dpsi)
 
 
-def packet_fields(packet, x, t, orders, nw=False):
-    """Packet.fields with one complex exponential e^{i(kx - omega t)} per
-    (point, k-node), summed order by order."""
+def packet_fields(rule, x, t, orders, nw=False):
+    """The fields of a packet's k rule (Packet.rule_at) with one complex
+    exponential e^{i(kx - omega t)} per (point, k-node), summed order by
+    order."""
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(t, dtype=float))
-    phase = np.exp(1j * (packet.k * x[..., None]
-                         - packet.omega * t[..., None]))
-    return [phase @ packet._coef(dx, dt, bool(flag)) for (dx, dt), flag
+    phase = np.exp(1j * (rule.k * x[..., None] - rule.omega * t[..., None]))
+    return [phase @ rule._coef(dx, dt, bool(flag)) for (dx, dt), flag
             in zip(orders, np.broadcast_to(nw, len(orders)))]
 
 
 def fine_rule(packet, reach, factor: int = 4):
-    """packet (same spec, k_cut and norm) on a Gauss-Legendre rule of
-    order 32 with factor times the panels of the rule Packet.at_reach
-    makes for reach, and so a panel width at most REACH_ORDER /
-    (factor R).  No engine check: it is the reference, not the program."""
+    """The packet's coefficients (same spec, k_cut and norm) on a
+    Gauss-Legendre rule of order 32 with factor times the panels of the
+    rule Packet.fields takes for points of that reach, and so a panel
+    width at most REACH_ORDER / (factor R).  No engine check: it is the
+    reference, not the program."""
     panels = factor * packet.rule_nodes(reach) // packet.REACH_ORDER
-    fine = copy.copy(packet)
-    fine._tabulate(*_gl_panels(-packet.k_cut, packet.k_cut, panels, 32))
-    return fine
+    k, w, split = _gl_panels(-packet.k_cut, packet.k_cut, panels, 32)
+    return _Rule(k, w, split, packet.norm * packet.spec.shape_values(k))
 
 
 def point_velocity(psi, dpsi_dx, dpsi_dt):

@@ -214,19 +214,18 @@ def test_fft_row_check_counts_the_row_built(monkeypatch, refine):
     # the limit, error-bar rows (refine = 2) included
     packet = packets.Packet(packets.PacketSpec(shape="cos2"), k_cut=40.0)
     times = (0.0, 0.75, 2.0, 40.0)
-    sizes = [packets._fft_row(packet, t, refine, rho=False, nw=True)
-             .rho_nw.size for t in times]
+    sizes = [packets._fft_row(packet, t, refine, nw=True).f.size
+             for t in times]
     for t, n in zip(times, sizes):
         monkeypatch.setattr(packets, "FFT_MAX_POINTS", n)
-        assert packets._fft_row(packet, t, refine, rho=False,
-                                nw=True).rho_nw.size == n
+        assert packets._fft_row(packet, t, refine, nw=True).f.size == n
         monkeypatch.setattr(packets, "FFT_MAX_POINTS", n - 1)
         with pytest.raises(SizeError, match=f"needs {n} points"):
-            packets._fft_row(packet, t, refine, rho=False, nw=True)
+            packets._fft_row(packet, t, refine, nw=True)
     monkeypatch.undo()
     # a t whose box passes the float range is a size error too
     with pytest.raises(SizeError, match="FFT row"):
-        packets._fft_row(packet, 1e308, refine, rho=False, nw=True)
+        packets._fft_row(packet, 1e308, refine, nw=True)
 
 
 def test_size_limit_met_after_other_stages(tmp_path, monkeypatch, capsys):
@@ -768,3 +767,44 @@ def _nearnr_configs(draw):
               "t": 0.0}, quick=False)
 def test_nearnr_configs_never_escape(cfg, quick):
     _answers_with_a_code("nearnr", cfg, quick, "summary.json")
+
+
+@st.composite
+def _explode_configs(draw):
+    """A small cos2 explode config (packet, grid and density_x window),
+    with up to two keys malformed or missing."""
+    packet = {"shape": "cos2", "a": draw(st.floats(0.2, 3.0)),
+              "k_cut": draw(st.floats(5.0, 40.0))}
+    x_min, t_min = draw(st.floats(-4.0, 2.0)), draw(st.floats(-1.0, 1.0))
+    grid = {"x_min": x_min, "x_max": x_min + draw(st.floats(0.5, 6.0)),
+            "n_x": draw(st.integers(2, 21)), "t_min": t_min,
+            "t_max": t_min + draw(st.floats(0.2, 2.0)),
+            "n_t": draw(st.integers(2, 21))}
+    lo = draw(st.floats(-40.0, 5.0))
+    cfg = {"packet": packet, "grid": grid,
+           "density_x": {"min": lo, "max": lo + draw(st.floats(0.0, 45.0)),
+                         "n": draw(st.integers(1, 41))},
+           "t_values": [draw(st.floats(0.0, 3.0))],
+           "p_times": [draw(st.floats(0.0, 3.0))],
+           "n_levels": draw(st.integers(1, 10))}
+    paths = [("packet",), ("grid",), ("density_x",), ("n_levels",),
+             *(("packet", k) for k in packet),
+             *(("grid", k) for k in grid),
+             *(("density_x", k) for k in cfg["density_x"])]
+    bad = draw(st.dictionaries(st.sampled_from(paths), _MALFORMED,
+                               max_size=2))
+    for path, value in bad.items():
+        node = cfg.get(path[0]) if len(path) == 2 else cfg
+        if not isinstance(node, dict):
+            continue            # its parent is malformed already
+        if value is _ABSENT:
+            node.pop(path[-1], None)
+        else:
+            node[path[-1]] = value
+    return cfg
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cfg=_explode_configs(), quick=st.booleans())
+def test_explode_configs_never_escape(cfg, quick):
+    _answers_with_a_code("explode", cfg, quick, "thresholds.json")

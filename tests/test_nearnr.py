@@ -14,9 +14,14 @@ def gauss():
                              total_charge=1.0))
 
 
+#: the points the gaussian kernel is built for: x and t of the tests
+#: below, which share one k rule
+GAUSS_X, GAUSS_T = np.linspace(-15.0, 15.0, 31), 0.3
+
+
 @pytest.fixture(scope="module")
 def gauss_kernel(gauss):
-    return WKernel(gauss)
+    return WKernel(gauss, GAUSS_X, GAUSS_T)
 
 
 @pytest.fixture(scope="module")
@@ -31,13 +36,12 @@ def test_kernel_node_guard():
     big = Packet(PacketSpec(shape="cos2", a=1.0))
     assert big.k.size > WKernel.MAX_NODES
     with pytest.raises(ValueError):
-        WKernel(big)
+        WKernel(big, big.decay_window(), 0.0)
 
 
 def test_anchor_identity_gaussian(gauss, gauss_kernel):
     # d^2 W / dx^2 == rho - rho_nw pointwise
-    x = np.linspace(-15.0, 15.0, 31)
-    t = 0.3
+    x, t = GAUSS_X, GAUSS_T
     # wide FD step: W varies on the packet width ~1/sigma_k, and a small
     # step runs into roundoff because the difference itself is tiny
     lhs = d2w_dx2_5point(gauss_kernel, x, t, h=1e-2)
@@ -47,8 +51,8 @@ def test_anchor_identity_gaussian(gauss, gauss_kernel):
 
 
 def test_anchor_identity_cos2(cos2_coarse):
-    kernel = WKernel(cos2_coarse)
     x = np.linspace(-2.0, 2.0, 21)
+    kernel = WKernel(cos2_coarse, x, 0.0)
     lhs = d2w_dx2_5point(kernel, x, 0.0)
     rhs = cos2_coarse.rho(x, 0.0) - cos2_coarse.rho_nw(x, 0.0)
     assert np.max(np.abs(lhs - rhs)) < 1e-6 * np.max(np.abs(rhs))
@@ -57,10 +61,10 @@ def test_anchor_identity_cos2(cos2_coarse):
 def test_exact_d2w_dx2_closes_the_identity(gauss, gauss_kernel, cos2_coarse):
     # the weighted cosine sum of d^2 W / dx^2 meets rho - rho_nw to
     # rounding, where the stencil above gets 1e-7 to 1e-6
+    xc = np.linspace(-2.0, 2.0, 21)
     for packet, kernel, x, t in (
-            (gauss, gauss_kernel, np.linspace(-15.0, 15.0, 31), 0.3),
-            (cos2_coarse, WKernel(cos2_coarse), np.linspace(-2.0, 2.0, 21),
-             0.0)):
+            (gauss, gauss_kernel, GAUSS_X, GAUSS_T),
+            (cos2_coarse, WKernel(cos2_coarse, xc, 0.0), xc, 0.0)):
         rho = packet.rho(x, t)
         gap = kernel.d2_dx2(x, t) - (rho - packet.rho_nw(x, t))
         assert np.max(np.abs(gap)) <= 1e-13 * np.max(np.abs(rho))
@@ -70,8 +74,8 @@ def test_w_parity(gauss, gauss_kernel):
     # for k0 != 0 W is not even, but for a symmetric packet it is
     sym = Packet(PacketSpec(shape="gaussian", k0=0.0, sigma_k=0.05,
                             total_charge=1.0))
-    kern = WKernel(sym)
     x = np.linspace(0.5, 12.0, 9)
+    kern = WKernel(sym, x, 0.0)
     assert np.allclose(kern.evaluate(x, 0.0), kern.evaluate(-x, 0.0),
                        atol=1e-14)
 

@@ -1,4 +1,5 @@
-import copy
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from relbohm import packets
 from relbohm.numerics import Grid2D, SizeError, bilinear_rho, omega
 from relbohm.ode import integrate_trajectory
 from relbohm.packets import (FrontKernel, Packet, PacketSpec, _fft_row,
-                             _k_weights, _panel_integral, _RowIntegral,
+                             _k_weights, _panel_integral, _Rule,
                              _smooth_size, acausal_probability,
                              annihilation_fronts, densities,
                              fft_row_size, lambert_local_trajectories,
@@ -114,46 +115,46 @@ def _within_reach(rng, reach, n):
     (PacketSpec(shape="gaussian", k0=0.5, sigma_k=2.0), {}),
 ], ids=["cos2-a0.5", "cos2-a1", "cos2-a2", "cos2-k_cut40", "gaussian"])
 def test_view_matches_configured_rule(spec, kwargs):
-    # the reference is a deliberately fine rule (oracles.fine_rule), not
-    # a rule the program makes
+    # Packet.fields at points within a reach, on the rule it picks for
+    # them; the reference is a deliberately fine rule (oracles.fine_rule),
+    # not a rule the program makes
     p = Packet(spec, **kwargs)
     rng = np.random.default_rng(3)
     # 55 and 70 pass the decay window, where the t = 0 row ends
     for reach in (0.0, 2.5, 4.5, 7.0, 55.0, 70.0):
-        view = p.at_reach(reach)
-        assert view.k.size == p.rule_nodes(reach) != p.k.size
-        assert (view.spec, view.k_cut, view.norm) == (p.spec, p.k_cut,
-                                                      p.norm)
-        assert view.t0_row is p.t0_row
-        fine = fine_rule(p, reach)
         x, t = _within_reach(rng, reach, 64)
+        rule = p.rule_at(x, t)
+        assert rule.k.size == p.rule_nodes(
+            np.max(np.abs(x)) + np.max(np.abs(t))) != p.k.size
+        assert p.rule_at(x, t) is rule
+        fine = fine_rule(p, reach)
         rho, j = fine.rho_j(x, t)
-        rho_v, j_v = view.rho_j(x, t)
+        rho_v, j_v = p.rho_j(x, t)
         scale = np.max(np.abs(fine.rho(np.linspace(-reach, reach, 65), 0.0)))
         assert np.max(np.abs(rho_v - rho)) <= 1e-13 * scale
         assert np.max(np.abs(j_v - j)) <= 1e-13 * scale
 
 
 def test_view_panels_even_and_no_finer_than_parent(cos2, gauss):
-    # no rule is capped: a view may be finer than the packet's own rule
+    # no rule is capped: a rule may be finer than the packet's own
     for p in (cos2, gauss):
         for reach in (0.0, 1.0, 3.3, 4.5, 10.0, 31.0, 40.0, 1e3):
-            view = p.at_reach(reach)
-            panels = view.k.size // Packet.REACH_ORDER
-            assert view.k.size % Packet.REACH_ORDER == 0 and panels % 2 == 0
+            rule = p.rule_at(reach, 0.0)
+            panels = rule.k.size // Packet.REACH_ORDER
+            assert rule.k.size % Packet.REACH_ORDER == 0 and panels % 2 == 0
             # k = 0 on a panel edge: the nodes mirror about it, none on it
-            assert np.allclose(view.k, -view.k[::-1], rtol=0, atol=1e-12)
-            assert np.min(np.abs(view.k)) > 0
+            assert np.allclose(rule.k, -rule.k[::-1], rtol=0, atol=1e-12)
+            assert np.min(np.abs(rule.k)) > 0
     # the packet's own rule is that of its decay window
-    assert cos2.at_reach(cos2.decay_window()) is cos2
-    assert gauss.at_reach(1.0) is gauss
+    assert cos2.rule_at(cos2.decay_window(), 0.0).k is cos2.k
+    assert gauss.rule_at(1.0, 0.0).k is gauss.k
 
 
 def test_view_at_reach_zero(cos2):
-    view = cos2.at_reach(0.0)
-    assert view.k.size < cos2.k.size
-    rho, j = cos2.rho_j(0.0, 0.0)
-    rho_v, j_v = view.rho_j(0.0, 0.0)
+    # the rule the point (0, 0) runs on against the packet's own rule
+    assert cos2.rule_at(0.0, 0.0).k.size < cos2.k.size
+    rho, j = cos2.rule_at(cos2.decay_window(), 0.0).rho_j(0.0, 0.0)
+    rho_v, j_v = cos2.rho_j(0.0, 0.0)
     assert abs(rho_v - rho) <= 1e-13 * abs(rho)
     assert abs(j_v - j) <= 1e-13 * abs(rho)
 
@@ -197,13 +198,19 @@ def _times(kind, x):
                                        ("gauss", 300)])
 def test_fields_match_single_exp_oracle(request, packet, n, times):
     # the contraction over the panel split against one exp per (point,
-    # k-node)
-    pk = (request.getfixturevalue("cos2").at_reach(4.5) if packet == "view"
-          else request.getfixturevalue(packet))
+    # k-node), on the rule that ran: for "cos2", the packet's own rule
+    # (that of its decay window), and otherwise the rule Packet.fields
+    # picks for the points
+    pk = request.getfixturevalue("gauss" if packet == "gauss" else "cos2")
     x = np.random.default_rng(1).uniform(-3.0, 3.0, n)
     t = _times(times, x)
-    got = pk.fields(x, t, FIELD_ORDERS, nw=FIELD_NW)
-    want = packet_fields(pk, x, t, FIELD_ORDERS, nw=FIELD_NW)
+    if packet == "cos2":
+        rule = pk.rule_at(pk.decay_window(), 0.0)
+        got = rule.fields(x, t, FIELD_ORDERS, nw=FIELD_NW)
+    else:
+        rule = pk.rule_at(x, t)
+        got = pk.fields(x, t, FIELD_ORDERS, nw=FIELD_NW)
+    want = packet_fields(rule, x, t, FIELD_ORDERS, nw=FIELD_NW)
     for g, w in zip(got, want):
         assert g.shape == x.shape
         assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
@@ -212,16 +219,16 @@ def test_fields_match_single_exp_oracle(request, packet, n, times):
 def test_fields_group_over_several_chunks(cos2, monkeypatch):
     # one t shared by 300 points, taken 7 points a chunk, between groups
     # of one; the output is the same as in one chunk, up to rounding
-    view = cos2.at_reach(4.5)
     rng = np.random.default_rng(5)
     x = rng.uniform(-3.0, 3.0, 310)
     t = np.where(np.arange(x.size) < 300, 0.375, rng.uniform(0.0, 1.5, 310))
-    want = packet_fields(view, x, t, FIELD_ORDERS, nw=FIELD_NW)
-    one = view.fields(x, t, FIELD_ORDERS, nw=FIELD_NW)
-    mid, off = view._split
-    monkeypatch.setattr(Packet, "_CHUNK_BUDGET",
+    rule = cos2.rule_at(x, t)
+    want = packet_fields(rule, x, t, FIELD_ORDERS, nw=FIELD_NW)
+    one = cos2.fields(x, t, FIELD_ORDERS, nw=FIELD_NW)
+    mid, off = rule.split
+    monkeypatch.setattr(_Rule, "_CHUNK_BUDGET",
                         7 * (mid.size + off.size * len(FIELD_ORDERS)))
-    got = view.fields(x, t, FIELD_ORDERS, nw=FIELD_NW)
+    got = cos2.fields(x, t, FIELD_ORDERS, nw=FIELD_NW)
     for g, o, w in zip(got, one, want):
         assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
         assert np.max(np.abs(g - o)) <= 1e-13 * np.max(np.abs(w))
@@ -244,32 +251,87 @@ def test_rules_are_mirror_exact(spec):
     # the negation of node k, and omega bitwise even, on every rule
     p = Packet(spec)
     for reach in (0.0, 3.3, 10.0, 55.0, 400.0):
-        view = p.at_reach(reach)
-        assert np.array_equal(view.k, -view.k[::-1])
-        assert np.array_equal(view.omega, view.omega[::-1])
+        rule = p.rule_at(reach, 0.0)
+        assert np.array_equal(rule.k, -rule.k[::-1])
+        assert np.array_equal(rule.omega, rule.omega[::-1])
 
 
 def test_fields_refuse_a_rule_that_is_not_mirror_exact(cos2):
     k, w, split = packets._gl_panels(-cos2.k_cut, 0.9 * cos2.k_cut, 4, 24)
     with pytest.raises(ValueError, match="mirror-exact"):
-        copy.copy(cos2)._tabulate(k, w, split)
+        _Rule(k, w, split, cos2.norm * cos2.spec.shape_values(k))
 
 
 def test_fields_broadcast_shape(cos2):
-    view = cos2.at_reach(4.5)
     x = np.linspace(-1.0, 1.0, 3)[:, None]
     t = np.linspace(0.0, 1.0, 4)
-    psi, psix = view.fields(x, t, [(0, 0), (1, 0)])
-    want = packet_fields(view, x, t, [(0, 0), (1, 0)])
+    psi, psix = cos2.fields(x, t, [(0, 0), (1, 0)])
+    want = packet_fields(cos2.rule_at(x, t), x, t, [(0, 0), (1, 0)])
     assert psi.shape == psix.shape == (3, 4)
     assert np.max(np.abs(psi - want[0])) <= 1e-13 * np.max(np.abs(want[0]))
 
 
+@pytest.mark.parametrize("packet", ["cos2", "gauss"])
+def test_fields_run_on_the_rule_of_their_reach(request, packet):
+    # bitwise the sum on the rule of max |x| + max |t|, built here from
+    # rule_nodes alone, at scattered points of three reaches
+    p = request.getfixturevalue(packet)
+    rng = np.random.default_rng(7)
+    for half in (0.5, 3.0, 40.0):
+        x = rng.uniform(-half, half, 50)
+        t = rng.uniform(-1.0, 1.5, 50)
+        n = p.rule_nodes(np.max(np.abs(x)) + np.max(np.abs(t)))
+        k, w, split = packets._gl_panels(-p.k_cut, p.k_cut,
+                                         n // Packet.REACH_ORDER,
+                                         Packet.REACH_ORDER)
+        rule = _Rule(k, w, split, p.norm * p.spec.shape_values(k))
+        for got, want in zip(p.fields(x, t, FIELD_ORDERS, nw=FIELD_NW),
+                             rule.fields(x, t, FIELD_ORDERS, nw=FIELD_NW)):
+            assert np.array_equal(got, want)
+
+
+def test_each_rule_is_built_and_checked_once(monkeypatch):
+    # explode's library calls on a fresh packet, and all but
+    # zero_crossings (whose engine check holds the packet's own rule
+    # against the row) once more: every rule they run on is checked once
+    p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0)
+    checked = []
+    check = packets._check_rule
+
+    def counting(rule, row, reach):
+        checked.append(rule.k.size)
+        check(rule, row, reach)
+
+    monkeypatch.setattr(packets, "_check_rule", counting)
+    grid = Grid2D(0.0, 3.0, 31, 0.0, 1.5, 21)
+    zero_crossings(p)
+    for _ in range(2):
+        for t in (0.0, 1.5):
+            densities(p, np.linspace(-5.0, 5.0, 41), t)
+        annihilation_fronts(p, grid, 10)
+        p.rho_j(np.linspace(-2.0, 2.0, 5), 0.5)
+    assert len(checked) == len(set(checked)) == len(p._rules) == 4
+    assert p.k.size in checked
+
+
+def test_no_cycle_keeps_a_packet_alive():
+    # brentq's wrapper of f is a reference cycle; with the cyclic GC off,
+    # the packet must still go when its last reference does
+    p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0)
+    ref = weakref.ref(p)
+    gc.disable()
+    try:
+        zero_crossings(p)
+        del p
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_antiderivative_matches_direct_table(cos2_k40):
     p = cos2_k40
-    row = _fft_row(p, np.array([0.0, 0.5, 1.0]))
-    integral = _RowIntegral(row.rho, row.dx, row.band)
-    m = int(np.searchsorted(integral.k, row.band, side="right"))
+    integral = _fft_row(p, np.array([0.0, 0.5, 1.0]))
+    m = int(np.searchsorted(integral.k, integral.band, side="right"))
 
     def direct(x):
         table = np.exp(1j * np.multiply.outer(x, integral.k[:m]))
@@ -293,7 +355,6 @@ def test_fft_row_spectrum_only_inside_k_cut(cos2_k40):
     p = cos2_k40
     t = np.array([0.0, 0.75])
     for refine in (1, 2):
-        row = _fft_row(p, t, refine, nw=True)
         dx, n = fft_row_size(p, t, refine)
         dk = 2.0 * np.pi / (n * dx)
         m = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
@@ -303,17 +364,20 @@ def test_fft_row_spectrum_only_inside_k_cut(cos2_k40):
              * np.exp(np.multiply.outer(t, -1j * w)))
         rho = bilinear_rho(np.fft.ifft(c / np.sqrt(w)),
                            np.fft.ifft(-1j * np.sqrt(w) * c))
-        assert np.array_equal(row.rho, rho)
-        assert np.array_equal(row.rho_nw, np.abs(np.fft.ifft(c)) ** 2)
+        assert np.array_equal(_fft_row(p, t, refine).f, rho)
+        assert np.array_equal(_fft_row(p, t, refine, nw=True).f,
+                              np.abs(np.fft.ifft(c)) ** 2)
 
 
-def test_view_too_coarse_raises(cos2, monkeypatch):
-    # a view on an eighth of the panels its reach needs aliases rho there
+def test_view_too_coarse_raises(monkeypatch):
+    # a rule on an eighth of the panels its reach needs aliases rho
+    # there; a fresh packet, whose cache cannot hold the rule yet
+    p = Packet(PacketSpec(shape="cos2", a=1.0))
     rule = packets._gl_panels
     monkeypatch.setattr(packets, "_gl_panels", lambda lo, hi, n, order:
                         rule(lo, hi, max(2, n // 8), order))
     with pytest.raises(ArithmeticError, match="too coarse"):
-        cos2.at_reach(4.5)
+        p.fields(4.5, 0.0, [(0, 0)])
 
 
 def test_parity_cos2(cos2):
@@ -450,8 +514,8 @@ def test_fft_row_size_rule(request, packet):
             assert n == next(m for m in _EVEN_SMOOTH
                              if np.pi * m / (refine * box) > band)
             assert np.pi / dx > band
-            row = _fft_row(p, t, refine, rho=False, nw=True)
-            assert row.rho_nw.size == n and row.band == band
+            row = _fft_row(p, t, refine, nw=True)
+            assert row.f.size == n and row.band == band
 
 
 @pytest.mark.parametrize("packet", ["cos2", "gauss"])
@@ -464,7 +528,7 @@ def test_sizes_past_the_float_range_are_size_errors(request, packet):
         with pytest.raises(SizeError, match="k rule of reach"):
             p.rule_nodes(far)
         with pytest.raises(SizeError, match="k rule of reach"):
-            p.at_reach(far)
+            p.fields(far, 0.0, [(0, 0)])
     for t in (1e308, np.inf, np.nan):
         for refine in (1, 2):
             with pytest.raises(SizeError, match="FFT row"):
@@ -508,8 +572,8 @@ def test_abs_total_matches_finer_row(cos2_gl24):
     # on a row 16 times finer, and the direct-sum antiderivative
     for t in (0.0, 0.5, 1.0, 1.5):
         row = _fft_row(cos2_gl24, t)
-        want = abs_mass(row.rho, row.dx, row.band)
-        got = _RowIntegral(row.rho, row.dx, row.band).abs_total()
+        want = abs_mass(row.f, row.dx, row.band)
+        got = row.abs_total()
         assert got == pytest.approx(want, rel=1e-9)
 
 
