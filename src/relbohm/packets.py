@@ -26,16 +26,20 @@ trigonometric interpolant (_RowIntegral).
 
 Neither engine takes one complex exponential per (point, k-node).  Node
 p J + j of a Gauss-Legendre rule is its panel's centre plus an offset,
-mid_p + off_j, so a rule's fields (_Rule.fields) group the points by
-distinct t and, with C(t) = coefs e^{-i omega t}, sum psi = sum_j e^{i x
-off_j} sum_p e^{i x mid_p} C_pj(t): one matrix product and a short sum
-per group, with no array of points x k-nodes.  omega is even and every
-rule mirror-exact (_gl_panels), so e^{-i omega t} is taken once per |k|,
-in the FFT rows too.  The sums agree with one exponential per (point,
-node) to 4e-15 of max |psi| for |x| <= 3 and 5.3e-14 for |x| <= 25.  The
-antiderivative of an FFT row splits its modes m = q B + r alike and
-tabulates e^{ikx} as the product of two short tables (_waves), shared by
-the row's stack.
+mid_p + off_j, and e^{ikx} the product of e^{i x mid_p} and e^{i x
+off_j} (_waves).  A rule's fields (_Rule.fields) group the points by
+distinct t.  A t that several points share takes C(t) = coefs e^{-i
+omega t} once and sums psi = sum_j e^{i x off_j} sum_p e^{i x mid_p}
+C_pj(t): one matrix product and a short sum per group, with no array of
+points x k-nodes.  The points whose t no other point shares are summed
+together, one (points x k-nodes) product a chunk.  omega is even and
+every rule mirror-exact (_gl_panels), so e^{-i omega t} is taken once
+per |k|, in the FFT rows too.  Both paths agree with one exponential per
+(point, node) to 4e-15 of max |psi| for |x| <= 3 and 5.3e-14 for |x| <=
+25.  The antiderivative of an FFT row splits its modes m = q B + r alike
+and sums the series of a stack of rows on one such table, as one real
+product (_fourier_re); FrontKernel makes its rows in blocks of bounded
+size and keeps only their series.
 """
 
 from __future__ import annotations
@@ -195,12 +199,13 @@ class _Rule(_Densities):
     (_gl_panels on [-k_cut, k_cut]): fields takes e^{-i omega t} once
     per |k|."""
 
-    #: points x (panels + J orders) of a fields chunk, for J nodes a
-    #: panel: the size of its e^{i x mid} and its inner sums together.
-    #: A chunk takes ~30 bytes per entry with the phases and e^{i x off}:
-    #: 20 000 points on the 1 968-node rule, with three orders, raised
-    #: the peak RSS by 7.6 MB at 250 000, 27.5 MB at 1 000 000 and
-    #: 60.5 MB at 4 000 000, at the same speed
+    #: entries of a fields chunk's largest arrays: points x (panels + J
+    #: orders) at a shared t, for J nodes a panel (its e^{i x mid} and
+    #: inner sums), and points x k-nodes at unshared ones (their e^{ikx}
+    #: and e^{-i omega t}).  20 000 points on the 1 968-node rule, with
+    #: three orders, raised the peak RSS by 7.8 MB at one t and 12.2 MB at
+    #: distinct t with 250 000, and by 27.6 and 44.7 MB with 1 000 000,
+    #: no faster
     _CHUNK_BUDGET = 250_000
 
     def __init__(self, k: np.ndarray, weights: np.ndarray, split,
@@ -220,44 +225,58 @@ class _Rule(_Densities):
             coef = coef * (-1j * self.omega) ** dt
         return coef
 
-    def _wave_t(self, t: float) -> np.ndarray:
-        """e^{-i omega t} on the k-nodes.  omega is even and the rule
-        mirror-exact, so the nodes of one |k| share a value, taken once
-        on the upper half and mirrored onto the lower."""
+    def _wave_t(self, t) -> np.ndarray:
+        """e^{-i omega t} on the k-nodes, shape t.shape + (k.size,): one
+        row per t of an array.  omega is even and the rule mirror-exact,
+        so the nodes of one |k| share a value, taken once on the upper
+        half and mirrored onto the lower."""
         n = self.k.size
         half = n // 2
-        wave = np.empty(n, dtype=complex)
-        wave[half:] = _cis(-t * self.omega[half:])
-        wave[:half] = wave[n - half:][::-1]
+        wave = np.empty(np.shape(t) + (n,), dtype=complex)
+        wave[..., half:] = _cis(np.multiply.outer(-t, self.omega[half:]))
+        wave[..., :half] = wave[..., n - half:][..., ::-1]
         return wave
 
     def fields(self, x, t, orders, nw=False) -> list[np.ndarray]:
         """Packet.fields on this rule, whatever the points' reach.
 
-        Points are grouped by distinct t; a point whose t no other point
-        shares is a group of one.  A group takes C(t) = coefs e^{-i omega
-        t} once (_wave_t: one cos and sin per |k|).  Node p J + j of the
-        rule is mid_p + off_j (the panel split of _gl_panels), so psi =
-        sum_j e^{i x off_j} sum_p e^{i x mid_p} C_{pj}(t): a matrix
-        product of the points' e^{i x mid} with C(t) as P x (J orders)
-        gives the inner sums for every order at once, and a sum over j
-        against e^{i x off} finishes them.  No array spans points x
-        k-nodes; a group is taken in chunks of _CHUNK_BUDGET entries.
+        Points are grouped by distinct t.  A t shared by several points
+        takes C(t) = coefs e^{-i omega t} once (_wave_t: one cos and sin
+        per |k|).  Node p J + j of the rule is mid_p + off_j (the panel
+        split of _gl_panels), so psi = sum_j e^{i x off_j} sum_p e^{i x
+        mid_p} C_{pj}(t): a matrix product of the points' e^{i x mid}
+        with C(t) as P x (J orders) gives the inner sums for every order
+        at once, and a sum over j against e^{i x off} finishes them.  The
+        points whose t no other point shares (contour vertices on grid
+        columns) are summed together instead, a chunk at a time: their
+        e^{ikx} (_waves) times their e^{-i omega t} (_wave_t, K/2 cos and
+        sin a point), then one product with the coefs.  Both paths take
+        chunks of _CHUNK_BUDGET entries.
         """
         x, t = np.broadcast_arrays(np.asarray(x, dtype=float),
                                    np.asarray(t, dtype=float))
         shape = x.shape
         by_t = np.argsort(t, axis=None, kind="stable")
-        xf = x.ravel()[by_t]
-        times, starts = np.unique(t.ravel()[by_t], return_index=True)
+        xf, tf = x.ravel()[by_t], t.ravel()[by_t]
+        times, starts, counts = np.unique(tf, return_index=True,
+                                          return_counts=True)
         coefs = np.stack([self._coef(dx, dt, bool(flag)) for (dx, dt), flag
                           in zip(orders, np.broadcast_to(nw, len(orders)))],
                          axis=1)
+        out = np.empty((len(orders), xf.size), dtype=complex)
+        alone = starts[counts == 1]
+        chunk = max(1, self._CHUNK_BUDGET // self.k.size)
+        for i in range(0, alone.size, chunk):
+            j = alone[i:i + chunk]
+            waves = _waves(xf[j], self.split)
+            waves *= self._wave_t(tf[j])
+            out[:, by_t[j]] = (waves @ coefs).T
         mid, off = self.split
         n_ord = len(orders)
-        out = np.empty((n_ord, xf.size), dtype=complex)
         chunk = max(1, self._CHUNK_BUDGET // (mid.size + off.size * n_ord))
-        for s, lo, hi in zip(times, starts, np.append(starts[1:], xf.size)):
+        shared = counts > 1
+        for s, lo, hi in zip(times[shared], starts[shared],
+                             (starts + counts)[shared]):
             C = (coefs * self._wave_t(s)[:, None]).reshape(mid.size, -1)
             for i in range(lo, hi, chunk):
                 sl = slice(i, min(i + chunk, hi))
@@ -529,6 +548,33 @@ def _check_rule(rule: _Rule, row: _RowIntegral, reach: float) -> None:
             f"{0.5 * row.band:g} falls short")
 
 
+def _fourier_re(x, dk, series, diagonal: bool = False) -> np.ndarray:
+    """Re sum_m c_m e^{i m dk x} at a 1-d array x for the coefficients c
+    of series (one row, or a stack of rows along its first axis): one
+    column per row, or with diagonal, row r at x[r] alone.
+
+    The table of e^{i m dk x} is a product (_waves): with B = ceil(sqrt(
+    M)) for M modes, mode m = q B + r takes e^{i x q B dk} e^{i x r dk},
+    and the columns past M that fill the last q are dropped.  Each table
+    holds at most 2^21 entries and is taken once for all rows, in one real
+    product: Re(table c) = [Re table, -Im table] [Re c, Im c], with the
+    real and imaginary parts interleaved.  That is the float view of the
+    conjugate table, which _waves gives bitwise at -x, times that of c.
+    """
+    m = series.shape[-1]
+    base = int(np.ceil(np.sqrt(m)))
+    split = (dk * base * np.arange(-(-m // base)), dk * np.arange(base))
+    coef = series.view(float)
+    out = np.empty(x.shape if diagonal else x.shape + series.shape[:-1])
+    step = max(1, 2 ** 21 // (base * split[0].size))
+    for i in range(0, x.size, step):
+        sl = slice(i, i + step)
+        table = _waves(-x[sl], split)[:, :m].view(float)
+        out[sl] = (np.einsum("rm,rm->r", table, coef[sl]) if diagonal
+                   else table @ coef.T)
+    return out
+
+
 class _RowIntegral:
     """Integrals of a real periodic row on its trigonometric interpolant.
 
@@ -562,28 +608,11 @@ class _RowIntegral:
     def antiderivative(self, x, diagonal: bool = False) -> np.ndarray:
         """G(x) = mean x + Re sum_m f_m e^{ik_m x} / (i k_m), so G' = f, at
         a 1-d array x; one column per row of a stack, or with diagonal,
-        G of row r at x[r] alone.
-
-        The rows share each table of e^{ik_m x}, of at most 2^21 entries
-        to bound memory.  A table is a product (_waves): with B = ceil(
-        sqrt(M)) for M modes, mode m = q B + r takes e^{i x q B dk} e^{i x
-        r dk}, and the modes past M that fill the last q carry zero.
-        """
-        m = self.m
-        base = int(np.ceil(np.sqrt(m)))
-        split = (self.dk * base * np.arange(-(-m // base)),
-                 self.dk * np.arange(base))
-        series = np.zeros(self.series.shape[:-1] + (split[0].size * base,),
-                          dtype=complex)
-        series[..., :m] = self.series[..., :m]
+        G of row r at x[r] alone (_fourier_re on the modes up to the
+        band)."""
         G = x * self.mean if diagonal else np.multiply.outer(x, self.mean)
-        step = max(1, 2 ** 21 // series.shape[-1])
-        for i in range(0, x.size, step):
-            sl = slice(i, i + step)
-            table = _waves(x[sl], split)
-            G[sl] += (np.einsum("rm,rm->r", table, series[sl]) if diagonal
-                      else table @ series.T).real
-        return G
+        return G + _fourier_re(x, self.dk, self.series[..., :self.m],
+                               diagonal)
 
     def abs_total(self) -> float:
         """int |f| over the period, for one row: +-int f between
@@ -767,7 +796,16 @@ class FrontKernel:
     Nyquist limit, and dx varies with the box); past +-L, where the
     row's periodic images begin, F is held at 0 and at twice the charge
     in [-L, L].  k holds the t = 0 row's modes inside [-k_cut, k_cut].
+
+    evaluate keeps of each row only its Fourier series up to the band, so
+    its working set is one block of rows, the series and one e^{ikx}
+    table on x: on the explode-cos2 benchmark grid (121 x 81 points, rows
+    of 8 748 and 17 496 points) its tracemalloc peak is 21.5 MB.
     """
+
+    #: most row points made at once: 2^17, about 2 MB per complex array
+    #: of a block's rows
+    BLOCK_ROW_POINTS = 2 ** 17
 
     def __init__(self, packet: Packet):
         self.packet = packet
@@ -777,28 +815,41 @@ class FrontKernel:
 
     def evaluate(self, x, t) -> np.ndarray:
         """F on the tensor grid x * t, shape (x.size, t.size).  Times are
-        grouped by row size and taken in parts of at most 2^19 row
-        points, to bound memory: each part makes its rows, integrates
-        them on their own dx and fills its columns of F, with one e^{ikx}
-        table on x.  The ends G(+-L) are taken on each row at its own L
-        alone."""
+        grouped by row size; rows of one size are made in blocks of at
+        most BLOCK_ROW_POINTS row points (one row at least), and a block
+        keeps only its series up to the band, its mean and G(-L), and
+        G(+L) where some x passes it, each row at its own L alone.  Then
+        one real product per row size gives G on x (_fourier_re), with
+        one e^{ikx} table."""
         x, t = np.ravel(x), np.ravel(t)
         F = np.empty((x.size, t.size))
         sizes = np.array([fft_row_size(self.packet, s)[1] for s in t])
         for n in np.unique(sizes):
             cols = np.nonzero(sizes == n)[0]
-            for part in np.array_split(cols, -(-cols.size * n // 2 ** 19)):
-                F[:, part] = self._columns(x, t[part])
+            F[:, cols] = self._rows(x, t[cols], n)
         return F
 
-    def _columns(self, x, t) -> np.ndarray:
-        """F at x on the rows of the times t, of one size: a call of its
-        own frees a part's rows before the next part's are made (held,
-        they raised an explode run's peak RSS by up to 16 MB)."""
-        integral = _fft_row(self.packet, t)
+    def _rows(self, x, t, n: int) -> np.ndarray:
+        """F at x on the rows of the times t, all of n points."""
         L = self.packet.decay_window() + np.abs(t)
-        lo, hi = (integral.antiderivative(e, diagonal=True) for e in (-L, L))
-        G = np.where(x[:, None] > L, hi, integral.antiderivative(x))
+        x_max = np.max(x, initial=-np.inf)
+        mean, series, lo = np.empty(t.size), [], np.empty(t.size)
+        # G(+L) only where some x passes it: np.where picks no NaN
+        hi = np.full(t.size, np.nan)
+        step = max(1, self.BLOCK_ROW_POINTS // n)
+        for i in range(0, t.size, step):
+            sl = slice(i, i + step)
+            row = _fft_row(self.packet, t[sl])
+            mean[sl] = row.mean
+            series.append(row.series[:, :row.m])
+            lo[sl] = row.antiderivative(-L[sl], diagonal=True)
+            if x_max > np.min(L[sl]):
+                hi[sl] = row.antiderivative(L[sl], diagonal=True)
+        # the last block's rows go before the e^{ikx} table is made
+        dk, series = row.dk, np.concatenate(series)
+        del row
+        G = np.multiply.outer(x, mean) + _fourier_re(x, dk, series)
+        G = np.where(x[:, None] > L, hi, G)
         return 2.0 * (np.where(x[:, None] < -L, lo, G) - lo)
 
 

@@ -362,6 +362,25 @@ def test_explode_densities_past_the_decay_window(tmp_path):
         assert np.max(np.abs(col[name][far])) <= 1e-12 * col["rho"][2]
 
 
+def test_explode_rows_past_a_block(tmp_path):
+    # F-grid times near t = 2 000 take rows of over 2^19 points on a box
+    # of 4 096, more than a FrontKernel block holds: each is made alone
+    # (split into more parts than rows, they once met an empty time array
+    # and exited 1 with a traceback)
+    cfg = write_cfg(tmp_path, "late.json", {
+        "packet": {"shape": "cos2", "a": 1.0},
+        "t_values": [0.0], "p_times": [0.0], "n_levels": 2,
+        "density_x": {"min": -5.0, "max": 5.0, "n": 11},
+        "grid": {"x_min": 0.0, "x_max": 3.0, "n_x": 5,
+                 "t_min": 1999.0, "t_max": 2000.0, "n_t": 2}})
+    p = packets.Packet(packets.PacketSpec(shape="cos2", a=1.0))
+    assert packets.fft_row_size(p, 1999.0)[1] > 2 ** 19
+    out = tmp_path / "out"
+    assert run(["explode", "--config", cfg, "--out", str(out)]) == 0
+    names, rows = _table(out / "fronts.csv")
+    assert rows.size and np.all(np.isfinite(rows[:, names.index("x")]))
+
+
 def _outputs(out):
     """Each output file's lines, the config-hash line dropped."""
     return {path.name: [ln for ln in path.read_text().splitlines()

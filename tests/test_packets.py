@@ -234,6 +234,44 @@ def test_fields_group_over_several_chunks(cos2, monkeypatch):
         assert np.max(np.abs(g - o)) <= 1e-13 * np.max(np.abs(w))
 
 
+def test_fields_of_unshared_t_over_several_chunks(cos2, monkeypatch):
+    # 300 points, each of its own t, summed together 110 points a chunk:
+    # against one exponential per (point, k-node) and against one chunk
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-3.0, 3.0, 300)
+    t = rng.uniform(0.0, 1.5, 300)
+    assert np.unique(t).size == t.size
+    rule = cos2.rule_at(x, t)
+    want = packet_fields(rule, x, t, FIELD_ORDERS, nw=FIELD_NW)
+    monkeypatch.setattr(_Rule, "_CHUNK_BUDGET", x.size * rule.k.size)
+    one = rule.fields(x, t, FIELD_ORDERS, nw=FIELD_NW)
+    monkeypatch.setattr(_Rule, "_CHUNK_BUDGET", 110 * rule.k.size)
+    got = rule.fields(x, t, FIELD_ORDERS, nw=FIELD_NW)
+    for g, o, w in zip(got, one, want):
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+        assert np.max(np.abs(g - o)) <= 1e-13 * np.max(np.abs(w))
+
+
+def test_unshared_t_take_one_cis_a_chunk(cos2, monkeypatch):
+    # points of distinct t (contour vertices on grid columns) once took
+    # e^{-i omega t} one point at a time; a chunk of them takes one _cis
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0.0, 3.0, 1000)
+    t = rng.uniform(0.0, 1.5, 1000)
+    rule = cos2.rule_at(x, t)
+    calls = []
+
+    def counting(phase):
+        calls.append(np.shape(phase))
+        return cis(phase)
+
+    cis = packets._cis
+    monkeypatch.setattr(packets, "_cis", counting)
+    rule.fields(x, t, FIELD_ORDERS, nw=FIELD_NW)
+    chunk = _Rule._CHUNK_BUDGET // rule.k.size
+    assert len(calls) <= -(-x.size // chunk) < x.size // 50
+
+
 def test_fields_of_no_points(cos2):
     for x in (np.empty(0), np.empty((0, 3))):
         got = cos2.fields(x, 0.5, FIELD_ORDERS, nw=FIELD_NW)
@@ -565,6 +603,34 @@ def test_front_kernel_matches_finer_rows(request, packet):
     want = front_kernel_fine(p, x, t)
     got = FrontKernel(p).evaluate(x, t)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.ptp(want)
+
+
+def test_front_kernel_rows_in_blocks(cos2_k40, monkeypatch):
+    # blocks of two rows: the seven rows on the box of 64 take four, the
+    # three on the box of 128 (over two rows' points each) one apiece;
+    # against the finer rows, with x past +-L (every block takes G(+L))
+    # and with x inside it (no block does)
+    p = cos2_k40
+    t = np.linspace(0.0, 1.5, 10)
+    n = fft_row_size(p, 0.0)[1]
+    monkeypatch.setattr(FrontKernel, "BLOCK_ROW_POINTS", 2 * n)
+    made = []
+
+    def counting(packet, t, *args, **kwargs):
+        made.append(np.size(t))
+        return fft_row(packet, t, *args, **kwargs)
+
+    fft_row = packets._fft_row
+    monkeypatch.setattr(packets, "_fft_row", counting)
+    kernel = FrontKernel(p)
+    for x in (np.concatenate([np.linspace(0.0, 3.0, 31),
+                              [-40.0, -32.5, 32.2, 32.5, 40.0]]),
+              np.linspace(-30.0, 30.0, 41)):
+        made.clear()
+        got = kernel.evaluate(x, t)
+        assert made == [2, 2, 2, 1, 1, 1, 1]
+        want = front_kernel_fine(p, x, t)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.ptp(want)
 
 
 def test_abs_total_matches_finer_row(cos2_gl24):
