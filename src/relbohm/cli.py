@@ -127,7 +127,8 @@ def cmd_modes(cfg: dict, args) -> int:
     n_levels = _count(cfg.get("n_levels", 30), "n_levels")
     out = _out_dir(args)
 
-    F, traj = modes.trajectories(state, grid, n_levels, args.threads)
+    F, rho = modes.grid_fields(state, grid, args.threads)
+    traj = modes.trajectory_family(state, grid, F, n_levels)
     xs, ts = grid.x, grid.t
     write_csv(out / "f_grid.csv", ["x", "t", "F"],
               [np.repeat(xs, grid.n_t), np.tile(ts, grid.n_x), F.ravel()],
@@ -135,7 +136,6 @@ def cmd_modes(cfg: dict, args) -> int:
     write_csv(out / "trajectories.csv",
               ["level_id", "vertex_id", "x", "t", "rho_sign", "v"],
               traj.columns(), cfg)
-    rho, _ = modes._rho_j(state, xs[:, None], ts[None, :])
     write_json(out / "summary.json", {
         "mean_group_velocity": modes.mean_rest_frame_check(state),
         "pair_events": traj.n_pair_events,

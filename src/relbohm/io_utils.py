@@ -13,6 +13,16 @@ it to 20 kB in place took 47 ms.  Because the text is complete before
 the file is opened, an exception while formatting leaves the previous
 file as it was.  A non-finite float stops a write the same way, by a
 FloatingPointError, bar NaN in the CSV columns it flags (NAN_FLAGGED).
+
+A numeric CSV column is formatted once per distinct value and gathered
+back by index: a grid axis holds few distinct values among many rows
+(121 among 14 641 in a 121 x 121 f_grid.csv).  repr stays the formatter:
+on 20 000 normal floats (2-vCPU KVM guest, best of 9) it took 12.0 ms,
+against 23.0 ms for ndarray.astype(str) and 23.7 ms for StringDType.
+
+parallel_rows maps a function over fixed blocks of rows, so that a
+block's work can be one array pass and its result does not depend on
+the thread count.
 """
 
 from __future__ import annotations
@@ -71,15 +81,24 @@ def _fmt(v) -> str:
 def _column_text(col) -> list[str]:
     """One column's values as CSV fields, each as _fmt would give it.
 
-    A float array goes through repr over .tolist() and an int array
-    through str, in one pass each; anything else goes value by value.
+    A float or int array is formatted once per distinct value (repr for
+    floats, str for ints), and the strings are gathered back by the
+    inverse index.  Values are told apart by their bit pattern, so 0.0
+    and -0.0 (and NaNs of different payloads) stay apart.  A grid axis
+    written as np.repeat or np.tile holds few distinct values among many
+    rows.  Anything else goes value by value.
     """
     kind = col.dtype.kind if isinstance(col, np.ndarray) else None
-    if kind == "f":
-        return list(map(repr, col.tolist()))
-    if kind in ("i", "u"):
-        return list(map(str, col.tolist()))
-    return [_fmt(v) for v in col]
+    if kind not in ("f", "i", "u"):
+        return [_fmt(v) for v in col]
+    fmt = repr if kind == "f" else str
+    distinct, inverse = np.unique(col.view(f"u{col.itemsize}"),
+                                  return_inverse=True)
+    if distinct.size == col.size:
+        return list(map(fmt, col.tolist()))
+    text = np.array(list(map(fmt, distinct.view(col.dtype).tolist())),
+                    dtype=object)
+    return text[inverse].tolist()
 
 
 def _overwrite(path, text: str) -> None:
@@ -92,10 +111,17 @@ def _overwrite(path, text: str) -> None:
 def write_csv(path, header: list[str], columns, config: dict) -> None:
     """Write equal-length columns under a metadata comment header.
 
-    Floats are repr-exact.  A non-finite value raises FloatingPointError
-    (the CLI exits 3) naming the file and the column before the file is
-    opened, except a NaN in a NAN_FLAGGED column.
+    Floats are repr-exact; each distinct value of a numeric column is
+    formatted once (_column_text).  A header whose names do not match
+    the columns one for one raises ValueError, and a non-finite value
+    FloatingPointError (the CLI exits 3) naming the file and the
+    column, both before the file is opened; a NaN in a NAN_FLAGGED
+    column is allowed.
     """
+    columns = list(columns)
+    if len(header) != len(columns):
+        raise ValueError(f"CSV header names {len(header)} columns, "
+                         f"{len(columns)} given")
     for name, values in zip(header, map(np.asarray, columns)):
         if values.dtype.kind != "f":
             continue
@@ -148,23 +174,19 @@ def write_json(path, payload: dict, config: dict) -> None:
 
 
 def parallel_rows(fn, n_rows: int, n_threads: int) -> list:
-    """Evaluate fn(i) for i in range(n_rows), optionally threaded.
+    """Evaluate fn(rows) for each block of rows, optionally threaded.
 
-    Work is split into fixed ROW_CHUNK blocks and reassembled by index,
-    so the result is independent of n_threads (each row's arithmetic is
-    self-contained).
+    The rows range(n_rows) are split into fixed blocks of ROW_CHUNK, and
+    fn gets each block as a slice and returns that block's result; the
+    results come back in block order.  The blocks do not depend on
+    n_threads and each block's arithmetic is self-contained, so neither
+    does the result.  No thread pool is started for a single block, and
+    never more workers than blocks.
     """
-    out = [None] * n_rows
-
-    def run_block(start: int):
-        for i in range(start, min(start + ROW_CHUNK, n_rows)):
-            out[i] = fn(i)
-
-    starts = range(0, n_rows, ROW_CHUNK)
-    if n_threads <= 1:
-        for s in starts:
-            run_block(s)
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(run_block, starts))
-    return out
+    blocks = [slice(s, min(s + ROW_CHUNK, n_rows))
+              for s in range(0, n_rows, ROW_CHUNK)]
+    workers = min(n_threads, len(blocks))
+    if workers <= 1:
+        return [fn(rows) for rows in blocks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, blocks))

@@ -27,8 +27,9 @@ __all__ = [
     "TrajectorySet",
     "velocity_discrete",
     "integral_F",
+    "grid_fields",
     "contour_family",
-    "trajectories",
+    "trajectory_family",
     "mean_rest_frame_check",
 ]
 
@@ -88,15 +89,24 @@ def _mode_amplitudes(state: ModeSet, z, t) -> np.ndarray:
               - w * np.asarray(t)[..., None]))
 
 
+def _pair_products(state: ModeSet, z, t) -> np.ndarray:
+    """conj(u_a) u_b of every mode pair, shape (..., n_modes, n_modes)."""
+    u = _mode_amplitudes(state, z, t)
+    return np.conj(u)[..., :, None] * u[..., None, :]
+
+
+def _rho_of_pairs(state: ModeSet, uu: np.ndarray) -> np.ndarray:
+    """Charge density from the pair products of _pair_products."""
+    w = state.omega
+    return np.sum(0.5 * (w[:, None] + w[None, :]) * uu.real, axis=(-2, -1))
+
+
 def _rho_j(state: ModeSet, z, t):
     """Charge density and current from the symmetrized double sums."""
-    u = _mode_amplitudes(state, z, t)
-    uu = np.conj(u)[..., :, None] * u[..., None, :]
-    w = state.omega
-    rho = np.sum(0.5 * (w[:, None] + w[None, :]) * uu.real, axis=(-2, -1))
+    uu = _pair_products(state, z, t)
     j = np.sum(0.5 * (state.k[:, None] + state.k[None, :]) * uu.real,
                axis=(-2, -1))
-    return rho, j
+    return _rho_of_pairs(state, uu), j
 
 
 def velocity_discrete(state: ModeSet, z: float, t: float):
@@ -133,14 +143,35 @@ def integral_F(state: ModeSet, z, t):
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
     re, im = double_sum_parts(state, z, t)
+    _check_purity(re, im)
+    out = _F_of(state, z, t, im)
+    return float(out) if out.ndim == 0 else out
+
+
+def _check_purity(re: np.ndarray, im: np.ndarray) -> None:
+    """ArithmeticError unless max |re| <= PURITY_TOL max |im|."""
     scale = np.max(np.abs(im)) + 1e-14
     if np.max(np.abs(re)) > PURITY_TOL * scale:
         raise ArithmeticError(
             "double sum of the integral of motion is not pure imaginary: "
             f"max |Re| = {np.max(np.abs(re)):.3e}")
-    mean_v = mean_rest_frame_check(state)
-    out = (z - mean_v * t) + im / state.weight
-    return float(out) if out.ndim == 0 else out
+
+
+def _F_of(state: ModeSet, z, t, im) -> np.ndarray:
+    """F from the imaginary part of the double sum at (z, t)."""
+    return (z - mean_rest_frame_check(state) * t) + im / state.weight
+
+
+def _double_sum(state: ModeSet, uu: np.ndarray) -> np.ndarray:
+    """The double sum from the pair products of _pair_products: pair
+    (a, b) weighs (omega_a + omega_b)/(k_b - k_a), and a = b nothing."""
+    k = state.k
+    w = state.omega
+    dk = k[None, :] - k[:, None]
+    coef = np.where(dk != 0.0,
+                    (w[:, None] + w[None, :]) / np.where(dk != 0.0, dk, 1.0),
+                    0.0)
+    return 0.5 * np.sum(uu * coef, axis=(-2, -1))
 
 
 def double_sum_parts(state: ModeSet, z, t):
@@ -150,17 +181,33 @@ def double_sum_parts(state: ModeSet, z, t):
     helper exposes both parts so callers can measure the stray real
     residue directly.
     """
-    u = _mode_amplitudes(state, np.asarray(z, dtype=float),
-                         np.asarray(t, dtype=float))
-    k = state.k
-    w = state.omega
-    dk = k[None, :] - k[:, None]
-    coef = np.where(dk != 0.0,
-                    (w[:, None] + w[None, :]) / np.where(dk != 0.0, dk, 1.0),
-                    0.0)
-    dbl = 0.5 * np.sum(np.conj(u)[..., :, None] * u[..., None, :] * coef,
-                       axis=(-2, -1))
+    dbl = _double_sum(state, _pair_products(
+        state, np.asarray(z, dtype=float), np.asarray(t, dtype=float)))
     return dbl.real, dbl.imag
+
+
+def grid_fields(state: ModeSet, grid: Grid2D, threads: int = 1):
+    """F and rho on grid, each of shape (n_x, n_t).
+
+    Each block of io_utils.ROW_CHUNK rows takes one set of mode
+    amplitudes and one pair product conj(u_a) u_b, and sums from it both
+    the double sum of F and rho; the blocks run through
+    io_utils.parallel_rows, so the result does not depend on threads.
+    Each value equals integral_F at its row and _rho_j on the whole grid
+    bit for bit.  The purity check is integral_F's, row by row.
+    """
+    t = grid.t
+
+    def block(rows):
+        z = grid.x[rows, None]
+        uu = _pair_products(state, z, t[None, :])
+        dbl = _double_sum(state, uu)
+        for re, im in zip(dbl.real, dbl.imag):
+            _check_purity(re, im)
+        return _F_of(state, z, t, dbl.imag), _rho_of_pairs(state, uu)
+
+    F, rho = zip(*io_utils.parallel_rows(block, grid.n_x, threads))
+    return np.concatenate(F), np.concatenate(rho)
 
 
 def mean_rest_frame_check(state: ModeSet) -> float:
@@ -245,14 +292,24 @@ def trajectories(state: ModeSet, grid: Grid2D, n_levels: int,
                  threads: int = 1):
     """Trajectory family: iso-contours of F at n_levels even levels.
 
-    F is evaluated row by row at fixed x through io_utils.parallel_rows,
-    so the result does not depend on threads.  Returns (F, TrajectorySet)
-    with F of shape (n_x, n_t).  Warns if F varies by more than one level
-    spacing across a grid cell (contours can then miss structure).
+    grid_fields then trajectory_family, for a caller that needs no rho
+    grid (the modes command needs it, and calls the two itself).  F
+    comes from one pass per block of rows, so the result does not
+    depend on threads.  Returns (F, TrajectorySet) with F of shape
+    (n_x, n_t).  Warns if F varies by more than one level spacing across
+    a grid cell (contours can then miss structure).
     """
-    F = np.array(io_utils.parallel_rows(
-        lambda i: np.asarray(integral_F(state, grid.x[i], grid.t)),
-        grid.n_x, threads))
+    F, _ = grid_fields(state, grid, threads)
+    return F, trajectory_family(state, grid, F, n_levels)
+
+
+def trajectory_family(state: ModeSet, grid: Grid2D, F: np.ndarray,
+                      n_levels: int) -> TrajectorySet:
+    """The TrajectorySet of trajectories, from F of grid_fields.
+
+    For a caller that also needs grid_fields' rho; it warns as
+    trajectories does, at its own caller.
+    """
     traj = contour_family(F, grid, n_levels,
                           lambda x, t: _rho_j(state, x, t), state._rho_floor)
     spacing = float(F.max() - F.min()) / n_levels
@@ -263,5 +320,4 @@ def trajectories(state: ModeSet, grid: Grid2D, n_levels: int,
             f"grid too coarse for the requested levels: F jumps by up to "
             f"{cell_jump:.3g} per cell vs level spacing {spacing:.3g}",
             RuntimeWarning, stacklevel=2)
-    return F, traj
-
+    return traj

@@ -647,13 +647,54 @@ def test_spin_unknown_kind(tmp_path):
 
 def test_modes_thread_determinism(tmp_path):
     outs = []
-    for n in ("1", "8"):
+    for n in ("1", "2", "8"):
         out = tmp_path / f"out{n}"
         assert run(["modes", "--config", "two_mode.json", "--out", str(out),
                     "--quick", "--threads", n]) == 0
         outs.append(out)
     for name in ("f_grid.csv", "trajectories.csv", "summary.json"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        for other in outs[1:]:
+            assert (outs[0] / name).read_bytes() == (other / name).read_bytes()
+
+
+@pytest.mark.parametrize("config", ["two_mode.json", "fig1.json"])
+def test_modes_census_is_the_full_grid_rho(tmp_path, config):
+    out = tmp_path / "out"
+    assert run(["modes", "--config", config, "--out", str(out),
+                "--quick"]) == 0
+    cfg = json.loads(resources.files("relbohm").joinpath(
+        "configs", config).read_text())
+    state = modes.ModeSet(k=cfg["k"],
+                          phi=[complex(re, im) for re, im in cfg["phi"]])
+    g = {**cfg["grid"], "n_x": (cfg["grid"]["n_x"] + 1) // 2,
+         "n_t": (cfg["grid"]["n_t"] + 1) // 2}
+    grid = Grid2D(**g)
+    rho, _ = modes._rho_j(state, grid.x[:, None], grid.t[None, :])
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["rho_sign_census"] == {"positive": int(np.sum(rho > 0)),
+                                          "negative": int(np.sum(rho < 0))}
+
+
+@pytest.mark.parametrize("n_x, workers", [(16, None), (40, 3)])
+def test_modes_thread_pool_at_most_one_worker_per_block(
+        tmp_path, monkeypatch, n_x, workers):
+    # one block of io_utils.ROW_CHUNK rows starts no pool; three blocks
+    # start three workers of the eight asked for
+    from relbohm import io_utils
+    started = []
+
+    class Pool(io_utils.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(io_utils, "ThreadPoolExecutor", Pool)
+    cfg = write_cfg(tmp_path, "c.json", {
+        "k": [0.0, 0.7], "phi": [[1, 0], [0.5, 0.2]],
+        "grid": {**_GRID, "n_x": n_x}, "n_levels": 5})
+    assert run(["modes", "--config", cfg, "--out", str(tmp_path / "o"),
+                "--threads", "8"]) == 0
+    assert started == ([] if workers is None else [workers])
 
 
 def test_nearnr_thread_determinism(tmp_path):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relbohm.io_utils import (_column_text, metadata_lines, write_csv,
                               write_json)
@@ -50,6 +51,13 @@ COLUMN_CASES = {
                  float("inf"), 3, 0.25],
     "np_scalars": [np.float64(v) for v in SPECIAL],
     "np_int_scalars": [np.int64(v) for v in range(11)],
+    # repeated values, formatted once per distinct bit pattern: 0.0 and
+    # -0.0 interleave, and must not share a string
+    "float64_tiled": np.tile(SPECIAL, 3),
+    "float32_tiled": np.tile(np.array(SPECIAL, dtype=np.float32), 2),
+    "float64_strided": np.tile(SPECIAL, 4)[::2],
+    "grid_axis": np.repeat(np.linspace(-2.0, 2.0, 7), 5),
+    "int64_repeated": np.repeat(np.arange(-3, 4), 3),
 }
 
 
@@ -62,11 +70,37 @@ def test_columnar_text_matches_row_writer(tmp_path, name):
     keep = np.isfinite(np.asarray(col, dtype=float))
     col = (col[keep] if isinstance(col, np.ndarray)
            else [v for v, k in zip(col, keep) if k])
-    columns = [np.linspace(-1.0, 1.0, 11)[keep], col, np.arange(11)[keep]]
+    n = keep.size
+    columns = [np.linspace(-1.0, 1.0, n)[keep], col, np.arange(n)[keep]]
     header = ["x", name, "i"]
     write_csv(tmp_path / "a.csv", header, columns, CFG)
     expect = _row_writer_text(header, zip(*columns), CFG)
     assert (tmp_path / "a.csv").read_bytes() == expect.encode()
+
+
+#: values whose strings a dedup by float value would get wrong or merge:
+#: both zeros, NaNs of either sign, subnormals and the smallest normal
+POOL = [0.0, -0.0, np.nan, -np.nan, 5e-324, -5e-324, 1e-310,
+        2.2250738585072014e-308, 1.0, -1.0, 0.1, np.inf]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(picks=st.lists(st.integers(0, len(POOL) - 1), max_size=40),
+       dtype=st.sampled_from([np.float64, np.float32]),
+       step=st.integers(1, 3))
+def test_distinct_value_text_matches_row_writer(picks, dtype, step):
+    col = np.array([POOL[i] for i in picks], dtype=dtype)[::step]
+    assert _column_text(col) == [_row_fmt(v) for v in col]
+
+
+@pytest.mark.parametrize("header", [["x"], ["x", "y", "z"]])
+def test_write_csv_refuses_header_column_mismatch(tmp_path, header):
+    # a column without a name used to skip the finiteness check and
+    # print inf and nan under a one-name header
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="header names"):
+        write_csv(path, header, [[1.0, 2.0], [np.inf, np.nan]], CFG)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("column, value", [

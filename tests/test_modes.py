@@ -244,3 +244,37 @@ def test_f_purity_property(seed):
     re, im = modes.double_sum_parts(state, rng.uniform(-2, 2),
                                     rng.uniform(0, 2))
     assert abs(re) < 1e-12 * abs(im) + 1e-14
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("n_modes", range(1, 9))
+def test_grid_fields_bitwise_per_row_and_full_grid(n_modes, threads):
+    # 37 rows: two full blocks of io_utils.ROW_CHUNK and a short one
+    state = random_state(np.random.default_rng(100 + n_modes), n_modes)
+    grid = Grid2D(-2.0, 2.0, 37, 0.0, 3.0, 53)
+    F, rho = modes.grid_fields(state, grid, threads)
+    rows = np.array([modes.integral_F(state, x, grid.t) for x in grid.x])
+    full, _ = modes._rho_j(state, grid.x[:, None], grid.t[None, :])
+    assert F.tobytes() == rows.tobytes()
+    assert rho.tobytes() == full.tobytes()
+
+
+def test_grid_fields_purity_is_checked_per_row(monkeypatch):
+    # a stray real part far below the block's max |Im| but above its own
+    # row's: a check over the whole block would let it through
+    double_sum = modes._double_sum
+
+    def stray(state, uu):
+        dbl = double_sum(state, uu)
+        if dbl.shape[0] > 5:
+            dbl[5] = 1e-11 + 1e-6j
+        return dbl
+
+    state = random_state(np.random.default_rng(7), 4)
+    grid = Grid2D(-2.0, 2.0, 20, 0.0, 3.0, 30)
+    _, im = modes.double_sum_parts(state, grid.x[:16, None], grid.t)
+    assert 1e-11 < modes.PURITY_TOL * np.max(np.abs(im))
+    monkeypatch.setattr(modes, "_double_sum", stray)
+    with pytest.raises(ArithmeticError, match="not pure imaginary: "
+                       r"max \|Re\| = 1\.000e-11"):
+        modes.grid_fields(state, grid)

@@ -25,10 +25,12 @@ def test_all_names_resolve(name):
 #: public names no command reaches, kept as deliberate oracles: the RK4
 #: integrator that cross-checks contours, and the double-sum velocity
 #: field it integrates; the finite-difference mass identity and equations
-#: of motion of criterion 8, which stay in dirac because the benchmark's
-#: spans wrap them by name
+#: of motion of criterion 8, and the pointwise integral of motion that
+#: the block pass of modes.grid_fields is checked against, which stay
+#: because the benchmark's spans wrap them by name
 ORACLES = {"ode.integrate_trajectory", "modes.velocity_discrete",
-           "dirac.verify_mass_identity", "dirac.verify_eom"}
+           "dirac.verify_mass_identity", "dirac.verify_eom",
+           "modes.integral_F"}
 
 
 def _top_level_uses():
