@@ -124,8 +124,8 @@ def lambert_w(branch: int, y):
     Accepts a scalar or an array; every entry must lie in the branch's
     real domain (see lambert_w_domain).  Wraps scipy.special.lambertw.
     """
-    # scipy.special is already loaded with scipy.optimize by the packages
-    # that call this; importing here keeps numerics itself numpy-only.
+    # imported here: scipy.special is a few tenths of a second to import,
+    # only explode's Lambert fit needs it, and numerics stays numpy-only
     from scipy.special import lambertw
 
     if branch not in (0, -1):

@@ -22,7 +22,10 @@ whole fixed-t row (the acausal probability, the |rho| mass, the
 threshold tail and charges, and FrontKernel's F) sample it by FFT on a
 periodic box (fft_row_size), at the fewest points that hold a density's
 band 2 k_cut below the row's Nyquist limit, and integrate on the row's
-trigonometric interpolant (_RowIntegral).
+trigonometric interpolant (_RowIntegral).  explode's t = 0 roots x_0 and
+x_th are roots of that interpolant on the t = 0 row (zero_crossings),
+found to rounding by Newton steps; the row's k_cut bounds them, as
+doubling it moves x_0 by 1.8-4.1e-6 (a = 0.5, 1 and 2).
 
 Neither engine takes one complex exponential per (point, k-node).  Node
 p J + j of a Gauss-Legendre rule is its panel's centre plus an offset,
@@ -83,6 +86,8 @@ FFT_MAX_POINTS = 2 ** 22
 #: max |rho|, before the engine check (_check_rule) fails (well-resolved
 #: rules stay below 1e-7; an aliasing one reaches 1e-2 and more)
 ENGINE_GAP_TOL = 1e-6
+#: most steps of a Newton solve (_newton) before it raises ArithmeticError
+NEWTON_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -548,6 +553,16 @@ def _check_rule(rule: _Rule, row: _RowIntegral, reach: float) -> None:
             f"{0.5 * row.band:g} falls short")
 
 
+#: most entries of one e^{i m dk x} table of _fourier_re.  2^18 cuts
+#: FrontKernel.evaluate's tracemalloc peak on the explode-cos2 benchmark
+#: grid from 21.5 to 13.1 MB, but a process running explode at it takes
+#: ~10 000 page faults a batch and ~20 % longer (2^19: ~3 000; 2^20: none,
+#: as at 2^21).  glibc raises its mmap and trim thresholds to the largest
+#: mapped block freed, so freeing a 32 MB table keeps a batch's other
+#: arrays on the heap instead of mapping them anew
+_TABLE_ENTRIES = 2 ** 21
+
+
 def _fourier_re(x, dk, series, diagonal: bool = False) -> np.ndarray:
     """Re sum_m c_m e^{i m dk x} at a 1-d array x for the coefficients c
     of series (one row, or a stack of rows along its first axis): one
@@ -556,17 +571,18 @@ def _fourier_re(x, dk, series, diagonal: bool = False) -> np.ndarray:
     The table of e^{i m dk x} is a product (_waves): with B = ceil(sqrt(
     M)) for M modes, mode m = q B + r takes e^{i x q B dk} e^{i x r dk},
     and the columns past M that fill the last q are dropped.  Each table
-    holds at most 2^21 entries and is taken once for all rows, in one real
-    product: Re(table c) = [Re table, -Im table] [Re c, Im c], with the
-    real and imaginary parts interleaved.  That is the float view of the
-    conjugate table, which _waves gives bitwise at -x, times that of c.
+    holds at most _TABLE_ENTRIES entries (a chunk of x) and is taken once
+    for all rows, in one real product: Re(table c) = [Re table, -Im
+    table] [Re c, Im c], with the real and imaginary parts interleaved.
+    That is the float view of the conjugate table, which _waves gives
+    bitwise at -x, times that of c.
     """
     m = series.shape[-1]
     base = int(np.ceil(np.sqrt(m)))
     split = (dk * base * np.arange(-(-m // base)), dk * np.arange(base))
     coef = series.view(float)
     out = np.empty(x.shape if diagonal else x.shape + series.shape[:-1])
-    step = max(1, 2 ** 21 // (base * split[0].size))
+    step = max(1, _TABLE_ENTRIES // (base * split[0].size))
     for i in range(0, x.size, step):
         sl = slice(i, i + step)
         table = _waves(-x[sl], split)[:, :m].view(float)
@@ -614,30 +630,48 @@ class _RowIntegral:
         return G + _fourier_re(x, self.dk, self.series[..., :self.m],
                                diagonal)
 
+    def derivatives(self, x: float, orders) -> np.ndarray:
+        """The p-th derivative of G (antiderivative) at one x for each p of
+        orders, for one row: G, f = G', f', ... on the modes up to the
+        band, in one real product (_fourier_re)."""
+        k, series = self.k[:self.m], self.series[:self.m]
+        stack = np.stack([(1j * k) ** p * series for p in orders])
+        out = _fourier_re(np.array([x]), self.dk, stack)[0]
+        # the mean's term mean x, and its slope
+        return out + [x * self.mean if p == 0 else self.mean if p == 1 else 0.0
+                      for p in orders]
+
+    def resampled(self):
+        """(dx, spectrum, f, G) of one row resampled exactly, by
+        zero-padding its spectrum up to the band, to n points of a step dx
+        <= pi / (3 band): f = np.fft.irfft(spectrum, n) and its
+        antiderivative G (antiderivative) at x_j = j dx, both by FFT."""
+        period = self.n * self.dx
+        n = _smooth_size(3.0 * self.band * period / np.pi)
+        dx = period / n
+        fh = self.fh[:self.m] * (n / self.n)
+        G = (np.fft.irfft(self.anti[:self.m] * (n / self.n), n)
+             + self.mean * dx * np.arange(n))
+        return dx, fh, np.fft.irfft(fh, n), G
+
     def abs_total(self) -> float:
         """int |f| over the period, for one row: +-int f between
         consecutive zeros.
 
-        The row is resampled exactly, by zero-padding its spectrum up to
-        the band, to a step <= pi / (3 band).  On it the antiderivative is
-        tabulated by FFT and carried from the sample before each zero to
-        the zero by its Taylor series through f''.  The zero is the
-        linear root in its cell; its error enters only at second order,
-        because f vanishes there.  The error falls as the step's fourth
-        power: ~4e-11 of the mass for the default cos2 packet at this
-        step, 6e-10 at twice it.
+        On the row resampled to a step <= pi / (3 band) (resampled) the
+        antiderivative is carried from the sample before each zero to the
+        zero by its Taylor series through f''.  The zero is the linear
+        root in its cell; its error enters only at second order, because f
+        vanishes there.  The error falls as the step's fourth power: ~4e-11
+        of the mass for the default cos2 packet at this step, 6e-10 at
+        twice it.
         """
-        period = self.n * self.dx
-        n = _smooth_size(3.0 * self.band * period / np.pi)
-        dx = period / n
-        fh, k = self.fh[:self.m] * (n / self.n), self.k[:self.m]
-        f = np.fft.irfft(fh, n)
+        dx, fh, f, F = self.resampled()
+        period, n, k = self.n * self.dx, f.size, self.k[:self.m]
         neg = f < 0
         j = np.nonzero(neg != np.roll(neg, -1))[0]
         if j.size == 0:
             return abs(self.mean) * period
-        F = (np.fft.irfft(self.anti[:self.m] * (n / self.n), n)
-             + self.mean * dx * np.arange(n))
         f1 = np.fft.irfft(1j * k * fh, n)
         f2 = np.fft.irfft(-k ** 2 * fh, n)
         after = (j + 1) % n
@@ -708,62 +742,95 @@ def acausal_probability(packet: Packet, t: float, refine: int = 1) -> float:
     return float((G[3] - G[2] + G[1] - G[0]) / (G[3] - G[0]))
 
 
-def zero_crossings(packet: Packet):
-    """(x_th, x_0) at t = 0 for a cos2 packet.
+def _newton(fn, lo: float, hi: float, x: float, xtol: float,
+            what: str) -> float:
+    """The root of fn in [lo, hi] by Newton steps from x, fn(x) giving
+    (value, slope).  The signs of the values so far shrink the bracket,
+    and a step that would leave it, or a zero slope, bisects it instead.
+    The root is the first point reached by a step of at most xtol.
+    ArithmeticError, naming what, when fn has one sign at both ends, and
+    after NEWTON_STEPS steps: from a start within a cell of the root
+    Newton takes 3-6, and bisection of a cell over 30, so a wrong slope
+    fails."""
+    f_lo, f_hi = fn(lo)[0], fn(hi)[0]
+    if f_lo * f_hi > 0:
+        raise ArithmeticError(f"{what} does not bracket a root in "
+                              f"[{lo}, {hi}]")
+    if f_lo == 0 or f_hi == 0:
+        return lo if f_lo == 0 else hi
+    for _ in range(NEWTON_STEPS):
+        value, slope = fn(x)
+        if value == 0:
+            return x
+        if (value > 0) == (f_lo > 0):
+            lo = x
+        else:
+            hi = x
+        new = x - value / slope if slope else np.nan
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - x) <= xtol:
+            return new
+        x = new
+    raise ArithmeticError(f"{what}: no root to {xtol:g} after {NEWTON_STEPS} "
+                          f"Newton steps in [{lo}, {hi}]")
 
-    x_0 is the smallest positive zero of rho(x, 0), found by a scan of
-    [0, 2.5 a] and brentq, both on the k rule of the scan's points
-    (Packet.rule_at).  x_th solves int_{x_th}^{L} rho dx = 0 (only
-    virtual pairs beyond the threshold; L = decay_window()); brentq runs
-    on that tail integral taken exactly on the t = 0 FFT row as G(L) -
-    G(x) of its antiderivative (_RowIntegral.antiderivative).  Both to
-    1e-8 or better.
+
+def zero_crossings(packet: Packet):
+    """(x_th, x_0) at t = 0 for a cos2 packet, both on the t = 0 FFT row
+    (packet.t0_row) and its trigonometric interpolant.
+
+    The row is resampled exactly to a step dx <= pi / (6 k_cut), with rho
+    and its antiderivative G at each sample (_RowIntegral.resampled).  x_0
+    is the smallest positive zero of rho(x, 0): the first sign change of
+    the samples within (0, 2.5 a], polished by Newton steps on the
+    interpolant from the linear root in its cell, with rho' from the same
+    series (_RowIntegral.derivatives; _newton).  x_th solves
+    int_{x_th}^{L} rho dx = G(L) - G(x_th) = 0 (only virtual pairs beyond
+    the threshold; L = decay_window()) by the same Newton steps, slope
+    -rho, inside [0.1 a, x_0], from the first sample where the tail is no
+    longer positive (the tail falls on [0, x_0], where rho > 0).  Both are
+    solved to rounding; what bounds them is the row's k_cut: doubling it
+    moves x_0 by 1.8-4.1e-6 and x_th by 1.1e-8-2.7e-7 for a = 0.5, 1 and
+    2.  x_0 parts from a root of a converged k rule by 9e-11 (a = 1) to
+    1.3e-7 (a = 12, where k_cut is 17.9).
 
     Raises ArithmeticError when rho(x, 0) has no sign change on (0, 2.5 a]
-    (a k_cut too small for a narrow packet), and when the packet's own
-    k rule (that of its decay window) departs from the FFT row by more than
-    ENGINE_GAP_TOL within the decay window (_check_rule): one of the two
-    engines is then off where the row integrals reach.
+    (a k_cut too small for a narrow packet), when a Newton solve does not
+    converge, and when the packet's own k rule (that of its decay window)
+    departs from the row by more than ENGINE_GAP_TOL within the decay
+    window (_check_rule): one of the two engines is then off where the
+    row integrals reach.
     """
-    # imported here: scipy.optimize is most of the import time of
-    # relbohm.cli, and only explode needs it
-    from scipy.optimize import brentq
-
     if packet.spec.shape != "cos2":
         raise ValueError("zero crossings are defined for the cos2 packet")
     a = packet.spec.a
-    xs = np.linspace(1e-3 * a, 2.5 * a, 400)
-    # brentq's wrapper of f refers to itself, a cycle that keeps what f
-    # holds until the cyclic GC runs: f holds the rule, not the packet
-    rule = packet.rule_at(xs, 0.0)
-
-    def rho0(x):
-        return rule.rho(np.asarray(x, dtype=float), 0.0)
-
-    # Smallest positive root of rho by scan + brentq.
-    r = rho0(xs)
-    sign_change = np.nonzero(np.diff(np.sign(r)) != 0)[0]
-    if sign_change.size == 0:
+    row = packet.t0_row
+    dx, _, rho, G = row.resampled()
+    neg = rho[:int(2.5 * a / dx) + 1] < 0
+    change = np.nonzero(neg[:-1] != neg[1:])[0]
+    if change.size == 0:
         raise ArithmeticError("rho(x, 0) has no sign change on (0, 2.5 a] "
                               f"for a = {a:g}, k_cut = {packet.k_cut:g}")
-    i = sign_change[0]
-    x0 = brentq(lambda x: float(rho0(x)), xs[i], xs[i + 1], xtol=1e-8)
+    j = change[0]
+    xtol = 1e-12 * a
+    x0 = _newton(lambda x: row.derivatives(x, (1, 2)), j * dx, (j + 1) * dx,
+                 dx * (j + rho[j] / (rho[j] - rho[j + 1])), xtol, "rho(x, 0)")
 
-    integral = packet.t0_row
     L = packet.decay_window()
     # Packet.fields and the row sample the same truncated field; a k
     # quadrature that aliases within the decay window parts them
-    _check_rule(packet.rule_at(L, 0.0), integral, L)
-    G_L = integral.antiderivative(np.array([L]))[0]
+    _check_rule(packet.rule_at(L, 0.0), row, L)
+    G_L = row.derivatives(L, (0,))[0]
 
     def tail(x):
-        return float(G_L - integral.antiderivative(np.array([x]))[0])
+        value, slope = row.derivatives(x, (0, 1))
+        return G_L - value, -slope
 
-    lo, hi = 0.1 * a, x0
-    if tail(lo) * tail(hi) > 0:
-        raise ArithmeticError("tail integral does not bracket a root in "
-                              f"[{lo}, {hi}]")
-    x_th = brentq(tail, lo, hi, xtol=1e-12)
+    lo = 0.1 * a
+    start = dx * np.searchsorted(G[:j + 1] - G_L, 0.0)
+    x_th = _newton(tail, lo, x0, min(max(start, lo), x0), xtol,
+                   "tail integral")
     return float(x_th), float(x0)
 
 
@@ -799,8 +866,9 @@ class FrontKernel:
 
     evaluate keeps of each row only its Fourier series up to the band, so
     its working set is one block of rows, the series and one e^{ikx}
-    table on x: on the explode-cos2 benchmark grid (121 x 81 points, rows
-    of 8 748 and 17 496 points) its tracemalloc peak is 21.5 MB.
+    table on a chunk of x (_TABLE_ENTRIES): on the explode-cos2 benchmark
+    grid (121 x 81 points, rows of 8 748 and 17 496 points) its
+    tracemalloc peak is 21.5 MB.
     """
 
     #: most row points made at once: 2^17, about 2 MB per complex array

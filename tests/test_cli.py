@@ -199,6 +199,16 @@ def test_explode_unresolved_packet_is_named(tmp_path, capsys):
     assert "a = 0.05, k_cut = 20" in capsys.readouterr().err
 
 
+def test_explode_root_that_does_not_converge_exits_3(tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setattr(packets, "NEWTON_STEPS", 1)
+    cfg = write_cfg(tmp_path, "k40.json", {"packet": _K40, "grid": _GRID})
+    out = tmp_path / "o"
+    assert run(["explode", "--config", cfg, "--out", str(out)]) == 3
+    assert "rho(x, 0): no root to" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_explode_fft_row_limit_is_named(tmp_path, capsys):
     for far in ({"p_times": [1e6], "grid": _GRID},
                 {"grid": {**_GRID, "t_min": -1e6}}):
@@ -411,15 +421,18 @@ def test_rule_keys_are_ignored(tmp_path, command, payload):
 
 
 def test_engine_check_names_both_engines(tmp_path, capsys):
-    # at k_cut = 5 the 48-node reach rule is right and the FFT row's end
-    # correction is off; the message must not blame the k rule alone
+    # at k_cut = 5 the packet's own rule (336 nodes), which zero_crossings
+    # checks first, is right and the FFT row's end correction is off; the
+    # message must not blame the k rule alone
+    nodes = packets.Packet(packets.PacketSpec(shape="cos2", a=1.0),
+                           k_cut=5.0).k.size
     cfg = write_cfg(tmp_path, "k5.json", {
         "packet": {"shape": "cos2", "a": 1.0, "k_cut": 5.0},
         "density_x": {"min": -3.0, "max": 3.0, "n": 31}, "grid": _GRID})
     assert run(["explode", "--config", cfg,
                 "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert "Packet.fields on 48 k-nodes and the t = 0 FFT row" in err
+    assert f"Packet.fields on {nodes} k-nodes and the t = 0 FFT row" in err
     assert "end correction at k_cut = 5" in err
 
 

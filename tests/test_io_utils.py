@@ -200,13 +200,35 @@ def test_write_json_refuses_non_finite(tmp_path, payload, where):
     assert path.read_bytes() == before
 
 
-def test_cli_import_does_not_load_scipy_optimize():
+def _scipy_modules(code: str) -> list[str]:
+    """The scipy modules loaded after code runs in a fresh interpreter."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    code = ("import sys, relbohm.cli\n"
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith('scipy.optimize')))\n")
+    code += ("\nimport json, sys\nprint(json.dumps(sorted(m for m in "
+             "sys.modules if m.split('.')[0] == 'scipy')))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    assert [m for m in _scipy_modules("import relbohm.cli")
+            if m.startswith("scipy.optimize")] == []
+
+
+def test_cli_import_loads_no_scipy():
+    # every run pays the import; perfbench's setup_s times it
+    assert _scipy_modules("import relbohm.cli") == []
+
+
+def test_explode_leaves_scipy_optimize_unloaded(tmp_path):
+    # x_0 and x_th come from the t = 0 row; the Lambert fit loads
+    # scipy.special for lambertw
+    cfg = Path(__file__).resolve().parents[1] / "src/relbohm/configs/cos2.json"
+    loaded = _scipy_modules(
+        "from relbohm.cli import main\n"
+        f"assert main(['explode', '--config', {str(cfg)!r}, "
+        f"'--out', {str(tmp_path / 'o')!r}, '--quick']) == 0")
+    assert "scipy.special" in loaded
+    assert [m for m in loaded if m.startswith("scipy.optimize")] == []

@@ -353,8 +353,10 @@ def test_each_rule_is_built_and_checked_once(monkeypatch):
 
 
 def test_no_cycle_keeps_a_packet_alive():
-    # brentq's wrapper of f is a reference cycle; with the cyclic GC off,
-    # the packet must still go when its last reference does
+    # nothing that zero_crossings leaves behind (its Newton closures, the
+    # packet's cached row and rules) may hold the packet in a reference
+    # cycle: with the cyclic GC off, the packet must still go when its
+    # last reference does
     p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0)
     ref = weakref.ref(p)
     gc.disable()
@@ -385,6 +387,24 @@ def test_antiderivative_matches_direct_table(cos2_k40):
     ends = np.array([-L, 0.3, L])   # one point per row
     assert np.max(np.abs(integral.antiderivative(ends, diagonal=True)
                          - np.diagonal(direct(ends)))) <= 1e-13 * scale
+
+
+def test_fourier_re_over_several_chunks(cos2_k40, monkeypatch):
+    # tables of 23 points each (and of one, for the diagonal) sum what one
+    # table for every point does, up to the order in which BLAS sums a
+    # product of another row count (1.7e-15 of max |G| measured)
+    row = _fft_row(cos2_k40, np.array([0.0, 0.5, 1.0]))
+    L = cos2_k40.decay_window() + 1.0
+    x, ends = np.linspace(-L, L, 301), np.array([-L, 0.3, L])
+    got = []
+    for budget in (2 ** 30, 20_000):
+        monkeypatch.setattr(packets, "_TABLE_ENTRIES", budget)
+        got.append(row.antiderivative(x))
+    assert np.max(np.abs(got[1] - got[0])) <= 4e-15 * np.max(np.abs(got[0]))
+    one = row.antiderivative(ends, diagonal=True)
+    monkeypatch.setattr(packets, "_TABLE_ENTRIES", 1)
+    many = row.antiderivative(ends, diagonal=True)
+    assert np.max(np.abs(many - one)) <= 4e-15 * np.max(np.abs(one))
 
 
 def test_fft_row_spectrum_only_inside_k_cut(cos2_k40):
@@ -457,6 +477,49 @@ def test_zero_crossings_values(cos2):
     q_in = _panel_integral(lambda x: cos2.rho(x, 0.0), 0.0, x_th,
                            n_panels=128)
     assert q_in == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("a, tol", [(0.5, 5e-9), (1.0, 5e-9), (2.0, 5e-9),
+                                    (12.0, 2e-7)])
+def test_row_roots(a, tol):
+    # oracle: the first sign change of rho on a k rule (Packet.rho) over
+    # 400 points of (0, 2.5 a], polished by brentq to 1e-15 as in
+    # test_velocity_none_at_density_zero; the row's k_cut bounds the gap
+    # (17.9 at a = 12)
+    from scipy.optimize import brentq
+    p = Packet(PacketSpec(shape="cos2", a=a))
+    x_th, x0 = zero_crossings(p)
+    xs = np.linspace(1e-3 * a, 2.5 * a, 400)
+    i = np.nonzero(np.diff(np.sign(p.rho(xs, 0.0))))[0][0]
+    root = brentq(lambda x: float(p.rho(x, 0.0)), xs[i], xs[i + 1],
+                  xtol=1e-15, rtol=8.9e-16)
+    assert abs(x0 - root) <= tol
+    # x_th zeroes the row's tail to rounding
+    assert 0.1 * a < x_th < x0
+    G = p.t0_row.antiderivative(np.array([x_th, p.decay_window()]))
+    assert abs(G[1] - G[0]) <= 1e-14
+
+
+def test_newton_steps_are_bounded():
+    # Newton from within a cell takes a few steps; a wrong slope leaves
+    # bisection, which needs ~36 steps here, and raises after NEWTON_STEPS
+    calls = []
+
+    def cos_minus_x(sign):
+        def fn(x):
+            calls.append(x)
+            return np.cos(x) - x, sign * (-np.sin(x) - 1.0)
+        return fn
+
+    root = packets._newton(cos_minus_x(1), 0.7, 0.75, 0.72, 1e-12, "f")
+    assert abs(np.cos(root) - root) <= 2e-16
+    assert len(calls) <= 7
+    calls.clear()
+    with pytest.raises(ArithmeticError, match="f: no root to 1e-12 after"):
+        packets._newton(cos_minus_x(-1), 0.7, 0.75, 0.72, 1e-12, "f")
+    assert len(calls) == packets.NEWTON_STEPS + 2
+    with pytest.raises(ArithmeticError, match="f does not bracket a root"):
+        packets._newton(cos_minus_x(1), 0.8, 0.9, 0.85, 1e-12, "f")
 
 
 def test_acausal_probability_curve(cos2):
