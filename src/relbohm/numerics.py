@@ -105,6 +105,25 @@ class Grid2D:
 
 
 _INV_E = np.exp(-1.0)
+# 1/e = _INV_E + _INV_E_LO: near -1/e, (y + _INV_E) is exact (Sterbenz),
+# so y + 1/e keeps its digits where W's slope is infinite
+_INV_E_LO = -1.2428753672788363e-17
+
+#: Series of W about its branch point in p = +-sqrt(2(e y + 1)), + on
+#: branch 0 and - on branch -1 (Corless et al., Adv. Comput. Math. 5
+#: (1996) 329, eq. 4.22): W = sum(c_n p^n).
+_BRANCH_SERIES = (-1.0, 1.0, -1 / 3, 11 / 72, -43 / 540, 769 / 17280,
+                  -221 / 8505, 680863 / 43545600, -1963 / 204120,
+                  226287557 / 37623398400, -5776369 / 1515591000,
+                  169709463197 / 69528040243200)
+#: Below this |p| the series is W to rounding (its first omitted term is
+#: under 4e-19) and is returned as it is: Halley steps there only add the
+#: rounding of w e^w - y, whose slope vanishes at the branch point.
+_P_EXACT = 0.05
+#: Every starting point is within 7 % of W (the Pade guess near y = e is
+#: the farthest), and three Halley steps take that to rounding on both
+#: branches, where two leave errors of 1e-13.
+_HALLEY_STEPS = 3
 
 
 def lambert_w_domain(branch: int, y) -> np.ndarray:
@@ -118,19 +137,64 @@ def lambert_w_domain(branch: int, y) -> np.ndarray:
     return ok & (y < 0.0) if branch == -1 else ok
 
 
+def _w_start(branch: int, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Starting points for Halley on a 1-D y in the branch's domain: the
+    branch-point series for |p| < 1 (y < -1/2e), the (2, 2) Pade
+    approximant at 0 up to y = e on branch 0, and the log/log-log
+    asymptotics beyond (y >= e on branch 0, -1/2e <= y < 0 on -1)."""
+    w = np.empty_like(y)
+    near = np.abs(p) < 1.0
+    p_near = p[near]
+    series = np.full(p_near.shape, _BRANCH_SERIES[-1])
+    for c in _BRANCH_SERIES[-2::-1]:
+        series = series * p_near + c
+    w[near] = series
+    far = ~near if branch == -1 else y >= np.e
+    mid = ~near & ~far
+    r = y[mid]
+    w[mid] = r * (6.0 + 8.0 * r) / (6.0 + r * (14.0 + 5.0 * r))
+    l1 = np.log(np.abs(y[far]))
+    l2 = np.log(np.abs(l1))
+    w[far] = l1 - l2 + l2 / l1 + l2 * (l2 - 2.0) / (2.0 * l1 * l1)
+    return w
+
+
+def _halley(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """One Halley step on f(w) = w e^w - y, with f scaled by e^-w where
+    w >= 0 so that no exponential overflows."""
+    e = np.exp(-np.abs(w))
+    pos = w >= 0.0
+    f = np.where(pos, w - y * e, w * e - y)
+    slope = np.where(pos, 1.0, e) * (w + 1.0)
+    return w - f / (slope - (w + 2.0) * f / (2.0 * (w + 1.0)))
+
+
 def lambert_w(branch: int, y):
     """Real Lambert W on branch 0 or -1: returns w with w*exp(w) = y.
 
     Accepts a scalar or an array; every entry must lie in the branch's
-    real domain (see lambert_w_domain).  Wraps scipy.special.lambertw.
+    real domain (see lambert_w_domain), and y below -1/e counts as -1/e.
+    Halley steps from the starting points of _w_start, a fixed number of
+    them and elementwise, so an entry's result does not depend on the
+    other entries.
     """
-    # imported here: scipy.special is a few tenths of a second to import,
-    # only explode's Lambert fit needs it, and numerics stays numpy-only
-    from scipy.special import lambertw
-
     if branch not in (0, -1):
         raise ValueError("branch must be 0 or -1")
     if not np.all(lambert_w_domain(branch, y)):
         raise ValueError(f"y outside the real domain of branch {branch}")
-    w = lambertw(np.maximum(y, -_INV_E), branch).real
+    y = np.asarray(y, dtype=float)
+    flat = y.reshape(-1)
+    # y + 1/e, clipped to [0, 1]: the clamp below -1/e, and only |p| < 1
+    # is ever used
+    u = np.clip((flat + _INV_E) + _INV_E_LO, 0.0, 1.0)
+    p = np.sqrt(2.0 * np.e * u)
+    if branch == -1:
+        p = -p
+    w = _w_start(branch, flat, p)
+    polish = np.abs(p) >= _P_EXACT
+    w_p, y_p = w[polish], flat[polish]
+    for _ in range(_HALLEY_STEPS):
+        w_p = _halley(w_p, y_p)
+    w[polish] = w_p
+    w = w.reshape(y.shape)
     return float(w) if w.ndim == 0 else w
