@@ -5,9 +5,10 @@ Subcommands: modes, explode, nearnr, spin.  Each takes --config (JSON),
 only; results are byte-identical for any thread count).
 
 Exit codes: 0 success, 2 config error, 3 numerical non-convergence.
-An array past its size limit (numerics.SizeError: an FFT row, k rule, W
-kernel or face rule) is a config error, at whatever stage the library
-meets it.  explode, nearnr and spin fw run every analysis before they
+An array past its size limit (numerics.SizeError: an FFT row, k rule or
+face rule) is a config error, at whatever stage the library meets it.
+Every k rule a command runs on is first held against an FFT row; a rule
+that parts from it (a k_cut too low) is a non-convergence.  explode, nearnr and spin fw run every analysis before they
 make --out, so a run that exits 2 leaves no --out.
 """
 

@@ -1,16 +1,18 @@
 """Bridge between the charge density and the localized-position density.
 
 The two densities differ by a total second derivative, rho - rho_nw =
-d^2 W / dx^2, with W given exactly by a smooth double k-integral; in the
-near-non-relativistic regime W collapses to a local expression in psi
-and the difference becomes a time-derivative form that feeds a position
-map x -> x + f(x, t).  Pushing the charge density through that map
-reproduces the localized-position density to the next expansion order.
+d^2 W / dx^2 (Newton and Wigner, Rev. Mod. Phys. 21 (1949) 400 define
+rho_nw); in the near-non-relativistic regime W collapses to a local
+expression in psi and the difference becomes a time-derivative form that
+feeds a position map x -> x + f(x, t).  Pushing the charge density
+through that map reproduces the localized-position density to the next
+expansion order.
 
 Everything here is the 1-d specialization; the tensor indices of the
 3-d form are diagonal under it.  Fields at points x come from
 Packet.fields, which runs on the k rule those points need, as explode's
-do; the W kernel asks the packet for the same rule.
+do.  W and the moments come from the FFT rows of rho and rho_nw at t
+(packets._fft_row), as explode's row integrals do.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import EPS_RHO_SCALE, SizeError, bilinear_rho
-from .packets import Packet, _fft_row
+from .numerics import EPS_RHO_SCALE, bilinear_rho
+from .packets import Packet, _fft_row, _RowIntegral
 
 __all__ = [
     "CorrectionField",
-    "WKernel",
     "correction_field",
     "density_difference_timeform",
     "moments",
@@ -37,63 +38,6 @@ __all__ = [
 PUSHFORWARD_N = 2001
 #: largest w_approx_rel and timeform_rel_27b of the narrow-k regime
 NARROW_K_REL = 0.25
-
-
-class WKernel:
-    """Tabulated exact density-difference potential W(x, t).
-
-    W = -(1/2) iint dk dk' c(k) c(k') (w w')^{-1/2}
-        (k + k')^2 / ((sqrt w + sqrt w')^2 (w + w')^2)
-        cos[(k - k') x - (w - w') t]
-
-    so that d^2 W / dx^2 = rho - rho_nw identically (the kernel is the
-    difference kernel (sqrt w - sqrt w')^2 / (2 sqrt(w w')) divided by
-    -(k - k')^2, which is finite on the diagonal).  Built on the k rule
-    that the points (x, t) need (Packet.rule_at), on which Packet.fields
-    evaluates them; evaluation is a weighted cosine sum.  SizeError for a
-    rule of over MAX_NODES nodes, before the kernel matrix is made.
-    """
-
-    #: most k-nodes of a rule the dense kernel matrix accepts
-    MAX_NODES = 4096
-
-    def __init__(self, packet: Packet, x, t):
-        rule = packet.rule_at(x, t)
-        if rule.k.size > self.MAX_NODES:
-            raise SizeError(
-                f"the k rule has {rule.k.size} nodes; the dense W kernel "
-                f"accepts at most {self.MAX_NODES}.  Set a smaller k_cut "
-                "or a narrower x window (narrow-k regime).")
-        k = rule.k
-        w = rule.omega
-        ws = rule.ws                          # quad weight * coefficient
-        sw = np.sqrt(w)
-        kern = ((k[:, None] + k[None, :]) ** 2
-                / ((sw[:, None] + sw[None, :]) ** 2
-                   * (w[:, None] + w[None, :]) ** 2))
-        self._M = (-0.5 * np.outer(ws, ws)
-                   * (w[:, None] * w[None, :]) ** -0.5 * kern)
-        self.k = k
-        self.omega = w
-
-    def _phases(self, x, t):
-        """cos and sin of theta = k x - omega t at broadcastable x, t."""
-        theta = np.multiply.outer(x, self.k) - np.multiply.outer(t, self.omega)
-        return np.cos(theta), np.sin(theta)
-
-    def evaluate(self, x, t) -> np.ndarray:
-        """W at broadcastable x, t via cos(a-b) = cos a cos b + sin a sin b."""
-        a, b = self._phases(x, t)
-        return (np.sum(a * (a @ self._M), axis=-1)
-                + np.sum(b * (b @ self._M), axis=-1))
-
-    def d2_dx2(self, x, t) -> np.ndarray:
-        """d^2 W / dx^2 at broadcastable x, t: W's sum with M_ab times
-        -(k_a - k_b)^2, which for symmetric M is -2 sum_a q_a [k_a (u M)_a
-        - (q M)_a] with q = k u, summed over u = cos theta, sin theta."""
-        k, M = self.k, self._M
-        return -2.0 * sum(np.sum(k * u * (k * (u @ M) - (k * u) @ M), axis=-1)
-                          for u in self._phases(x, t))
 
 
 def w_approx(packet: Packet, x, t):
@@ -166,18 +110,36 @@ class CorrectionField:
     x_mapped: np.ndarray
 
 
+def _difference_row(packet: Packet, t: float) -> _RowIntegral:
+    """d = rho - rho_nw on the FFT rows at t (packets._fft_row), whose
+    periodic box holds [-L, L] with L = decay_window() + |t|, on the band
+    of rho's row."""
+    rho, rho_nw = _fft_row(packet, t), _fft_row(packet, t, nw=True)
+    return _RowIntegral(rho.f - rho_nw.f, rho.dx, rho.band)
+
+
 def correction_field(packet: Packet, x, t: float) -> CorrectionField:
     """W, its second x-derivative, the densities and the position map at
-    x, all on the k rule that the points need."""
+    x.
+
+    W = -sum_m d_m / k_m^2 e^{i k_m x} is the second antiderivative of d
+    = rho - rho_nw on its FFT row at t (_difference_row;
+    _RowIntegral.derivatives at order -1), with its constant fixed so
+    that W = 0 at the box edge; d^2 W / dx^2 is d at x.  Past +-L, where
+    the row's periodic images begin, both are held at 0, as FrontKernel
+    holds F.  The densities and the map come from Packet.fields, so
+    d^2 W / dx^2 - (rho - rho_nw) compares the two engines.
+    """
     x = np.asarray(x, dtype=float)
-    kernel = WKernel(packet, x, t)
+    row = _difference_row(packet, t)
+    inside = np.abs(x) <= packet.decay_window() + abs(t)
+    W, d2W = np.zeros((2,) + x.shape)
+    w, d = row.derivatives(np.append(x[inside], 0.5 * row.n * row.dx),
+                           (-1, 1))
+    W[inside], d2W[inside] = w[:-1] - w[-1], d[:-1]
     x_mapped, f, rho, rho_nw = nw_position_map(packet, x, t)
-    return CorrectionField(
-        x=x, t=float(t),
-        W=kernel.evaluate(x, np.full(x.shape, t)),
-        d2W_dx2=kernel.d2_dx2(x, t),
-        rho=rho, rho_nw=rho_nw,
-        f=f, x_mapped=x_mapped)
+    return CorrectionField(x=x, t=float(t), W=W, d2W_dx2=d2W, rho=rho,
+                           rho_nw=rho_nw, f=f, x_mapped=x_mapped)
 
 
 def moments(packet: Packet, t: float):
@@ -193,11 +155,9 @@ def moments(packet: Packet, t: float):
     and m0 vanishes to rounding (Parseval); m1 also needs d to vanish at
     the box ends, as it does past L.  Returns (m0, m1).
     """
-    rho, rho_nw = _fft_row(packet, t), _fft_row(packet, t, nw=True)
-    n, dx = rho.n, rho.dx
-    d = rho.f - rho_nw.f
-    x = dx * np.fft.fftfreq(n, 1.0 / n)
-    return float(dx * np.sum(d)), float(dx * np.sum(x * d))
+    d = _difference_row(packet, t)
+    x = d.dx * np.fft.fftfreq(d.n, 1.0 / d.n)
+    return float(d.dx * np.sum(d.f)), float(d.dx * np.sum(x * d.f))
 
 
 def pushforward_l1(packet: Packet, t: float = 0.0):

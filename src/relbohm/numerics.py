@@ -32,8 +32,7 @@ __all__ = [
 
 class SizeError(ValueError):
     """An array past its size limit, refused before it is allocated: an
-    FFT row or k rule over packets.FFT_MAX_POINTS points, a W kernel over
-    nearnr.WKernel.MAX_NODES nodes, a face rule over
+    FFT row or k rule over packets.FFT_MAX_POINTS points, a face rule over
     dirac.BALANCE_MAX_N nodes per axis.  The CLI exits 2 on it."""
 
 
@@ -124,6 +123,10 @@ _P_EXACT = 0.05
 #: the farthest), and three Halley steps take that to rounding on both
 #: branches, where two leave errors of 1e-13.
 _HALLEY_STEPS = 3
+#: Below this w, e^w is subnormal (y > -4e-306 on branch -1): w e^w - y
+#: loses digits there, and is 0 / 0 at y = -5e-324, so Halley runs on the
+#: log form w + ln(-w) = ln(-y) instead
+_W_SUBNORMAL = math.log(np.finfo(float).tiny)
 
 
 def lambert_w_domain(branch: int, y) -> np.ndarray:
@@ -169,6 +172,14 @@ def _halley(w: np.ndarray, y: np.ndarray) -> np.ndarray:
     return w - f / (slope - (w + 2.0) * f / (2.0 * (w + 1.0)))
 
 
+def _halley_log(w: np.ndarray, log_y: np.ndarray) -> np.ndarray:
+    """One Halley step on g(w) = w + ln(-w) - ln(-y) for w < -1, the log
+    form of w e^w = y on branch -1: g' = 1 + 1/w and g'' = -1/w^2."""
+    g = w + np.log(-w) - log_y
+    slope = 1.0 + 1.0 / w
+    return w - g / (slope + g / (2.0 * w * w * slope))
+
+
 def lambert_w(branch: int, y):
     """Real Lambert W on branch 0 or -1: returns w with w*exp(w) = y.
 
@@ -176,7 +187,9 @@ def lambert_w(branch: int, y):
     real domain (see lambert_w_domain), and y below -1/e counts as -1/e.
     Halley steps from the starting points of _w_start, a fixed number of
     them and elementwise, so an entry's result does not depend on the
-    other entries.
+    other entries.  Where e^w is subnormal (branch -1 at y > -4e-306) the
+    steps solve the log form w + ln(-w) = ln(-y), so W stays finite and
+    exact down to y = -5e-324.
     """
     if branch not in (0, -1):
         raise ValueError("branch must be 0 or -1")
@@ -191,10 +204,13 @@ def lambert_w(branch: int, y):
     if branch == -1:
         p = -p
     w = _w_start(branch, flat, p)
-    polish = np.abs(p) >= _P_EXACT
+    tiny = w < _W_SUBNORMAL
+    polish = (np.abs(p) >= _P_EXACT) & ~tiny
     w_p, y_p = w[polish], flat[polish]
+    w_t, log_y = w[tiny], np.log(-flat[tiny])
     for _ in range(_HALLEY_STEPS):
         w_p = _halley(w_p, y_p)
-    w[polish] = w_p
+        w_t = _halley_log(w_t, log_y)
+    w[polish], w[tiny] = w_p, w_t
     w = w.reshape(y.shape)
     return float(w) if w.ndim == 0 else w

@@ -14,15 +14,16 @@ points are k-integrals on a composite Gauss-Legendre rule over
 [-k_cut, k_cut] (Packet.fields); evaluations are plain weighted sums and
 therefore deterministic.  Every k rule is the rule of a reach, and
 Packet.fields picks the one its points need, that of max |x| + max |t|
-(Packet.rule_at), from the packet's cache: each rule is built and held
-against the t = 0 FFT row (_check_rule) once per packet.  The packet's
-own rule, which fixes its normalization, is that of its decay window.  No
-rule is configured and no caller sizes one.  The x-integrals over a
-whole fixed-t row (the acausal probability, the |rho| mass, the
-threshold tail and charges, and FrontKernel's F) sample it by FFT on a
-periodic box (fft_row_size), at the fewest points that hold a density's
-band 2 k_cut below the row's Nyquist limit, and integrate on the row's
-trigonometric interpolant (_RowIntegral).  explode's t = 0 roots x_0 and
+(Packet.rule_at), from the packet's cache: each rule, the packet's own
+included, is built and held against the t = 0 FFT row (_check_rule) once
+per packet.  The packet's own rule, which fixes its normalization, is
+that of its decay window.  No rule is configured and no caller sizes
+one.  The x-integrals over a whole fixed-t row (the acausal probability,
+the |rho| mass, the threshold tail and charges, FrontKernel's F and
+nearnr's W) sample it by FFT on a periodic box (fft_row_size), at the
+fewest points that hold a density's band 2 k_cut below the row's Nyquist
+limit, and integrate on the row's trigonometric interpolant
+(_RowIntegral).  explode's t = 0 roots x_0 and
 x_th are roots of that interpolant on the t = 0 row (zero_crossings),
 found to rounding by Newton steps; the row's k_cut bounds them, as
 doubling it moves x_0 by 1.8-4.1e-6 (a = 0.5, 1 and 2).
@@ -73,8 +74,16 @@ __all__ = [
     "zero_crossings",
 ]
 
-#: the default k_cut is where |s(k)| drops below this fraction of its peak
+#: the default cos2 k_cut is where |s(k)| drops below this fraction of its
+#: peak (the cos2 envelope falls only as k^-3)
 ENVELOPE_TOL = 1e-6
+#: the default gaussian k_cut is where its envelope falls to this fraction
+#: of its peak, 8.6 sigma_k past |k0|.  Over sigma_k = 0.0125-0.1 and k0 =
+#: 0-0.1, a cut at 1e-6 (5.3 sigma_k) parts the own rule from the t = 0
+#: FFT row by up to 3.2e-5 of max |rho|, as the row's _k_weights only
+#: approximate the cut, and the row's charge from total_charge by 6.6e-8;
+#: at 1e-16 by <= 3.4e-13 and 9e-16, for 1.2-1.7 times the k-nodes
+GAUSS_ENVELOPE_TOL = 1e-16
 #: Gauss-Legendre order of the x-space panel quadratures
 PANEL_ORDER = 12
 #: most points of an FFT row (a fixed-t x-integral) and most nodes of a
@@ -130,10 +139,11 @@ class PacketSpec:
         return self.a * s
 
     def default_k_cut(self) -> float:
-        """Truncation where the envelope drops below ENVELOPE_TOL * peak."""
+        """Truncation where the envelope drops below GAUSS_ENVELOPE_TOL
+        (gaussian) or ENVELOPE_TOL (cos2) times its peak."""
         if self.shape == "gaussian":
             return abs(self.k0) + self.sigma_k * np.sqrt(
-                -2.0 * np.log(ENVELOPE_TOL))
+                -2.0 * np.log(GAUSS_ENVELOPE_TOL))
         # |s(k)| <= pi^2 / (a^2 |k|^3) for |k| a > pi; peak is a.
         return max((np.pi ** 2 / (self.a ** 3 * ENVELOPE_TOL)) ** (1 / 3.0),
                    4.0 * np.pi / self.a)
@@ -297,9 +307,8 @@ class Packet(_Densities):
 
     fields, rho, rho_nw and rho_j run on the k rule of their points'
     reach (rule_at).  The packet's own rule is that of its decay window:
-    it fixes the normalization, k holds its nodes, and the explode engine
-    check holds it against the t = 0 FFT row over the whole decay window
-    (zero_crossings).
+    it fixes the normalization and k holds its nodes.  Like every rule,
+    it is made and checked by rule_at on its first use.
     """
 
     #: Gauss-Legendre order of every k rule
@@ -312,14 +321,14 @@ class Packet(_Densities):
         self.spec = spec
         self.k_cut = float(k_cut if k_cut is not None
                            else spec.default_k_cut())
-        k, w, split = self._gl_rule(self.rule_nodes(self.decay_window()))
+        k, w, _ = self._gl_rule(self.rule_nodes(self.decay_window()))
         s = spec.shape_values(k)
         # int rho_nw dx = 2 pi N^2 int s^2 dk  ==  total_charge.
         s2 = float(np.sum(w * s * s))
         self.norm = np.sqrt(spec.total_charge / (2.0 * np.pi * s2))
         self.k = k
-        #: node count -> rule (rule_at); the own rule comes unchecked
-        self._rules = {k.size: _Rule(k, w, split, self.norm * s)}
+        #: node count -> checked rule (rule_at)
+        self._rules = {}
 
     def _reach(self, reach: float) -> float:
         """The reach a rule is sized for: at least twice the support edge
@@ -361,7 +370,8 @@ class Packet(_Densities):
         the t = 0 FFT row within that reach, or within the decay window
         when the reach passes it, where the row ends and the t = 0 field
         is negligible: ArithmeticError past ENGINE_GAP_TOL (_check_rule).
-        The own rule, made with the packet before any row, is not.
+        This is the one place a packet makes a rule, its own rule (that of
+        the decay window) included.
         """
         R = self._reach(np.max(np.abs(x), initial=0.0)
                         + np.max(np.abs(t), initial=0.0))
@@ -630,16 +640,23 @@ class _RowIntegral:
         return G + _fourier_re(x, self.dk, self.series[..., :self.m],
                                diagonal)
 
-    def derivatives(self, x: float, orders) -> np.ndarray:
-        """The p-th derivative of G (antiderivative) at one x for each p of
+    def derivatives(self, x, orders) -> np.ndarray:
+        """The p-th derivative of G (antiderivative) at x for each p of
         orders, for one row: G, f = G', f', ... on the modes up to the
-        band, in one real product (_fourier_re)."""
+        band, in one real product (_fourier_re).  p = -1 gives the
+        antiderivative of G's periodic part, without the term mean x^2 / 2
+        (nearnr's W: there the mean is rounding, which x^2 / 2 would carry
+        to 1.7e-10 of W at the box edge).  x is one point, giving one value
+        per order, or a 1-d array, giving one row per order."""
         k, series = self.k[:self.m], self.series[:self.m]
-        stack = np.stack([(1j * k) ** p * series for p in orders])
-        out = _fourier_re(np.array([x]), self.dk, stack)[0]
+        ik = 1j * k
+        ik[0] = 1.0       # the zero mode's series term is 0
+        stack = np.stack([ik ** p * series for p in orders])
+        out = _fourier_re(np.reshape(x, -1), self.dk, stack).T
         # the mean's term mean x, and its slope
-        return out + [x * self.mean if p == 0 else self.mean if p == 1 else 0.0
-                      for p in orders]
+        for row, p in zip(out, orders):
+            row += x * self.mean if p == 0 else self.mean if p == 1 else 0.0
+        return out if np.ndim(x) else out[:, 0]
 
     def resampled(self):
         """(dx, spectrum, f, G) of one row resampled exactly, by
@@ -799,8 +816,8 @@ def zero_crossings(packet: Packet):
     (a k_cut too small for a narrow packet), when a Newton solve does not
     converge, and when the packet's own k rule (that of its decay window)
     departs from the row by more than ENGINE_GAP_TOL within the decay
-    window (_check_rule): one of the two engines is then off where the
-    row integrals reach.
+    window (rule_at's _check_rule): one of the two engines is then off
+    where the row integrals reach.
     """
     if packet.spec.shape != "cos2":
         raise ValueError("zero crossings are defined for the cos2 packet")
@@ -819,8 +836,9 @@ def zero_crossings(packet: Packet):
 
     L = packet.decay_window()
     # Packet.fields and the row sample the same truncated field; a k
-    # quadrature that aliases within the decay window parts them
-    _check_rule(packet.rule_at(L, 0.0), row, L)
+    # quadrature that aliases within the decay window parts them, and
+    # rule_at checks the packet's own rule on its first use
+    packet.rule_at(L, 0.0)
     G_L = row.derivatives(L, (0,))[0]
 
     def tail(x):

@@ -13,13 +13,15 @@ integrand for a volume rule.  Where the program integrates a fixed-t
 FFT row, the oracle takes the row finer and sums its Fourier series
 directly, one exponential per (point, mode).  Where the program sums a
 k-integral on the rule of a reach, the reference is a deliberately finer
-rule (fine_rule).
+rule (fine_rule).  Where the program takes W from an FFT row, the oracle
+sums W's double k-integral on a dense kernel matrix (WKernel).
 """
 
 import numpy as np
 
 from relbohm.dirac import SpinorSample, _plane_spinor
-from relbohm.numerics import EPS_RHO_SCALE, bilinear_j, bilinear_rho, omega
+from relbohm.numerics import (EPS_RHO_SCALE, SizeError, bilinear_j,
+                              bilinear_rho, omega)
 from relbohm.packets import _gl_panels, _k_weights, _Rule, fft_row_size
 
 
@@ -91,10 +93,69 @@ def gauge_transform(s: SpinorSample, f: complex, df) -> SpinorSample:
                         dpsi=f * s.dpsi + df[:, None] * s.psi[None, :])
 
 
-def d2w_dx2_5point(kernel, x, t, h: float = 1e-3):
-    """5-point central second x-derivative of a WKernel's W, O(h^4)."""
+class WKernel:
+    """Tabulated exact density-difference potential W(x, t), the dense
+    oracle for nearnr.correction_field's W on the FFT row.
+
+    W = -(1/2) iint dk dk' c(k) c(k') (w w')^{-1/2}
+        (k + k')^2 / ((sqrt w + sqrt w')^2 (w + w')^2)
+        cos[(k - k') x - (w - w') t]
+
+    so that d^2 W / dx^2 = rho - rho_nw identically (the kernel is the
+    difference kernel (sqrt w - sqrt w')^2 / (2 sqrt(w w')) divided by
+    -(k - k')^2, which is finite on the diagonal).  Built on the k rule
+    that the points (x, t) need (Packet.rule_at), on which Packet.fields
+    evaluates them; evaluation is a weighted cosine sum.  The matrix is
+    O(N^2) in the N k-nodes: SizeError for a rule of over MAX_NODES
+    nodes, before it is made.
+    """
+
+    #: most k-nodes of a rule the dense kernel matrix accepts
+    MAX_NODES = 4096
+
+    def __init__(self, packet, x, t):
+        rule = packet.rule_at(x, t)
+        if rule.k.size > self.MAX_NODES:
+            raise SizeError(
+                f"the k rule has {rule.k.size} nodes; the dense W kernel "
+                f"accepts at most {self.MAX_NODES}.  Set a smaller k_cut "
+                "or a narrower x window (narrow-k regime).")
+        k = rule.k
+        w = rule.omega
+        ws = rule.ws                          # quad weight * coefficient
+        sw = np.sqrt(w)
+        kern = ((k[:, None] + k[None, :]) ** 2
+                / ((sw[:, None] + sw[None, :]) ** 2
+                   * (w[:, None] + w[None, :]) ** 2))
+        self._M = (-0.5 * np.outer(ws, ws)
+                   * (w[:, None] * w[None, :]) ** -0.5 * kern)
+        self.k = k
+        self.omega = w
+
+    def _phases(self, x, t):
+        """cos and sin of theta = k x - omega t at broadcastable x, t."""
+        theta = np.multiply.outer(x, self.k) - np.multiply.outer(t, self.omega)
+        return np.cos(theta), np.sin(theta)
+
+    def evaluate(self, x, t) -> np.ndarray:
+        """W at broadcastable x, t via cos(a-b) = cos a cos b + sin a sin b."""
+        a, b = self._phases(x, t)
+        return (np.sum(a * (a @ self._M), axis=-1)
+                + np.sum(b * (b @ self._M), axis=-1))
+
+    def d2_dx2(self, x, t) -> np.ndarray:
+        """d^2 W / dx^2 at broadcastable x, t: W's sum with M_ab times
+        -(k_a - k_b)^2, which for symmetric M is -2 sum_a q_a [k_a (u M)_a
+        - (q M)_a] with q = k u, summed over u = cos theta, sin theta."""
+        k, M = self.k, self._M
+        return -2.0 * sum(np.sum(k * u * (k * (u @ M) - (k * u) @ M), axis=-1)
+                          for u in self._phases(x, t))
+
+
+def d2w_dx2_5point(W, x, h: float = 1e-3):
+    """5-point central second derivative of a function W of x, O(h^4)."""
     x = np.asarray(x, dtype=float)
-    w = [kernel.evaluate(x + m * h, t) for m in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+    w = [W(x + m * h) for m in (-2.0, -1.0, 0.0, 1.0, 2.0)]
     return (-w[0] + 16 * w[1] - 30 * w[2] + 16 * w[3] - w[4]) / (12.0 * h * h)
 
 

@@ -210,15 +210,15 @@ def test_criterion_06_exact_identity_and_moments():
     gauss = packets.Packet(packets.PacketSpec(
         shape="gaussian", k0=0.1, sigma_k=0.05, total_charge=1.0))
     cos2 = packets.Packet(packets.PacketSpec(shape="cos2", a=1.0), k_cut=40.0)
+    # the program's W (nearnr.correction_field), differenced in x
     xg = np.linspace(-15.0, 15.0, 31)
-    kern_g = nearnr.WKernel(gauss, xg, 0.3)
     res_g = np.max(np.abs(
-        d2w_dx2_5point(kern_g, xg, 0.3, h=1e-2)
+        d2w_dx2_5point(lambda x: nearnr.correction_field(gauss, x, 0.3).W,
+                       xg, h=1e-2)
         - (gauss.rho(xg, 0.3) - gauss.rho_nw(xg, 0.3))))
     xc = np.linspace(-2.0, 2.0, 21)
-    kern_c = nearnr.WKernel(cos2, xc, 0.0)
     res_c = np.max(np.abs(
-        d2w_dx2_5point(kern_c, xc, 0.0)
+        d2w_dx2_5point(lambda x: nearnr.correction_field(cos2, x, 0.0).W, xc)
         - (cos2.rho(xc, 0.0) - cos2.rho_nw(xc, 0.0))))
     m = [nearnr.moments(p, 0.0) for p in (gauss, cos2)]
     mom = max(abs(v) for pair in m for v in pair)

@@ -114,9 +114,6 @@ _GAUSS = {"shape": "gaussian", "k0": 0.1, "sigma_k": 0.05}
     # falls short of the k rule of the x_0 scan
     ("explode", {"packet": {"shape": "cos2", "k_cut": 5.0}, "grid": _GRID},
      3, None),
-    # well formed, but the dense W kernel cannot take the 8 592 k-nodes
-    # of the default window's rule
-    ("nearnr", {"packet": {"shape": "cos2", "a": 1.0}}, 2, None),
     # well formed, but psibar psi < 0 at all four sample points
     ("spin", {"kind": "dirac", "n_modes": 2, "seed": 13, "n_points": 4,
               "point_seed": 151}, 3, None),
@@ -168,7 +165,7 @@ _GAUSS = {"shape": "gaussian", "k0": 0.1, "sigma_k": 0.05}
         "spin-dirac-k_max-nan", "spin-dirac-k_max-negative",
         "spin-dirac-k_max-zero", "explode-t_values-fft-row-too-large",
         "explode-p_times-fft-row-too-large", "explode-short-end-correction",
-        "nearnr-packet-too-many-k-nodes", "spin-dirac-empty-domain",
+        "spin-dirac-empty-domain",
         "explode-packet-string", "nearnr-packet-null", "nearnr-packet-list",
         "explode-grid-t-fft-row-too-large", "spin-fw-box_n-over-limit",
         "spin-fw-box_n-huge", "nearnr-t-fft-row-too-large",
@@ -189,6 +186,20 @@ def test_malformed_or_unconverged_config_exit_code(tmp_path, capsys, command,
         assert not out.exists()
     if message is not None:
         assert message in capsys.readouterr().err
+
+
+def test_nearnr_default_cos2_runs(tmp_path):
+    # the default cos2 packet's window takes a rule of 8 592 k-nodes; W
+    # comes from the FFT row, so no node limit applies.  The packet is
+    # far from the narrow-k regime, and eq. 22 still closes
+    cfg = write_cfg(tmp_path, "cos2.json", {"packet": {"shape": "cos2",
+                                                       "a": 1.0}})
+    out = tmp_path / "o"
+    with pytest.warns(RuntimeWarning, match="narrow-k regime"):
+        assert run(["nearnr", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["narrow_k_regime"] is False
+    assert summary["eq22_max_residual"] < 1e-9
 
 
 def test_explode_unresolved_packet_is_named(tmp_path, capsys):
@@ -498,7 +509,6 @@ def test_nearnr_pushforward_null_where_rho_vanishes(tmp_path):
 
 
 def test_nearnr_moments_on_wide_cos2(tmp_path):
-    # the x window's rule has 816 k-nodes, within the W kernel's limit;
     # rho - rho_nw is too sharp for fixed x panels over the decay window
     cfg = write_cfg(tmp_path, "wide.json", {
         "packet": {"shape": "cos2", "k_cut": 100.0},
@@ -827,9 +837,10 @@ def _nearnr_configs(draw):
 @example(cfg={"packet": {"shape": "gaussian", "k0": 0.1, "sigma_k": 0.05},
               "x": {"min": -20.0, "max": 20.0, "n": 161}, "t": 30.0},
          quick=False)
-# past the size limits, as far as the float range: a W kernel refused
-# after the view is built, a row or rule whose size passes the float
-# range, a reach of inf, and a window whose x step overflows (NaN points)
+# past the size limits, as far as the float range: a late t whose rule and
+# rows are large but within the limits, a row or rule whose size passes
+# the float range, a reach of inf, and a window whose x step overflows
+# (NaN points)
 @example(cfg={"packet": _GAUSS, "x": {"min": -20.0, "max": 20.0, "n": 5},
               "t": 1e4}, quick=False)
 @example(cfg={"packet": _GAUSS, "x": {"min": -4.0, "max": 4.0, "n": 5},

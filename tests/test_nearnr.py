@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import d2w_dx2_5point
-from relbohm.nearnr import (WKernel, correction_field,
-                            density_difference_timeform, moments,
-                            nw_position_map, pushforward_l1, w_approx)
-from relbohm.packets import Packet, PacketSpec
+from oracles import WKernel, d2w_dx2_5point
+from relbohm.nearnr import (correction_field, density_difference_timeform,
+                            moments, nw_position_map, pushforward_l1,
+                            w_approx)
+from relbohm.packets import Packet, PacketSpec, _fft_row
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,7 @@ def test_anchor_identity_gaussian(gauss, gauss_kernel):
     x, t = GAUSS_X, GAUSS_T
     # wide FD step: W varies on the packet width ~1/sigma_k, and a small
     # step runs into roundoff because the difference itself is tiny
-    lhs = d2w_dx2_5point(gauss_kernel, x, t, h=1e-2)
+    lhs = d2w_dx2_5point(lambda xs: gauss_kernel.evaluate(xs, t), x, h=1e-2)
     rhs = gauss.rho(x, t) - gauss.rho_nw(x, t)
     scale = np.max(np.abs(rhs))
     assert np.max(np.abs(lhs - rhs)) < 1e-7 * scale
@@ -53,7 +53,7 @@ def test_anchor_identity_gaussian(gauss, gauss_kernel):
 def test_anchor_identity_cos2(cos2_coarse):
     x = np.linspace(-2.0, 2.0, 21)
     kernel = WKernel(cos2_coarse, x, 0.0)
-    lhs = d2w_dx2_5point(kernel, x, 0.0)
+    lhs = d2w_dx2_5point(lambda xs: kernel.evaluate(xs, 0.0), x)
     rhs = cos2_coarse.rho(x, 0.0) - cos2_coarse.rho_nw(x, 0.0)
     assert np.max(np.abs(lhs - rhs)) < 1e-6 * np.max(np.abs(rhs))
 
@@ -204,3 +204,44 @@ def test_correction_field_consistency(gauss):
     assert np.allclose(cf.x_mapped, cf.x + cf.f, equal_nan=True)
     assert np.max(np.abs(cf.d2W_dx2 - (cf.rho - cf.rho_nw))) < 1e-7 * np.max(
         np.abs(cf.rho))
+
+
+@pytest.mark.parametrize("case", ["gauss", "cos2", "wide"])
+def test_row_w_matches_the_dense_kernel(request, case):
+    # W and d^2 W / dx^2 from the FFT row of rho - rho_nw against the
+    # dense kernel oracle, W's constant included.  sigma_k = 0.5 has a row
+    # period of 128: the window [-300, 300] passes it, and both must hold
+    # at 0 past +-L rather than repeat the row's periodic images (x =
+    # -256 is one)
+    if case == "gauss":
+        packet, x, t = request.getfixturevalue("gauss"), GAUSS_X, GAUSS_T
+    elif case == "cos2":
+        packet = request.getfixturevalue("cos2_coarse")
+        x, t = np.linspace(-3.0, 3.0, 61), 0.0
+    else:
+        packet = Packet(PacketSpec(shape="gaussian", sigma_k=0.5))
+        x, t = np.linspace(-300.0, 300.0, 151), 0.2
+        assert -256.0 in x
+    kernel = WKernel(packet, x, t)
+    cf = correction_field(packet, x, t)
+    # d^2 W / dx^2 is the row's d, which parts from the k rule's by the
+    # two engines' gap: 5e-9 of max |d| for cos2 at k_cut = 40
+    for got, exact, tol in ((cf.W, kernel.evaluate(x, t), 1e-10),
+                            (cf.d2W_dx2, kernel.d2_dx2(x, t), 1e-8)):
+        assert np.max(np.abs(got - exact)) <= tol * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("k0", [0.0, 0.1])
+@pytest.mark.parametrize("sigma_k", [0.1, 0.05, 0.025, 0.0125])
+def test_gaussian_own_rule_and_row_charge_at_rounding(sigma_k, k0):
+    # cut where the envelope falls to 1e-16, the gaussian's own rule (that
+    # of its decay window) meets the refine-1 t = 0 row to rounding, and
+    # the row holds the packet's charge
+    p = Packet(PacketSpec(shape="gaussian", k0=k0, sigma_k=sigma_k))
+    L = p.decay_window()
+    row = _fft_row(p, 0.0)
+    # the row's samples within [-L, L]: j dx, and -j dx at index -j
+    j = np.arange(-int(L / row.dx), int(L / row.dx) + 1)
+    rho = p.rule_at(L, 0.0).rho(j * row.dx, 0.0)
+    assert np.max(np.abs(rho - row.f[j])) <= 1e-12 * np.max(np.abs(row.f))
+    assert abs(row.mean * row.n * row.dx - p.spec.total_charge) <= 1e-14

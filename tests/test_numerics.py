@@ -94,6 +94,17 @@ def test_lambert_array_equals_scalar_calls(branch):
     assert np.array_equal(grid.ravel(), w[:300])
 
 
+def test_lambert_branch_minus1_where_exp_w_is_subnormal():
+    # below y = -4e-306, e^w is subnormal: w e^w - y loses digits and is
+    # 0 / 0 at -5e-324.  W solves the log form w + ln(-w) = ln(-y) there
+    y = -np.concatenate([np.logspace(-300, -323, 47), [5e-324]])
+    w = lambert_w(-1, y)
+    assert np.all(np.isfinite(w)) and np.all(w < -1.0)
+    log_y = np.log(-y)
+    assert np.all(np.abs(w + np.log(-w) - log_y) <= 4 * _EPS * np.abs(log_y))
+    assert np.array_equal(w, [lambert_w(-1, v) for v in y])
+
+
 def test_lambert_domain_errors():
     with pytest.raises(ValueError):
         lambert_w(0, -1.0)
