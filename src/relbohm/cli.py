@@ -2,14 +2,15 @@
 
 Subcommands: modes, explode, nearnr, spin.  Each takes --config (JSON),
 --out (output directory), --quick (coarse presets) and --threads (speed
-only; results are byte-identical for any thread count).
+only; results are byte-identical for any thread count).  modes, nearnr
+and spin parse the config, make one library call and write its result.
 
 Exit codes: 0 success, 2 config error, 3 numerical non-convergence.
-An array past its size limit (numerics.SizeError: an FFT row, k rule or
-face rule) is a config error, at whatever stage the library meets it.
-Every k rule a command runs on is first held against an FFT row; a rule
-that parts from it (a k_cut too low) is a non-convergence.  explode, nearnr and spin fw run every analysis before they
-make --out, so a run that exits 2 leaves no --out.
+An array past its size limit (numerics.SizeError) or a sample count
+over SAMPLE_MAX_POINTS is a config error, wherever it is met.  A k rule
+that parts from its FFT row (a k_cut too low) is a non-convergence.
+Every command analyses before it makes --out, so a run that exits 2
+leaves no --out.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import argparse
 import functools
 import json
 import sys
-import warnings
 from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
@@ -31,12 +31,14 @@ from .numerics import Grid2D, SizeError
 
 __all__ = ["main"]
 
+#: most points of a sample set sized by one config count (explode's
+#: density_x.n, nearnr's x.n, spin's n_points): 160 times the bundled 401;
+#: spin's jets take 64 MB per array there, and every command runs within
+#: 2 GB of address space.  Past it the count is a config error
+SAMPLE_MAX_POINTS = 2 ** 16
+
 
 class ConfigError(Exception):
-    pass
-
-
-class ConvergenceError(Exception):
     pass
 
 
@@ -81,12 +83,14 @@ def _grid(cfg: dict, quick: bool) -> Grid2D:
         return Grid2D(n_x=n_x, n_t=n_t, **ext)
 
 
-def _count(value, name: str, least: int = 1) -> int:
-    """An integer config value of at least `least`."""
+def _count(value, name: str, least: int = 1, most: float = np.inf) -> int:
+    """An integer config value from `least` to `most`."""
     with _parsing(name):
         n = int(value)
     if n < least:
         raise ConfigError(f"{name} must be >= {least}")
+    if n > most:
+        raise ConfigError(f"{name} = {n} is over the limit of {most}")
     return n
 
 
@@ -126,25 +130,17 @@ def cmd_modes(cfg: dict, args) -> int:
             phi=np.array([complex(re, im) for re, im in cfg["phi"]]))
     grid = _grid(cfg, args.quick)
     n_levels = _count(cfg.get("n_levels", 30), "n_levels")
-    out = _out_dir(args)
 
-    F, rho = modes.grid_fields(state, grid, args.threads)
-    traj = modes.trajectory_family(state, grid, F, n_levels)
-    xs, ts = grid.x, grid.t
+    F, traj, summary = modes.analyse(state, grid, n_levels, args.threads)
+
+    out = _out_dir(args)
     write_csv(out / "f_grid.csv", ["x", "t", "F"],
-              [np.repeat(xs, grid.n_t), np.tile(ts, grid.n_x), F.ravel()],
-              cfg)
+              [np.repeat(grid.x, grid.n_t), np.tile(grid.t, grid.n_x),
+               F.ravel()], cfg)
     write_csv(out / "trajectories.csv",
               ["level_id", "vertex_id", "x", "t", "rho_sign", "v"],
               traj.columns(), cfg)
-    write_json(out / "summary.json", {
-        "mean_group_velocity": modes.mean_rest_frame_check(state),
-        "pair_events": traj.n_pair_events,
-        "n_contours": len(traj.trajectories),
-        "rho_sign_census": {"positive": int(np.sum(rho > 0)),
-                            "negative": int(np.sum(rho < 0))},
-        "f_range": [float(F.min()), float(F.max())],
-    }, cfg)
+    write_json(out / "summary.json", summary, cfg)
     return 0
 
 
@@ -242,7 +238,7 @@ def cmd_explode(cfg: dict, args) -> int:
         t_values = [float(t) for t in cfg.get("t_values", [0.0])]
         p_times = [float(t) for t in cfg.get("p_times", [0.0])]
         dx_cfg = cfg.get("density_x", {"min": -5.0, "max": 5.0, "n": 401})
-        n = _count(dx_cfg["n"], "density_x.n")
+        n = _count(dx_cfg["n"], "density_x.n", most=SAMPLE_MAX_POINTS)
         xd = _window(dx_cfg, "density_x",
                      n if not args.quick else max(2, n // 2))
     if not all(0.0 <= t < np.inf for t in t_values + p_times):
@@ -297,48 +293,13 @@ def cmd_nearnr(cfg: dict, args) -> int:
     packet = _packet_from(cfg)
     xcfg = cfg.get("x", {"min": -20.0, "max": 20.0, "n": 161})
     with _parsing("x"):
-        n = _count(xcfg["n"], "x.n")
+        n = _count(xcfg["n"], "x.n", most=SAMPLE_MAX_POINTS)
         if args.quick:
             n = max(9, n // 2)
         x = _window(xcfg, "x", n)
     t = _real(cfg.get("t", 0.0), "t")
 
-    field = nearnr.correction_field(packet, x, t)
-    lhs = field.rho - field.rho_nw
-    eq22_res = float(np.max(np.abs(lhs - field.d2W_dx2)))
-    w_gap = field.W - nearnr.w_approx(packet, x, t)
-    m0, m1 = nearnr.moments(packet, t)
-    lhs_t, r27a, r27b = nearnr.density_difference_timeform(packet, x, t)
-    mask = np.abs(lhs_t) > 0.1 * np.max(np.abs(lhs_t))
-    rel27b = float(np.max(np.abs((lhs_t - r27b)[mask] / lhs_t[mask])))
-    rel27ab = float(np.max(np.abs((r27a - r27b)[mask] / lhs_t[mask])))
-    w_rel = float(np.sqrt(np.mean(w_gap ** 2) / np.mean(field.W ** 2)))
-    # the regime is where the expansion measurably holds; NaN is outside
-    narrow = bool(np.max([w_rel, rel27b]) <= nearnr.NARROW_K_REL)
-    if not narrow:
-        warnings.warn(f"w_approx_rel {w_rel:.3g} or timeform_rel_27b "
-                      f"{rel27b:.3g} over {nearnr.NARROW_K_REL:g}: outside "
-                      "the narrow-k regime", RuntimeWarning)
-    summary = {
-        "eq22_max_residual": eq22_res,
-        "w_approx_rel": w_rel,
-        "moment0": m0, "moment1": m1,
-        "timeform_rel_27b": rel27b,
-        "timeform_rel_27a_vs_27b": rel27ab,
-        "narrow_k_regime": narrow,
-    }
-    if packet.spec.shape == "gaussian":
-        # null outside the narrow-k regime, where the map need not be
-        # monotone, and where it is undefined on the window
-        summary["pushforward"] = None
-        if narrow:
-            try:
-                raw, mapped = nearnr.pushforward_l1(packet, t)
-            except ValueError as exc:
-                warnings.warn(f"pushforward is null: {exc}", RuntimeWarning)
-            else:
-                summary["pushforward"] = {"l1_raw": raw, "l1_mapped": mapped,
-                                          "improvement": raw / mapped}
+    field, summary = nearnr.analyse(packet, x, t)
 
     out = _out_dir(args)
     write_csv(out / "correction.csv",
@@ -361,63 +322,29 @@ def cmd_spin(cfg: dict, args) -> int:
             field = dirac.DiracField.random(
                 n_modes=int(cfg["n_modes"]), seed=int(cfg["seed"]),
                 k_max=_real(cfg.get("k_max", 1.0), "k_max", positive=True))
-        n_pts = _count(cfg.get("n_points", 20), "n_points")
+        n_pts = _count(cfg.get("n_points", 20), "n_points",
+                       most=SAMPLE_MAX_POINTS)
         if args.quick:
             n_pts = min(n_pts, 6)
         r = _real(cfg.get("point_range", 1.0), "point_range", positive=True)
         pts = rng.uniform(-r, r, (n_pts, 4))
-        out = _out_dir(args)
-        res = dirac.identity_residuals(field, pts)
-        inside = res.in_domain
-        report = {
-            "kind": "dirac",
-            "n_points": n_pts,
-            "excluded_points": int(np.sum(~inside)),
-            "min_density_ratio": float(np.min(res.density_ratio)),
-        }
-        over = []
-        for name, resid, bound in (("mass_identity", res.mass, res.mass_bound),
-                                   ("eom", res.eom, res.eom_bound)):
-            resid, bound = resid[inside], bound[inside]
-            report[name] = {
-                "max_residual": float(resid.max()) if inside.any() else None,
-                "max_residual_over_bound":
-                    float(np.max(resid / bound)) if inside.any() else None,
-            }
-            if np.any(~(resid <= bound)):
-                over.append(name)
-        # converged: a non-empty domain, every residual within its bound
-        report["converged"] = bool(inside.any() and not over)
-        write_json(out / "report.json", report, cfg)
-        if not inside.any():
-            raise ConvergenceError(
-                f"empty domain: psibar psi <= {dirac.EPS_NODE:g} |psi|^2 at "
-                f"all {n_pts} sample points")
-        if over:
-            raise ConvergenceError(
-                f"residual above its rounding bound: {', '.join(over)}")
+        report, failure = dirac.identity_report(field, pts)
+        write_json(_out_dir(args) / "report.json", report, cfg)
+        if failure:
+            raise ArithmeticError(failure)
         return 0
     if kind == "fw":
         name = cfg.get("field", "hedgehog")
-        makers = {"gaussian": dirac.fw_gaussian_field,
-                  "rotating": dirac.fw_rotating_field,
-                  "hedgehog": dirac.fw_hedgehog_field}
-        if not isinstance(name, str) or name not in makers:
+        if not isinstance(name, str) or name not in dirac.FW_FIELDS:
             raise ConfigError(f"unknown FW field {name!r}")
-        n_pts = _count(cfg.get("n_points", 25), "n_points")
+        n_pts = _count(cfg.get("n_points", 25), "n_points",
+                       most=SAMPLE_MAX_POINTS)
         box_n = _count(cfg.get("box_n", 61), "box_n", least=2)
         if args.quick:
             box_n = min(box_n, 41)
         box_half = _real(cfg.get("box_half", 7.0), "box_half", positive=True)
-        field = makers[name]()
-        pts = rng.uniform(-1.5, 1.5, (n_pts, 3))
-        report = {
-            "kind": "fw", "field": name,
-            "spin_tensor_residual": dirac.verify_fw_spin_tensor(field, pts)[0],
-            "curl_residual": dirac.verify_curl_formula(field, pts)[0],
-            "ensemble_balance": dirac.verify_ensemble_balance(
-                field, box_half, n=box_n),
-        }
+        report = dirac.fw_report(name, rng.uniform(-1.5, 1.5, (n_pts, 3)),
+                                 box_half, box_n)
         write_json(_out_dir(args) / "report.json", report, cfg)
         return 0
     raise ConfigError(f"unknown spin kind {cfg.get('kind')!r}")
@@ -465,7 +392,7 @@ def main(argv=None) -> int:
     except (ConfigError, SizeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return 3
 

@@ -44,6 +44,7 @@ import numpy as np
 from .numerics import SizeError, omega
 
 __all__ = [
+    "FW_FIELDS",
     "DiracField",
     "DiracMode",
     "FWField",
@@ -57,7 +58,9 @@ __all__ = [
     "fw_hedgehog_field",
     "fw_rotating_field",
     "fw_spinor",
+    "fw_report",
     "fw_u",
+    "identity_report",
     "identity_residuals",
     "jets",
     "quantum_potential_spinor",
@@ -541,6 +544,44 @@ def identity_residuals(field: DiracField, points) -> IdentityResiduals:
                              eom_bound=eom_bound)
 
 
+def identity_report(field: DiracField, points):
+    """identity_residuals at points (n, 4), judged: (report, failure).
+
+    The report gives the point count, the points outside the domain, the
+    least density ratio and, per identity, the largest in-domain residual
+    and residual-to-bound ratio (None on an empty domain).  It is
+    converged when the domain is not empty and every in-domain residual
+    is within its bound; failure then is None, and otherwise it names
+    the empty domain or the identities over their bounds.
+    """
+    res = identity_residuals(field, points)
+    inside = res.in_domain
+    report = {
+        "kind": "dirac",
+        "n_points": int(inside.size),
+        "excluded_points": int(np.sum(~inside)),
+        "min_density_ratio": float(np.min(res.density_ratio)),
+    }
+    over = []
+    for name, resid, bound in (("mass_identity", res.mass, res.mass_bound),
+                               ("eom", res.eom, res.eom_bound)):
+        resid, bound = resid[inside], bound[inside]
+        report[name] = {
+            "max_residual": float(resid.max()) if inside.any() else None,
+            "max_residual_over_bound":
+                float(np.max(resid / bound)) if inside.any() else None,
+        }
+        if np.any(~(resid <= bound)):
+            over.append(name)
+    report["converged"] = bool(inside.any() and not over)
+    if not inside.any():
+        return report, (f"empty domain: psibar psi <= {EPS_NODE:g} |psi|^2 "
+                        f"at all {inside.size} sample points")
+    if over:
+        return report, f"residual above its rounding bound: {', '.join(over)}"
+    return report, None
+
+
 # -- Foldy-Wouthuysen representation --------------------------------------
 #
 # FW directions and fields take points of shape (..., 3) and keep the
@@ -779,3 +820,23 @@ def fw_hedgehog_field() -> FWField:
         return np.moveaxis(out, (0, 1), (-2, -1))
 
     return FWField(s=s, ds=ds)
+
+
+#: the built-in FW test fields by name
+FW_FIELDS = {"gaussian": fw_gaussian_field, "rotating": fw_rotating_field,
+             "hedgehog": fw_hedgehog_field}
+
+
+def fw_report(name: str, points, box_half: float, box_n: int) -> dict:
+    """The FW checks of the built-in field FW_FIELDS[name]: the largest
+    spin tensor and curl residuals at points (n, 3), and the ensemble
+    balance on the box of half-width box_half, box_n nodes per face
+    axis."""
+    field = FW_FIELDS[name]()
+    return {
+        "kind": "fw", "field": name,
+        "spin_tensor_residual": verify_fw_spin_tensor(field, points)[0],
+        "curl_residual": verify_curl_formula(field, points)[0],
+        "ensemble_balance": verify_ensemble_balance(field, box_half,
+                                                    n=box_n),
+    }

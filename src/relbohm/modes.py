@@ -19,7 +19,7 @@ import numpy as np
 
 from . import io_utils
 from .contours import extract_contours
-from .numerics import EPS_RHO_SCALE, Grid2D, omega
+from .numerics import EPS_RHO_SCALE, Grid2D, SizeError, omega
 
 __all__ = [
     "ModeSet",
@@ -29,12 +29,23 @@ __all__ = [
     "integral_F",
     "grid_fields",
     "contour_family",
-    "trajectory_family",
+    "analyse",
     "mean_rest_frame_check",
 ]
 
 #: largest |Re| / max |Im| of the double sum that integral_F accepts
 PURITY_TOL = 1e-9
+#: most pair products conj(u_a) u_b of one block of grid_fields, 64 MB
+#: per complex array: ROW_CHUNK rows of n_t times, M^2 for M modes.  It
+#: admits 641^2 with 8 modes (656 384), 1281^2 with 3 (184 464) and
+#: two_mode.json's grid with up to 50 modes; past it grid_fields raises
+#: SizeError, before any array is made
+PAIR_MAX_PRODUCTS = 2 ** 22
+#: most grid cells times levels of a contour family: each level is one
+#: pass over every cell.  It admits 1281^2 at 81 levels, 641^2 at 327 and
+#: cos2.json's grid at 3 495; past it contour_family raises SizeError,
+#: before the levels are made
+CONTOUR_MAX_CELL_LEVELS = 2 ** 27
 
 
 @dataclass(frozen=True)
@@ -53,8 +64,10 @@ class ModeSet:
             raise ValueError("wavenumbers and coefficients must be finite")
         if np.unique(k).size != k.size:
             raise ValueError("wavenumbers must be pairwise distinct")
-        if not np.any(phi):
-            raise ValueError("coefficients must not all vanish")
+        # sum |phi|^2 normalizes F and the mean group velocity
+        if not 0.0 < np.sum(np.abs(phi) ** 2) < np.inf:
+            raise ValueError("sum |phi|^2 of the coefficients must be "
+                             "positive and finite")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "phi", phi)
 
@@ -196,6 +209,11 @@ def grid_fields(state: ModeSet, grid: Grid2D, threads: int = 1):
     Each value equals integral_F at its row and _rho_j on the whole grid
     bit for bit.  The purity check is integral_F's, row by row.
     """
+    pairs = min(io_utils.ROW_CHUNK, grid.n_x) * grid.n_t * state.k.size ** 2
+    if pairs > PAIR_MAX_PRODUCTS:
+        raise SizeError(f"{state.k.size} modes on {grid.n_t} times make "
+                        f"{pairs} pair products a block, over the limit of "
+                        f"2^22 = {PAIR_MAX_PRODUCTS}")
     t = grid.t
 
     def block(rows):
@@ -282,34 +300,33 @@ def contour_family(F: np.ndarray, grid: Grid2D, n_levels: int, rho_j_fn,
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
+    cells = (grid.n_x - 1) * (grid.n_t - 1)
+    if cells * n_levels > CONTOUR_MAX_CELL_LEVELS:
+        raise SizeError(f"n_levels = {n_levels} on {cells} grid cells is over "
+                        f"the limit of 2^27 = {CONTOUR_MAX_CELL_LEVELS} cell "
+                        "levels")
     lo, hi = float(F.min()), float(F.max())
     levels = lo + (hi - lo) * (np.arange(n_levels) + 0.5) / n_levels
     lines = extract_contours(grid.x, grid.t, F, levels)
     return annotate_contours(lines, rho_j_fn, floor)
 
 
-def trajectories(state: ModeSet, grid: Grid2D, n_levels: int,
-                 threads: int = 1):
-    """Trajectory family: iso-contours of F at n_levels even levels.
+def analyse(state: ModeSet, grid: Grid2D, n_levels: int, threads: int = 1):
+    """The modes analysis on grid: (F, TrajectorySet, summary dict).
 
-    grid_fields then trajectory_family, for a caller that needs no rho
-    grid (the modes command needs it, and calls the two itself).  F
-    comes from one pass per block of rows, so the result does not
-    depend on threads.  Returns (F, TrajectorySet) with F of shape
-    (n_x, n_t).  Warns if F varies by more than one level spacing across
-    a grid cell (contours can then miss structure).
+    F (shape (n_x, n_t)) and rho come from grid_fields, so neither
+    depends on threads; the trajectories are the iso-contours of F at
+    n_levels even levels (contour_family).  The summary holds the mean
+    group velocity, the pair-event and contour counts, the signs of rho
+    over the grid and the range of F.  ArithmeticError if F is not
+    finite anywhere on the grid.  Warns (RuntimeWarning) if F varies
+    by more than one level spacing across a grid cell: contours can then
+    miss structure.
     """
-    F, _ = grid_fields(state, grid, threads)
-    return F, trajectory_family(state, grid, F, n_levels)
-
-
-def trajectory_family(state: ModeSet, grid: Grid2D, F: np.ndarray,
-                      n_levels: int) -> TrajectorySet:
-    """The TrajectorySet of trajectories, from F of grid_fields.
-
-    For a caller that also needs grid_fields' rho; it warns as
-    trajectories does, at its own caller.
-    """
+    F, rho = grid_fields(state, grid, threads)
+    if not np.all(np.isfinite(F)):
+        raise ArithmeticError("F is not finite on the grid: the double sum "
+                              "overflows (wavenumbers too close or too large)")
     traj = contour_family(F, grid, n_levels,
                           lambda x, t: _rho_j(state, x, t), state._rho_floor)
     spacing = float(F.max() - F.min()) / n_levels
@@ -320,4 +337,11 @@ def trajectory_family(state: ModeSet, grid: Grid2D, F: np.ndarray,
             f"grid too coarse for the requested levels: F jumps by up to "
             f"{cell_jump:.3g} per cell vs level spacing {spacing:.3g}",
             RuntimeWarning, stacklevel=2)
-    return traj
+    return F, traj, {
+        "mean_group_velocity": mean_rest_frame_check(state),
+        "pair_events": traj.n_pair_events,
+        "n_contours": len(traj.trajectories),
+        "rho_sign_census": {"positive": int(np.sum(rho > 0)),
+                            "negative": int(np.sum(rho < 0))},
+        "f_range": [float(F.min()), float(F.max())],
+    }

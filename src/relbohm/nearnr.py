@@ -17,6 +17,7 @@ do.  W and the moments come from the FFT rows of rho and rho_nw at t
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from .packets import Packet, _fft_row, _RowIntegral
 
 __all__ = [
     "CorrectionField",
+    "analyse",
     "correction_field",
     "density_difference_timeform",
     "moments",
@@ -187,3 +189,54 @@ def pushforward_l1(packet: Packet, t: float = 0.0):
     l1_raw = float(np.sum(np.abs(rho - rho_nw)) * dx)
     l1_mapped = float(np.sum(np.abs(pushed - rho_nw)) * dx)
     return l1_raw, l1_mapped
+
+
+def analyse(packet: Packet, x, t: float):
+    """The nearnr analysis at x and t: (CorrectionField, summary dict).
+
+    The summary holds eq22_max_residual (max |rho - rho_nw - d^2 W /
+    dx^2| over x), w_approx_rel (the RMS gap of w_approx to W, relative
+    to W's RMS), the two moments, timeform_rel_27b and
+    timeform_rel_27a_vs_27b (the largest relative gaps of eq. 27b to lhs
+    and of 27a to 27b, where |lhs| exceeds a tenth of its maximum), and
+    narrow_k_regime: whether both relative gaps are within NARROW_K_REL,
+    the regime where the expansion measurably holds (NaN is outside).
+    For a gaussian it also holds pushforward, the pushforward_l1 pair and
+    its ratio, or None outside the regime, where the map need not be
+    monotone, or where it is undefined on the window.  Leaving the
+    regime and a null pushforward each warn (RuntimeWarning).
+    """
+    field = correction_field(packet, x, t)
+    eq22_res = float(np.max(np.abs(field.rho - field.rho_nw
+                                   - field.d2W_dx2)))
+    w_gap = field.W - w_approx(packet, field.x, t)
+    m0, m1 = moments(packet, t)
+    lhs_t, r27a, r27b = density_difference_timeform(packet, field.x, t)
+    mask = np.abs(lhs_t) > 0.1 * np.max(np.abs(lhs_t))
+    rel27b = float(np.max(np.abs((lhs_t - r27b)[mask] / lhs_t[mask])))
+    rel27ab = float(np.max(np.abs((r27a - r27b)[mask] / lhs_t[mask])))
+    w_rel = float(np.sqrt(np.mean(w_gap ** 2) / np.mean(field.W ** 2)))
+    narrow = bool(np.max([w_rel, rel27b]) <= NARROW_K_REL)
+    if not narrow:
+        warnings.warn(f"w_approx_rel {w_rel:.3g} or timeform_rel_27b "
+                      f"{rel27b:.3g} over {NARROW_K_REL:g}: outside "
+                      "the narrow-k regime", RuntimeWarning)
+    summary = {
+        "eq22_max_residual": eq22_res,
+        "w_approx_rel": w_rel,
+        "moment0": m0, "moment1": m1,
+        "timeform_rel_27b": rel27b,
+        "timeform_rel_27a_vs_27b": rel27ab,
+        "narrow_k_regime": narrow,
+    }
+    if packet.spec.shape == "gaussian":
+        summary["pushforward"] = None
+        if narrow:
+            try:
+                raw, mapped = pushforward_l1(packet, t)
+            except ValueError as exc:
+                warnings.warn(f"pushforward is null: {exc}", RuntimeWarning)
+            else:
+                summary["pushforward"] = {"l1_raw": raw, "l1_mapped": mapped,
+                                          "improvement": raw / mapped}
+    return field, summary

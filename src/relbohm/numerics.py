@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
+    "GRID_MAX_POINTS",
     "Grid2D",
     "SizeError",
     "bilinear_j",
@@ -33,7 +34,9 @@ __all__ = [
 class SizeError(ValueError):
     """An array past its size limit, refused before it is allocated: an
     FFT row or k rule over packets.FFT_MAX_POINTS points, a face rule over
-    dirac.BALANCE_MAX_N nodes per axis.  The CLI exits 2 on it."""
+    dirac.BALANCE_MAX_N nodes per axis, a grid over GRID_MAX_POINTS nodes,
+    a block of mode pairs over modes.PAIR_MAX_PRODUCTS or a contour family
+    over modes.CONTOUR_MAX_CELL_LEVELS.  The CLI exits 2 on it."""
 
 
 def omega(k):
@@ -64,6 +67,11 @@ def bilinear_j(psi, dpsi_dx):
     return (np.conj(psi) * dpsi_dx).imag
 
 
+#: most nodes n_x n_t of a Grid2D, 32 MB per float field on it: it admits
+#: 2048^2 nodes; past it Grid2D raises SizeError, before any array is made
+GRID_MAX_POINTS = 2 ** 22
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform (x, t) grid; x and t are cached and shared: do not modify."""
@@ -85,6 +93,9 @@ class Grid2D:
                                  "than the float range")
         if self.n_x < 2 or self.n_t < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
+        if self.n_x * self.n_t > GRID_MAX_POINTS:
+            raise SizeError(f"a grid of {self.n_x} x {self.n_t} nodes is over "
+                            f"the limit of 2^22 = {GRID_MAX_POINTS}")
 
     @cached_property
     def x(self) -> np.ndarray:

@@ -102,9 +102,9 @@ def test_criterion_03_integral_of_motion():
 
 def test_criterion_04_pair_creation(fig1_state):
     grid = Grid2D(-0.005, 0.005, 161, 0.0, 0.01, 161)
-    _, fig1 = modes.trajectories(fig1_state, grid, 30)
+    _, fig1, _ = modes.analyse(fig1_state, grid, 30)
     mild_grid = Grid2D(-2.0, 2.0, 101, 0.0, 2.0, 101)
-    _, mild = modes.trajectories(
+    _, mild, _ = modes.analyse(
         modes.ModeSet(k=[0.0, 0.1], phi=[1.0, 1.0]), mild_grid, 20)
     ok = fig1.n_pair_events >= 1 and mild.n_pair_events == 0
     _line(4, ok, f"three-mode pair events = {fig1.n_pair_events} (>= 1), "

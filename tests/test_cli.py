@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -55,8 +58,8 @@ def test_modes_cli_matches_library(tmp_path):
         "configs", "two_mode.json").read_text())
     state = modes.ModeSet(k=cfg["k"],
                           phi=[complex(re, im) for re, im in cfg["phi"]])
-    _, traj = modes.trajectories(state, Grid2D(**cfg["grid"]),
-                                 cfg["n_levels"])
+    _, traj, _ = modes.analyse(state, Grid2D(**cfg["grid"]),
+                               cfg["n_levels"])
     out = tmp_path / "out"
     assert run(["modes", "--config", "two_mode.json", "--out", str(out)]) == 0
     written = np.loadtxt(out / "trajectories.csv", delimiter=",",
@@ -892,3 +895,108 @@ def _explode_configs(draw):
 @given(cfg=_explode_configs(), quick=st.booleans())
 def test_explode_configs_never_escape(cfg, quick):
     _answers_with_a_code("explode", cfg, quick, "thresholds.json")
+
+
+def _bundled(name):
+    return json.loads(resources.files("relbohm").joinpath(
+        "configs", name).read_text())
+
+
+_TWO_MODE, _COS2 = _bundled("two_mode.json"), _bundled("cos2.json")
+_BIG = 10 ** 12
+#: a count past each size limit, and the text its refusal names: a grid
+#: (Grid2D), a block of mode pairs (modes.grid_fields), a contour family
+#: (modes.contour_family) and a sample window or point set (cli._count)
+_OVERSIZED = {
+    "modes-grid": ("modes", {**_TWO_MODE, "grid": {
+        **_TWO_MODE["grid"], "n_x": 10 ** 6, "n_t": 10 ** 6}},
+        "1000000 x 1000000 nodes"),
+    "modes-pairs": ("modes", {**_TWO_MODE,
+                              "k": [0.01 * i for i in range(10 ** 4)],
+                              "phi": [[1.0, 0.0]] * 10 ** 4}, "10000 modes"),
+    "modes-levels": ("modes", {**_TWO_MODE, "n_levels": _BIG},
+                     f"n_levels = {_BIG}"),
+    "explode-levels": ("explode", {**_COS2, "n_levels": _BIG},
+                       f"n_levels = {_BIG}"),
+    "explode-grid": ("explode", {**_COS2, "grid": {
+        **_COS2["grid"], "n_x": 10 ** 6, "n_t": 10 ** 6}},
+        "1000000 x 1000000 nodes"),
+    "explode-density-x": ("explode", {**_COS2, "density_x": {
+        "min": -5.0, "max": 5.0, "n": _BIG}}, f"density_x.n = {_BIG}"),
+    "nearnr-x": ("nearnr", {**_bundled("gauss.json"), "x": {
+        "min": -20.0, "max": 20.0, "n": _BIG}}, f"x.n = {_BIG}"),
+    "spin-dirac-points": ("spin", {**_DIRAC, "n_points": _BIG},
+                          f"n_points = {_BIG}"),
+    "spin-fw-points": ("spin", {**_FW, "n_points": _BIG},
+                       f"n_points = {_BIG}"),
+}
+
+#: address space of the child that runs an oversized config: a limit
+#: that fails to refuse then fails fast instead of filling the host
+_CHILD_AS = 2 << 30
+
+
+@pytest.mark.parametrize("case", sorted(_OVERSIZED))
+def test_oversized_count_exits_2_before_any_array(tmp_path, case):
+    command, cfg, named = _OVERSIZED[case]
+    path = write_cfg(tmp_path, "big.json", cfg)
+    out = tmp_path / "o"
+    argv = [command, "--config", path, "--out", str(out)]
+    code = ("import resource, sys\n"
+            "soft, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            f"limit = {_CHILD_AS} if hard == resource.RLIM_INFINITY "
+            f"else min(hard, {_CHILD_AS})\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n"
+            "from relbohm.cli import main\n"
+            f"sys.exit(main({argv!r}))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-B", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert named in proc.stderr and "over the limit" in proc.stderr
+    assert not out.exists()
+
+
+@st.composite
+def _modes_configs(draw):
+    """A small modes config (1-4 distinct k, complex phi, a grid and
+    n_levels), with up to two keys malformed or missing."""
+    k = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4,
+                      unique=True))
+    phi = [[draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))]
+           for _ in k]
+    x_min, t_min = draw(st.floats(-4.0, 2.0)), draw(st.floats(-1.0, 1.0))
+    grid = {"x_min": x_min, "x_max": x_min + draw(st.floats(0.5, 6.0)),
+            "n_x": draw(st.integers(2, 21)), "t_min": t_min,
+            "t_max": t_min + draw(st.floats(0.2, 2.0)),
+            "n_t": draw(st.integers(2, 21))}
+    cfg = {"k": k, "phi": phi, "grid": grid,
+           "n_levels": draw(st.integers(1, 10))}
+    paths = [("k",), ("phi",), ("grid",), ("n_levels",),
+             *(("grid", key) for key in grid)]
+    bad = draw(st.dictionaries(st.sampled_from(paths), _MALFORMED,
+                               max_size=2))
+    for path, value in bad.items():
+        node = cfg.get(path[0]) if len(path) == 2 else cfg
+        if not isinstance(node, dict):
+            continue            # its parent is malformed already
+        if value is _ABSENT:
+            node.pop(path[-1], None)
+        else:
+            node[path[-1]] = value
+    return cfg
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cfg=_modes_configs(), quick=st.booleans())
+# past the size limits: each once exited 1 with a traceback and left
+# --out.  These run in this process, so each count is one whose array
+# cannot be allocated at all: without its limit the run fails at once
+@example(cfg={**_TWO_MODE, "grid": {**_GRID, "n_x": _BIG, "n_t": _BIG}},
+         quick=False)
+@example(cfg=_OVERSIZED["modes-pairs"][1], quick=False)
+@example(cfg=_OVERSIZED["modes-levels"][1], quick=True)
+def test_modes_configs_never_escape(cfg, quick):
+    _answers_with_a_code("modes", cfg, quick, "summary.json")

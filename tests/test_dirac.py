@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from relbohm.dirac import (BALANCE_MAX_N, GAMMA, GAMMA0, METRIC,
                            convective_momentum, effective_mass_sq,
                            eval_spinor, fw_gaussian_field, fw_hedgehog_field,
                            fw_rotating_field, fw_spinor, fw_u,
-                           identity_residuals, jets,
+                           identity_report, identity_residuals, jets,
                            quantum_potential_spinor, spin_tensor,
                            verify_curl_formula, verify_ensemble_balance,
                            verify_eom, verify_fw_spin_tensor,
@@ -494,3 +496,28 @@ def test_fw_spinor_rejects_non_unit_spin():
 def test_ensemble_balance_boundary_warning():
     with pytest.warns(RuntimeWarning):
         verify_ensemble_balance(fw_gaussian_field(), box_half=1.0)
+
+
+def _points(point_seed, n, half=1.0):
+    """The spin command's sample points."""
+    return np.random.default_rng(point_seed).uniform(-half, half, (n, 4))
+
+
+def test_identity_report_is_the_command_report(written):
+    # floats are repr-exact in JSON, so the round trip compares exactly
+    cfg, report = written("spin", "dirac3.json", "report.json")
+    field = DiracField.random(n_modes=cfg["n_modes"], seed=cfg["seed"],
+                              k_max=cfg["k_max"])
+    got, failure = identity_report(field, _points(
+        cfg["point_seed"], cfg["n_points"], cfg["point_range"]))
+    assert failure is None and got["converged"] is True
+    assert json.loads(json.dumps(got)) == report
+
+
+def test_identity_report_names_an_empty_domain():
+    # the draw of the CLI's exit-3 case: no point where psibar psi > 0
+    report, failure = identity_report(DiracField.random(n_modes=2, seed=13),
+                                      _points(151, 4))
+    assert report["converged"] is False and report["excluded_points"] == 4
+    assert report["mass_identity"]["max_residual"] is None
+    assert failure.startswith("empty domain") and "all 4 sample" in failure

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,7 +127,7 @@ def test_mean_rest_frame(fig1_state):
 def test_single_mode_contours_straight():
     state = modes.ModeSet(k=[0.75], phi=[1.0])
     grid = Grid2D(-1.0, 1.0, 41, 0.0, 1.0, 41)
-    _, traj = modes.trajectories(state, grid, 5)
+    _, traj, _ = modes.analyse(state, grid, 5)
     assert traj.n_pair_events == 0
     for tr in traj.trajectories:
         # z - 0.6 t = const along each contour
@@ -135,7 +137,7 @@ def test_single_mode_contours_straight():
 
 def test_fig1_state_has_pair_events(fig1_state):
     grid = Grid2D(-0.005, 0.005, 121, 0.0, 0.01, 121)
-    _, traj = modes.trajectories(fig1_state, grid, 25)
+    _, traj, _ = modes.analyse(fig1_state, grid, 25)
     assert traj.n_pair_events >= 1
 
 
@@ -143,7 +145,7 @@ def test_annotate_contours_one_call(fig1_state):
     # one rho_j_fn call on all vertices gives each line what a call on
     # its own vertices gives it
     grid = Grid2D(-0.005, 0.005, 61, 0.0, 0.01, 61)
-    F, _ = modes.trajectories(fig1_state, grid, 12)
+    F, _, _ = modes.analyse(fig1_state, grid, 12)
     lines = extract_contours(grid.x, grid.t, F,
                                    np.linspace(F.min(), F.max(), 14)[1:-1])
     calls = []
@@ -167,7 +169,7 @@ def test_annotate_contours_one_call(fig1_state):
 def test_mild_two_mode_no_pair_events():
     state = modes.ModeSet(k=[0.0, 0.1], phi=[1.0, 1.0])
     grid = Grid2D(-2.0, 2.0, 81, 0.0, 2.0, 81)
-    _, traj = modes.trajectories(state, grid, 15)
+    _, traj, _ = modes.analyse(state, grid, 15)
     assert traj.n_pair_events == 0
     rho, _ = modes._rho_j(state, grid.x[:, None], grid.t[None, :])
     assert np.all(rho > 0)
@@ -177,7 +179,7 @@ def test_contours_shadowed_by_ode():
     # for a state with no density zeros each contour is a trajectory
     state = modes.ModeSet(k=[0.0, 0.1], phi=[1.0, 1.0])
     grid = Grid2D(-2.0, 2.0, 161, 0.0, 2.0, 161)
-    _, traj = modes.trajectories(state, grid, 9)
+    _, traj, _ = modes.analyse(state, grid, 9)
     cell = np.hypot(grid.dx, grid.dt)
     tr = max(traj.trajectories, key=lambda tr: len(tr.points))
     pts = tr.points[np.argsort(tr.points[:, 1])]
@@ -192,7 +194,7 @@ def test_contours_shadowed_by_ode():
 def test_grid_warning_when_too_coarse(fig1_state):
     grid = Grid2D(-0.005, 0.005, 9, 0.0, 0.01, 9)
     with pytest.warns(RuntimeWarning):
-        modes.trajectories(fig1_state, grid, 40)
+        modes.analyse(fig1_state, grid, 40)
 
 
 def test_boost_velocity_addition():
@@ -278,3 +280,15 @@ def test_grid_fields_purity_is_checked_per_row(monkeypatch):
     with pytest.raises(ArithmeticError, match="not pure imaginary: "
                        r"max \|Re\| = 1\.000e-11"):
         modes.grid_fields(state, grid)
+
+
+def test_analyse_returns_the_command_summary(written):
+    # floats are repr-exact in JSON, so the round trip compares exactly
+    cfg, summary = written("modes", "two_mode.json", "summary.json")
+    state = modes.ModeSet(k=cfg["k"],
+                          phi=[complex(re, im) for re, im in cfg["phi"]])
+    grid = Grid2D(**cfg["grid"])
+    F, traj, got = modes.analyse(state, grid, cfg["n_levels"])
+    assert json.loads(json.dumps(got)) == summary
+    assert F.shape == (grid.n_x, grid.n_t)
+    assert got["n_contours"] == len(traj.trajectories) > 0

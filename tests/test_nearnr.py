@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from oracles import WKernel, d2w_dx2_5point
-from relbohm.nearnr import (correction_field, density_difference_timeform,
-                            moments, nw_position_map, pushforward_l1,
-                            w_approx)
+from relbohm.nearnr import (analyse, correction_field,
+                            density_difference_timeform, moments,
+                            nw_position_map, pushforward_l1, w_approx)
 from relbohm.packets import Packet, PacketSpec, _fft_row
 
 
@@ -245,3 +247,13 @@ def test_gaussian_own_rule_and_row_charge_at_rounding(sigma_k, k0):
     rho = p.rule_at(L, 0.0).rho(j * row.dx, 0.0)
     assert np.max(np.abs(rho - row.f[j])) <= 1e-12 * np.max(np.abs(row.f))
     assert abs(row.mean * row.n * row.dx - p.spec.total_charge) <= 1e-14
+
+
+def test_analyse_returns_the_command_summary(written):
+    # floats are repr-exact in JSON, so the round trip compares exactly
+    cfg, summary = written("nearnr", "gauss.json", "summary.json")
+    x = np.linspace(cfg["x"]["min"], cfg["x"]["max"], cfg["x"]["n"])
+    field, got = analyse(Packet(PacketSpec(**cfg["packet"])), x, cfg["t"])
+    assert json.loads(json.dumps(got)) == summary
+    assert got["narrow_k_regime"] and got["pushforward"] is not None
+    assert np.array_equal(field.x, x)
