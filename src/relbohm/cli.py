@@ -36,6 +36,11 @@ __all__ = ["main"]
 #: spin's jets take 64 MB per array there, and every command runs within
 #: 2 GB of address space.  Past it the count is a config error
 SAMPLE_MAX_POINTS = 2 ** 16
+#: most plane-wave modes of a spin dirac field (n_modes): 21 times the
+#: bundled 3; its terms take 64 bytes a point and mode, and SAMPLE_MAX_POINTS
+#: points on this many modes run within 2 GB of address space.  Past it
+#: the count is a config error, before any mode is drawn
+SPIN_MAX_MODES = 64
 
 
 class ConfigError(Exception):
@@ -104,6 +109,14 @@ def _real(value, name: str, positive: bool = False) -> float:
     return v
 
 
+def _levels(cfg: dict, default: int, grid: Grid2D) -> int:
+    """n_levels, refused before any work when its contour family on grid
+    is past its size limit (modes.check_levels)."""
+    n_levels = _count(cfg.get("n_levels", default), "n_levels")
+    modes.check_levels(grid, n_levels)
+    return n_levels
+
+
 def _window(w: dict, name: str, n: int) -> np.ndarray:
     """n points from w["min"] to w["max"]: both finite, and their
     difference too, or a ConfigError that names the window."""
@@ -129,7 +142,7 @@ def cmd_modes(cfg: dict, args) -> int:
             k=np.asarray(cfg["k"], dtype=float),
             phi=np.array([complex(re, im) for re, im in cfg["phi"]]))
     grid = _grid(cfg, args.quick)
-    n_levels = _count(cfg.get("n_levels", 30), "n_levels")
+    n_levels = _levels(cfg, 30, grid)
 
     F, traj, summary = modes.analyse(state, grid, n_levels, args.threads)
 
@@ -247,7 +260,7 @@ def cmd_explode(cfg: dict, args) -> int:
         t_values = t_values[:2]
         p_times = [t for i, t in enumerate(p_times) if i % 2 == 0 or t == 0.0]
     grid = _grid(cfg, args.quick)
-    n_levels = _count(cfg.get("n_levels", 40), "n_levels")
+    n_levels = _levels(cfg, 40, grid)
 
     x_th, x0 = packets.zero_crossings(packet)
     q_in, q_out, q_nw = packets.threshold_charges(packet, x_th)
@@ -320,7 +333,9 @@ def cmd_spin(cfg: dict, args) -> int:
     if kind == "dirac":
         with _parsing("dirac field"):
             field = dirac.DiracField.random(
-                n_modes=int(cfg["n_modes"]), seed=int(cfg["seed"]),
+                n_modes=_count(cfg["n_modes"], "n_modes",
+                               most=SPIN_MAX_MODES),
+                seed=int(cfg["seed"]),
                 k_max=_real(cfg.get("k_max", 1.0), "k_max", positive=True))
         n_pts = _count(cfg.get("n_points", 20), "n_points",
                        most=SAMPLE_MAX_POINTS)

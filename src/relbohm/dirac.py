@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SizeError, omega
+from .numerics import SizeError, gauss_legendre, omega
 
 __all__ = [
     "FW_FIELDS",
@@ -714,7 +714,7 @@ def _face_fluxes(field: FWField, box_half: float, n: int):
     per face of _FACES, each by an n x n Gauss-Legendre rule with one
     field.ds call on all 6 n^2 nodes, and a_face the largest A on them.
     """
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_legendre(n)
     u, v = np.meshgrid(box_half * x, box_half * x, indexing="ij")
     pts = np.empty((6, n, n, 3))
     for f in range(6):

@@ -28,6 +28,7 @@ __all__ = [
     "velocity_discrete",
     "integral_F",
     "grid_fields",
+    "check_levels",
     "contour_family",
     "analyse",
     "mean_rest_frame_check",
@@ -290,6 +291,19 @@ def annotate_contours(lines, rho_j_fn, floor: float) -> TrajectorySet:
     return out
 
 
+def check_levels(grid: Grid2D, n_levels: int) -> None:
+    """Refuse a contour family of n_levels levels on grid before any work:
+    ValueError below one level, SizeError past CONTOUR_MAX_CELL_LEVELS
+    grid cells times levels."""
+    if n_levels < 1:
+        raise ValueError("n_levels must be >= 1")
+    cells = (grid.n_x - 1) * (grid.n_t - 1)
+    if cells * n_levels > CONTOUR_MAX_CELL_LEVELS:
+        raise SizeError(f"n_levels = {n_levels} on {cells} grid cells is over "
+                        f"the limit of 2^27 = {CONTOUR_MAX_CELL_LEVELS} cell "
+                        "levels")
+
+
 def contour_family(F: np.ndarray, grid: Grid2D, n_levels: int, rho_j_fn,
                    floor: float) -> TrajectorySet:
     """Iso-contours of a field F at n_levels even levels, annotated.
@@ -298,13 +312,7 @@ def contour_family(F: np.ndarray, grid: Grid2D, n_levels: int, rho_j_fn,
     lo + (hi - lo)(i + 1/2)/n_levels over the range of F; rho_j_fn and
     floor are as in annotate_contours.
     """
-    if n_levels < 1:
-        raise ValueError("n_levels must be >= 1")
-    cells = (grid.n_x - 1) * (grid.n_t - 1)
-    if cells * n_levels > CONTOUR_MAX_CELL_LEVELS:
-        raise SizeError(f"n_levels = {n_levels} on {cells} grid cells is over "
-                        f"the limit of 2^27 = {CONTOUR_MAX_CELL_LEVELS} cell "
-                        "levels")
+    check_levels(grid, n_levels)
     lo, hi = float(F.min()), float(F.max())
     levels = lo + (hi - lo) * (np.arange(n_levels) + 0.5) / n_levels
     lines = extract_contours(grid.x, grid.t, F, levels)

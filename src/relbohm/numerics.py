@@ -1,6 +1,7 @@
 """Shared numerical machinery: the dispersion relation, the charge and
-current bilinears of a scalar field, the (x, t) grid, Lambert W, and
-the error that refuses an array past its size limit.
+current bilinears of a scalar field, the (x, t) grid, Gauss-Legendre
+nodes, Lambert W, and the error that refuses an array past its size
+limit.
 
 The bilinears are single-valued forms of psi and its first derivatives,
 so no phase is ever unwrapped.  The charge density may legitimately be
@@ -13,6 +14,7 @@ concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +27,7 @@ __all__ = [
     "SizeError",
     "bilinear_j",
     "bilinear_rho",
+    "gauss_legendre",
     "omega",
     "lambert_w",
     "lambert_w_domain",
@@ -65,6 +68,16 @@ def bilinear_j(psi, dpsi_dx):
     """Spatial current (1/2i)[psi* dpsi/dx - dpsi*/dx psi] = Im(psi*
     dpsi/dx), elementwise."""
     return (np.conj(psi) * dpsi_dx).imag
+
+
+@functools.lru_cache(maxsize=16)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the order-point Gauss-Legendre rule on [-1, 1]
+    (np.polynomial.legendre.leggauss, an eigensolve and Newton steps),
+    made once per order and read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 #: most nodes n_x n_t of a Grid2D, 32 MB per float field on it: it admits

@@ -23,10 +23,10 @@ the |rho| mass, the threshold tail and charges, FrontKernel's F and
 nearnr's W) sample it by FFT on a periodic box (fft_row_size), at the
 fewest points that hold a density's band 2 k_cut below the row's Nyquist
 limit, and integrate on the row's trigonometric interpolant
-(_RowIntegral).  explode's t = 0 roots x_0 and
-x_th are roots of that interpolant on the t = 0 row (zero_crossings),
-found to rounding by Newton steps; the row's k_cut bounds them, as
-doubling it moves x_0 by 1.8-4.1e-6 (a = 0.5, 1 and 2).
+(_RowIntegral); _fft_row makes every such row, in place.  explode's t =
+0 roots x_0 and x_th are roots of that interpolant on the t = 0 row
+(zero_crossings), found to rounding by Newton steps; the row's k_cut
+bounds them, as doubling it moves x_0 by 1.8-4.1e-6 (a = 0.5, 1 and 2).
 
 Neither engine takes one complex exponential per (point, k-node).  Node
 p J + j of a Gauss-Legendre rule is its panel's centre plus an offset,
@@ -49,6 +49,7 @@ size and keeps only their series.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,7 +57,8 @@ import numpy as np
 
 from .modes import contour_family
 from .numerics import (EPS_RHO_SCALE, Grid2D, SizeError, bilinear_j,
-                       bilinear_rho, lambert_w, lambert_w_domain, omega)
+                       bilinear_rho, gauss_legendre, lambert_w,
+                       lambert_w_domain, omega)
 
 __all__ = [
     "PacketSpec",
@@ -160,7 +162,7 @@ def _gl_panels(k_lo, k_hi, n_panels, order):
     """
     c, r = 0.5 * (k_lo + k_hi), 0.5 * (k_hi - k_lo)
     edges = c + r * ((2 * np.arange(n_panels + 1) - n_panels) / n_panels)
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = gauss_legendre(order)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
@@ -168,9 +170,10 @@ def _gl_panels(k_lo, k_hi, n_panels, order):
     return nodes, weights, (mid, 0.5 * (k_hi - k_lo) / n_panels * xg)
 
 
-def _waves(x, split) -> np.ndarray:
+def _waves(x, split, out=None) -> np.ndarray:
     """e^{i x (a_p + b_j)} at the points of a 1-d x on the flat (p, j)
-    nodes, split = (a, b), shape (x.size, a.size * b.size).
+    nodes, split = (a, b), shape (x.size, a.size * b.size); written into
+    out, a complex array of shape (x.size, a.size, b.size), when given.
 
     Each point takes a.size + b.size complex exponentials and one product
     per node, instead of an exponential per node.  The product carries
@@ -179,7 +182,8 @@ def _waves(x, split) -> np.ndarray:
     a, b = split
     ea = np.exp(np.multiply.outer(x, 1j * a))
     eb = np.exp(np.multiply.outer(x, 1j * b))
-    return (ea[:, :, None] * eb[:, None, :]).reshape(x.size, -1)
+    return np.multiply(ea[:, :, None], eb[:, None, :],
+                       out=out).reshape(x.size, -1)
 
 
 def _cis(phase) -> np.ndarray:
@@ -329,6 +333,9 @@ class Packet(_Densities):
         self.k = k
         #: node count -> checked rule (rule_at)
         self._rules = {}
+        #: (row size, refine) -> the t-independent spectrum of an FFT row
+        #: (_row_spectrum)
+        self._spectra = {}
 
     def _reach(self, reach: float) -> float:
         """The reach a rule is sized for: at least twice the support edge
@@ -503,47 +510,78 @@ def _k_weights(m: np.ndarray, dk: float, k_cut: float) -> np.ndarray:
     return w
 
 
-def _fft_row(packet: Packet, t, refine: int = 1,
-             nw: bool = False) -> _RowIntegral:
+def _row_spectrum(packet: Packet, dx: float, n: int, refine: int):
+    """(end, omega on 0, ..., end, weight, sqrt(omega)) on the modes
+    |m| <= end inside k_cut of the n-point FFT row, in FFT order 0, ...,
+    end, -end, ..., -1: the t-independent part of its spectrum, made once
+    per (n, refine) and kept on the packet.  weight is n N s(k) times
+    _k_weights."""
+    key = (n, refine)
+    if key not in packet._spectra:
+        dk = 2.0 * np.pi / (n * dx)
+        k_cut = refine * packet.k_cut
+        end = int(np.floor(k_cut / dk))
+        m = np.concatenate([np.arange(end + 1), np.arange(-end, 0)])
+        k = m * dk
+        w = omega(k)
+        packet._spectra[key] = (
+            end, w[:end + 1], n * packet.norm * _k_weights(m, dk, k_cut)
+            * packet.spec.shape_values(k), np.sqrt(w))
+    return packet._spectra[key]
+
+
+def _fft_row(packet: Packet, t, refine: int = 1, nw: bool = False,
+             work: np.ndarray | None = None,
+             series: np.ndarray | None = None) -> _RowIntegral:
     """rho (from psi and psi_t), or rho_nw (from psi_nw) where nw is true,
     sampled at time t on x_j = j dx of a periodic box by one inverse FFT
     per field (the negative half of the line is the upper half of a row),
     as a _RowIntegral on the band 2 refine k_cut.
 
-    The spectrum is the packet's own norm * s(k) on the FFT frequencies,
-    zeroed beyond k_cut like the k quadrature of Packet.fields and
-    weighted by _k_weights.  The row is fft_row_size(packet, t, refine):
-    refine multiplies its box and its k_cut, and so n about refine^2
-    times; SizeError past FFT_MAX_POINTS points, before any is made.  t
-    may be an array of one row size.  The spectrum is formed only on the
-    modes inside k_cut and zero-filled beyond.
+    The row is fft_row_size(packet, t, refine): refine multiplies its box
+    and its k_cut, and so n about refine^2 times; SizeError past
+    FFT_MAX_POINTS points, before any is made.  t may be an array of one
+    row size.  The spectrum (_row_spectrum) is formed only on the modes
+    inside k_cut, at the two ends of each row, and zero-filled between.
+    All is done in place in work, two complex arrays of shape t.shape +
+    (n,), allocated unless given: the density is a view of the second and
+    its rfft fills the head of the first; series, when given, receives
+    the row's series.  FrontKernel passes the same arrays to each row.
     """
     dx, n = fft_row_size(packet, t, refine)
-    dk = 2.0 * np.pi / (n * dx)
-    k_cut = refine * packet.k_cut
-    # the modes inside k_cut in FFT order: 0, ..., end, -end, ..., -1
-    end = int(np.floor(k_cut / dk))
-    m = np.concatenate([np.arange(end + 1), np.arange(-end, 0)])
-    k = m * dk
-    w = omega(k)
+    end, w, weight, root = _row_spectrum(packet, dx, n, refine)
+    if work is None:
+        work = np.empty((2,) + np.shape(t) + (n,), dtype=complex)
+    c, psi = work
+    # the modes 0, ..., end and -end, ..., -1 in a row and in FFT order
+    ends = ((slice(0, end + 1), slice(0, end + 1)),
+            (slice(n - end, n), slice(end + 1, None)))
     # psi(j dx) = sum_k weight N s(k) w^-1/2 e^{i(k j dx - w t)}.  Modes
     # +-m share e^{-i w t} (w is even): it is taken on 0, ..., end,
     # mirrored onto -end, ..., -1, and weighted in place
-    c = np.empty(np.shape(t) + m.shape, dtype=complex)
-    c[..., :end + 1] = np.exp(np.multiply.outer(t, -1j * w[:end + 1]))
-    c[..., end + 1:] = c[..., end:0:-1]
-    c *= (n * packet.norm * _k_weights(m, dk, k_cut)
-          * packet.spec.shape_values(k))
-
-    def ifft(spectrum):
-        full = np.zeros(np.shape(t) + (n,), dtype=complex)
-        full[..., :end + 1] = spectrum[..., :end + 1]
-        full[..., n - end:] = spectrum[..., end + 1:]
-        return np.fft.ifft(full)
-
-    f = (np.abs(ifft(c)) ** 2 if nw
-         else bilinear_rho(ifft(c / np.sqrt(w)), ifft(-1j * np.sqrt(w) * c)))
-    return _RowIntegral(f, dx, 2.0 * k_cut)
+    lower = c[..., :end + 1]
+    np.exp(np.multiply.outer(t, -1j * w, out=lower), out=lower)
+    c[..., n - end:] = c[..., end:0:-1]
+    for row, mode in ends:
+        c[..., row] *= weight[mode]
+    if not nw:
+        # psi's spectrum c / sqrt(w) in psi, then psi_t's -i sqrt(w) c in c
+        for row, mode in ends:
+            np.divide(c[..., row], root[mode], out=psi[..., row])
+            np.multiply(-1j * root[mode], c[..., row], out=c[..., row])
+    for field in (c,) if nw else work:
+        field[..., end + 1:n - end] = 0.0
+        np.fft.ifft(field, out=field)
+    if nw:
+        f = np.abs(c, out=psi.real)
+        f **= 2
+    else:
+        # rho = -Im(conj(psi) psi_t), as bilinear_rho forms it
+        np.conjugate(psi, out=psi)
+        psi *= c
+        f = np.negative(psi.imag, out=psi.imag)
+    return _RowIntegral(f, dx, 2.0 * (refine * packet.k_cut),
+                        np.fft.rfft(f, out=c[..., :n // 2 + 1]), series)
 
 
 def _check_rule(rule: _Rule, row: _RowIntegral, reach: float) -> None:
@@ -563,42 +601,59 @@ def _check_rule(rule: _Rule, row: _RowIntegral, reach: float) -> None:
             f"{0.5 * row.band:g} falls short")
 
 
-#: most entries of one e^{i m dk x} table of _fourier_re.  2^18 cuts
-#: FrontKernel.evaluate's tracemalloc peak on the explode-cos2 benchmark
-#: grid from 21.5 to 13.1 MB, but a process running explode at it takes
-#: ~10 000 page faults a batch and ~20 % longer (2^19: ~3 000; 2^20: none,
-#: as at 2^21).  glibc raises its mmap and trim thresholds to the largest
-#: mapped block freed, so freeing a 32 MB table keeps a batch's other
-#: arrays on the heap instead of mapping them anew
-_TABLE_ENTRIES = 2 ** 21
+#: most entries of _fourier_re's e^{i m dk x} table, 8 MB, one buffer
+#: filled a chunk of x at a time.  With one BLAS thread F is bitwise that
+#: of one table for all x, as at 2^17 and 2^18; at 2^18 a multi-threaded
+#: BLAS moves cos2.json's fronts by rounding, at 2^19 no bundled output
+_TABLE_ENTRIES = 2 ** 19
 
 
-def _fourier_re(x, dk, series, diagonal: bool = False) -> np.ndarray:
+def _table_shape(m: int, n_x: int) -> tuple[int, int, int]:
+    """Shape (points, q, B) of _fourier_re's table buffer for m modes at
+    n_x points: B = ceil(sqrt(m)), q = ceil(m / B), and as many points as
+    _TABLE_ENTRIES entries hold, one at least and n_x at most."""
+    base = int(np.ceil(np.sqrt(m)))
+    q = -(-m // base)
+    return max(1, min(n_x, _TABLE_ENTRIES // (base * q))), q, base
+
+
+def _fourier_re(x, dk, series, diagonal: bool = False,
+                buffer: np.ndarray | None = None) -> np.ndarray:
     """Re sum_m c_m e^{i m dk x} at a 1-d array x for the coefficients c
     of series (one row, or a stack of rows along its first axis): one
     column per row, or with diagonal, row r at x[r] alone.
 
     The table of e^{i m dk x} is a product (_waves): with B = ceil(sqrt(
     M)) for M modes, mode m = q B + r takes e^{i x q B dk} e^{i x r dk},
-    and the columns past M that fill the last q are dropped.  Each table
-    holds at most _TABLE_ENTRIES entries (a chunk of x) and is taken once
-    for all rows, in one real product: Re(table c) = [Re table, -Im
-    table] [Re c, Im c], with the real and imaginary parts interleaved.
-    That is the float view of the conjugate table, which _waves gives
-    bitwise at -x, times that of c.
+    and the columns past M that fill the last q are dropped.  It is made
+    a chunk of x at a time into one buffer (_table_shape; the head of
+    buffer when given) and taken once for all rows, in one real product:
+    Re(table c) = [Re table, -Im table] [Re c, Im c], with the real and
+    imaginary parts interleaved.  That is the float view of the conjugate
+    table, which _waves gives bitwise at -x, times that of c.
     """
     m = series.shape[-1]
-    base = int(np.ceil(np.sqrt(m)))
-    split = (dk * base * np.arange(-(-m // base)), dk * np.arange(base))
+    shape = _table_shape(m, x.size)
+    step, q, base = shape
+    split = (dk * base * np.arange(q), dk * np.arange(base))
+    buffer = (np.empty(shape, dtype=complex) if buffer is None
+              else buffer[:step * q * base].reshape(shape))
     coef = series.view(float)
     out = np.empty(x.shape if diagonal else x.shape + series.shape[:-1])
-    step = max(1, _TABLE_ENTRIES // (base * split[0].size))
     for i in range(0, x.size, step):
         sl = slice(i, i + step)
-        table = _waves(-x[sl], split)[:, :m].view(float)
+        chunk = -x[sl]
+        table = _waves(chunk, split, buffer[:chunk.size])[:, :m].view(float)
         out[sl] = (np.einsum("rm,rm->r", table, coef[sl]) if diagonal
                    else table @ coef.T)
     return out
+
+
+def _band_modes(n: int, dx: float, band: float) -> tuple[np.ndarray, int]:
+    """The wavenumbers of np.fft.rfft on an n-point row of step dx, and
+    how many of them lie within band."""
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
+    return k, int(np.searchsorted(k, band, side="right"))
 
 
 class _RowIntegral:
@@ -606,39 +661,49 @@ class _RowIntegral:
 
     f holds samples at x_j = j dx over one period (a stack of rows along
     its last axis, for antiderivative), band-limited to band as an FFT
-    row's densities are (_fft_row); the integral keeps them.  Only the
-    modes k_m <= band enter:
-    above it f holds nothing but rounding.  Below the Nyquist limit the
-    interpolant is f itself and the integrals are exact up to rounding.
+    row's densities are (_fft_row); the integral keeps them and fh, their
+    rfft (taken unless given).  Only the first m modes, k_m <= band,
+    enter: above it f holds nothing but rounding.  series, the Fourier
+    series of the antiderivative (written into series when given), holds
+    them alone.  Below the Nyquist limit the interpolant is f itself and
+    the integrals are exact up to rounding.
     """
 
-    def __init__(self, f: np.ndarray, dx: float, band: float):
+    def __init__(self, f: np.ndarray, dx: float, band: float,
+                 fh: np.ndarray | None = None,
+                 series: np.ndarray | None = None):
         n = f.shape[-1]
         self.f, self.n, self.dx, self.band = f, n, dx, band
-        self.fh = np.fft.rfft(f)
+        self.fh = np.fft.rfft(f) if fh is None else fh
         self.dk = 2.0 * np.pi / (n * dx)
-        self.k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
-        self.m = int(np.searchsorted(self.k, band, side="right"))
+        self.k, self.m = _band_modes(n, dx, band)
         self.mean = self.fh[..., 0].real / n
-        # rfft of the periodic part of the antiderivative
-        self.anti = np.zeros_like(self.fh)
-        self.anti[..., 1:] = self.fh[..., 1:] / (1j * self.k[1:])
-        # its Fourier series: the conjugate half doubles all but the
-        # zero and Nyquist terms
+        # the conjugate half doubles all but the zero and Nyquist terms
         weight = np.full(self.k.size, 2.0 / n)
         weight[0] = 0.0
         if n % 2 == 0:
             weight[-1] = 1.0 / n
-        self.series = weight * self.anti
+        self.series = self._anti(series)
+        self.series *= weight[:self.m]
 
-    def antiderivative(self, x, diagonal: bool = False) -> np.ndarray:
+    def _anti(self, out: np.ndarray | None = None) -> np.ndarray:
+        """rfft of the antiderivative's periodic part up to the band, in
+        out when given: fh / (i k), and 0 at k = 0."""
+        if out is None:
+            out = np.empty(self.fh.shape[:-1] + (self.m,), dtype=complex)
+        out[..., 0] = 0.0
+        np.divide(self.fh[..., 1:self.m], 1j * self.k[1:self.m],
+                  out=out[..., 1:])
+        return out
+
+    def antiderivative(self, x, diagonal: bool = False,
+                       buffer: np.ndarray | None = None) -> np.ndarray:
         """G(x) = mean x + Re sum_m f_m e^{ik_m x} / (i k_m), so G' = f, at
         a 1-d array x; one column per row of a stack, or with diagonal,
         G of row r at x[r] alone (_fourier_re on the modes up to the
-        band)."""
+        band, with its table in buffer when given)."""
         G = x * self.mean if diagonal else np.multiply.outer(x, self.mean)
-        return G + _fourier_re(x, self.dk, self.series[..., :self.m],
-                               diagonal)
+        return G + _fourier_re(x, self.dk, self.series, diagonal, buffer)
 
     def derivatives(self, x, orders) -> np.ndarray:
         """The p-th derivative of G (antiderivative) at x for each p of
@@ -648,7 +713,7 @@ class _RowIntegral:
         (nearnr's W: there the mean is rounding, which x^2 / 2 would carry
         to 1.7e-10 of W at the box edge).  x is one point, giving one value
         per order, or a 1-d array, giving one row per order."""
-        k, series = self.k[:self.m], self.series[:self.m]
+        k, series = self.k[:self.m], self.series
         ik = 1j * k
         ik[0] = 1.0       # the zero mode's series term is 0
         stack = np.stack([ik ** p * series for p in orders])
@@ -667,7 +732,7 @@ class _RowIntegral:
         n = _smooth_size(3.0 * self.band * period / np.pi)
         dx = period / n
         fh = self.fh[:self.m] * (n / self.n)
-        G = (np.fft.irfft(self.anti[:self.m] * (n / self.n), n)
+        G = (np.fft.irfft(self._anti() * (n / self.n), n)
              + self.mean * dx * np.arange(n))
         return dx, fh, np.fft.irfft(fh, n), G
 
@@ -882,16 +947,18 @@ class FrontKernel:
     row's periodic images begin, F is held at 0 and at twice the charge
     in [-L, L].  k holds the t = 0 row's modes inside [-k_cut, k_cut].
 
-    evaluate keeps of each row only its Fourier series up to the band, so
-    its working set is one block of rows, the series and one e^{ikx}
-    table on a chunk of x (_TABLE_ENTRIES): on the explode-cos2 benchmark
-    grid (121 x 81 points, rows of 8 748 and 17 496 points) its
-    tracemalloc peak is 21.5 MB.
+    evaluate keeps of each row only its Fourier series up to the band,
+    and works in one complex array per call, reused for each row size
+    (_plan): the series, the work arrays of a block of rows (_fft_row),
+    then a chunk of x's e^{ikx} table (_TABLE_ENTRIES).  Its tracemalloc
+    peak is 13.5 MB on the explode-cos2 benchmark grid (121 x 81 points,
+    rows of 8 748 and 17 496 points) and 16.3 MB on cos2.json's 241 x
+    161.  Separate arrays, the largest the 8 MB table, let glibc trim the
+    heap between runs: ~3 000 page faults a run in a repeating process.
     """
 
-    #: most row points made at once: 2^17, about 2 MB per complex array
-    #: of a block's rows
-    BLOCK_ROW_POINTS = 2 ** 17
+    #: most row points made at once: 2^16, 1 MB per complex work array
+    BLOCK_ROW_POINTS = 2 ** 16
 
     def __init__(self, packet: Packet):
         self.packet = packet
@@ -905,36 +972,56 @@ class FrontKernel:
         most BLOCK_ROW_POINTS row points (one row at least), and a block
         keeps only its series up to the band, its mean and G(-L), and
         G(+L) where some x passes it, each row at its own L alone.  Then
-        one real product per row size gives G on x (_fourier_re), with
-        one e^{ikx} table."""
+        one real product per row size gives G on x (_fourier_re)."""
         x, t = np.ravel(x), np.ravel(t)
         F = np.empty((x.size, t.size))
         sizes = np.array([fft_row_size(self.packet, s)[1] for s in t])
-        for n in np.unique(sizes):
-            cols = np.nonzero(sizes == n)[0]
-            F[:, cols] = self._rows(x, t[cols], n)
+        groups = [(n, np.nonzero(sizes == n)[0]) for n in np.unique(sizes)]
+        space = np.empty(max((self._plan(x.size, t[cols], n)[-1]
+                              for n, cols in groups), default=0),
+                         dtype=complex)
+        for n, cols in groups:
+            F[:, cols] = self._rows(x, t[cols], n, space)
         return F
 
-    def _rows(self, x, t, n: int) -> np.ndarray:
-        """F at x on the rows of the times t, all of n points."""
+    def _plan(self, n_x: int, t, n: int) -> tuple[int, int, int]:
+        """(m, block, entries) of F at n_x points on the rows of the times
+        t, all of n points: their modes up to the band, the rows of a
+        block, and the complex entries _rows works in."""
+        dx = fft_row_size(self.packet, t)[0]
+        m = _band_modes(n, dx, 2.0 * self.packet.k_cut)[1]
+        block = min(t.size, max(1, self.BLOCK_ROW_POINTS // n))
+        return m, block, t.size * m + max(
+            2 * block * n + math.prod(_table_shape(m, block)),
+            math.prod(_table_shape(m, n_x)))
+
+    def _rows(self, x, t, n: int, space) -> np.ndarray:
+        """F at x on the rows of the times t, all of n points, made in
+        space (_plan): the series of the rows, and after them the work
+        arrays of a block and the tables of its G(+-L), then the e^{ikx}
+        table."""
         L = self.packet.decay_window() + np.abs(t)
         x_max = np.max(x, initial=-np.inf)
-        mean, series, lo = np.empty(t.size), [], np.empty(t.size)
+        mean, lo = np.empty(t.size), np.empty(t.size)
         # G(+L) only where some x passes it: np.where picks no NaN
         hi = np.full(t.size, np.nan)
-        step = max(1, self.BLOCK_ROW_POINTS // n)
-        for i in range(0, t.size, step):
-            sl = slice(i, i + step)
-            row = _fft_row(self.packet, t[sl])
+        m, block, _ = self._plan(x.size, t, n)
+        series = space[:t.size * m].reshape(t.size, m)
+        rest = space[t.size * m:]
+        work = rest[:2 * block * n].reshape(2, block, n)
+        ends = rest[2 * block * n:]
+        for i in range(0, t.size, block):
+            sl = slice(i, i + block)
+            row = _fft_row(self.packet, t[sl], work=work[:, :t[sl].size],
+                           series=series[sl])
             mean[sl] = row.mean
-            series.append(row.series[:, :row.m])
-            lo[sl] = row.antiderivative(-L[sl], diagonal=True)
+            lo[sl] = row.antiderivative(-L[sl], diagonal=True, buffer=ends)
             if x_max > np.min(L[sl]):
-                hi[sl] = row.antiderivative(L[sl], diagonal=True)
-        # the last block's rows go before the e^{ikx} table is made
-        dk, series = row.dk, np.concatenate(series)
-        del row
-        G = np.multiply.outer(x, mean) + _fourier_re(x, dk, series)
+                hi[sl] = row.antiderivative(L[sl], diagonal=True,
+                                            buffer=ends)
+        # the table takes the place of the work arrays
+        G = np.multiply.outer(x, mean) + _fourier_re(x, row.dk, series,
+                                                     buffer=rest)
         G = np.where(x[:, None] > L, hi, G)
         return 2.0 * (np.where(x[:, None] < -L, lo, G) - lo)
 

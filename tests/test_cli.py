@@ -929,6 +929,8 @@ _OVERSIZED = {
                           f"n_points = {_BIG}"),
     "spin-fw-points": ("spin", {**_FW, "n_points": _BIG},
                        f"n_points = {_BIG}"),
+    "spin-dirac-modes": ("spin", {**_DIRAC, "n_modes": _BIG},
+                         f"n_modes = {_BIG}"),
 }
 
 #: address space of the child that runs an oversized config: a limit
@@ -956,6 +958,24 @@ def test_oversized_count_exits_2_before_any_array(tmp_path, case):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert named in proc.stderr and "over the limit" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["explode", "modes"])
+def test_levels_refused_before_any_work(tmp_path, monkeypatch, capsys,
+                                        command):
+    # explode's first FFT row and modes' grid pass would come before
+    # contour_family; the cell-level limit is checked as the config is read
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before n_levels was checked")
+
+    monkeypatch.setattr(packets, "_fft_row", no_work)
+    monkeypatch.setattr(modes, "grid_fields", no_work)
+    cfg = {"explode": _COS2, "modes": _TWO_MODE}[command]
+    path = write_cfg(tmp_path, "levels.json", {**cfg, "n_levels": _BIG})
+    out = tmp_path / "o"
+    assert run([command, "--config", path, "--out", str(out)]) == 2
+    assert f"n_levels = {_BIG}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,13 +2,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relbohm.numerics import Grid2D, lambert_w, omega
+from relbohm.numerics import Grid2D, gauss_legendre, lambert_w, omega
 
 
 def test_omega_values():
     assert omega(0.0) == 1.0
     assert omega(0.75) == pytest.approx(1.25, abs=1e-15)
     assert omega(-0.75) == pytest.approx(1.25, abs=1e-15)
+
+
+def test_gauss_legendre_is_leggauss_made_once():
+    for order in (12, 24, 61):
+        nodes, weights = gauss_legendre(order)
+        want = np.polynomial.legendre.leggauss(order)
+        assert np.array_equal(nodes, want[0])
+        assert np.array_equal(weights, want[1])
+        assert gauss_legendre(order)[0] is nodes
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
 
 
 @given(st.floats(-50, 50), st.floats(-50, 50))

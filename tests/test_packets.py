@@ -1,5 +1,10 @@
 import gc
+import os
+import subprocess
+import sys
+import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -694,6 +699,52 @@ def test_front_kernel_rows_in_blocks(cos2_k40, monkeypatch):
         assert made == [2, 2, 2, 1, 1, 1, 1]
         want = front_kernel_fine(p, x, t)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.ptp(want)
+
+
+@pytest.mark.parametrize("n_x, n_t, most_mb", [(121, 81, 16),
+                                              (241, 161, 20)])
+def test_front_kernel_working_set_is_bounded(n_x, n_t, most_mb):
+    # the explode-cos2 benchmark grid and cos2.json's, on a fresh packet
+    # (its row spectra count): 21.5 and 40.5 MB when each row size took
+    # one e^{ikx} table for every x and a list of the rows' series
+    grid = Grid2D(0.0, 3.0, n_x, 0.0, 1.5, n_t)
+    kernel = FrontKernel(Packet(PacketSpec(shape="cos2", a=1.0)))
+    tracemalloc.start()
+    try:
+        kernel.evaluate(grid.x, grid.t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= most_mb * 2 ** 20
+
+
+def test_front_kernel_limits_leave_f_bitwise():
+    # F in blocks of BLOCK_ROW_POINTS row points and tables of
+    # _TABLE_ENTRIES entries is F from one block and one table, bit for
+    # bit, on the same two grids.  With one BLAS thread, as the benchmark
+    # runs: a threaded BLAS splits a product by its row count, so there
+    # chunks of x may move F by rounding
+    code = """
+import numpy as np
+from relbohm import packets
+from relbohm.numerics import Grid2D
+p = packets.Packet(packets.PacketSpec(shape="cos2", a=1.0))
+for n_x, n_t in ((121, 81), (241, 161)):
+    grid = Grid2D(0.0, 3.0, n_x, 0.0, 1.5, n_t)
+    limits = packets.FrontKernel.BLOCK_ROW_POINTS, packets._TABLE_ENTRIES
+    got = packets.FrontKernel(p).evaluate(grid.x, grid.t)
+    packets.FrontKernel.BLOCK_ROW_POINTS = packets._TABLE_ENTRIES = 2 ** 30
+    one = packets.FrontKernel(p).evaluate(grid.x, grid.t)
+    packets.FrontKernel.BLOCK_ROW_POINTS, packets._TABLE_ENTRIES = limits
+    assert np.array_equal(got, one), (n_x, n_t)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+               [src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-B", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_abs_total_matches_finer_row(cos2_gl24):
