@@ -333,9 +333,6 @@ class Packet(_Densities):
         self.k = k
         #: node count -> checked rule (rule_at)
         self._rules = {}
-        #: (row size, refine) -> the t-independent spectrum of an FFT row
-        #: (_row_spectrum)
-        self._spectra = {}
 
     def _reach(self, reach: float) -> float:
         """The reach a rule is sized for: at least twice the support edge
@@ -510,26 +507,6 @@ def _k_weights(m: np.ndarray, dk: float, k_cut: float) -> np.ndarray:
     return w
 
 
-def _row_spectrum(packet: Packet, dx: float, n: int, refine: int):
-    """(end, omega on 0, ..., end, weight, sqrt(omega)) on the modes
-    |m| <= end inside k_cut of the n-point FFT row, in FFT order 0, ...,
-    end, -end, ..., -1: the t-independent part of its spectrum, made once
-    per (n, refine) and kept on the packet.  weight is n N s(k) times
-    _k_weights."""
-    key = (n, refine)
-    if key not in packet._spectra:
-        dk = 2.0 * np.pi / (n * dx)
-        k_cut = refine * packet.k_cut
-        end = int(np.floor(k_cut / dk))
-        m = np.concatenate([np.arange(end + 1), np.arange(-end, 0)])
-        k = m * dk
-        w = omega(k)
-        packet._spectra[key] = (
-            end, w[:end + 1], n * packet.norm * _k_weights(m, dk, k_cut)
-            * packet.spec.shape_values(k), np.sqrt(w))
-    return packet._spectra[key]
-
-
 def _fft_row(packet: Packet, t, refine: int = 1, nw: bool = False,
              work: np.ndarray | None = None,
              series: np.ndarray | None = None) -> _RowIntegral:
@@ -538,18 +515,30 @@ def _fft_row(packet: Packet, t, refine: int = 1, nw: bool = False,
     per field (the negative half of the line is the upper half of a row),
     as a _RowIntegral on the band 2 refine k_cut.
 
-    The row is fft_row_size(packet, t, refine): refine multiplies its box
-    and its k_cut, and so n about refine^2 times; SizeError past
-    FFT_MAX_POINTS points, before any is made.  t may be an array of one
-    row size.  The spectrum (_row_spectrum) is formed only on the modes
-    inside k_cut, at the two ends of each row, and zero-filled between.
-    All is done in place in work, two complex arrays of shape t.shape +
-    (n,), allocated unless given: the density is a view of the second and
-    its rfft fills the head of the first; series, when given, receives
-    the row's series.  FrontKernel passes the same arrays to each row.
+    The spectrum is the packet's own norm * s(k) on the FFT frequencies,
+    zeroed beyond k_cut like the k quadrature of Packet.fields and
+    weighted by _k_weights.  The row is fft_row_size(packet, t, refine):
+    refine multiplies its box and its k_cut, and so n about refine^2
+    times; SizeError past FFT_MAX_POINTS points, before any is made.  t
+    may be an array of one row size.  The spectrum is formed on the modes
+    inside k_cut alone, at the two ends of each row, and zero-filled
+    between.  All is done in place in work, two complex arrays of shape
+    t.shape + (n,), allocated unless given: the density is a view of the
+    second and its rfft fills the head of the first; series, when given,
+    receives the row's series.  FrontKernel passes the same arrays to
+    each row.
     """
     dx, n = fft_row_size(packet, t, refine)
-    end, w, weight, root = _row_spectrum(packet, dx, n, refine)
+    dk = 2.0 * np.pi / (n * dx)
+    k_cut = refine * packet.k_cut
+    # the modes inside k_cut in FFT order: 0, ..., end, -end, ..., -1
+    end = int(np.floor(k_cut / dk))
+    m = np.concatenate([np.arange(end + 1), np.arange(-end, 0)])
+    k = m * dk
+    w = omega(k)
+    weight = (n * packet.norm * _k_weights(m, dk, k_cut)
+              * packet.spec.shape_values(k))
+    root = np.sqrt(w)
     if work is None:
         work = np.empty((2,) + np.shape(t) + (n,), dtype=complex)
     c, psi = work
@@ -560,7 +549,7 @@ def _fft_row(packet: Packet, t, refine: int = 1, nw: bool = False,
     # +-m share e^{-i w t} (w is even): it is taken on 0, ..., end,
     # mirrored onto -end, ..., -1, and weighted in place
     lower = c[..., :end + 1]
-    np.exp(np.multiply.outer(t, -1j * w, out=lower), out=lower)
+    np.exp(np.multiply.outer(t, -1j * w[:end + 1], out=lower), out=lower)
     c[..., n - end:] = c[..., end:0:-1]
     for row, mode in ends:
         c[..., row] *= weight[mode]
@@ -580,7 +569,7 @@ def _fft_row(packet: Packet, t, refine: int = 1, nw: bool = False,
         np.conjugate(psi, out=psi)
         psi *= c
         f = np.negative(psi.imag, out=psi.imag)
-    return _RowIntegral(f, dx, 2.0 * (refine * packet.k_cut),
+    return _RowIntegral(f, dx, 2.0 * k_cut,
                         np.fft.rfft(f, out=c[..., :n // 2 + 1]), series)
 
 
@@ -696,14 +685,13 @@ class _RowIntegral:
                   out=out[..., 1:])
         return out
 
-    def antiderivative(self, x, diagonal: bool = False,
-                       buffer: np.ndarray | None = None) -> np.ndarray:
+    def antiderivative(self, x, diagonal: bool = False) -> np.ndarray:
         """G(x) = mean x + Re sum_m f_m e^{ik_m x} / (i k_m), so G' = f, at
         a 1-d array x; one column per row of a stack, or with diagonal,
         G of row r at x[r] alone (_fourier_re on the modes up to the
-        band, with its table in buffer when given)."""
+        band)."""
         G = x * self.mean if diagonal else np.multiply.outer(x, self.mean)
-        return G + _fourier_re(x, self.dk, self.series, diagonal, buffer)
+        return G + _fourier_re(x, self.dk, self.series, diagonal)
 
     def derivatives(self, x, orders) -> np.ndarray:
         """The p-th derivative of G (antiderivative) at x for each p of
@@ -976,12 +964,14 @@ class FrontKernel:
         x, t = np.ravel(x), np.ravel(t)
         F = np.empty((x.size, t.size))
         sizes = np.array([fft_row_size(self.packet, s)[1] for s in t])
-        groups = [(n, np.nonzero(sizes == n)[0]) for n in np.unique(sizes)]
-        space = np.empty(max((self._plan(x.size, t[cols], n)[-1]
-                              for n, cols in groups), default=0),
+        plans = []
+        for n in np.unique(sizes):
+            cols = np.nonzero(sizes == n)[0]
+            plans.append((cols, n) + self._plan(x.size, t[cols], n))
+        space = np.empty(max((p[-1] for p in plans), default=0),
                          dtype=complex)
-        for n, cols in groups:
-            F[:, cols] = self._rows(x, t[cols], n, space)
+        for cols, n, m, block, _ in plans:
+            F[:, cols] = self._rows(x, t[cols], n, m, block, space)
         return F
 
     def _plan(self, n_x: int, t, n: int) -> tuple[int, int, int]:
@@ -992,33 +982,30 @@ class FrontKernel:
         m = _band_modes(n, dx, 2.0 * self.packet.k_cut)[1]
         block = min(t.size, max(1, self.BLOCK_ROW_POINTS // n))
         return m, block, t.size * m + max(
-            2 * block * n + math.prod(_table_shape(m, block)),
-            math.prod(_table_shape(m, n_x)))
+            2 * block * n, math.prod(_table_shape(m, n_x)))
 
-    def _rows(self, x, t, n: int, space) -> np.ndarray:
-        """F at x on the rows of the times t, all of n points, made in
-        space (_plan): the series of the rows, and after them the work
-        arrays of a block and the tables of its G(+-L), then the e^{ikx}
+    def _rows(self, x, t, n: int, m: int, block: int,
+              space) -> np.ndarray:
+        """F at x on the rows of the times t, all of n points, with m modes
+        and block rows a block (_plan), made in space: the series of the
+        rows, and after them the work arrays of a block, then the e^{ikx}
         table."""
         L = self.packet.decay_window() + np.abs(t)
         x_max = np.max(x, initial=-np.inf)
         mean, lo = np.empty(t.size), np.empty(t.size)
         # G(+L) only where some x passes it: np.where picks no NaN
         hi = np.full(t.size, np.nan)
-        m, block, _ = self._plan(x.size, t, n)
         series = space[:t.size * m].reshape(t.size, m)
         rest = space[t.size * m:]
         work = rest[:2 * block * n].reshape(2, block, n)
-        ends = rest[2 * block * n:]
         for i in range(0, t.size, block):
             sl = slice(i, i + block)
             row = _fft_row(self.packet, t[sl], work=work[:, :t[sl].size],
                            series=series[sl])
             mean[sl] = row.mean
-            lo[sl] = row.antiderivative(-L[sl], diagonal=True, buffer=ends)
+            lo[sl] = row.antiderivative(-L[sl], diagonal=True)
             if x_max > np.min(L[sl]):
-                hi[sl] = row.antiderivative(L[sl], diagonal=True,
-                                            buffer=ends)
+                hi[sl] = row.antiderivative(L[sl], diagonal=True)
         # the table takes the place of the work arrays
         G = np.multiply.outer(x, mean) + _fourier_re(x, row.dk, series,
                                                      buffer=rest)
