@@ -223,12 +223,15 @@ def _lambert_fit(packet, traj_set, grid):
         rho_slope=ar, rho_zero=-br / ar, j_slope=aj, j_zero=-bj / aj,
         t_samples=t_samples, t_ref=t_c, x_ref=x_refs[:, None])
     xp, tp = tr.points[mask].T
+    dt = fam.t - tp[:, None]
     # dists[m, v]: distance from contour vertex v to member m's curve
-    # (both branches, NaN beyond the fold skipped; inf for an empty curve)
+    # (both branches, NaN beyond the fold skipped; inf for an empty curve),
+    # a running minimum over one member's (vertices x samples) at a time
     dists = np.full((x_refs.size, xp.size), np.inf)
     for branch in (fam.x_branch0, fam.x_branch_minus1):
-        d = np.hypot(branch[:, None, :] - xp[:, None], fam.t - tp[:, None])
-        dists = np.fmin(dists, np.fmin.reduce(d, axis=2))
+        for member, row in zip(branch, dists):
+            d = np.hypot(member - xp[:, None], dt)
+            np.fmin(row, np.fmin.reduce(d, axis=1), out=row)
     worst = dists.max(axis=1)
     best = int(np.argmin(worst))    # the first of equal members wins
     cell = float(np.hypot(grid.dx, grid.dt))

@@ -1,8 +1,9 @@
 """Deterministic CSV/JSON output helpers and fixed-chunk parallel maps.
 
 Every output file is written by _overwrite: the whole text is built in
-memory first, then the file is opened without O_TRUNC, overwritten from
-the start and truncated at the end of the new text.  The file keeps its
+memory first, as encoded blocks (a CSV file CSV_BLOCK_ROWS rows at a
+time), then the file is opened without O_TRUNC, overwritten from the
+start and truncated at the end of the new text.  The file keeps its
 inode, permissions and symlinks, no temporary file is made, and no disk
 block is freed unless the file shrinks.  Freeing blocks is what makes a
 rewrite slow on a filesystem mounted with `discard`.  Rewriting a 45 kB
@@ -48,6 +49,9 @@ UNITS_NOTE = "natural units: hbar = c = m0 = 1 (lengths in Compton wavelengths)"
 
 #: rows per work unit; fixed so results never depend on the thread count
 ROW_CHUNK = 16
+#: CSV rows formatted and encoded at a time: the strings of a block of
+#: f_grid.csv's three columns take ~0.4 MB, and only its bytes are kept
+CSV_BLOCK_ROWS = 2048
 #: CSV columns where NaN (never +-inf) marks a missing value: v, f and
 #: x_mapped = x + f at a density zero, the Lambert branches past the fold
 NAN_FLAGGED = frozenset({"v", "f", "x_mapped", "x_branch0",
@@ -101,22 +105,23 @@ def _column_text(col) -> list[str]:
     return text[inverse].tolist()
 
 
-def _overwrite(path, text: str) -> None:
-    """Put text in path in place: no O_TRUNC, truncate at the end."""
+def _overwrite(path, blocks: list[bytes]) -> None:
+    """Put the blocks in path in place: no O_TRUNC, truncate at the end."""
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(text.encode())
+        fh.writelines(blocks)
         fh.truncate()
 
 
 def write_csv(path, header: list[str], columns, config: dict) -> None:
     """Write equal-length columns under a metadata comment header.
 
-    Floats are repr-exact; each distinct value of a numeric column is
-    formatted once (_column_text).  A header whose names do not match
-    the columns one for one raises ValueError, and a non-finite value
-    FloatingPointError (the CLI exits 3) naming the file and the
-    column, both before the file is opened; a NaN in a NAN_FLAGGED
-    column is allowed.
+    Floats are repr-exact; each distinct value of a numeric column in a
+    block of CSV_BLOCK_ROWS rows is formatted once (_column_text), and
+    the block is encoded before the next is formatted.  A header whose
+    names do not match the columns one for one, or columns of unequal
+    length, raise ValueError, and a non-finite value FloatingPointError
+    (the CLI exits 3) naming the file and the column, all before the
+    file is opened; a NaN in a NAN_FLAGGED column is allowed.
     """
     columns = list(columns)
     if len(header) != len(columns):
@@ -129,12 +134,15 @@ def write_csv(path, header: list[str], columns, config: dict) -> None:
         if bad.any():
             raise FloatingPointError(f"non-finite value {values[bad][0]} in "
                                      f"column {name} of {os.fspath(path)}")
-    cols = [_column_text(c) for c in columns]
-    if len({len(c) for c in cols}) > 1:
+    lengths = {len(c) for c in columns}
+    if len(lengths) > 1:
         raise ValueError("CSV columns differ in length")
-    lines = [*metadata_lines(config), ",".join(header),
-             *map(",".join, zip(*cols))]
-    _overwrite(path, "\n".join(lines) + "\n")
+    blocks = ["\n".join([*metadata_lines(config), ",".join(header)])
+              .encode() + b"\n"]
+    for lo in range(0, max(lengths, default=0), CSV_BLOCK_ROWS):
+        cols = [_column_text(c[lo:lo + CSV_BLOCK_ROWS]) for c in columns]
+        blocks.append(("\n".join(map(",".join, zip(*cols))) + "\n").encode())
+    _overwrite(path, blocks)
 
 
 def _jsonable(obj, where: str = ""):
@@ -170,7 +178,8 @@ def write_json(path, payload: dict, config: dict) -> None:
         "units": UNITS_NOTE,
         **_jsonable(payload),
     }
-    _overwrite(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _overwrite(path, [(json.dumps(doc, indent=2, sort_keys=True)
+                       + "\n").encode()])
 
 
 def parallel_rows(fn, n_rows: int, n_threads: int) -> list:

@@ -49,7 +49,6 @@ size and keeps only their series.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -220,12 +219,13 @@ class _Rule(_Densities):
 
     #: entries of a fields chunk's largest arrays: points x (panels + J
     #: orders) at a shared t, for J nodes a panel (its e^{i x mid} and
-    #: inner sums), and points x k-nodes at unshared ones (their e^{ikx}
-    #: and e^{-i omega t}).  20 000 points on the 1 968-node rule, with
-    #: three orders, raised the peak RSS by 7.8 MB at one t and 12.2 MB at
-    #: distinct t with 250 000, and by 27.6 and 44.7 MB with 1 000 000,
-    #: no faster
-    _CHUNK_BUDGET = 250_000
+    #: inner sums), and points x k-nodes at unshared ones (their e^{ikx},
+    #: which takes e^{-i omega t} in place).  63 points a chunk on the
+    #: 1 968-node rule of the explode-cos2 benchmark grid: 2 693 points
+    #: there, each of its own t, peak at 3.7 MB under tracemalloc (the
+    #: waves, the upper half's e^{-i omega t} and its phases), against
+    #: 10.8 MB with 250 000 and a separate e^{-i omega t}
+    _CHUNK_BUDGET = 125_000
 
     def __init__(self, k: np.ndarray, weights: np.ndarray, split,
                  coef: np.ndarray):
@@ -244,17 +244,23 @@ class _Rule(_Densities):
             coef = coef * (-1j * self.omega) ** dt
         return coef
 
-    def _wave_t(self, t) -> np.ndarray:
+    def _wave_t(self, t, out=None) -> np.ndarray:
         """e^{-i omega t} on the k-nodes, shape t.shape + (k.size,): one
-        row per t of an array.  omega is even and the rule mirror-exact,
-        so the nodes of one |k| share a value, taken once on the upper
-        half and mirrored onto the lower."""
+        row per t of an array; with out, of that shape, out times it, in
+        place.  omega is even and the rule mirror-exact, so the nodes of
+        one |k| share a value, taken once on the upper half and mirrored
+        onto the lower."""
         n = self.k.size
         half = n // 2
-        wave = np.empty(np.shape(t) + (n,), dtype=complex)
-        wave[..., half:] = _cis(np.multiply.outer(-t, self.omega[half:]))
-        wave[..., :half] = wave[..., n - half:][..., ::-1]
-        return wave
+        upper = _cis(np.multiply.outer(-t, self.omega[half:]))
+        lower = upper[..., n - 2 * half:][..., ::-1]
+        if out is None:
+            out = np.empty(np.shape(t) + (n,), dtype=complex)
+            out[..., half:], out[..., :half] = upper, lower
+        else:
+            out[..., half:] *= upper
+            out[..., :half] *= lower
+        return out
 
     def fields(self, x, t, orders, nw=False) -> list[np.ndarray]:
         """Packet.fields on this rule, whatever the points' reach.
@@ -268,9 +274,9 @@ class _Rule(_Densities):
         at once, and a sum over j against e^{i x off} finishes them.  The
         points whose t no other point shares (contour vertices on grid
         columns) are summed together instead, a chunk at a time: their
-        e^{ikx} (_waves) times their e^{-i omega t} (_wave_t, K/2 cos and
-        sin a point), then one product with the coefs.  Both paths take
-        chunks of _CHUNK_BUDGET entries.
+        e^{ikx} (_waves) times their e^{-i omega t} in place (_wave_t,
+        K/2 cos and sin a point), then one product with the coefs.  Both
+        paths take chunks of _CHUNK_BUDGET entries.
         """
         x, t = np.broadcast_arrays(np.asarray(x, dtype=float),
                                    np.asarray(t, dtype=float))
@@ -286,10 +292,10 @@ class _Rule(_Densities):
         alone = starts[counts == 1]
         chunk = max(1, self._CHUNK_BUDGET // self.k.size)
         for i in range(0, alone.size, chunk):
+            # unnamed, a chunk's waves are freed before the next is made
             j = alone[i:i + chunk]
-            waves = _waves(xf[j], self.split)
-            waves *= self._wave_t(tf[j])
-            out[:, by_t[j]] = (waves @ coefs).T
+            out[:, by_t[j]] = (self._wave_t(tf[j], _waves(xf[j], self.split))
+                               @ coefs).T
         mid, off = self.split
         n_ord = len(orders)
         chunk = max(1, self._CHUNK_BUDGET // (mid.size + off.size * n_ord))
@@ -312,7 +318,7 @@ class Packet(_Densities):
     fields, rho, rho_nw and rho_j run on the k rule of their points'
     reach (rule_at).  The packet's own rule is that of its decay window:
     it fixes the normalization and k holds its nodes.  Like every rule,
-    it is made and checked by rule_at on its first use.
+    it is checked by rule_at on its first use.
     """
 
     #: Gauss-Legendre order of every k rule
@@ -325,12 +331,14 @@ class Packet(_Densities):
         self.spec = spec
         self.k_cut = float(k_cut if k_cut is not None
                            else spec.default_k_cut())
-        k, w, _ = self._gl_rule(self.rule_nodes(self.decay_window()))
+        k, w, split = self._gl_rule(self.rule_nodes(self.decay_window()))
         s = spec.shape_values(k)
         # int rho_nw dx = 2 pi N^2 int s^2 dk  ==  total_charge.
         s2 = float(np.sum(w * s * s))
         self.norm = np.sqrt(spec.total_charge / (2.0 * np.pi * s2))
         self.k = k
+        #: the own rule, on these nodes; rule_at checks it on first use
+        self._own = _Rule(k, w, split, self.norm * s)
         #: node count -> checked rule (rule_at)
         self._rules = {}
 
@@ -374,15 +382,20 @@ class Packet(_Densities):
         the t = 0 FFT row within that reach, or within the decay window
         when the reach passes it, where the row ends and the t = 0 field
         is negligible: ArithmeticError past ENGINE_GAP_TOL (_check_rule).
-        This is the one place a packet makes a rule, its own rule (that of
-        the decay window) included.
+        This is the one place a packet makes a rule; its own rule (that of
+        the decay window) is made with the packet, on the nodes of k, and
+        checked here.
         """
         R = self._reach(np.max(np.abs(x), initial=0.0)
                         + np.max(np.abs(t), initial=0.0))
         n = self.rule_nodes(R)
         if n not in self._rules:
-            k, w, split = self._gl_rule(n)
-            rule = _Rule(k, w, split, self.norm * self.spec.shape_values(k))
+            if n == self.k.size:
+                rule = self._own
+            else:
+                k, w, split = self._gl_rule(n)
+                rule = _Rule(k, w, split,
+                             self.norm * self.spec.shape_values(k))
             _check_rule(rule, self.t0_row, min(R, self.decay_window()))
             self._rules[n] = rule
         return self._rules[n]
@@ -590,20 +603,14 @@ def _check_rule(rule: _Rule, row: _RowIntegral, reach: float) -> None:
             f"{0.5 * row.band:g} falls short")
 
 
-#: most entries of _fourier_re's e^{i m dk x} table, 8 MB, one buffer
-#: filled a chunk of x at a time.  With one BLAS thread F is bitwise that
-#: of one table for all x, as at 2^17 and 2^18; at 2^18 a multi-threaded
-#: BLAS moves cos2.json's fronts by rounding, at 2^19 no bundled output
+#: most entries of _fourier_re's e^{i m dk x} table when no buffer is
+#: given (8 MB), filled a chunk of x at a time; FrontKernel gives it the
+#: work arrays of its block instead (~2^17 entries on the explode-cos2
+#: benchmark grid).  With one BLAS thread F is bitwise that of one table
+#: for all x.  At 2^17 acausal_probability's four points on the refine
+#: = 2 row past t = 1 (34 959 modes) would split 3 + 1, which moves
+#: acausal_err by rounding (~1e-15 absolute)
 _TABLE_ENTRIES = 2 ** 19
-
-
-def _table_shape(m: int, n_x: int) -> tuple[int, int, int]:
-    """Shape (points, q, B) of _fourier_re's table buffer for m modes at
-    n_x points: B = ceil(sqrt(m)), q = ceil(m / B), and as many points as
-    _TABLE_ENTRIES entries hold, one at least and n_x at most."""
-    base = int(np.ceil(np.sqrt(m)))
-    q = -(-m // base)
-    return max(1, min(n_x, _TABLE_ENTRIES // (base * q))), q, base
 
 
 def _fourier_re(x, dk, series, diagonal: bool = False,
@@ -615,18 +622,22 @@ def _fourier_re(x, dk, series, diagonal: bool = False,
     The table of e^{i m dk x} is a product (_waves): with B = ceil(sqrt(
     M)) for M modes, mode m = q B + r takes e^{i x q B dk} e^{i x r dk},
     and the columns past M that fill the last q are dropped.  It is made
-    a chunk of x at a time into one buffer (_table_shape; the head of
-    buffer when given) and taken once for all rows, in one real product:
+    a chunk of x at a time into one buffer, buffer when given (it must
+    hold one point's q B entries) or one of _TABLE_ENTRIES: a chunk has
+    as many points as the buffer holds, one at least and x.size at most.
+    Each chunk is taken once for all rows, in one real product:
     Re(table c) = [Re table, -Im table] [Re c, Im c], with the real and
     imaginary parts interleaved.  That is the float view of the conjugate
     table, which _waves gives bitwise at -x, times that of c.
     """
     m = series.shape[-1]
-    shape = _table_shape(m, x.size)
-    step, q, base = shape
+    base = int(np.ceil(np.sqrt(m)))
+    q = -(-m // base)
+    entries = _TABLE_ENTRIES if buffer is None else buffer.size
+    step = max(1, min(x.size, entries // (q * base)))
+    buffer = (np.empty((step, q, base), dtype=complex) if buffer is None
+              else buffer[:step * q * base].reshape(step, q, base))
     split = (dk * base * np.arange(q), dk * np.arange(base))
-    buffer = (np.empty(shape, dtype=complex) if buffer is None
-              else buffer[:step * q * base].reshape(shape))
     coef = series.view(float)
     out = np.empty(x.shape if diagonal else x.shape + series.shape[:-1])
     for i in range(0, x.size, step):
@@ -937,12 +948,14 @@ class FrontKernel:
 
     evaluate keeps of each row only its Fourier series up to the band,
     and works in one complex array per call, reused for each row size
-    (_plan): the series, the work arrays of a block of rows (_fft_row),
-    then a chunk of x's e^{ikx} table (_TABLE_ENTRIES).  Its tracemalloc
-    peak is 13.5 MB on the explode-cos2 benchmark grid (121 x 81 points,
-    rows of 8 748 and 17 496 points) and 16.3 MB on cos2.json's 241 x
-    161.  Separate arrays, the largest the 8 MB table, let glibc trim the
-    heap between runs: ~3 000 page faults a run in a repeating process.
+    (_plan): the series, then the work arrays of a block of rows
+    (_fft_row), which x's e^{ikx} table takes over a chunk of x at a time
+    once the rows are made.  Its tracemalloc peak is 7.4 MB on the
+    explode-cos2 benchmark grid (121 x 81 points, rows of 8 748 and
+    17 496 points) and 10.1 MB on cos2.json's 241 x 161 (13.5 and
+    16.3 MB with a table of its own, 2^19 entries).  It is one array,
+    not several, because separate arrays let glibc trim the heap between
+    runs: ~3 000 page faults a run in a repeating process.
     """
 
     #: most row points made at once: 2^16, 1 MB per complex work array
@@ -967,29 +980,29 @@ class FrontKernel:
         plans = []
         for n in np.unique(sizes):
             cols = np.nonzero(sizes == n)[0]
-            plans.append((cols, n) + self._plan(x.size, t[cols], n))
+            plans.append((cols, n) + self._plan(t[cols], n))
         space = np.empty(max((p[-1] for p in plans), default=0),
                          dtype=complex)
         for cols, n, m, block, _ in plans:
             F[:, cols] = self._rows(x, t[cols], n, m, block, space)
         return F
 
-    def _plan(self, n_x: int, t, n: int) -> tuple[int, int, int]:
-        """(m, block, entries) of F at n_x points on the rows of the times
-        t, all of n points: their modes up to the band, the rows of a
-        block, and the complex entries _rows works in."""
+    def _plan(self, t, n: int) -> tuple[int, int, int]:
+        """(m, block, entries) of F on the rows of the times t, all of n
+        points: their modes up to the band, the rows of a block, and the
+        complex entries _rows works in."""
         dx = fft_row_size(self.packet, t)[0]
         m = _band_modes(n, dx, 2.0 * self.packet.k_cut)[1]
         block = min(t.size, max(1, self.BLOCK_ROW_POINTS // n))
-        return m, block, t.size * m + max(
-            2 * block * n, math.prod(_table_shape(m, n_x)))
+        return m, block, t.size * m + 2 * block * n
 
     def _rows(self, x, t, n: int, m: int, block: int,
               space) -> np.ndarray:
         """F at x on the rows of the times t, all of n points, with m modes
         and block rows a block (_plan), made in space: the series of the
-        rows, and after them the work arrays of a block, then the e^{ikx}
-        table."""
+        rows, and after them the work arrays of a block, then as many
+        points of the e^{ikx} table as those hold (_fourier_re).  The
+        m <= n / 2 + 1 modes take under 2 n entries a point."""
         L = self.packet.decay_window() + np.abs(t)
         x_max = np.max(x, initial=-np.inf)
         mean, lo = np.empty(t.size), np.empty(t.size)

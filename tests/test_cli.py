@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relbohm import dirac, modes, nearnr, packets
-from relbohm.cli import main
+from relbohm.cli import _lambert_fit, main
 from relbohm.numerics import Grid2D, SizeError
 
 
@@ -364,6 +365,23 @@ def _table(path):
              if not ln.startswith("#")]
     return lines[0].split(","), np.array(
         [[float(v) for v in ln.split(",")] for ln in lines[1:]])
+
+
+def test_lambert_fit_working_set_is_bounded():
+    # the explode-cos2 benchmark grid: a running minimum per family
+    # member over (vertices x samples), 5.0 MB when the (members x
+    # vertices x samples) distance cube was built
+    p = packets.Packet(packets.PacketSpec(shape="cos2", a=1.0))
+    grid = Grid2D(0.0, 3.0, 121, 0.0, 1.5, 81)
+    _, traj = packets.annihilation_fronts(p, grid, 20)
+    tracemalloc.start()
+    try:
+        summary, _ = _lambert_fit(p, traj, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary["within_one_cell"]
+    assert peak <= 3 * 2 ** 20
 
 
 def test_explode_densities_past_the_decay_window(tmp_path):

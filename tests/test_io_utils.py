@@ -4,15 +4,18 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relbohm import io_utils
 from relbohm.io_utils import (_column_text, metadata_lines, write_csv,
                               write_json)
 from relbohm.modes import Trajectory, TrajectorySet
+from relbohm.numerics import Grid2D
 
 CFG = {"k": [0.0, 1.0]}
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 5e-324, 0.1,
@@ -134,6 +137,55 @@ def test_trajectory_columns_match_rows(tmp_path):
         write_csv(tmp_path / name, header, ts.columns(), CFG)
         expect = _row_writer_text(header, rows if ts is trajs else [], CFG)
         assert (tmp_path / name).read_bytes() == expect.encode()
+
+
+def _one_piece_text(header, columns, config) -> str:
+    """Oracle: write_csv's text formatted in one piece, each whole column
+    by _column_text and every row joined at once."""
+    cols = [_column_text(c) for c in columns]
+    lines = [*metadata_lines(config), ",".join(header),
+             *map(",".join, zip(*cols))]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, io_utils.CSV_BLOCK_ROWS,
+                               2 * io_utils.CSV_BLOCK_ROWS + 37])
+def test_csv_blocks_match_one_piece_text(tmp_path, n):
+    # a block at a time, with blocks formatted apart: a grid axis whose
+    # values repeat across blocks, random floats and ints, Python lists
+    # and NaN in a NaN-flagged column, over zero rows, one, one block and
+    # more than two
+    rng = np.random.default_rng(n)
+    floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+    columns = [np.repeat(np.linspace(-1.0, 1.0, 7), -(-n // 7))[:n],
+               floats, rng.integers(-10 ** 12, 10 ** 12, n),
+               rng.integers(0, 5, n).astype(np.int32),
+               np.where(rng.random(n) < 0.1, np.nan, rng.random(n)),
+               rng.normal(size=n).tolist(),
+               [int(v) for v in rng.integers(-3, 3, n)]]
+    header = ["x", "rho", "i64", "i32", "v", "py_float", "py_int"]
+    write_csv(tmp_path / "a.csv", header, columns, CFG)
+    assert (tmp_path / "a.csv").read_bytes() == \
+        _one_piece_text(header, columns, CFG).encode()
+
+
+def test_write_csv_working_set_is_bounded(tmp_path):
+    # a 121 x 121 f_grid.csv on modes-pairs' window: the encoded blocks
+    # and one block's strings, under twice the file's bytes (4.5 MB for
+    # a 0.8 MB file when every row string, the text and its bytes were
+    # held at once)
+    grid = Grid2D(-0.005, 0.005, 121, 0.0, 0.01, 121)
+    F = np.random.default_rng(1).normal(size=(121, 121))
+    columns = [np.repeat(grid.x, grid.n_t), np.tile(grid.t, grid.n_x),
+               F.ravel()]
+    path = tmp_path / "f_grid.csv"
+    tracemalloc.start()
+    try:
+        write_csv(path, ["x", "t", "F"], columns, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * path.stat().st_size
 
 
 def test_shrinking_rewrite_leaves_no_tail(tmp_path):

@@ -277,6 +277,24 @@ def test_unshared_t_take_one_cis_a_chunk(cos2, monkeypatch):
     assert len(calls) <= -(-x.size // chunk) < x.size // 50
 
 
+def test_unshared_t_fields_working_set_is_bounded(cos2):
+    # 2 693 points, each of its own t, on the explode-cos2 benchmark
+    # window and its 1 968-node rule (made before tracing): a chunk's
+    # e^{ikx} takes e^{-i omega t} in place and is freed before the next
+    # chunk is made.  10.8 MB with chunks of 250 000 entries, a separate
+    # e^{-i omega t} and the last chunk's waves kept
+    rng = np.random.default_rng(5)
+    x, t = rng.uniform(0.0, 3.0, 2693), rng.uniform(0.0, 1.5, 2693)
+    assert cos2.rule_at(x, t).k.size == 1968
+    tracemalloc.start()
+    try:
+        cos2.fields(x, t, [(0, 0), (1, 0), (0, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+
+
 def test_fields_of_no_points(cos2):
     for x in (np.empty(0), np.empty((0, 3))):
         got = cos2.fields(x, 0.5, FIELD_ORDERS, nw=FIELD_NW)
@@ -355,6 +373,23 @@ def test_each_rule_is_built_and_checked_once(monkeypatch):
         p.rho_j(np.linspace(-2.0, 2.0, 5), 0.5)
     assert len(checked) == len(set(checked)) == len(p._rules) == 4
     assert p.k.size in checked
+
+
+def test_own_rule_runs_on_the_packet_nodes():
+    # the decay window's rule takes the nodes Packet.k holds, not a copy,
+    # and sums as the rule built from rule_nodes alone does, bit for bit
+    p = Packet(PacketSpec(shape="cos2", a=1.0))
+    rule = p.rule_at(p.decay_window(), 0.0)
+    assert rule.k is p.k
+    k, w, split = packets._gl_panels(-p.k_cut, p.k_cut,
+                                     p.k.size // Packet.REACH_ORDER,
+                                     Packet.REACH_ORDER)
+    built = _Rule(k, w, split, p.norm * p.spec.shape_values(k))
+    x = np.linspace(-p.decay_window(), p.decay_window(), 40)
+    t = np.linspace(0.0, 0.5, 40)
+    for got, want in zip(rule.fields(x, t, FIELD_ORDERS, nw=FIELD_NW),
+                         built.fields(x, t, FIELD_ORDERS, nw=FIELD_NW)):
+        assert np.array_equal(got, want)
 
 
 def test_no_cycle_keeps_a_packet_alive():
@@ -701,12 +736,14 @@ def test_front_kernel_rows_in_blocks(cos2_k40, monkeypatch):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.ptp(want)
 
 
-@pytest.mark.parametrize("n_x, n_t, most_mb", [(121, 81, 16),
-                                              (241, 161, 20)])
+@pytest.mark.parametrize("n_x, n_t, most_mb", [(121, 81, 9),
+                                              (241, 161, 12)])
 def test_front_kernel_working_set_is_bounded(n_x, n_t, most_mb):
     # the explode-cos2 benchmark grid and cos2.json's, on a fresh packet
     # (its row spectra count): 21.5 and 40.5 MB when each row size took
-    # one e^{ikx} table for every x and a list of the rows' series
+    # one e^{ikx} table for every x and a list of the rows' series, 13.5
+    # and 16.3 MB when the table had 2^19 entries of its own beside the
+    # work arrays
     grid = Grid2D(0.0, 3.0, n_x, 0.0, 1.5, n_t)
     kernel = FrontKernel(Packet(PacketSpec(shape="cos2", a=1.0)))
     tracemalloc.start()
