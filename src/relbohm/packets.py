@@ -217,14 +217,17 @@ class _Rule(_Densities):
     (_gl_panels on [-k_cut, k_cut]): fields takes e^{-i omega t} once
     per |k|."""
 
-    #: entries of a fields chunk's largest arrays: points x (panels + J
-    #: orders) at a shared t, for J nodes a panel (its e^{i x mid} and
-    #: inner sums), and points x k-nodes at unshared ones (their e^{ikx},
-    #: which takes e^{-i omega t} in place).  63 points a chunk on the
-    #: 1 968-node rule of the explode-cos2 benchmark grid: 2 693 points
-    #: there, each of its own t, peak at 3.7 MB under tracemalloc (the
-    #: waves, the upper half's e^{-i omega t} and its phases), against
-    #: 10.8 MB with 250 000 and a separate e^{-i omega t}
+    #: entries of a fields chunk's largest arrays: points x k-nodes at
+    #: unshared t (their e^{ikx}, which takes e^{-i omega t} in place),
+    #: and twice that for points x (panels + J orders) at a shared t, for
+    #: J nodes a panel (its e^{i x mid} and inner sums).  63 unshared
+    #: points a chunk on the 1 968-node rule of the explode-cos2 benchmark
+    #: grid: 2 693 points there, each of its own t, peak at 3.7 MB under
+    #: tracemalloc (the waves, the upper half's e^{-i omega t} and its
+    #: phases), against 10.8 MB with 250 000 and a separate e^{-i omega
+    #: t}.  Shared-t chunks of 125 000 entries cost nearnr-spin ~3 000
+    #: minor faults a batch: its largest transient, the inner sums, then
+    #: no longer lifts glibc's mmap threshold, so the heap is trimmed
     _CHUNK_BUDGET = 125_000
 
     def __init__(self, k: np.ndarray, weights: np.ndarray, split,
@@ -276,7 +279,7 @@ class _Rule(_Densities):
         columns) are summed together instead, a chunk at a time: their
         e^{ikx} (_waves) times their e^{-i omega t} in place (_wave_t,
         K/2 cos and sin a point), then one product with the coefs.  Both
-        paths take chunks of _CHUNK_BUDGET entries.
+        paths take chunks sized by _CHUNK_BUDGET.
         """
         x, t = np.broadcast_arrays(np.asarray(x, dtype=float),
                                    np.asarray(t, dtype=float))
@@ -298,7 +301,8 @@ class _Rule(_Densities):
                                @ coefs).T
         mid, off = self.split
         n_ord = len(orders)
-        chunk = max(1, self._CHUNK_BUDGET // (mid.size + off.size * n_ord))
+        chunk = max(1, 2 * self._CHUNK_BUDGET // (mid.size
+                                                  + off.size * n_ord))
         shared = counts > 1
         for s, lo, hi in zip(times[shared], starts[shared],
                              (starts + counts)[shared]):

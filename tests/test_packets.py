@@ -222,7 +222,7 @@ def test_fields_match_single_exp_oracle(request, packet, n, times):
 
 
 def test_fields_group_over_several_chunks(cos2, monkeypatch):
-    # one t shared by 300 points, taken 7 points a chunk, between groups
+    # one t shared by 300 points, taken 14 points a chunk, between groups
     # of one; the output is the same as in one chunk, up to rounding
     rng = np.random.default_rng(5)
     x = rng.uniform(-3.0, 3.0, 310)
