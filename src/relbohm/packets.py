@@ -225,9 +225,9 @@ class _Rule(_Densities):
     #: grid: 2 693 points there, each of its own t, peak at 3.7 MB under
     #: tracemalloc (the waves, the upper half's e^{-i omega t} and its
     #: phases), against 10.8 MB with 250 000 and a separate e^{-i omega
-    #: t}.  Shared-t chunks of 125 000 entries cost nearnr-spin ~3 000
-    #: minor faults a batch: its largest transient, the inner sums, then
-    #: no longer lifts glibc's mmap threshold, so the heap is trimmed
+    #: t}.  Shared-t chunks of 125 000 entries gave nearnr-spin ~3 000
+    #: minor faults a batch and 15 % more time (glibc's heap trimmed and
+    #: refaulted); at 250 000 it takes none
     _CHUNK_BUDGET = 125_000
 
     def __init__(self, k: np.ndarray, weights: np.ndarray, split,

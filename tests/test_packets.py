@@ -756,9 +756,9 @@ def test_front_kernel_working_set_is_bounded(n_x, n_t, most_mb):
 
 
 def test_front_kernel_limits_leave_f_bitwise():
-    # F in blocks of BLOCK_ROW_POINTS row points and tables of
-    # _TABLE_ENTRIES entries is F from one block and one table, bit for
-    # bit, on the same two grids.  With one BLAS thread, as the benchmark
+    # F in blocks of BLOCK_ROW_POINTS row points, its e^{ikx} table in
+    # chunks of x that fit a block's work arrays, is F from one block and
+    # one table, bit for bit, on the same two grids.  With one BLAS thread, as the benchmark
     # runs: a threaded BLAS splits a product by its row count, so there
     # chunks of x may move F by rounding
     code = """
