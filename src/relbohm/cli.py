@@ -161,19 +161,23 @@ def cmd_modes(cfg: dict, args) -> int:
 
 
 def _packet_from(cfg: dict) -> packets.Packet:
+    """The packet of cfg["packet"]: the one place a shape name is read."""
     with _parsing("packet"):
         p = cfg["packet"]
         if not isinstance(p, dict):
             raise ConfigError("packet must be a JSON object")
-        spec = packets.PacketSpec(
-            shape=p.get("shape", "cos2"),
-            **{key: _real(p.get(key, default), f"packet.{key}")
-               for key, default in (("a", 1.0), ("k0", 0.0),
-                                    ("sigma_k", 0.05),
-                                    ("total_charge", 2.0))})
+        a, k0, sigma_k, total_charge = (
+            _real(p.get(key, default), f"packet.{key}")
+            for key, default in (("a", 1.0), ("k0", 0.0), ("sigma_k", 0.05),
+                                 ("total_charge", 2.0)))
         k_cut = (_real(p["k_cut"], "packet.k_cut", positive=True)
                  if "k_cut" in p else None)
-        return packets.Packet(spec, k_cut)
+        shape = p.get("shape", "cos2")
+        if shape == "cos2":
+            return packets.Packet.cos2(a, k_cut, total_charge)
+        if shape == "gaussian":
+            return packets.Packet.gaussian(k0, sigma_k, k_cut, total_charge)
+        raise ConfigError(f"unknown packet shape {shape!r}")
 
 
 def _lambert_fit(packet, traj_set, grid):
@@ -248,8 +252,8 @@ def _lambert_fit(packet, traj_set, grid):
 
 def cmd_explode(cfg: dict, args) -> int:
     packet = _packet_from(cfg)
-    if packet.spec.shape != "cos2":
-        raise ConfigError("explode requires a cos2 packet")
+    if not packet.compact:
+        raise ConfigError("explode requires a compactly supported packet")
     with _parsing("t_values/p_times/density_x"):
         t_values = [float(t) for t in cfg.get("t_values", [0.0])]
         p_times = [float(t) for t in cfg.get("p_times", [0.0])]
@@ -291,7 +295,7 @@ def cmd_explode(cfg: dict, args) -> int:
                   lam_cols, cfg)
 
     write_json(out / "thresholds.json", {
-        "a": packet.spec.a, "x_th": x_th, "x_0": x0,
+        "a": packet.width, "x_th": x_th, "x_0": x0,
         "charge_inside": q_in, "charge_tail": q_out,
         "charge_nw_inside": q_nw,
         "pair_events": traj.n_pair_events,

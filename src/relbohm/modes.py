@@ -10,7 +10,6 @@ classification.
 
 from __future__ import annotations
 
-import cmath
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,7 +24,6 @@ __all__ = [
     "ModeSet",
     "Trajectory",
     "TrajectorySet",
-    "velocity_discrete",
     "integral_F",
     "grid_fields",
     "check_levels",
@@ -87,13 +85,6 @@ class ModeSet:
         return EPS_RHO_SCALE * float(np.sum(np.abs(self.phi) ** 2)
                                      * np.max(np.abs(self.k) + self.omega))
 
-    @cached_property
-    def _scalar_modes(self) -> list:
-        """(k, omega, phi omega^{-1/2}) of each mode as Python scalars."""
-        w = self.omega
-        return list(zip(self.k.tolist(), w.tolist(),
-                        (self.phi * w ** -0.5).tolist()))
-
 
 def _mode_amplitudes(state: ModeSet, z, t) -> np.ndarray:
     """u_k = phi_k omega_k^{-1/2} exp(i(k z - omega t)), shape (n_modes,)."""
@@ -121,28 +112,6 @@ def _rho_j(state: ModeSet, z, t):
     j = np.sum(0.5 * (state.k[:, None] + state.k[None, :]) * uu.real,
                axis=(-2, -1))
     return _rho_of_pairs(state, uu), j
-
-
-def velocity_discrete(state: ModeSet, z: float, t: float):
-    """Velocity from the mode-pair double sums; None at a density zero.
-
-    The RK4 oracle of the trajectory tests integrates it a point at a
-    time, on Python scalars: (M, M) numpy temporaries cost more than the
-    sums.  It agrees with the bilinear J/rho of the summed psi to
-    rounding; the tests keep that second formula path as their oracle.
-    """
-    z, t = float(z), float(t)
-    u = [(k, w, c * cmath.exp(1j * (k * z - w * t)))
-         for k, w, c in state._scalar_modes]
-    rho = j = 0.0
-    for ka, wa, ua in u:
-        for kb, wb, ub in u:
-            re = (ua.conjugate() * ub).real
-            rho += 0.5 * (wa + wb) * re
-            j += 0.5 * (ka + kb) * re
-    if abs(rho) < state._rho_floor:
-        return None
-    return j / rho
 
 
 def integral_F(state: ModeSet, z, t):

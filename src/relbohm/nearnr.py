@@ -166,15 +166,12 @@ def pushforward_l1(packet: Packet, t: float = 0.0):
     """L1 distances (unmapped, mapped) between rho and rho_nw.
 
     Pushes rho through x -> x + f via the change-of-variables Jacobian
-    1 + df/dx and interpolates back to PUSHFORWARD_N samples over the
-    packet's width, on the k rule of that window.  The mapped distance
-    should beat the unmapped one by the next expansion order.
+    1 + df/dx and interpolates back to PUSHFORWARD_N samples over |x| <=
+    0.8 width + |t| (4 / sigma_k + |t| for a gaussian), on the k rule of
+    that window.  The mapped distance should beat the unmapped one by the
+    next expansion order.
     """
-    # Position-space width: ~1/sigma_k for a gaussian shape.
-    if packet.spec.shape == "gaussian":
-        half_width = 4.0 / packet.spec.sigma_k + abs(t)
-    else:
-        half_width = packet.support_edge + abs(t) + 6.0
+    half_width = 0.8 * packet.width + abs(t)
     x = np.linspace(-half_width, half_width, PUSHFORWARD_N)
     x_mapped, f, rho, rho_nw = nw_position_map(packet, x, t)
     if not np.all(np.isfinite(f)):
@@ -201,10 +198,10 @@ def analyse(packet: Packet, x, t: float):
     and of 27a to 27b, where |lhs| exceeds a tenth of its maximum), and
     narrow_k_regime: whether both relative gaps are within NARROW_K_REL,
     the regime where the expansion measurably holds (NaN is outside).
-    For a gaussian it also holds pushforward, the pushforward_l1 pair and
-    its ratio, or None outside the regime, where the map need not be
-    monotone, or where it is undefined on the window.  Leaving the
-    regime and a null pushforward each warn (RuntimeWarning).
+    For a packet that is not compact it also holds pushforward, the
+    pushforward_l1 pair and its ratio, or None outside the regime, where
+    the map need not be monotone, or where it is undefined on the window.
+    Leaving the regime and a null pushforward each warn (RuntimeWarning).
     """
     field = correction_field(packet, x, t)
     eq22_res = float(np.max(np.abs(field.rho - field.rho_nw
@@ -229,7 +226,7 @@ def analyse(packet: Packet, x, t: float):
         "timeform_rel_27a_vs_27b": rel27ab,
         "narrow_k_regime": narrow,
     }
-    if packet.spec.shape == "gaussian":
+    if not packet.compact:
         summary["pushforward"] = None
         if narrow:
             try:

@@ -2,12 +2,10 @@
 
 The configuration-space field is psi(x, t) = N int dk s(k) omega^{-1/2}
 exp(i(kx - omega t)) for a real k-space shape s(k); the localized-position
-amplitude drops the omega^{-1/2} factor.  Built-in shapes:
-
-* ``cos2``: the Fourier transform of a Cos^2 pulse supported on |x| < a,
-  s(k) = sin(ka) / (k (1 - k^2 a^2 / pi^2)), with the removable
-  singularities at k = 0 and k = +-pi/a filled in by their limits.
-* ``gaussian``: exp(-(k - k0)^2 / (2 sigma_k^2)).
+amplitude drops the omega^{-1/2} factor.  A Packet is its spectrum s(k),
+its k_cut, a width and whether its localized amplitude has compact
+support at t = 0; Packet.cos2 and Packet.gaussian build the two packets
+the configs name.
 
 Two engines evaluate the same truncated spectrum.  Field values at given
 points are k-integrals on a composite Gauss-Legendre rule over
@@ -60,7 +58,6 @@ from .numerics import (EPS_RHO_SCALE, Grid2D, SizeError, bilinear_j,
                        lambert_w_domain, omega)
 
 __all__ = [
-    "PacketSpec",
     "Packet",
     "DensityProfile",
     "FFT_MAX_POINTS",
@@ -98,56 +95,6 @@ FFT_MAX_POINTS = 2 ** 22
 ENGINE_GAP_TOL = 1e-6
 #: most steps of a Newton solve (_newton) before it raises ArithmeticError
 NEWTON_STEPS = 20
-
-
-@dataclass(frozen=True)
-class PacketSpec:
-    """k-space shape of a 1-d positive-energy packet.
-
-    total_charge is the normalization of int rho dx (= int rho_nw dx);
-    the default 2 makes the half-line localized charge equal to 1 for the
-    cos2 packet, matching the convention used for the threshold integrals.
-    """
-
-    shape: str = "cos2"
-    a: float = 1.0
-    k0: float = 0.0
-    sigma_k: float = 0.05
-    total_charge: float = 2.0
-
-    def __post_init__(self):
-        if self.shape not in ("cos2", "gaussian"):
-            raise ValueError(f"unknown shape {self.shape!r}")
-        if self.shape == "cos2" and self.a <= 0:
-            raise ValueError("cos2 packet needs a > 0")
-        if self.shape == "gaussian" and self.sigma_k <= 0:
-            raise ValueError("gaussian packet needs sigma_k > 0")
-        if self.total_charge <= 0:
-            raise ValueError("total_charge must be positive")
-
-    def shape_values(self, k) -> np.ndarray:
-        """s(k) on an array of wavenumbers (real, unnormalized)."""
-        k = np.asarray(k, dtype=float)
-        if self.shape == "gaussian":
-            return np.exp(-0.5 * ((k - self.k0) / self.sigma_k) ** 2)
-        u = k * self.a
-        near0 = np.abs(u) < 1e-7
-        nearpi = np.abs(np.abs(u) - np.pi) < 1e-9
-        safe_u = np.where(near0 | nearpi, 1.0, u)
-        s = np.sin(safe_u) / (safe_u * (1.0 - safe_u ** 2 / np.pi ** 2))
-        s = np.where(near0, 1.0, s)
-        s = np.where(nearpi, 0.5, s)
-        return self.a * s
-
-    def default_k_cut(self) -> float:
-        """Truncation where the envelope drops below GAUSS_ENVELOPE_TOL
-        (gaussian) or ENVELOPE_TOL (cos2) times its peak."""
-        if self.shape == "gaussian":
-            return abs(self.k0) + self.sigma_k * np.sqrt(
-                -2.0 * np.log(GAUSS_ENVELOPE_TOL))
-        # |s(k)| <= pi^2 / (a^2 |k|^3) for |k| a > pi; peak is a.
-        return max((np.pi ** 2 / (self.a ** 3 * ENVELOPE_TOL)) ** (1 / 3.0),
-                   4.0 * np.pi / self.a)
 
 
 def _gl_panels(k_lo, k_hi, n_panels, order):
@@ -317,8 +264,14 @@ class _Rule(_Densities):
 
 
 class Packet(_Densities):
-    """A PacketSpec with its normalization and its k rules.
+    """A real spectrum s(k), cut at k_cut, with its normalization and its
+    k rules.
 
+    width is the support edge of the localized amplitude at t = 0 where
+    compact is true, and its effective width otherwise.  total_charge is
+    int rho dx (= int rho_nw dx); at 2 a symmetric packet's half-line
+    localized charge is 1, as the threshold integrals take it.  rho, J and
+    F are bilinear, so a constant phase of s would drop out of them.
     fields, rho, rho_nw and rho_j run on the k rule of their points'
     reach (rule_at).  The packet's own rule is that of its decay window:
     it fixes the normalization and k holds its nodes.  Like every rule,
@@ -331,25 +284,70 @@ class Packet(_Densities):
     #: omega at k = +-i, not the phase, bound the panels next to k = 0
     REACH_FLOOR = 4.0
 
-    def __init__(self, spec: PacketSpec, k_cut: float | None = None):
-        self.spec = spec
-        self.k_cut = float(k_cut if k_cut is not None
-                           else spec.default_k_cut())
+    def __init__(self, spectrum, k_cut: float, width: float, compact: bool,
+                 total_charge: float = 2.0):
+        if total_charge <= 0:
+            raise ValueError("total_charge must be positive")
+        self.spectrum, self.compact = spectrum, bool(compact)
+        self.k_cut, self.width = float(k_cut), float(width)
+        self.total_charge = float(total_charge)
         k, w, split = self._gl_rule(self.rule_nodes(self.decay_window()))
-        s = spec.shape_values(k)
+        s = spectrum(k)
         # int rho_nw dx = 2 pi N^2 int s^2 dk  ==  total_charge.
         s2 = float(np.sum(w * s * s))
-        self.norm = np.sqrt(spec.total_charge / (2.0 * np.pi * s2))
+        self.norm = np.sqrt(self.total_charge / (2.0 * np.pi * s2))
         self.k = k
         #: the own rule, on these nodes; rule_at checks it on first use
         self._own = _Rule(k, w, split, self.norm * s)
         #: node count -> checked rule (rule_at)
         self._rules = {}
 
+    @classmethod
+    def cos2(cls, a: float, k_cut: float | None = None,
+             total_charge: float = 2.0) -> Packet:
+        """The Fourier transform of a Cos^2 pulse supported on |x| < a,
+        s(k) = sin(ka) / (k (1 - k^2 a^2 / pi^2)), with the removable
+        singularities at k = 0 and k = +-pi/a filled in by their limits."""
+        if a <= 0:
+            raise ValueError("cos2 packet needs a > 0")
+
+        def spectrum(k):
+            u = np.asarray(k, dtype=float) * a
+            near0 = np.abs(u) < 1e-7
+            nearpi = np.abs(np.abs(u) - np.pi) < 1e-9
+            safe_u = np.where(near0 | nearpi, 1.0, u)
+            s = np.sin(safe_u) / (safe_u * (1.0 - safe_u ** 2 / np.pi ** 2))
+            s = np.where(near0, 1.0, s)
+            s = np.where(nearpi, 0.5, s)
+            return a * s
+
+        if k_cut is None:
+            # |s(k)| <= pi^2 / (a^2 |k|^3) for |k| a > pi; peak is a.
+            k_cut = max((np.pi ** 2 / (a ** 3 * ENVELOPE_TOL)) ** (1 / 3.0),
+                        4.0 * np.pi / a)
+        return cls(spectrum, k_cut, a, True, total_charge)
+
+    @classmethod
+    def gaussian(cls, k0: float, sigma_k: float, k_cut: float | None = None,
+                 total_charge: float = 2.0) -> Packet:
+        """s(k) = exp(-(k - k0)^2 / (2 sigma_k^2)), not compact, of
+        effective width 5 / sigma_k."""
+        if sigma_k <= 0:
+            raise ValueError("gaussian packet needs sigma_k > 0")
+
+        def spectrum(k):
+            return np.exp(-0.5 * ((np.asarray(k, dtype=float) - k0)
+                                  / sigma_k) ** 2)
+
+        if k_cut is None:
+            k_cut = abs(k0) + sigma_k * np.sqrt(
+                -2.0 * np.log(GAUSS_ENVELOPE_TOL))
+        return cls(spectrum, k_cut, 5.0 / sigma_k, False, total_charge)
+
     def _reach(self, reach: float) -> float:
-        """The reach a rule is sized for: at least twice the support edge
-        and REACH_FLOOR."""
-        return max(float(reach), 2.0 * self.support_edge, self.REACH_FLOOR)
+        """The reach a rule is sized for: at least twice the width and
+        REACH_FLOOR."""
+        return max(float(reach), 2.0 * self.width, self.REACH_FLOOR)
 
     def rule_nodes(self, reach: float) -> int:
         """k-nodes of the rule that points with |x| + |t| <= reach need.
@@ -358,11 +356,11 @@ class Packet(_Densities):
         number of equal panels of [-k_cut, k_cut], so that k = 0 sits on a
         panel edge, away from the nodes next to omega's branch points.
         The panel width h is at most REACH_ORDER / R, R = _reach(reach):
-        with the cos2 spectrum's phases e^{+-ika}, the phase turns by at
-        most h (R + a) / 2 <= 18 radians across a panel, below the ~24
-        (h R / 2 ~ REACH_ORDER) at which such a rule starts to lose
-        digits.  For a gaussian, R >= 2 support_edge = 10 / sigma_k bounds
-        h by 2.4 sigma_k.  About 2 k_cut R nodes; SizeError past
+        with a compact spectrum's phases e^{+-ik width} (cos2: width = a),
+        the phase turns by at most h (R + width) / 2 <= 18 radians across
+        a panel, below the ~24 (h R / 2 ~ REACH_ORDER) at which such a rule
+        starts to lose digits.  For a gaussian, R >= 2 width = 10 / sigma_k
+        bounds h by 2.4 sigma_k.  About 2 k_cut R nodes; SizeError past
         FFT_MAX_POINTS of them, a count past the float range or a NaN
         reach included.
         """
@@ -398,8 +396,7 @@ class Packet(_Densities):
                 rule = self._own
             else:
                 k, w, split = self._gl_rule(n)
-                rule = _Rule(k, w, split,
-                             self.norm * self.spec.shape_values(k))
+                rule = _Rule(k, w, split, self.norm * self.spectrum(k))
             _check_rule(rule, self.t0_row, min(R, self.decay_window()))
             self._rules[n] = rule
         return self._rules[n]
@@ -419,17 +416,10 @@ class Packet(_Densities):
         """
         return self.rule_at(x, t).fields(x, t, orders, nw)
 
-    @cached_property
-    def support_edge(self) -> float:
-        """Initial support edge of the localized amplitude."""
-        if self.spec.shape == "cos2":
-            return self.spec.a
-        return 5.0 / self.spec.sigma_k  # effective width, not compact
-
     def decay_window(self) -> float:
         """Half-width beyond which the t = 0 field is negligible."""
-        # Exponential Compton-scale tails past the support edge.
-        return self.support_edge + 30.0
+        # Exponential Compton-scale tails past the width.
+        return self.width + 30.0
 
 
 def _panel_integral(fn, a, b, n_panels: int = 64) -> float:
@@ -553,8 +543,7 @@ def _fft_row(packet: Packet, t, refine: int = 1, nw: bool = False,
     m = np.concatenate([np.arange(end + 1), np.arange(-end, 0)])
     k = m * dk
     w = omega(k)
-    weight = (n * packet.norm * _k_weights(m, dk, k_cut)
-              * packet.spec.shape_values(k))
+    weight = n * packet.norm * _k_weights(m, dk, k_cut) * packet.spectrum(k)
     root = np.sqrt(w)
     if work is None:
         work = np.empty((2,) + np.shape(t) + (n,), dtype=complex)
@@ -794,7 +783,7 @@ def densities(packet: Packet, x, t: float) -> DensityProfile:
     Packet.fields pass.
     """
     x = np.asarray(x, dtype=float)
-    factor = packet.spec.total_charge / _fft_row(packet, t).abs_total()
+    factor = packet.total_charge / _fft_row(packet, t).abs_total()
     psi, psix, psit, psi_nw = packet.fields(
         x, t, [(0, 0), (1, 0), (0, 1), (0, 0)], nw=[0, 0, 0, 1])
     rho = bilinear_rho(psi, psit)
@@ -806,22 +795,23 @@ def densities(packet: Packet, x, t: float) -> DensityProfile:
 def acausal_probability(packet: Packet, t: float, refine: int = 1) -> float:
     """Probability of a localized-position outcome outside the light cone.
 
-    The light cone is measured from the outermost initial support edge;
-    requires t >= 0 and an initially compact (cos2) packet.  P is the
-    share of int rho_nw over |x| in [edge + t, L] (L = decay_window() +
-    t) within [-L, L], both integrals taken exactly on the FFT row at t
-    as G(b) - G(a) of its antiderivative (_RowIntegral.antiderivative,
-    on the band 2 refine k_cut of rho_nw).  refine = 2 doubles the row's
-    box and k_cut (about four times the points, fft_row_size); the shift
-    it causes is the error bar the explode command reports.
+    The light cone is measured from the outermost initial support edge,
+    the packet's width; requires t >= 0 and an initially compact packet.
+    P is the share of int rho_nw over |x| in [edge + t, L] (L =
+    decay_window() + t) within [-L, L], both integrals taken exactly on
+    the FFT row at t as G(b) - G(a) of its antiderivative
+    (_RowIntegral.antiderivative, on the band 2 refine k_cut of rho_nw).
+    refine = 2 doubles the row's box and k_cut (about four times the
+    points, fft_row_size); the shift it causes is the error bar the
+    explode command reports.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    if packet.spec.shape != "cos2":
+    if not packet.compact:
         raise ValueError("acausal probability needs a compactly "
-                         "supported (cos2) packet")
+                         "supported packet")
     row = _fft_row(packet, t, refine, nw=True)
-    edge = packet.support_edge + t
+    edge = packet.width + t
     L = packet.decay_window() + t
     G = row.antiderivative(np.array([-L, -edge, edge, L]))
     return float((G[3] - G[2] + G[1] - G[0]) / (G[3] - G[0]))
@@ -862,8 +852,9 @@ def _newton(fn, lo: float, hi: float, x: float, xtol: float,
 
 
 def zero_crossings(packet: Packet):
-    """(x_th, x_0) at t = 0 for a cos2 packet, both on the t = 0 FFT row
-    (packet.t0_row) and its trigonometric interpolant.
+    """(x_th, x_0) at t = 0 for a compactly supported packet of support
+    edge a (its width), both on the t = 0 FFT row (packet.t0_row) and its
+    trigonometric interpolant.
 
     The row is resampled exactly to a step dx <= pi / (6 k_cut), with rho
     and its antiderivative G at each sample (_RowIntegral.resampled).  x_0
@@ -887,9 +878,10 @@ def zero_crossings(packet: Packet):
     window (rule_at's _check_rule): one of the two engines is then off
     where the row integrals reach.
     """
-    if packet.spec.shape != "cos2":
-        raise ValueError("zero crossings are defined for the cos2 packet")
-    a = packet.spec.a
+    if not packet.compact:
+        raise ValueError("zero crossings are defined for a compactly "
+                         "supported packet")
+    a = packet.width
     row = packet.t0_row
     dx, _, rho, G = row.resampled()
     neg = rho[:int(2.5 * a / dx) + 1] < 0
@@ -924,16 +916,16 @@ def threshold_charges(packet: Packet, x_th: float):
     """Charges at t = 0 that test the threshold reading x_th.
 
     Returns (int_0^{x_th} rho, int_{x_th}^{L} rho, int_0^{a} rho_nw) with
-    L = decay_window(), each taken exactly on the t = 0 FFT rows of rho
-    and rho_nw as G(b) - G(a) of their antiderivatives
-    (_RowIntegral.antiderivative).  At the threshold of zero_crossings
-    the first is half the total charge and the second vanishes; the
-    third is half the total by symmetry.
+    a the packet's width and L = decay_window(), each taken exactly on
+    the t = 0 FFT rows of rho and rho_nw as G(b) - G(a) of their
+    antiderivatives (_RowIntegral.antiderivative).  At the threshold of
+    zero_crossings the first is half the total charge and the second
+    vanishes; the third is half the total by symmetry.
     """
     G = packet.t0_row.antiderivative(
         np.array([0.0, x_th, packet.decay_window()]))
     G_nw = _fft_row(packet, 0.0, nw=True).antiderivative(
-        np.array([0.0, packet.spec.a]))
+        np.array([0.0, packet.width]))
     return (float(G[1] - G[0]), float(G[2] - G[1]), float(G_nw[1] - G_nw[0]))
 
 

@@ -14,8 +14,12 @@ FFT row, the oracle takes the row finer and sums its Fourier series
 directly, one exponential per (point, mode).  Where the program sums a
 k-integral on the rule of a reach, the reference is a deliberately finer
 rule (fine_rule).  Where the program takes W from an FFT row, the oracle
-sums W's double k-integral on a dense kernel matrix (WKernel).
+sums W's double k-integral on a dense kernel matrix (WKernel).  Where the
+program follows Bohm trajectories as contours of F, the oracle integrates
+the double-sum velocity (velocity_discrete) by RK4 (integrate_trajectory).
 """
+
+import cmath
 
 import numpy as np
 
@@ -72,13 +76,13 @@ def fine_rule(packet, reach, factor: int = 4):
     reference, not the program."""
     panels = factor * packet.rule_nodes(reach) // packet.REACH_ORDER
     k, w, split = _gl_panels(-packet.k_cut, packet.k_cut, panels, 32)
-    return _Rule(k, w, split, packet.norm * packet.spec.shape_values(k))
+    return _Rule(k, w, split, packet.norm * packet.spectrum(k))
 
 
 def point_velocity(psi, dpsi_dx, dpsi_dt):
     """Bohm velocity J / rho at one point, or None where the density
     vanishes relative to the local |psi dpsi| scale (a divergence
-    locus, the flag ode.integrate_trajectory halts on)."""
+    locus, the flag integrate_trajectory halts on)."""
     rho = bilinear_rho(psi, dpsi_dt)
     scale = abs(psi) * max(abs(dpsi_dx), abs(dpsi_dt), 1e-300)
     if abs(rho) < EPS_RHO_SCALE * scale:
@@ -201,7 +205,7 @@ def front_kernel_fine(packet, x, t, factor: int = 2):
         m = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
         w = omega(m * dk)
         c = (n * packet.norm * _k_weights(m, dk, packet.k_cut)
-             * packet.spec.shape_values(m * dk) * np.exp(-1j * w * s))
+             * packet.spectrum(m * dk) * np.exp(-1j * w * s))
         rho = bilinear_rho(np.fft.ifft(c / np.sqrt(w)),
                            np.fft.ifft(-1j * np.sqrt(w) * c))
         L = packet.decay_window() + abs(s)
@@ -242,3 +246,79 @@ def abs_mass(f, dx: float, band: float, factor: int = 16) -> float:
     G = _series_antiderivative(z, fh, k, n)
     steps = np.diff(np.append(G, G[0] + fh[0].real * dx))
     return float(np.sum(np.abs(steps)))
+
+
+def velocity_discrete(state, z: float, t: float):
+    """Velocity of a ModeSet from the mode-pair double sums; None at a
+    density zero.
+
+    It takes one point at a time, on Python scalars: (M, M) numpy
+    temporaries cost more than the sums.  It agrees with the bilinear
+    J/rho of the summed psi (point_velocity) to rounding.
+    """
+    z, t = float(z), float(t)
+    w = state.omega
+    u = [(k, wk, c * cmath.exp(1j * (k * z - wk * t)))
+         for k, wk, c in zip(state.k.tolist(), w.tolist(),
+                             (state.phi * w ** -0.5).tolist())]
+    rho = j = 0.0
+    for ka, wa, ua in u:
+        for kb, wb, ub in u:
+            re = (ua.conjugate() * ub).real
+            rho += 0.5 * (wa + wb) * re
+            j += 0.5 * (ka + kb) * re
+    if abs(rho) < state._rho_floor:
+        return None
+    return j / rho
+
+
+class DivergenceHalt(Exception):
+    """Internal signal: the velocity field flagged a density zero."""
+
+
+def integrate_trajectory(velocity_fn, z0: float, t0: float, t1: float,
+                         dt: float, v_refine: float = 5.0,
+                         max_halvings: int = 12):
+    """Integrate dz/dt = v(z, t) from t0 to t1 with classical RK4.
+
+    The contour method is the program's trajectory machinery because the
+    velocity diverges at pair events; this integrator is an independent
+    check away from those loci.  velocity_fn(z, t) returns a float or
+    None (divergence flag).  The step is halved (up to max_halvings
+    times) whenever |v| at the step start exceeds v_refine.  Integration
+    stops early at a divergence flag.
+
+    Returns (t_array, z_array); t_array ends at t1 unless halted.
+    """
+    def vel(z, t):
+        v = velocity_fn(z, t)
+        if v is None:
+            raise DivergenceHalt
+        return v
+
+    ts = [t0]
+    zs = [z0]
+    t, z = t0, z0
+    direction = 1.0 if t1 >= t0 else -1.0
+    dt = abs(dt)
+    try:
+        while direction * (t1 - t) > 1e-15:
+            h = dt
+            v0 = vel(z, t)
+            halvings = 0
+            while abs(v0) > v_refine and halvings < max_halvings:
+                h *= 0.5
+                halvings += 1
+            h = min(h, direction * (t1 - t))
+            hs = direction * h
+            k1 = v0
+            k2 = vel(z + 0.5 * hs * k1, t + 0.5 * hs)
+            k3 = vel(z + 0.5 * hs * k2, t + 0.5 * hs)
+            k4 = vel(z + hs * k3, t + hs)
+            z = z + hs * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+            t = t + hs
+            ts.append(t)
+            zs.append(z)
+    except DivergenceHalt:
+        pass
+    return np.array(ts), np.array(zs)

@@ -12,11 +12,11 @@ import json
 import numpy as np
 import pytest
 
-from oracles import d2w_dx2_5point, gauge_transform
+from oracles import (d2w_dx2_5point, gauge_transform, integrate_trajectory,
+                     velocity_discrete)
 from relbohm import dirac, modes, nearnr, packets
 from relbohm.cli import main
 from relbohm.numerics import Grid2D
-from relbohm.ode import integrate_trajectory
 
 
 def _line(n, ok, msg):
@@ -42,7 +42,7 @@ def test_criterion_01_thresholds(thresholds):
     ok_a1 = abs(x_th - 0.57) <= 0.02 and abs(x0 - 0.72) <= 0.02
     # the alternative half-width reading a = 2 rescales both crossings by
     # 2 and cannot reproduce the quoted values; a = 1 is the winner
-    alt = packets.Packet(packets.PacketSpec(shape="cos2", a=2.0), k_cut=20.0)
+    alt = packets.Packet.cos2(2.0, k_cut=20.0)
     x_th2, x02 = packets.zero_crossings(alt)
     ok_a2 = abs(x_th2 - 0.57) <= 0.02 and abs(x02 - 0.72) <= 0.02
     ok = (ok_a1 or ok_a2) and thresholds["a"] == 1.0
@@ -79,10 +79,10 @@ def test_criterion_03_integral_of_motion():
         worst_re = max(worst_re, abs(re) / (abs(im) + 1e-300))
         done = False
         for z0 in np.linspace(-1.0, 1.0, 9):
-            if modes.velocity_discrete(state, z0, 0.0) is None:
+            if velocity_discrete(state, z0, 0.0) is None:
                 continue
             ts, zs = integrate_trajectory(
-                lambda z, t: modes.velocity_discrete(state, z, t),
+                lambda z, t: velocity_discrete(state, z, t),
                 z0=z0, t0=0.0, t1=1.0, dt=0.002)
             if ts[-1] < 1.0 - 1e-12:
                 continue            # halted at a divergence flag; retry
@@ -207,9 +207,8 @@ def test_criterion_05_rejects_doctored_curves(thresholds, acausal_oracle):
 
 
 def test_criterion_06_exact_identity_and_moments():
-    gauss = packets.Packet(packets.PacketSpec(
-        shape="gaussian", k0=0.1, sigma_k=0.05, total_charge=1.0))
-    cos2 = packets.Packet(packets.PacketSpec(shape="cos2", a=1.0), k_cut=40.0)
+    gauss = packets.Packet.gaussian(0.1, 0.05, total_charge=1.0)
+    cos2 = packets.Packet.cos2(1.0, k_cut=40.0)
     # the program's W (nearnr.correction_field), differenced in x
     xg = np.linspace(-15.0, 15.0, 31)
     res_g = np.max(np.abs(
@@ -231,8 +230,7 @@ def test_criterion_06_exact_identity_and_moments():
 
 
 def test_criterion_07_near_nr_chain():
-    gauss = packets.Packet(packets.PacketSpec(
-        shape="gaussian", k0=0.1, sigma_k=0.05, total_charge=1.0))
+    gauss = packets.Packet.gaussian(0.1, 0.05, total_charge=1.0)
     x = np.linspace(-10.0, 10.0, 41)
     lhs, _, r27b = nearnr.density_difference_timeform(gauss, x, 0.3)
     mask = np.abs(lhs) > 0.1 * np.max(np.abs(lhs))

@@ -237,7 +237,7 @@ def test_explode_fft_row_limit_is_named(tmp_path, capsys):
 def test_fft_row_check_counts_the_row_built(monkeypatch, refine):
     # the library's guard holds the n of the row _fft_row makes against
     # the limit, error-bar rows (refine = 2) included
-    packet = packets.Packet(packets.PacketSpec(shape="cos2"), k_cut=40.0)
+    packet = packets.Packet.cos2(1.0, k_cut=40.0)
     times = (0.0, 0.75, 2.0, 40.0)
     sizes = [packets._fft_row(packet, t, refine, nw=True).f.size
              for t in times]
@@ -257,7 +257,7 @@ def test_size_limit_met_after_other_stages(tmp_path, monkeypatch, capsys):
     # the bundled cos2 run builds every refine = 1 row and every rule it
     # needs, and computes x_th, the densities and P, before P's error bar
     # asks for the refine = 2 row at t = 0, one point past the limit
-    packet = packets.Packet(packets.PacketSpec(shape="cos2", a=1.0))
+    packet = packets.Packet.cos2(1.0)
     n = packets.fft_row_size(packet, 0.0, refine=2)[1]
     assert packets.fft_row_size(packet, 2.0)[1] < n - 1
     monkeypatch.setattr(packets, "FFT_MAX_POINTS", n - 1)
@@ -371,7 +371,7 @@ def test_lambert_fit_working_set_is_bounded():
     # the explode-cos2 benchmark grid: a running minimum per family
     # member over (vertices x samples), 5.0 MB when the (members x
     # vertices x samples) distance cube was built
-    p = packets.Packet(packets.PacketSpec(shape="cos2", a=1.0))
+    p = packets.Packet.cos2(1.0)
     grid = Grid2D(0.0, 3.0, 121, 0.0, 1.5, 81)
     _, traj = packets.annihilation_fronts(p, grid, 20)
     tracemalloc.start()
@@ -415,7 +415,7 @@ def test_explode_rows_past_a_block(tmp_path):
         "density_x": {"min": -5.0, "max": 5.0, "n": 11},
         "grid": {"x_min": 0.0, "x_max": 3.0, "n_x": 5,
                  "t_min": 1999.0, "t_max": 2000.0, "n_t": 2}})
-    p = packets.Packet(packets.PacketSpec(shape="cos2", a=1.0))
+    p = packets.Packet.cos2(1.0)
     assert packets.fft_row_size(p, 1999.0)[1] > 2 ** 19
     out = tmp_path / "out"
     assert run(["explode", "--config", cfg, "--out", str(out)]) == 0
@@ -456,8 +456,7 @@ def test_engine_check_names_both_engines(tmp_path, capsys):
     # at k_cut = 5 the packet's own rule (336 nodes), which zero_crossings
     # checks first, is right and the FFT row's end correction is off; the
     # message must not blame the k rule alone
-    nodes = packets.Packet(packets.PacketSpec(shape="cos2", a=1.0),
-                           k_cut=5.0).k.size
+    nodes = packets.Packet.cos2(1.0, k_cut=5.0).k.size
     cfg = write_cfg(tmp_path, "k5.json", {
         "packet": {"shape": "cos2", "a": 1.0, "k_cut": 5.0},
         "density_x": {"min": -3.0, "max": 3.0, "n": 31}, "grid": _GRID})

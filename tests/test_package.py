@@ -22,14 +22,12 @@ def test_all_names_resolve(name):
     assert not missing
 
 
-#: public names no command reaches, kept as deliberate oracles: the RK4
-#: integrator that cross-checks contours, and the double-sum velocity
-#: field it integrates; the finite-difference mass identity and equations
-#: of motion of criterion 8, and the pointwise integral of motion that
-#: the block pass of modes.grid_fields is checked against, which stay
-#: because the benchmark's spans wrap them by name
-ORACLES = {"ode.integrate_trajectory", "modes.velocity_discrete",
-           "dirac.verify_mass_identity", "dirac.verify_eom",
+#: public names no command reaches, kept as deliberate oracles: the
+#: finite-difference mass identity and equations of motion of criterion
+#: 8, and the pointwise integral of motion that the block pass of
+#: modes.grid_fields is checked against, which stay because the
+#: benchmark's spans wrap them by name
+ORACLES = {"dirac.verify_mass_identity", "dirac.verify_eom",
            "modes.integral_F"}
 
 
@@ -67,6 +65,29 @@ def test_every_public_name_is_reached():
     assert not unreached
 
 
+def _shape_compares(node, scope=()):
+    """The dotted scope of each comparison against a packet shape name
+    ("cos2" or "gaussian") under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = (scope + (child.name,) if isinstance(
+            child, (ast.FunctionDef, ast.ClassDef)) else scope)
+        if isinstance(child, ast.Compare) and any(
+                isinstance(c, ast.Constant) and c.value in ("cos2", "gaussian")
+                for c in ast.walk(child)):
+            yield ".".join(inner)
+        yield from _shape_compares(child, inner)
+
+
+def test_shape_names_stay_at_the_config_boundary():
+    # a packet's shape is a name only where a config is parsed; past
+    # cli._packet_from the code asks the packet for its properties
+    where = [f"{name}.{scope}" for name in MODULES
+             for scope in _shape_compares(ast.parse(Path(
+                 importlib.import_module(f"relbohm.{name}").__file__)
+                 .read_text()))]
+    assert set(where) <= {"cli._packet_from"} and len(where) <= 2, where
+
+
 def _run_traced(code: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")])}
@@ -102,8 +123,7 @@ def test_benchmark_trace_runs_the_front_kernel():
             "from relbohm.numerics import Grid2D\n"
             "tracer = Tracer()\n"
             "instrument(tracer)\n"
-            "p = packets.Packet(packets.PacketSpec(shape='cos2'), k_cut=40.0)"
-            "\n"
+            "p = packets.Packet.cos2(1.0, k_cut=40.0)\n"
             "packets.annihilation_fronts(p, Grid2D(0.0, 3.0, 16, 0.0, 1.5, "
             "11), 5)\n"
             "for s in tracer.spans:\n"

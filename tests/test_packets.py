@@ -10,16 +10,16 @@ import numpy as np
 import pytest
 
 from relbohm import packets
+from relbohm.cli import ConfigError, _packet_from
 from relbohm.numerics import Grid2D, SizeError, bilinear_rho, omega
-from relbohm.ode import integrate_trajectory
-from relbohm.packets import (FrontKernel, Packet, PacketSpec, _fft_row,
+from relbohm.packets import (FrontKernel, Packet, _fft_row,
                              _k_weights, _panel_integral, _Rule,
                              _smooth_size, acausal_probability,
                              annihilation_fronts, densities,
                              fft_row_size, lambert_local_trajectories,
                              threshold_charges, zero_crossings)
-from oracles import (abs_mass, fine_rule, front_kernel_fine, packet_fields,
-                     point_velocity)
+from oracles import (abs_mass, fine_rule, front_kernel_fine,
+                     integrate_trajectory, packet_fields, point_velocity)
 
 
 def velocity(packet, x, t):
@@ -31,36 +31,35 @@ def velocity(packet, x, t):
 
 @pytest.fixture(scope="module")
 def cos2():
-    return Packet(PacketSpec(shape="cos2", a=1.0))
+    return Packet.cos2(1.0)
 
 
 @pytest.fixture(scope="module")
 def gauss():
-    return Packet(PacketSpec(shape="gaussian", k0=0.1, sigma_k=0.05,
-                             total_charge=1.0))
+    return Packet.gaussian(0.1, 0.05, total_charge=1.0)
 
 
 def test_spec_validation():
+    with pytest.raises(ConfigError, match="'box'"):
+        _packet_from({"packet": {"shape": "box"}})
     with pytest.raises(ValueError):
-        PacketSpec(shape="box")
+        Packet.cos2(-1.0)
     with pytest.raises(ValueError):
-        PacketSpec(shape="cos2", a=-1.0)
+        Packet.gaussian(0.0, 0.0)
     with pytest.raises(ValueError):
-        PacketSpec(shape="gaussian", sigma_k=0.0)
-    with pytest.raises(ValueError):
-        PacketSpec(total_charge=-2.0)
+        Packet.cos2(1.0, total_charge=-2.0)
 
 
 def test_cos2_shape_values():
-    spec = PacketSpec(shape="cos2", a=1.0)
+    spectrum = Packet.cos2(1.0).spectrum
     # removable singularities filled by their limits
-    assert spec.shape_values(0.0) == pytest.approx(1.0, abs=1e-12)
-    assert spec.shape_values(np.pi) == pytest.approx(0.5, abs=1e-12)
-    assert spec.shape_values(-np.pi) == pytest.approx(0.5, abs=1e-12)
+    assert spectrum(0.0) == pytest.approx(1.0, abs=1e-12)
+    assert spectrum(np.pi) == pytest.approx(0.5, abs=1e-12)
+    assert spectrum(-np.pi) == pytest.approx(0.5, abs=1e-12)
     # generic point against the explicit formula
     k = 1.3
     expect = np.sin(k) / (k * (1.0 - k ** 2 / np.pi ** 2))
-    assert spec.shape_values(k) == pytest.approx(expect, abs=1e-12)
+    assert spectrum(k) == pytest.approx(expect, abs=1e-12)
 
 
 def test_nw_amplitude_is_cos2_pulse(cos2):
@@ -81,13 +80,13 @@ def test_total_nw_charge(cos2, gauss):
         L = p.decay_window()
         q = _panel_integral(lambda x: p.rho_nw(x, 0.0), -L, L,
                             n_panels=max(128, int(4 * L)))
-        assert q == pytest.approx(p.spec.total_charge, rel=1e-8)
+        assert q == pytest.approx(p.total_charge, rel=1e-8)
 
 
 def test_total_rho_charge(cos2):
     L = cos2.decay_window()
     q = _panel_integral(lambda x: cos2.rho(x, 0.0), -L, L, n_panels=256)
-    assert q == pytest.approx(cos2.spec.total_charge, rel=1e-5)
+    assert q == pytest.approx(cos2.total_charge, rel=1e-5)
 
 
 def test_gaussian_matches_naive_riemann(gauss):
@@ -112,18 +111,18 @@ def _within_reach(rng, reach, n):
     return x, t
 
 
-@pytest.mark.parametrize("spec, kwargs", [
-    (PacketSpec(shape="cos2", a=0.5), {}),
-    (PacketSpec(shape="cos2", a=1.0), {}),
-    (PacketSpec(shape="cos2", a=2.0), {}),
-    (PacketSpec(shape="cos2", a=1.0), {"k_cut": 40.0}),
-    (PacketSpec(shape="gaussian", k0=0.5, sigma_k=2.0), {}),
+@pytest.mark.parametrize("make, kwargs", [
+    (Packet.cos2, {"a": 0.5}),
+    (Packet.cos2, {"a": 1.0}),
+    (Packet.cos2, {"a": 2.0}),
+    (Packet.cos2, {"a": 1.0, "k_cut": 40.0}),
+    (Packet.gaussian, {"k0": 0.5, "sigma_k": 2.0}),
 ], ids=["cos2-a0.5", "cos2-a1", "cos2-a2", "cos2-k_cut40", "gaussian"])
-def test_view_matches_configured_rule(spec, kwargs):
+def test_view_matches_configured_rule(make, kwargs):
     # Packet.fields at points within a reach, on the rule it picks for
     # them; the reference is a deliberately fine rule (oracles.fine_rule),
     # not a rule the program makes
-    p = Packet(spec, **kwargs)
+    p = make(**kwargs)
     rng = np.random.default_rng(3)
     # 55 and 70 pass the decay window, where the t = 0 row ends
     for reach in (0.0, 2.5, 4.5, 7.0, 55.0, 70.0):
@@ -302,25 +301,73 @@ def test_fields_of_no_points(cos2):
         assert all(g.shape == x.shape and g.dtype == complex for g in got)
 
 
-@pytest.mark.parametrize("spec", [
-    PacketSpec(shape="cos2", a=1.0), PacketSpec(shape="cos2", a=0.3),
-    PacketSpec(shape="gaussian", k0=0.5, sigma_k=0.2),
-    PacketSpec(shape="gaussian", k0=-0.1, sigma_k=0.05)],
+@pytest.mark.parametrize("make, args", [
+    (Packet.cos2, (1.0,)), (Packet.cos2, (0.3,)),
+    (Packet.gaussian, (0.5, 0.2)), (Packet.gaussian, (-0.1, 0.05))],
     ids=["cos2-a1", "cos2-a0.3", "gaussian-k0.5", "gaussian-k-0.1"])
-def test_rules_are_mirror_exact(spec):
+def test_rules_are_mirror_exact(make, args):
     # fields takes e^{-i omega t} once per |k|: node -k must be bitwise
     # the negation of node k, and omega bitwise even, on every rule
-    p = Packet(spec)
+    p = make(*args)
     for reach in (0.0, 3.3, 10.0, 55.0, 400.0):
         rule = p.rule_at(reach, 0.0)
         assert np.array_equal(rule.k, -rule.k[::-1])
         assert np.array_equal(rule.omega, rule.omega[::-1])
 
 
+def _dsinc(x):
+    """d/dx sin(x) / x, by its Taylor series where |x| < 0.01."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 0.01
+    u = np.where(small, 1.0, x)
+    series = x * (-1.0 / 3.0 + x * x * (1.0 / 30.0 - x * x / 840.0))
+    return np.where(small, series, (u * np.cos(u) - np.sin(u)) / (u * u))
+
+
+def _cos2_slope(k):
+    """s'(k) of the a = 1 cos2 spectrum in closed form.  cos^2(pi x / 2)
+    = (1 + cos(pi x)) / 2 on |x| < 1 makes s(k) = sinc(k) + (sinc(k - pi)
+    + sinc(k + pi)) / 2 with sinc(u) = sin(u) / u, which has no singular
+    point but u = 0."""
+    return _dsinc(k) + 0.5 * (_dsinc(k - np.pi) + _dsinc(k + np.pi))
+
+
+@pytest.mark.parametrize("k_cut", [None, 40.0], ids=["default", "k_cut40"])
+@pytest.mark.parametrize("kind", ["odd", "asymmetric"])
+def test_spectra_that_are_not_even(cos2, kind, k_cut):
+    # the engines take any real spectrum: the odd slope of the cos2
+    # spectrum (a Newton-Wigner-localized ball's radial packet) and the
+    # asymmetric cos2 (1 + k / omega) / 2 pass rule_at's engine check
+    # against their t = 0 rows on the rules of every reach, and each rule
+    # is mirror-exact, as omega alone needs
+    s = cos2.spectrum
+    spectrum = (_cos2_slope if kind == "odd"
+                else lambda k: s(k) * 0.5 * (1.0 + k / omega(k)))
+    p = Packet(spectrum, cos2.k_cut if k_cut is None else k_cut, 1.0,
+               kind == "odd")
+    for reach in (0.0, 3.0, 10.0, 40.0, 400.0):
+        rule = p.rule_at(reach, 0.0)
+        assert np.array_equal(rule.k, -rule.k[::-1])
+        assert np.array_equal(rule.omega, rule.omega[::-1])
+
+
+def test_cos2_slope_is_x_times_the_pulse(cos2):
+    # the localized amplitude of s' is -i x times that of s: on |x| < 1,
+    # proportional to x cos^2(pi x / 2), and negligible outside
+    p = Packet(_cos2_slope, cos2.k_cut, 1.0, True)
+    x = np.concatenate([np.linspace(-0.9, -0.1, 9), np.linspace(0.1, 0.9, 9)])
+    amp, = p.fields(x, 0.0, [(0, 0)], nw=True)
+    ratio = amp.imag / (x * np.cos(0.5 * np.pi * x) ** 2)
+    assert np.max(np.abs(amp.real)) < 1e-10 * np.max(np.abs(amp.imag))
+    assert np.max(np.abs(ratio - ratio[0])) < 1e-3 * abs(ratio[0])
+    outside, = p.fields([1.5, 2.0, -1.7], 0.0, [(0, 0)], nw=True)
+    assert np.max(np.abs(outside)) < 1e-3 * np.max(np.abs(amp))
+
+
 def test_fields_refuse_a_rule_that_is_not_mirror_exact(cos2):
     k, w, split = packets._gl_panels(-cos2.k_cut, 0.9 * cos2.k_cut, 4, 24)
     with pytest.raises(ValueError, match="mirror-exact"):
-        _Rule(k, w, split, cos2.norm * cos2.spec.shape_values(k))
+        _Rule(k, w, split, cos2.norm * cos2.spectrum(k))
 
 
 def test_fields_broadcast_shape(cos2):
@@ -345,7 +392,7 @@ def test_fields_run_on_the_rule_of_their_reach(request, packet):
         k, w, split = packets._gl_panels(-p.k_cut, p.k_cut,
                                          n // Packet.REACH_ORDER,
                                          Packet.REACH_ORDER)
-        rule = _Rule(k, w, split, p.norm * p.spec.shape_values(k))
+        rule = _Rule(k, w, split, p.norm * p.spectrum(k))
         for got, want in zip(p.fields(x, t, FIELD_ORDERS, nw=FIELD_NW),
                              rule.fields(x, t, FIELD_ORDERS, nw=FIELD_NW)):
             assert np.array_equal(got, want)
@@ -355,7 +402,7 @@ def test_each_rule_is_built_and_checked_once(monkeypatch):
     # explode's library calls on a fresh packet, and all but
     # zero_crossings (whose engine check holds the packet's own rule
     # against the row) once more: every rule they run on is checked once
-    p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0)
+    p = Packet.cos2(1.0, k_cut=40.0)
     checked = []
     check = packets._check_rule
 
@@ -378,13 +425,13 @@ def test_each_rule_is_built_and_checked_once(monkeypatch):
 def test_own_rule_runs_on_the_packet_nodes():
     # the decay window's rule takes the nodes Packet.k holds, not a copy,
     # and sums as the rule built from rule_nodes alone does, bit for bit
-    p = Packet(PacketSpec(shape="cos2", a=1.0))
+    p = Packet.cos2(1.0)
     rule = p.rule_at(p.decay_window(), 0.0)
     assert rule.k is p.k
     k, w, split = packets._gl_panels(-p.k_cut, p.k_cut,
                                      p.k.size // Packet.REACH_ORDER,
                                      Packet.REACH_ORDER)
-    built = _Rule(k, w, split, p.norm * p.spec.shape_values(k))
+    built = _Rule(k, w, split, p.norm * p.spectrum(k))
     x = np.linspace(-p.decay_window(), p.decay_window(), 40)
     t = np.linspace(0.0, 0.5, 40)
     for got, want in zip(rule.fields(x, t, FIELD_ORDERS, nw=FIELD_NW),
@@ -397,7 +444,7 @@ def test_no_cycle_keeps_a_packet_alive():
     # packet's cached row and rules) may hold the packet in a reference
     # cycle: with the cyclic GC off, the packet must still go when its
     # last reference does
-    p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0)
+    p = Packet.cos2(1.0, k_cut=40.0)
     ref = weakref.ref(p)
     gc.disable()
     try:
@@ -458,7 +505,7 @@ def test_fft_row_spectrum_only_inside_k_cut(cos2_k40):
         m = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
         w = omega(m * dk)
         c = (n * p.norm * _k_weights(m, dk, refine * p.k_cut)
-             * p.spec.shape_values(m * dk)
+             * p.spectrum(m * dk)
              * np.exp(np.multiply.outer(t, -1j * w)))
         rho = bilinear_rho(np.fft.ifft(c / np.sqrt(w)),
                            np.fft.ifft(-1j * np.sqrt(w) * c))
@@ -470,7 +517,7 @@ def test_fft_row_spectrum_only_inside_k_cut(cos2_k40):
 def test_view_too_coarse_raises(monkeypatch):
     # a rule on an eighth of the panels its reach needs aliases rho
     # there; a fresh packet, whose cache cannot hold the rule yet
-    p = Packet(PacketSpec(shape="cos2", a=1.0))
+    p = Packet.cos2(1.0)
     rule = packets._gl_panels
     monkeypatch.setattr(packets, "_gl_panels", lambda lo, hi, n, order:
                         rule(lo, hi, max(2, n // 8), order))
@@ -498,7 +545,7 @@ def test_rho_nw_conserved(cos2):
     charges = [
         _panel_integral(lambda x: cos2.rho_nw(x, t), -L, L, n_panels=256)
         for t in (0.0, 0.5, 1.0)]
-    assert np.allclose(charges, cos2.spec.total_charge, rtol=1e-5)
+    assert np.allclose(charges, cos2.total_charge, rtol=1e-5)
 
 
 def test_rho_nw0_near_center(cos2):
@@ -527,7 +574,7 @@ def test_row_roots(a, tol):
     # test_velocity_none_at_density_zero; the row's k_cut bounds the gap
     # (17.9 at a = 12)
     from scipy.optimize import brentq
-    p = Packet(PacketSpec(shape="cos2", a=a))
+    p = Packet.cos2(a)
     x_th, x0 = zero_crossings(p)
     xs = np.linspace(1e-3 * a, 2.5 * a, 400)
     i = np.nonzero(np.diff(np.sign(p.rho(xs, 0.0))))[0][0]
@@ -579,7 +626,7 @@ def test_acausal_probability_curve(cos2):
 def cos2_k40():
     # k_cut = 40 keeps direct sums cheap; the rule of the decay window
     # keeps them exact out to its edge
-    return Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0)
+    return Packet.cos2(1.0, k_cut=40.0)
 
 
 def test_fft_rows_match_direct_sums(cos2_k40):
@@ -589,7 +636,7 @@ def test_fft_rows_match_direct_sums(cos2_k40):
     dx, n = fft_row_size(p, 2.0)
     assert n * dx == 128.0     # L = 33 > 32 at t = 2 doubles the box
     for t in (0.25, 0.75, 2.0):
-        edge, L = p.support_edge + t, p.decay_window() + t
+        edge, L = p.width + t, p.decay_window() + t
 
         def rho_nw(x):
             return p.rho_nw(x, t)
@@ -609,7 +656,7 @@ def test_fft_rows_match_direct_sums(cos2_k40):
     L = p.decay_window()
     q_in = _panel_integral(rho0, 0.0, x_th, n_panels=8 * 64)
     q_tail = _panel_integral(rho0, x_th, L, n_panels=8 * 256)
-    q_nw = _panel_integral(lambda x: p.rho_nw(x, 0.0), 0.0, p.spec.a,
+    q_nw = _panel_integral(lambda x: p.rho_nw(x, 0.0), 0.0, p.width,
                            n_panels=8 * 64)
     # the direct-sum tail at x_th over rho there is the shift of the root
     assert abs(q_tail / float(rho0(x_th))) < 1e-9
@@ -621,7 +668,7 @@ def test_fft_rows_match_direct_sums(cos2_k40):
                                n_panels=8 * max(128, int(4 * L)))
         prof = densities(p, [0.0], t)
         # rho_nw0 = total_charge |rho| / (|rho| mass)
-        assert (p.spec.total_charge * np.abs(prof.rho) / prof.rho_nw0
+        assert (p.total_charge * np.abs(prof.rho) / prof.rho_nw0
                 == pytest.approx(mass, rel=1e-6))
 
 
@@ -683,14 +730,14 @@ def test_sizes_past_the_float_range_are_size_errors(request, packet):
 def cos2_gl24():
     # the benchmark's explode packet, whose gl_order 24 and x_scale 0.5
     # keys are ignored: the bundled cos2 packet
-    return Packet(PacketSpec(shape="cos2", a=1.0))
+    return Packet.cos2(1.0)
 
 
 @pytest.fixture(scope="module")
 def cos2_k45():
     # 1 920 row points on the box of 64 and 3 750 on 128: unlike k_cut =
     # 40 or the default, the two boxes' rows have different dx
-    p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=45.0)
+    p = Packet.cos2(1.0, k_cut=45.0)
     assert fft_row_size(p, 0.0)[0] != fft_row_size(p, 1.5)[0]
     return p
 
@@ -745,7 +792,7 @@ def test_front_kernel_working_set_is_bounded(n_x, n_t, most_mb):
     # and 16.3 MB when the table had 2^19 entries of its own beside the
     # work arrays
     grid = Grid2D(0.0, 3.0, n_x, 0.0, 1.5, n_t)
-    kernel = FrontKernel(Packet(PacketSpec(shape="cos2", a=1.0)))
+    kernel = FrontKernel(Packet.cos2(1.0))
     tracemalloc.start()
     try:
         kernel.evaluate(grid.x, grid.t)
@@ -764,8 +811,9 @@ def test_front_kernel_limits_leave_f_bitwise():
     code = """
 import numpy as np
 from relbohm import packets
+from relbohm.cli import ConfigError, _packet_from
 from relbohm.numerics import Grid2D
-p = packets.Packet(packets.PacketSpec(shape="cos2", a=1.0))
+p = packets.Packet.cos2(1.0)
 for n_x, n_t in ((121, 81), (241, 161)):
     grid = Grid2D(0.0, 3.0, n_x, 0.0, 1.5, n_t)
     limits = packets.FrontKernel.BLOCK_ROW_POINTS, packets._TABLE_ENTRIES
@@ -831,7 +879,7 @@ def test_front_kernel_gradients(cos2):
 def test_front_kernel_uses_packet_truncation():
     # a configured k_cut must reach the kernel: its gradient is then
     # (2 rho, -2 J) of the same truncated packet, not of a wider one
-    p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0)
+    p = Packet.cos2(1.0, k_cut=40.0)
     kernel = FrontKernel(p)
     assert np.max(np.abs(kernel.k)) <= p.k_cut
     h = 1e-5
@@ -853,7 +901,7 @@ def test_front_kernel_conserved_along_ode(cos2):
         dt=0.002)
     f0 = kernel.evaluate(x0, t0).item()
     f1 = kernel.evaluate(xs[-1], ts[-1]).item()
-    assert abs(f1 - f0) < 1e-4 * cos2.spec.a
+    assert abs(f1 - f0) < 1e-4 * cos2.width
 
 
 def test_front_kernel_monotone_on_core(cos2):
@@ -894,7 +942,7 @@ def test_front_kernel_gradient_on_explode_window(cos2):
 def test_front_kernel_flat_beyond_decay_window():
     # an explode grid reaching past L = decay_window() + |t|: F is 0 left
     # of -L and twice the total charge right of L, with no periodic image
-    p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0)
+    p = Packet.cos2(1.0, k_cut=40.0)
     x = np.linspace(-60.0, 60.0, 481)
     t = np.array([0.0, 0.75, 1.5])
     F = FrontKernel(p).evaluate(x, t)
@@ -902,7 +950,7 @@ def test_front_kernel_flat_beyond_decay_window():
         assert np.all(F[x < -L, c] == 0.0)
         right = F[x > L, c]
         assert np.all(right == right[0])
-        assert right[0] == pytest.approx(2.0 * p.spec.total_charge, abs=1e-8)
+        assert right[0] == pytest.approx(2.0 * p.total_charge, abs=1e-8)
         # no jump where the clip starts: the field is already flat there
         inside = F[(x > L - 5.0) & (x <= L), c]
         assert np.max(np.abs(inside - right[0])) < 1e-8
@@ -911,7 +959,7 @@ def test_front_kernel_flat_beyond_decay_window():
 def test_front_kernel_negative_times():
     # a grid with t_min < 0: the real, even spectrum makes rho even in t,
     # so F(x, -t) = F(x, t), and the gradient still holds there
-    p = Packet(PacketSpec(shape="cos2", a=1.0), k_cut=40.0)
+    p = Packet.cos2(1.0, k_cut=40.0)
     kernel = FrontKernel(p)
     x = np.linspace(-3.0, 3.0, 61)
     t = np.array([-1.2, -0.5, 0.0, 0.5, 1.2])
