@@ -20,6 +20,7 @@ the double-sum velocity (velocity_discrete) by RK4 (integrate_trajectory).
 """
 
 import cmath
+import functools
 
 import numpy as np
 
@@ -248,6 +249,16 @@ def abs_mass(f, dx: float, band: float, factor: int = 16) -> float:
     return float(np.sum(np.abs(steps)))
 
 
+@functools.lru_cache(maxsize=16)
+def _scalar_modes(k: bytes, phi: bytes) -> list:
+    """(k, omega, phi omega^{-1/2}) of each mode as Python scalars, from
+    the bytes of a ModeSet's k and phi: an RK4 step asks for one state's
+    modes four times."""
+    k, phi = np.frombuffer(k), np.frombuffer(phi, dtype=complex)
+    w = omega(k)
+    return list(zip(k.tolist(), w.tolist(), (phi * w ** -0.5).tolist()))
+
+
 def velocity_discrete(state, z: float, t: float):
     """Velocity of a ModeSet from the mode-pair double sums; None at a
     density zero.
@@ -257,10 +268,8 @@ def velocity_discrete(state, z: float, t: float):
     J/rho of the summed psi (point_velocity) to rounding.
     """
     z, t = float(z), float(t)
-    w = state.omega
-    u = [(k, wk, c * cmath.exp(1j * (k * z - wk * t)))
-         for k, wk, c in zip(state.k.tolist(), w.tolist(),
-                             (state.phi * w ** -0.5).tolist())]
+    u = [(k, w, c * cmath.exp(1j * (k * z - w * t)))
+         for k, w, c in _scalar_modes(state.k.tobytes(), state.phi.tobytes())]
     rho = j = 0.0
     for ka, wa, ua in u:
         for kb, wb, ub in u:

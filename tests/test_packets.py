@@ -301,14 +301,15 @@ def test_fields_of_no_points(cos2):
         assert all(g.shape == x.shape and g.dtype == complex for g in got)
 
 
-@pytest.mark.parametrize("make, args", [
-    (Packet.cos2, (1.0,)), (Packet.cos2, (0.3,)),
-    (Packet.gaussian, (0.5, 0.2)), (Packet.gaussian, (-0.1, 0.05))],
+@pytest.mark.parametrize("make, kwargs", [
+    (Packet.cos2, {"a": 1.0}), (Packet.cos2, {"a": 0.3}),
+    (Packet.gaussian, {"k0": 0.5, "sigma_k": 0.2}),
+    (Packet.gaussian, {"k0": -0.1, "sigma_k": 0.05})],
     ids=["cos2-a1", "cos2-a0.3", "gaussian-k0.5", "gaussian-k-0.1"])
-def test_rules_are_mirror_exact(make, args):
+def test_rules_are_mirror_exact(make, kwargs):
     # fields takes e^{-i omega t} once per |k|: node -k must be bitwise
     # the negation of node k, and omega bitwise even, on every rule
-    p = make(*args)
+    p = make(**kwargs)
     for reach in (0.0, 3.3, 10.0, 55.0, 400.0):
         rule = p.rule_at(reach, 0.0)
         assert np.array_equal(rule.k, -rule.k[::-1])
