@@ -711,8 +711,9 @@ def _face_fluxes(field: FWField, box_half: float, n: int):
 
     Returns (phi, stress, a_face): phi[f, j] = (1/2) oint_f A^2 n_j dS
     and stress[f, j] = oint_f A^2 T_{ji} n_i dS, shape (6, 3), one row
-    per face of _FACES, each by an n x n Gauss-Legendre rule with one
-    field.ds call on all 6 n^2 nodes, and a_face the largest A on them.
+    per face of _FACES, each by an n x n Gauss-Legendre rule, and a_face
+    the largest A on them.  field.ds runs one face at a time, into one
+    (3, 3, 6, n, n) array; both contractions then run on all six faces.
     """
     x, w = gauss_legendre(n)
     u, v = np.meshgrid(box_half * x, box_half * x, indexing="ij")
@@ -724,12 +725,14 @@ def _face_fluxes(field: FWField, box_half: float, n: int):
         pts[f, ..., (i + 2) % 3] = v
     a2 = np.exp(-np.sum(pts * pts, axis=-1))
     da = a2 * np.outer(box_half * w, box_half * w)   # A^2 dS
-    # d_j s_l, in the built-in fields' point-last memory layout, which
-    # einsum reads ~10x faster than C order in (..., 3, 3); for those
-    # fields the layout is already so and nothing is copied
-    ds = np.moveaxis(np.ascontiguousarray(np.moveaxis(
-        np.asarray(field.ds(pts), dtype=float), (-2, -1), (0, 1))),
-        (0, 1), (-2, -1))
+    # d_j s_l, one face at a time, into the built-in fields' point-last
+    # memory layout, which einsum reads ~10x faster than C order in
+    # (..., 3, 3)
+    ds = np.empty((3, 3, 6, n, n))
+    for f in range(6):
+        ds[:, :, f] = np.moveaxis(np.asarray(field.ds(pts[f]), dtype=float),
+                                  (-2, -1), (0, 1))
+    ds = np.moveaxis(ds, (0, 1), (-2, -1))
     dn = np.einsum("fabil,fi->fabl", ds, _FACES)     # n_i d_i s_l
     phi = 0.5 * np.sum(da, axis=(1, 2))[:, None] * _FACES
     stress = 0.25 * np.einsum("fab,fabjl,fabl->fj", da, ds, dn)

@@ -132,8 +132,13 @@ def correction_field(packet: Packet, x, t: float) -> CorrectionField:
     holds F.  The densities and the map come from Packet.fields, so
     d^2 W / dx^2 - (rho - rho_nw) compares the two engines.
     """
+    return _correction_field(packet, x, t, _difference_row(packet, t))
+
+
+def _correction_field(packet: Packet, x, t: float,
+                      row: _RowIntegral) -> CorrectionField:
+    """correction_field on the difference row of packet at t."""
     x = np.asarray(x, dtype=float)
-    row = _difference_row(packet, t)
     inside = np.abs(x) <= packet.decay_window() + abs(t)
     W, d2W = np.zeros((2,) + x.shape)
     w, d = row.derivatives(np.append(x[inside], 0.5 * row.n * row.dx),
@@ -157,7 +162,11 @@ def moments(packet: Packet, t: float):
     and m0 vanishes to rounding (Parseval); m1 also needs d to vanish at
     the box ends, as it does past L.  Returns (m0, m1).
     """
-    d = _difference_row(packet, t)
+    return _moments(_difference_row(packet, t))
+
+
+def _moments(d: _RowIntegral):
+    """moments on the difference row d."""
     x = d.dx * np.fft.fftfreq(d.n, 1.0 / d.n)
     return float(d.dx * np.sum(d.f)), float(d.dx * np.sum(x * d.f))
 
@@ -203,11 +212,13 @@ def analyse(packet: Packet, x, t: float):
     the map need not be monotone, or where it is undefined on the window.
     Leaving the regime and a null pushforward each warn (RuntimeWarning).
     """
-    field = correction_field(packet, x, t)
+    # one difference row serves W and the moments
+    row = _difference_row(packet, t)
+    field = _correction_field(packet, x, t, row)
     eq22_res = float(np.max(np.abs(field.rho - field.rho_nw
                                    - field.d2W_dx2)))
     w_gap = field.W - w_approx(packet, field.x, t)
-    m0, m1 = moments(packet, t)
+    m0, m1 = _moments(row)
     lhs_t, r27a, r27b = density_difference_timeform(packet, field.x, t)
     mask = np.abs(lhs_t) > 0.1 * np.max(np.abs(lhs_t))
     rel27b = float(np.max(np.abs((lhs_t - r27b)[mask] / lhs_t[mask])))

@@ -32,11 +32,12 @@ mid_p + off_j, and e^{ikx} the product of e^{i x mid_p} and e^{i x
 off_j} (_waves).  A rule's fields (_Rule.fields) group the points by
 distinct t.  A t that several points share takes C(t) = coefs e^{-i
 omega t} once and sums psi = sum_j e^{i x off_j} sum_p e^{i x mid_p}
-C_pj(t): one matrix product and a short sum per group, with no array of
-points x k-nodes.  The points whose t no other point shares are summed
-together, one (points x k-nodes) product a chunk.  omega is even and
-every rule mirror-exact (_gl_panels), so e^{-i omega t} is taken once
-per |k|, in the FFT rows too.  Both paths agree with one exponential per
+C_pj(t): per group and order, one matrix product and a short sum, with
+no array of points x k-nodes and a working set that does not grow with
+the number of orders.  The points whose t no other point shares are
+summed together, one (points x k-nodes) product a chunk.  omega is even
+and every rule mirror-exact (_gl_panels), so e^{-i omega t} is taken
+once per |k|, in the FFT rows too.  Both paths agree with one exponential per
 (point, node) to 4e-15 of max |psi| for |x| <= 3 and 5.3e-14 for |x| <=
 25.  The antiderivative of an FFT row splits its modes m = q B + r alike
 and sums the series of a stack of rows on one such table, as one real
@@ -166,15 +167,18 @@ class _Rule(_Densities):
 
     #: entries of a fields chunk's largest arrays: points x k-nodes at
     #: unshared t (their e^{ikx}, which takes e^{-i omega t} in place),
-    #: and twice that for points x (panels + J orders) at a shared t, for
-    #: J nodes a panel (its e^{i x mid} and inner sums).  63 unshared
-    #: points a chunk on the 1 968-node rule of the explode-cos2 benchmark
-    #: grid: 2 693 points there, each of its own t, peak at 3.7 MB under
-    #: tracemalloc (the waves, the upper half's e^{-i omega t} and its
-    #: phases), against 10.8 MB with 250 000 and a separate e^{-i omega
-    #: t}.  Shared-t chunks of 125 000 entries gave nearnr-spin ~3 000
-    #: minor faults a batch and 15 % more time (glibc's heap trimmed and
-    #: refaulted); at 250 000 it takes none
+    #: and twice that for points x (panels + 2 J) at a shared t, for J
+    #: nodes a panel (its e^{i x mid}, e^{i x off} and one order's inner
+    #: sums), whatever the number of orders.  63 unshared points a chunk
+    #: on the 1 968-node rule of the explode-cos2 benchmark grid: 2 693
+    #: points there, each of its own t, peak at 3.7 MB under tracemalloc
+    #: (the waves, the upper half's e^{-i omega t} and its phases),
+    #: against 10.8 MB with 250 000 and a separate e^{-i omega t}.
+    #: Shared-t chunks of 125 000 entries gave nearnr-spin ~3 000 minor
+    #: faults a batch and 15 % more time (glibc's heap trimmed and
+    #: refaulted); at 250 000 it takes none.  Its 2 001-point pushforward
+    #: is one chunk, 2.0 MB under tracemalloc at 3 orders and 2.2 MB at 7
+    #: (3.5 and 5.6 MB with the inner sums of all orders in one product)
     _CHUNK_BUDGET = 125_000
 
     def __init__(self, k: np.ndarray, weights: np.ndarray, split,
@@ -219,14 +223,15 @@ class _Rule(_Densities):
         takes C(t) = coefs e^{-i omega t} once (_wave_t: one cos and sin
         per |k|).  Node p J + j of the rule is mid_p + off_j (the panel
         split of _gl_panels), so psi = sum_j e^{i x off_j} sum_p e^{i x
-        mid_p} C_{pj}(t): a matrix product of the points' e^{i x mid}
-        with C(t) as P x (J orders) gives the inner sums for every order
-        at once, and a sum over j against e^{i x off} finishes them.  The
-        points whose t no other point shares (contour vertices on grid
-        columns) are summed together instead, a chunk at a time: their
-        e^{ikx} (_waves) times their e^{-i omega t} in place (_wave_t,
-        K/2 cos and sin a point), then one product with the coefs.  Both
-        paths take chunks sized by _CHUNK_BUDGET.
+        mid_p} C_{pj}(t): one order at a time, a matrix product of the
+        points' e^{i x mid} with that order's C(t) as P x J gives its
+        inner sums, and a sum over j against e^{i x off} finishes them.
+        An order's values therefore do not depend on the other orders of
+        the call.  The points whose t no other point shares (contour
+        vertices on grid columns) are summed together instead, a chunk at
+        a time: their e^{ikx} (_waves) times their e^{-i omega t} in place
+        (_wave_t, K/2 cos and sin a point), then one product with the
+        coefs.  Both paths take chunks sized by _CHUNK_BUDGET.
         """
         x, t = np.broadcast_arrays(np.asarray(x, dtype=float),
                                    np.asarray(t, dtype=float))
@@ -247,19 +252,20 @@ class _Rule(_Densities):
             out[:, by_t[j]] = (self._wave_t(tf[j], _waves(xf[j], self.split))
                                @ coefs).T
         mid, off = self.split
-        n_ord = len(orders)
-        chunk = max(1, 2 * self._CHUNK_BUDGET // (mid.size
-                                                  + off.size * n_ord))
+        chunk = max(1, 2 * self._CHUNK_BUDGET // (mid.size + 2 * off.size))
         shared = counts > 1
         for s, lo, hi in zip(times[shared], starts[shared],
                              (starts + counts)[shared]):
-            C = (coefs * self._wave_t(s)[:, None]).reshape(mid.size, -1)
+            # one contiguous (P, J) block of C(t) per order
+            C = np.multiply(coefs.T, self._wave_t(s), order="C").reshape(
+                len(orders), mid.size, -1)
             for i in range(lo, hi, chunk):
                 sl = slice(i, min(i + chunk, hi))
-                inner = _cis(np.multiply.outer(xf[sl], mid)) @ C
-                out[:, by_t[sl]] = np.einsum(
-                    "nj,njo->on", _cis(np.multiply.outer(xf[sl], off)),
-                    inner.reshape(-1, off.size, n_ord))
+                idx = by_t[sl]
+                e_mid = _cis(np.multiply.outer(xf[sl], mid))
+                e_off = _cis(np.multiply.outer(xf[sl], off))
+                for o, c in enumerate(C):
+                    out[o, idx] = np.einsum("nj,nj->n", e_off, e_mid @ c)
         return [o.reshape(shape) for o in out]
 
 

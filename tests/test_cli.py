@@ -468,14 +468,14 @@ def test_engine_check_names_both_engines(tmp_path, capsys):
 
 
 def test_non_finite_csv_value_exits_3(tmp_path, capsys, monkeypatch):
-    real = nearnr.correction_field
+    real = nearnr._correction_field
 
     def nan_density(*args):
         field = real(*args)
         field.rho[3] = np.nan
         return field
 
-    monkeypatch.setattr(nearnr, "correction_field", nan_density)
+    monkeypatch.setattr(nearnr, "_correction_field", nan_density)
     out = tmp_path / "out"
     assert run(["nearnr", "--config", "gauss.json", "--out", str(out),
                 "--quick"]) == 3

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -421,6 +422,20 @@ def test_face_flux_independent_of_ds_layout():
         assert verify_ensemble_balance(c_order, box_half=7.0) == \
             pytest.approx(verify_ensemble_balance(field, box_half=7.0),
                           rel=1e-12, abs=1e-15)
+
+
+def test_face_fluxes_working_set_is_bounded():
+    # the spin benchmark's face rule, box_half 7 and 61 nodes a face axis:
+    # field.ds runs one face at a time into one point-last array.  5.3 MB
+    # with one field.ds call on all six faces and its copy
+    field = fw_hedgehog_field()
+    tracemalloc.start()
+    try:
+        _face_fluxes(field, 7.0, 61)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.6 * 2 ** 20
 
 
 def test_ensemble_balance_point_limit():
