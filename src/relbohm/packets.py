@@ -18,9 +18,10 @@ per packet.  The packet's own rule, which fixes its normalization, is
 that of its decay window.  No rule is configured and no caller sizes
 one.  The x-integrals over a whole fixed-t row (the acausal probability,
 the |rho| mass, the threshold tail and charges, FrontKernel's F and
-nearnr's W) sample it by FFT on a periodic box (fft_row_size), at the
-fewest points that hold a density's band 2 k_cut below the row's Nyquist
-limit, and integrate on the row's trigonometric interpolant
+nearnr's W) sample it by FFT on a periodic box (fft_row_size), the
+least even 2^a 3^b 5^c length that holds [-L, L] for L = decay_window()
++ |t|, at the fewest points that hold a density's band 2 k_cut below the
+row's Nyquist limit, and integrate on the row's trigonometric interpolant
 (_RowIntegral); _fft_row makes every such row, in place.  explode's t =
 0 roots x_0 and x_th are roots of that interpolant on the t = 0 row
 (zero_crossings), found to rounding by Newton steps; the row's k_cut
@@ -77,11 +78,11 @@ __all__ = [
 #: peak (the cos2 envelope falls only as k^-3)
 ENVELOPE_TOL = 1e-6
 #: the default gaussian k_cut is where its envelope falls to this fraction
-#: of its peak, 8.6 sigma_k past |k0|.  Over sigma_k = 0.0125-0.1 and k0 =
+#: of its peak, 8.6 sigma_k past |k0|.  Over sigma_k = 0.0104-0.1 and k0 =
 #: 0-0.1, a cut at 1e-6 (5.3 sigma_k) parts the own rule from the t = 0
-#: FFT row by up to 3.2e-5 of max |rho|, as the row's _k_weights only
-#: approximate the cut, and the row's charge from total_charge by 6.6e-8;
-#: at 1e-16 by <= 3.4e-13 and 9e-16, for 1.2-1.7 times the k-nodes
+#: FFT row by up to 6.5e-5 of max |rho|, as the row's _k_weights only
+#: approximate the cut, and the row's charge from total_charge by 2.7e-7;
+#: at 1e-16 by <= 2.7e-13 and 4.4e-16, for 1.2-1.7 times the k-nodes
 GAUSS_ENVELOPE_TOL = 1e-16
 #: Gauss-Legendre order of the x-space panel quadratures
 PANEL_ORDER = 12
@@ -278,6 +279,7 @@ class Packet(_Densities):
     int rho dx (= int rho_nw dx); at 2 a symmetric packet's half-line
     localized charge is 1, as the threshold integrals take it.  rho, J and
     F are bilinear, so a constant phase of s would drop out of them.
+    window is the decay window (decay_window), width + 30 unless given.
     fields, rho, rho_nw and rho_j run on the k rule of their points'
     reach (rule_at).  The packet's own rule is that of its decay window:
     it fixes the normalization and k holds its nodes.  Like every rule,
@@ -291,11 +293,12 @@ class Packet(_Densities):
     REACH_FLOOR = 4.0
 
     def __init__(self, spectrum, k_cut: float, width: float, compact: bool,
-                 total_charge: float = 2.0):
+                 total_charge: float = 2.0, window: float | None = None):
         if total_charge <= 0:
             raise ValueError("total_charge must be positive")
         self.spectrum, self.compact = spectrum, bool(compact)
         self.k_cut, self.width = float(k_cut), float(width)
+        self.window = self.width + 30.0 if window is None else float(window)
         self.total_charge = float(total_charge)
         k, w, split = self._gl_rule(self.rule_nodes(self.decay_window()))
         s = spectrum(k)
@@ -348,7 +351,13 @@ class Packet(_Densities):
         if k_cut is None:
             k_cut = abs(k0) + sigma_k * np.sqrt(
                 -2.0 * np.log(GAUSS_ENVELOPE_TOL))
-        return cls(spectrum, k_cut, 5.0 / sigma_k, False, total_charge)
+        # rho's envelope e^{-sigma_k^2 x^2} falls to GAUSS_ENVELOPE_TOL of
+        # its peak at x = 6.07 / sigma_k, past 5 / sigma_k + 30 for sigma_k
+        # < 0.036
+        window = max(5.0 / sigma_k + 30.0,
+                     np.sqrt(-np.log(GAUSS_ENVELOPE_TOL)) / sigma_k)
+        return cls(spectrum, k_cut, 5.0 / sigma_k, False, total_charge,
+                   window)
 
     def _reach(self, reach: float) -> float:
         """The reach a rule is sized for: at least twice the width and
@@ -423,9 +432,12 @@ class Packet(_Densities):
         return self.rule_at(x, t).fields(x, t, orders, nw)
 
     def decay_window(self) -> float:
-        """Half-width beyond which the t = 0 field is negligible."""
-        # Exponential Compton-scale tails past the width.
-        return self.width + 30.0
+        """Half-width beyond which the t = 0 field is negligible: the
+        window given to the packet, by default width + 30 for exponential
+        Compton-scale tails past the width (cos2: a + 30; a gaussian's is
+        the larger of that and where rho falls to GAUSS_ENVELOPE_TOL of
+        its peak, Packet.gaussian)."""
+        return self.window
 
 
 def _panel_integral(fn, a, b, n_panels: int = 64) -> float:
@@ -469,22 +481,24 @@ def fft_row_size(packet: Packet, t: float,
                  refine: int = 1) -> tuple[float, int]:
     """(dx, n) of the periodic FFT row at time t (an array: its largest |t|).
 
-    The box n dx is refine times the least power of two >= 2
-    (decay_window() + |t|), so periodic images of the field stay outside
+    The box n dx is refine times the least even 2^a 3^b 5^c >= 2 L, L =
+    decay_window() + |t|, so periodic images of the field stay outside
     [-L, L]; it fixes the modes k = m dk, dk = 2 pi / (n dx).  The row's
     own k_cut is refine k_cut, and n is the least even 2^a 3^b 5^c above
     2 refine k_cut n dx / pi: a product of two fields (band 2 refine
     k_cut) is then sampled below its Nyquist limit pi / dx.  For the
-    default cos2 packet (k_cut = 214.5) that is 8 748 points on a box of
-    64 up to t = 1 and 17 496 on 128 up to t = 33; refine = 2 takes
-    34 992 points on 128 up to t = 1.  SizeError for a row past
-    FFT_MAX_POINTS points, or a box past the float range.
+    default cos2 packet (k_cut = 214.5, L = 31 + |t|) that is 8 748
+    points on a box of 64 up to t = 1 and 10 000 on 72 up to t = 5;
+    refine = 2 takes 34 992 points on 128 up to t = 1 and 39 366 on 144
+    up to t = 5.  SizeError for a row past FFT_MAX_POINTS points, or a
+    box past 2^62.
     """
     t_max = float(np.abs(t).max())
-    e_box = 1 + np.ceil(np.log2(packet.decay_window() + t_max))
-    # a box past 2^1023 (or of a NaN t) is an infinite row, which
+    # the least even 5-smooth count >= 2 L is the least above ceil(2 L) -
+    # 1; a box past 2^62 (or of a NaN t) is an infinite row, which
     # _smooth_size refuses
-    box = refine * 2.0 ** int(e_box) if e_box < 1024 else np.inf
+    bound = np.ceil(2.0 * (packet.decay_window() + t_max)) - 1.0
+    box = refine * (_smooth_size(bound) if bound < 2.0 ** 62 else np.inf)
     n = _smooth_size(2.0 * refine * packet.k_cut * box / np.pi)
     if n > FFT_MAX_POINTS:
         raise SizeError(f"FFT row at |t| = {t_max:g} needs {n} points, "
@@ -606,9 +620,11 @@ def _check_rule(rule: _Rule, row: _RowIntegral, reach: float) -> None:
 #: given (8 MB), filled a chunk of x at a time; FrontKernel gives it the
 #: work arrays of its block instead (~2^17 entries on the explode-cos2
 #: benchmark grid).  With one BLAS thread F is bitwise that of one table
-#: for all x.  At 2^17 acausal_probability's four points on the refine
-#: = 2 row past t = 1 (34 959 modes) would split 3 + 1, which moves
-#: acausal_err by rounding (~1e-15 absolute)
+#: for all x.  acausal_probability's four points take 19 740 entries each
+#: on the default cos2 packet's refine = 2 row past t = 1 (19 665 modes
+#: on a box of 144); at 2^17 they would split 3 + 1 past t = 23 (32 774
+#: modes on 240), which moves acausal_err by rounding (~1e-15 absolute),
+#: and at 2^19 past t = 194
 _TABLE_ENTRIES = 2 ** 19
 
 
@@ -952,10 +968,10 @@ class FrontKernel:
     and works in one complex array per call, reused for each row size
     (_plan): the series, then the work arrays of a block of rows
     (_fft_row), which x's e^{ikx} table takes over a chunk of x at a time
-    once the rows are made.  Its tracemalloc peak is 7.4 MB on the
+    once the rows are made.  Its tracemalloc peak is 7.3 MB on the
     explode-cos2 benchmark grid (121 x 81 points, rows of 8 748 and
-    17 496 points) and 10.1 MB on cos2.json's 241 x 161 (13.5 and
-    16.3 MB with a table of its own, 2^19 entries).  It is one array,
+    10 000 points) and 10.0 MB on cos2.json's 241 x 161 (15.2 and
+    18.2 MB with a table of its own, 2^19 entries).  It is one array,
     not several, because separate arrays let glibc trim the heap between
     runs: ~3 000 page faults a run in a repeating process.
     """

@@ -231,11 +231,15 @@ def test_row_w_matches_the_dense_kernel(request, case):
 
 
 @pytest.mark.parametrize("k0", [0.0, 0.1])
-@pytest.mark.parametrize("sigma_k", [0.1, 0.05, 0.025, 0.0125])
+@pytest.mark.parametrize("sigma_k", [0.1, 0.05, 0.025, 0.0125, 0.0104])
 def test_gaussian_own_rule_and_row_charge_at_rounding(sigma_k, k0):
     # cut where the envelope falls to 1e-16, the gaussian's own rule (that
     # of its decay window) meets the refine-1 t = 0 row to rounding, and
-    # the row holds the packet's charge
+    # the row holds the packet's charge.  The window reaches where rho
+    # falls to 1e-16 of its peak: at 5 / sigma_k + 30 alone rho is above
+    # rounding at the row's edge for sigma_k < 0.036, and sigma_k =
+    # 0.0104 (2 L = 1 021.5, just under a box of 1 024) parts the row
+    # from the rule by up to 4.8e-12 of max rho
     p = Packet.gaussian(k0, sigma_k)
     L = p.decay_window()
     row = _fft_row(p, 0.0)

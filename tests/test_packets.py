@@ -669,7 +669,7 @@ def test_fft_rows_match_direct_sums(cos2_k40):
     # of the direct-sum code the FFT rows replaced
     p = cos2_k40
     dx, n = fft_row_size(p, 2.0)
-    assert n * dx == 128.0     # L = 33 > 32 at t = 2 doubles the box
+    assert n * dx == 72.0     # L = 33 > 32 at t = 2 takes the next box
     for t in (0.25, 0.75, 2.0):
         edge, L = p.width + t, p.decay_window() + t
 
@@ -724,12 +724,17 @@ def test_smooth_size_is_least_even_five_smooth():
 
 @pytest.mark.parametrize("packet", ["cos2", "cos2_k40", "gauss"])
 def test_fft_row_size_rule(request, packet):
-    # the box stays the power of two that holds [-L, L], times refine; n
-    # is the least even 5-smooth count that puts the row's band 2 refine
-    # k_cut below its Nyquist limit pi / dx
+    # the box is the least even 5-smooth length that holds [-L, L], times
+    # refine, the bound inclusive: for a = 1 (L = 31 + t) the box of 64
+    # holds t = 1 and t = 1.25 takes 72; n is the least even 5-smooth
+    # count that puts the row's band 2 refine k_cut below its Nyquist
+    # limit pi / dx
     p = request.getfixturevalue(packet)
-    for t in (0.0, 0.75, 2.0):
-        box = 2.0 ** np.ceil(np.log2(2.0 * (p.decay_window() + t)))
+    for t in (0.0, 0.75, 1.0, 1.25, 2.0):
+        box = next(b for b in _EVEN_SMOOTH
+                   if b >= 2.0 * (p.decay_window() + t))
+        if p.compact:
+            assert box == {1.0: 64, 1.25: 72}.get(t, box)
         for refine in (1, 2):
             band = 2.0 * refine * p.k_cut
             dx, n = fft_row_size(p, t, refine)
@@ -769,15 +774,17 @@ def cos2_gl24():
 
 
 @pytest.fixture(scope="module")
-def cos2_k45():
-    # 1 920 row points on the box of 64 and 3 750 on 128: unlike k_cut =
-    # 40 or the default, the two boxes' rows have different dx
-    p = Packet.cos2(1.0, k_cut=45.0)
-    assert fft_row_size(p, 0.0)[0] != fft_row_size(p, 1.5)[0]
+def cos2_k44():
+    # 1 800 row points on the box of 64 and 2 048 on 72: the two boxes'
+    # rows have different dx, and as for the default (8 748 and 10 000)
+    # but unlike k_cut = 40 (1 728 and 1 920) the rows on 72 are the
+    # finer.  At k_cut = 45 both boxes' rows take dx = 1/30
+    p = Packet.cos2(1.0, k_cut=44.0)
+    assert fft_row_size(p, 0.0)[0] > fft_row_size(p, 1.5)[0]
     return p
 
 
-@pytest.mark.parametrize("packet", ["cos2_k40", "cos2_gl24", "cos2_k45"])
+@pytest.mark.parametrize("packet", ["cos2_k40", "cos2_gl24", "cos2_k44"])
 def test_front_kernel_matches_finer_rows(request, packet):
     # oracle: F on rows of twice the points on the same box, by a direct
     # Fourier sum; x reaches past +-L on both sides, t spans both boxes
@@ -792,7 +799,7 @@ def test_front_kernel_matches_finer_rows(request, packet):
 
 def test_front_kernel_rows_in_blocks(cos2_k40, monkeypatch):
     # blocks of two rows: the seven rows on the box of 64 take four, the
-    # three on the box of 128 (over two rows' points each) one apiece;
+    # three on the box of 72 (over two rows' points each) one apiece;
     # against the finer rows, with x past +-L (every block takes G(+L))
     # and with x inside it (no block does)
     p = cos2_k40
@@ -921,11 +928,40 @@ def test_front_kernel_uses_packet_truncation():
     for x, t in [(0.3, 0.2), (0.9, 0.6), (1.4, 0.1), (2.0, 1.0)]:
         dF_dx = (kernel.evaluate(x + h, t)
                  - kernel.evaluate(x - h, t)).item() / (2 * h)
-        dF_dt = (kernel.evaluate(x, t + h)
-                 - kernel.evaluate(x, t - h)).item() / (2 * h)
+        if fft_row_size(p, t + h) == fft_row_size(p, t):
+            dF_dt = (kernel.evaluate(x, t + h)
+                     - kernel.evaluate(x, t - h)).item() / (2 * h)
+        else:
+            # the box switches from 64 to 72 just past t = 1: a centred
+            # difference there measures F's step between the two row
+            # sizes (test_front_kernel_step_at_a_row_size_switch) over 2 h,
+            # so it takes the second-order one-sided one on t <= 1
+            F = kernel.evaluate(x, t - np.array([0.0, h, 2 * h]))[0]
+            dF_dt = (3.0 * F[0] - 4.0 * F[1] + F[2]) / (2 * h)
         rho, j = p.rho_j(x, t)
         assert abs(dF_dx - 2.0 * rho) <= 1e-6
         assert abs(dF_dt + 2.0 * j) <= 1e-6
+
+
+@pytest.mark.parametrize("k_cut, switch, most", [
+    (40.0, 1.0, 1e-10), (40.0, 5.0, 1e-9),
+    (None, 1.0, 4e-12), (None, 5.0, 4e-12)])
+def test_front_kernel_step_at_a_row_size_switch(k_cut, switch, most):
+    # F from the rows on either side of a box switch (64 -> 72 past t = 1,
+    # 72 -> 80 past t = 5 for a = 1) at the least float where the row
+    # size changes: the step is the two rows' discretization gap, as F
+    # moves by ~1e-14 over that dt.  Measured 5.4e-11 and 5.2e-10 of F's
+    # range at k_cut = 40, and 1.9e-12 and 1.4e-12 at the default
+    p = Packet.cos2(1.0, k_cut=k_cut)
+    past = switch
+    for _ in range(64):
+        past = np.nextafter(past, np.inf)
+        if fft_row_size(p, past) != fft_row_size(p, switch):
+            break
+    assert fft_row_size(p, past)[1] != fft_row_size(p, switch)[1]
+    F = FrontKernel(p).evaluate(np.linspace(-40.0, 40.0, 801),
+                                np.array([switch, past]))
+    assert np.max(np.abs(F[:, 1] - F[:, 0])) <= most * np.ptp(F)
 
 
 def test_front_kernel_conserved_along_ode(cos2):
