@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: modes, explode, nearnr, spin.  Each takes --config (JSON),
---out (output directory), --quick (coarse presets) and --threads (speed
-only; results are byte-identical for any thread count).  modes, nearnr
-and spin parse the config, make one library call and write its result.
+--out (output directory) and --threads (speed only; results are
+byte-identical for any thread count).  modes, nearnr and spin parse the
+config, make one library call and write its result.
 
 Exit codes: 0 success, 2 config error, 3 numerical non-convergence.
 An array past its size limit (numerics.SizeError) or a sample count
@@ -76,13 +76,10 @@ def _parsing(where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _grid(cfg: dict, quick: bool) -> Grid2D:
+def _grid(cfg: dict) -> Grid2D:
     with _parsing("grid"):
         g = cfg["grid"]
         n_x, n_t = int(g["n_x"]), int(g["n_t"])
-        if quick:
-            n_x = max(2, (n_x + 1) // 2)
-            n_t = max(2, (n_t + 1) // 2)
         ext = {key: _real(g[key], f"grid.{key}")
                for key in ("x_min", "x_max", "t_min", "t_max")}
         return Grid2D(n_x=n_x, n_t=n_t, **ext)
@@ -141,7 +138,7 @@ def cmd_modes(cfg: dict, args) -> int:
         state = modes.ModeSet(
             k=np.asarray(cfg["k"], dtype=float),
             phi=np.array([complex(re, im) for re, im in cfg["phi"]]))
-    grid = _grid(cfg, args.quick)
+    grid = _grid(cfg)
     n_levels = _levels(cfg, 30, grid)
 
     F, traj, summary = modes.analyse(state, grid, n_levels, args.threads)
@@ -258,15 +255,12 @@ def cmd_explode(cfg: dict, args) -> int:
         t_values = [float(t) for t in cfg.get("t_values", [0.0])]
         p_times = [float(t) for t in cfg.get("p_times", [0.0])]
         dx_cfg = cfg.get("density_x", {"min": -5.0, "max": 5.0, "n": 401})
-        n = _count(dx_cfg["n"], "density_x.n", most=SAMPLE_MAX_POINTS)
         xd = _window(dx_cfg, "density_x",
-                     n if not args.quick else max(2, n // 2))
+                     _count(dx_cfg["n"], "density_x.n",
+                            most=SAMPLE_MAX_POINTS))
     if not all(0.0 <= t < np.inf for t in t_values + p_times):
         raise ConfigError("t values must be finite and >= 0")
-    if args.quick:
-        t_values = t_values[:2]
-        p_times = [t for i, t in enumerate(p_times) if i % 2 == 0 or t == 0.0]
-    grid = _grid(cfg, args.quick)
+    grid = _grid(cfg)
     n_levels = _levels(cfg, 40, grid)
 
     x_th, x0 = packets.zero_crossings(packet)
@@ -313,10 +307,8 @@ def cmd_nearnr(cfg: dict, args) -> int:
     packet = _packet_from(cfg)
     xcfg = cfg.get("x", {"min": -20.0, "max": 20.0, "n": 161})
     with _parsing("x"):
-        n = _count(xcfg["n"], "x.n", most=SAMPLE_MAX_POINTS)
-        if args.quick:
-            n = max(9, n // 2)
-        x = _window(xcfg, "x", n)
+        x = _window(xcfg, "x", _count(xcfg["n"], "x.n",
+                                      most=SAMPLE_MAX_POINTS))
     t = _real(cfg.get("t", 0.0), "t")
 
     field, summary = nearnr.analyse(packet, x, t)
@@ -346,8 +338,6 @@ def cmd_spin(cfg: dict, args) -> int:
                 k_max=_real(cfg.get("k_max", 1.0), "k_max", positive=True))
         n_pts = _count(cfg.get("n_points", 20), "n_points",
                        most=SAMPLE_MAX_POINTS)
-        if args.quick:
-            n_pts = min(n_pts, 6)
         r = _real(cfg.get("point_range", 1.0), "point_range", positive=True)
         pts = rng.uniform(-r, r, (n_pts, 4))
         report, failure = dirac.identity_report(field, pts)
@@ -362,8 +352,6 @@ def cmd_spin(cfg: dict, args) -> int:
         n_pts = _count(cfg.get("n_points", 25), "n_points",
                        most=SAMPLE_MAX_POINTS)
         box_n = _count(cfg.get("box_n", 61), "box_n", least=2)
-        if args.quick:
-            box_n = min(box_n, 41)
         box_half = _real(cfg.get("box_half", 7.0), "box_half", positive=True)
         report = dirac.fw_report(name, rng.uniform(-1.5, 1.5, (n_pts, 3)),
                                  box_half, box_n)
@@ -391,8 +379,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True,
                         help="JSON config path or bundled config name")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--quick", action="store_true",
-                        help="coarse presets for CI")
         sp.add_argument("--threads", type=int, default=1,
                         help="worker threads (speed only; results are "
                              "independent of this)")

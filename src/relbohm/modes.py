@@ -125,9 +125,9 @@ def integral_F(state: ModeSet, z, t):
     """
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
-    re, im = double_sum_parts(state, z, t)
-    _check_purity(re, im)
-    out = _F_of(state, z, t, im)
+    dbl = _double_sum(state, _pair_products(state, z, t))
+    _check_purity(dbl.real, dbl.imag)
+    out = _F_of(state, z, t, dbl.imag)
     return float(out) if out.ndim == 0 else out
 
 
@@ -155,18 +155,6 @@ def _double_sum(state: ModeSet, uu: np.ndarray) -> np.ndarray:
                     (w[:, None] + w[None, :]) / np.where(dk != 0.0, dk, 1.0),
                     0.0)
     return 0.5 * np.sum(uu * coef, axis=(-2, -1))
-
-
-def double_sum_parts(state: ModeSet, z, t):
-    """Real and imaginary part of the Eq-of-motion double sum.
-
-    The real part must vanish identically (pure-imaginary claim); this
-    helper exposes both parts so callers can measure the stray real
-    residue directly.
-    """
-    dbl = _double_sum(state, _pair_products(
-        state, np.asarray(z, dtype=float), np.asarray(t, dtype=float)))
-    return dbl.real, dbl.imag
 
 
 def grid_fields(state: ModeSet, grid: Grid2D, threads: int = 1):

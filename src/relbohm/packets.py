@@ -134,15 +134,6 @@ def _waves(x, split, out=None) -> np.ndarray:
                        out=out).reshape(x.size, -1)
 
 
-def _cis(phase) -> np.ndarray:
-    """e^{i phase} as cos + i sin: two real ufuncs written in place, about
-    half the time of np.exp on the complex array i phase."""
-    out = np.empty(np.shape(phase), dtype=complex)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
-    return out
-
-
 class _Densities:
     """rho, rho_nw and J from the fields(x, t, orders, nw) of a class."""
 
@@ -172,9 +163,10 @@ class _Rule(_Densities):
     #: nodes a panel (its e^{i x mid}, e^{i x off} and one order's inner
     #: sums), whatever the number of orders.  63 unshared points a chunk
     #: on the 1 968-node rule of the explode-cos2 benchmark grid: 2 693
-    #: points there, each of its own t, peak at 3.7 MB under tracemalloc
-    #: (the waves, the upper half's e^{-i omega t} and its phases),
-    #: against 10.8 MB with 250 000 and a separate e^{-i omega t}.
+    #: points there, each of its own t, peak at 3.6 MB under tracemalloc
+    #: (the waves and the upper half's e^{-i omega t}, taken in place on
+    #: its phases), against 10.8 MB with 250 000 and a separate e^{-i
+    #: omega t}.
     #: Shared-t chunks of 125 000 entries gave nearnr-spin ~3 000 minor
     #: faults a batch and 15 % more time (glibc's heap trimmed and
     #: refaulted); at 250 000 it takes none.  Its 2 001-point pushforward
@@ -207,7 +199,8 @@ class _Rule(_Densities):
         onto the lower."""
         n = self.k.size
         half = n // 2
-        upper = _cis(np.multiply.outer(-t, self.omega[half:]))
+        upper = np.multiply.outer(t, -1j * self.omega[half:])
+        np.exp(upper, out=upper)
         lower = upper[..., n - 2 * half:][..., ::-1]
         if out is None:
             out = np.empty(np.shape(t) + (n,), dtype=complex)
@@ -221,7 +214,7 @@ class _Rule(_Densities):
         """Packet.fields on this rule, whatever the points' reach.
 
         Points are grouped by distinct t.  A t shared by several points
-        takes C(t) = coefs e^{-i omega t} once (_wave_t: one cos and sin
+        takes C(t) = coefs e^{-i omega t} once (_wave_t: one exponential
         per |k|).  Node p J + j of the rule is mid_p + off_j (the panel
         split of _gl_panels), so psi = sum_j e^{i x off_j} sum_p e^{i x
         mid_p} C_{pj}(t): one order at a time, a matrix product of the
@@ -231,7 +224,7 @@ class _Rule(_Densities):
         the call.  The points whose t no other point shares (contour
         vertices on grid columns) are summed together instead, a chunk at
         a time: their e^{ikx} (_waves) times their e^{-i omega t} in place
-        (_wave_t, K/2 cos and sin a point), then one product with the
+        (_wave_t, K/2 exponentials a point), then one product with the
         coefs.  Both paths take chunks sized by _CHUNK_BUDGET.
         """
         x, t = np.broadcast_arrays(np.asarray(x, dtype=float),
@@ -263,8 +256,8 @@ class _Rule(_Densities):
             for i in range(lo, hi, chunk):
                 sl = slice(i, min(i + chunk, hi))
                 idx = by_t[sl]
-                e_mid = _cis(np.multiply.outer(xf[sl], mid))
-                e_off = _cis(np.multiply.outer(xf[sl], off))
+                e_mid = np.exp(np.multiply.outer(xf[sl], 1j * mid))
+                e_off = np.exp(np.multiply.outer(xf[sl], 1j * off))
                 for o, c in enumerate(C):
                     out[o, idx] = np.einsum("nj,nj->n", e_off, e_mid @ c)
         return [o.reshape(shape) for o in out]

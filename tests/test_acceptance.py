@@ -74,9 +74,9 @@ def test_criterion_03_integral_of_motion():
             k = rng.uniform(-2.0, 2.0, n)
         phi = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
         state = modes.ModeSet(k=k, phi=phi)
-        re, im = modes.double_sum_parts(state, rng.uniform(-1, 1),
-                                        rng.uniform(0, 1))
-        worst_re = max(worst_re, abs(re) / (abs(im) + 1e-300))
+        dbl = modes._double_sum(state, modes._pair_products(
+            state, rng.uniform(-1, 1), rng.uniform(0, 1)))
+        worst_re = max(worst_re, abs(dbl.real) / (abs(dbl.imag) + 1e-300))
         done = False
         for z0 in np.linspace(-1.0, 1.0, 9):
             if velocity_discrete(state, z0, 0.0) is None:
@@ -301,12 +301,12 @@ def test_criterion_10_determinism(tmp_path):
         for n in ("1", "8"):
             out = tmp_path / f"{cmd}_{n}"
             assert main([cmd, "--config", cfg, "--out", str(out),
-                         "--quick", "--threads", n]) == 0
+                         "--threads", n]) == 0
             outs.append(out)
         for f in files:
             if (outs[0] / f).read_bytes() != (outs[1] / f).read_bytes():
                 identical = False
     _line(10, identical,
-          "quick runs of all four subcommands byte-identical for "
+          "full runs of all four subcommands byte-identical for "
           "--threads 1 vs 8" if identical else "outputs differ")
     assert identical

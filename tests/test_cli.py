@@ -28,10 +28,9 @@ def run(args):
     return main(args)
 
 
-def test_modes_bundled_quick(tmp_path):
+def test_modes_bundled(tmp_path):
     out = tmp_path / "out"
-    assert run(["modes", "--config", "two_mode.json", "--out", str(out),
-                "--quick"]) == 0
+    assert run(["modes", "--config", "two_mode.json", "--out", str(out)]) == 0
     for name in ("f_grid.csv", "trajectories.csv", "summary.json"):
         assert (out / name).is_file()
     head = (out / "f_grid.csv").read_text().splitlines()
@@ -44,6 +43,20 @@ def test_modes_bundled_quick(tmp_path):
     # (0 + 0.1/omega(0.1)) / 2
     expect = 0.5 * 0.1 / (1.0 + 0.01) ** 0.5
     assert summary["mean_group_velocity"] == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("command, config", [
+    ("modes", "two_mode.json"), ("explode", "cos2.json"),
+    ("nearnr", "gauss.json"), ("spin", "dirac3.json")])
+def test_quick_is_not_an_argument(tmp_path, capsys, command, config):
+    # there are no coarse presets: every command runs its config as given,
+    # and --quick is a usage error that makes no --out
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--config", config, "--out", str(out), "--quick"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quick" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_modes_duplicate_k_rejected(tmp_path):
@@ -262,8 +275,7 @@ def test_size_limit_met_after_other_stages(tmp_path, monkeypatch, capsys):
     assert packets.fft_row_size(packet, 2.0)[1] < n - 1
     monkeypatch.setattr(packets, "FFT_MAX_POINTS", n - 1)
     out = tmp_path / "o"
-    assert run(["explode", "--config", "cos2.json", "--out", str(out),
-                "--quick"]) == 2
+    assert run(["explode", "--config", "cos2.json", "--out", str(out)]) == 2
     assert f"FFT row at |t| = 0 needs {n} points" in capsys.readouterr().err
     assert not out.exists()
 
@@ -273,9 +285,6 @@ def test_spin_fw_box_limit_is_named(tmp_path, capsys):
     assert run(["spin", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert ("over the limit of 128 Gauss-Legendre nodes per face axis"
             in capsys.readouterr().err)
-    # --quick caps box_n at 41 first, so the same config runs
-    assert run(["spin", "--config", cfg, "--out", str(tmp_path / "q"),
-                "--quick"]) == 0
 
 
 def test_missing_config_is_config_error(tmp_path):
@@ -477,8 +486,7 @@ def test_non_finite_csv_value_exits_3(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(nearnr, "_correction_field", nan_density)
     out = tmp_path / "out"
-    assert run(["nearnr", "--config", "gauss.json", "--out", str(out),
-                "--quick"]) == 3
+    assert run(["nearnr", "--config", "gauss.json", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "column rho of" in err and "correction.csv" in err
     assert not (out / "correction.csv").exists()
@@ -491,8 +499,7 @@ def test_nearnr_density_floor_nan_is_written(tmp_path):
     cfg = write_cfg(tmp_path, "floor.json", {
         "packet": {"shape": "gaussian", "sigma_k": 0.28}})
     out = tmp_path / "out"
-    assert run(["nearnr", "--config", cfg, "--out", str(out),
-                "--quick"]) == 0
+    assert run(["nearnr", "--config", cfg, "--out", str(out)]) == 0
     lines = [ln for ln in (out / "correction.csv").read_text().splitlines()
              if not ln.startswith("#")]
     names = lines[0].split(",")
@@ -501,10 +508,9 @@ def test_nearnr_density_floor_nan_is_written(tmp_path):
     assert nan_cols == {"f", "x_mapped"}
 
 
-def test_nearnr_bundled_quick(tmp_path):
+def test_nearnr_bundled(tmp_path):
     out = tmp_path / "out"
-    assert run(["nearnr", "--config", "gauss.json", "--out", str(out),
-                "--quick"]) == 0
+    assert run(["nearnr", "--config", "gauss.json", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["eq22_max_residual"] < 1e-9
     assert abs(summary["moment0"]) < 1e-8
@@ -547,7 +553,7 @@ def test_nearnr_wide_sigma_warns(tmp_path):
         "x": {"min": -4.0, "max": 4.0, "n": 33}, "t": 0.0})
     with pytest.warns(RuntimeWarning, match="narrow-k regime"):
         assert run(["nearnr", "--config", cfg,
-                    "--out", str(tmp_path / "o"), "--quick"]) == 0
+                    "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("payload", [
@@ -561,8 +567,7 @@ def test_nearnr_narrow_k_regime_follows_the_measured_errors(tmp_path,
     cfg = write_cfg(tmp_path, "far.json", payload)
     out = tmp_path / "out"
     with pytest.warns(RuntimeWarning, match="narrow-k regime"):
-        assert run(["nearnr", "--config", cfg, "--out", str(out),
-                    "--quick"]) == 0
+        assert run(["nearnr", "--config", cfg, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert max(summary["w_approx_rel"], summary["timeform_rel_27b"]) > 0.25
     assert summary["narrow_k_regime"] is False
@@ -578,13 +583,12 @@ def _within_bound(report):
                for name in ("mass_identity", "eom"))
 
 
-def test_spin_dirac_bundled_quick(tmp_path):
+def test_spin_dirac_bundled(tmp_path):
     out = tmp_path / "out"
-    assert run(["spin", "--config", "dirac3.json", "--out", str(out),
-                "--quick"]) == 0
+    assert run(["spin", "--config", "dirac3.json", "--out", str(out)]) == 0
     report = _dirac_report(out)
     assert report["converged"] is True
-    assert report["n_points"] == 6
+    assert report["n_points"] == 20
     assert report["excluded_points"] == 0
     assert report["min_density_ratio"] > 0.0
     assert _within_bound(report)
@@ -656,16 +660,16 @@ def test_non_finite_json_value_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dirac, "verify_ensemble_balance",
                         lambda *args, **kwargs: float("nan"))
     out = tmp_path / "out"
-    assert run(["spin", "--config", "fw_hedgehog.json", "--out", str(out),
-                "--quick"]) == 3
+    assert run(["spin", "--config", "fw_hedgehog.json",
+                "--out", str(out)]) == 3
     assert "ensemble_balance" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 
-def test_spin_fw_bundled_quick(tmp_path):
+def test_spin_fw_bundled(tmp_path):
     out = tmp_path / "out"
-    assert run(["spin", "--config", "fw_hedgehog.json", "--out", str(out),
-                "--quick"]) == 0
+    assert run(["spin", "--config", "fw_hedgehog.json",
+                "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["spin_tensor_residual"] < 1e-10
     # both sides of the circulation identity in closed form
@@ -693,7 +697,7 @@ def test_modes_thread_determinism(tmp_path):
     for n in ("1", "2", "8"):
         out = tmp_path / f"out{n}"
         assert run(["modes", "--config", "two_mode.json", "--out", str(out),
-                    "--quick", "--threads", n]) == 0
+                    "--threads", n]) == 0
         outs.append(out)
     for name in ("f_grid.csv", "trajectories.csv", "summary.json"):
         for other in outs[1:]:
@@ -703,15 +707,12 @@ def test_modes_thread_determinism(tmp_path):
 @pytest.mark.parametrize("config", ["two_mode.json", "fig1.json"])
 def test_modes_census_is_the_full_grid_rho(tmp_path, config):
     out = tmp_path / "out"
-    assert run(["modes", "--config", config, "--out", str(out),
-                "--quick"]) == 0
+    assert run(["modes", "--config", config, "--out", str(out)]) == 0
     cfg = json.loads(resources.files("relbohm").joinpath(
         "configs", config).read_text())
     state = modes.ModeSet(k=cfg["k"],
                           phi=[complex(re, im) for re, im in cfg["phi"]])
-    g = {**cfg["grid"], "n_x": (cfg["grid"]["n_x"] + 1) // 2,
-         "n_t": (cfg["grid"]["n_t"] + 1) // 2}
-    grid = Grid2D(**g)
+    grid = Grid2D(**cfg["grid"])
     rho, _ = modes._rho_j(state, grid.x[:, None], grid.t[None, :])
     summary = json.loads((out / "summary.json").read_text())
     assert summary["rho_sign_census"] == {"positive": int(np.sum(rho > 0)),
@@ -745,7 +746,7 @@ def test_nearnr_thread_determinism(tmp_path):
     for n in ("1", "4"):
         out = tmp_path / f"out{n}"
         assert run(["nearnr", "--config", "gauss.json", "--out", str(out),
-                    "--quick", "--threads", n]) == 0
+                    "--threads", n]) == 0
         outs.append(out)
     for name in ("correction.csv", "summary.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
@@ -798,14 +799,13 @@ def _floats(obj):
     return [obj] if isinstance(obj, float) else []
 
 
-def _answers_with_a_code(command, cfg, quick, report):
+def _answers_with_a_code(command, cfg, report):
     """Run cfg: the exit code is 0, 2 or 3, exit 2 leaves no --out, and an
     exit-0 report file holds only finite floats."""
     with tempfile.TemporaryDirectory() as tmp:
         path = write_cfg(Path(tmp), "cfg.json", cfg)
         out = Path(tmp) / "o"
-        code = run([command, "--config", path, "--out", str(out)]
-                   + ["--quick"] * quick)
+        code = run([command, "--config", path, "--out", str(out)])
         assert code in (0, 2, 3)
         if code == 2:
             assert not out.exists()
@@ -816,11 +816,11 @@ def _answers_with_a_code(command, cfg, quick, report):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(cfg=_spin_configs(), quick=st.booleans())
+@given(cfg=_spin_configs())
 # a negative point_range once escaped main from numpy's uniform draw
-@example(cfg={**_DIRAC, "point_range": -0.5}, quick=False)
-def test_spin_configs_never_escape(cfg, quick):
-    _answers_with_a_code("spin", cfg, quick, "report.json")
+@example(cfg={**_DIRAC, "point_range": -0.5})
+def test_spin_configs_never_escape(cfg):
+    _answers_with_a_code("spin", cfg, "report.json")
 
 
 @st.composite
@@ -852,25 +852,24 @@ def _nearnr_configs(draw):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(cfg=_nearnr_configs(), quick=st.booleans())
+@given(cfg=_nearnr_configs())
 # rho has a zero in the pushforward window: this once escaped main
 @example(cfg={"packet": {"shape": "gaussian", "k0": 0.1, "sigma_k": 0.05},
-              "x": {"min": -20.0, "max": 20.0, "n": 161}, "t": 30.0},
-         quick=False)
+              "x": {"min": -20.0, "max": 20.0, "n": 161}, "t": 30.0})
 # past the size limits, as far as the float range: a late t whose rule and
 # rows are large but within the limits, a row or rule whose size passes
 # the float range, a reach of inf, and a window whose x step overflows
 # (NaN points)
 @example(cfg={"packet": _GAUSS, "x": {"min": -20.0, "max": 20.0, "n": 5},
-              "t": 1e4}, quick=False)
+              "t": 1e4})
 @example(cfg={"packet": _GAUSS, "x": {"min": -4.0, "max": 4.0, "n": 5},
-              "t": 1e308}, quick=True)
+              "t": 1e308})
 @example(cfg={"packet": _K40, "x": {"min": 0.0, "max": 1e308, "n": 5},
-              "t": 1e308}, quick=False)
+              "t": 1e308})
 @example(cfg={"packet": _GAUSS, "x": {"min": -1e308, "max": 1e308, "n": 5},
-              "t": 0.0}, quick=False)
-def test_nearnr_configs_never_escape(cfg, quick):
-    _answers_with_a_code("nearnr", cfg, quick, "summary.json")
+              "t": 0.0})
+def test_nearnr_configs_never_escape(cfg):
+    _answers_with_a_code("nearnr", cfg, "summary.json")
 
 
 @st.composite
@@ -909,9 +908,9 @@ def _explode_configs(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(cfg=_explode_configs(), quick=st.booleans())
-def test_explode_configs_never_escape(cfg, quick):
-    _answers_with_a_code("explode", cfg, quick, "thresholds.json")
+@given(cfg=_explode_configs())
+def test_explode_configs_never_escape(cfg):
+    _answers_with_a_code("explode", cfg, "thresholds.json")
 
 
 def _bundled(name):
@@ -1027,13 +1026,12 @@ def _modes_configs(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(cfg=_modes_configs(), quick=st.booleans())
+@given(cfg=_modes_configs())
 # past the size limits: each once exited 1 with a traceback and left
 # --out.  These run in this process, so each count is one whose array
 # cannot be allocated at all: without its limit the run fails at once
-@example(cfg={**_TWO_MODE, "grid": {**_GRID, "n_x": _BIG, "n_t": _BIG}},
-         quick=False)
-@example(cfg=_OVERSIZED["modes-pairs"][1], quick=False)
-@example(cfg=_OVERSIZED["modes-levels"][1], quick=True)
-def test_modes_configs_never_escape(cfg, quick):
-    _answers_with_a_code("modes", cfg, quick, "summary.json")
+@example(cfg={**_TWO_MODE, "grid": {**_GRID, "n_x": _BIG, "n_t": _BIG}})
+@example(cfg=_OVERSIZED["modes-pairs"][1])
+@example(cfg=_OVERSIZED["modes-levels"][1])
+def test_modes_configs_never_escape(cfg):
+    _answers_with_a_code("modes", cfg, "summary.json")

@@ -353,7 +353,7 @@ def test_ensemble_balance():
     assert r < 1e-6
     r = verify_ensemble_balance(fw_rotating_field(), box_half=7.0)
     assert r < 1e-4
-    # the bundled fw_hedgehog.json field, and the --quick grid size
+    # the bundled fw_hedgehog.json field, and a coarser grid of 41 nodes
     r = verify_ensemble_balance(fw_hedgehog_field(), box_half=7.0)
     assert r < 1e-13
     for field in (fw_gaussian_field(), fw_rotating_field(),

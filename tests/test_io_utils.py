@@ -271,12 +271,11 @@ def test_cli_import_loads_no_scipy():
 
 def test_no_command_loads_scipy(tmp_path):
     # relbohm runs on numpy alone; scipy is a test oracle only
-    runs = [["modes", "two_mode.json"], ["explode", "cos2.json", "--quick"],
+    runs = [["modes", "two_mode.json"], ["explode", "cos2.json"],
             ["nearnr", "gauss.json"], ["spin", "dirac3.json"],
             ["spin", "fw_hedgehog.json"]]
     code = "from relbohm.cli import main\n"
-    for i, (command, config, *flags) in enumerate(runs):
-        args = [command, "--config", config,
-                "--out", str(tmp_path / str(i)), *flags]
+    for i, (command, config) in enumerate(runs):
+        args = [command, "--config", config, "--out", str(tmp_path / str(i))]
         code += f"assert main({args!r}) == 0\n"
     assert _scipy_modules(code) == []

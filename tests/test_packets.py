@@ -257,19 +257,20 @@ def test_fields_of_unshared_t_over_several_chunks(cos2, monkeypatch):
 
 def test_unshared_t_take_one_cis_a_chunk(cos2, monkeypatch):
     # points of distinct t (contour vertices on grid columns) once took
-    # e^{-i omega t} one point at a time; a chunk of them takes one _cis
+    # e^{-i omega t} one point at a time; a chunk of them takes one
+    # _wave_t, which exponentiates all its points' phases at once
     rng = np.random.default_rng(7)
     x = rng.uniform(0.0, 3.0, 1000)
     t = rng.uniform(0.0, 1.5, 1000)
     rule = cos2.rule_at(x, t)
     calls = []
 
-    def counting(phase):
-        calls.append(np.shape(phase))
-        return cis(phase)
+    def counting(self, t, out=None):
+        calls.append(np.shape(t))
+        return wave_t(self, t, out)
 
-    cis = packets._cis
-    monkeypatch.setattr(packets, "_cis", counting)
+    wave_t = _Rule._wave_t
+    monkeypatch.setattr(_Rule, "_wave_t", counting)
     rule.fields(x, t, FIELD_ORDERS, nw=FIELD_NW)
     chunk = _Rule._CHUNK_BUDGET // rule.k.size
     assert len(calls) <= -(-x.size // chunk) < x.size // 50
